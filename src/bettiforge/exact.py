@@ -1,10 +1,13 @@
 """Exact multivariate polynomial arithmetic over the rationals.
 
-Coefficients are :class:`fractions.Fraction`, so every identity in this
-package holds exactly; there is no floating point anywhere.  A polynomial
-is a map from exponent tuples to nonzero coefficients together with an
-ordered tuple of variable names.  Terms are kept canonical (no zero
-coefficients) and displayed in graded lexicographic order.
+Coefficients are ``int``, promoted to :class:`fractions.Fraction` only
+when a value is not an integer; a ``Fraction`` with denominator 1 is
+stored back as ``int``.  Floats and bools are rejected, so every identity
+in this package holds exactly and there is no floating point anywhere.
+A polynomial is a map from exponent tuples to nonzero coefficients
+together with an ordered tuple of variable names.  Terms are kept
+canonical (no zero coefficients) and displayed in graded lexicographic
+order.
 
 Matrices of polynomials are dense; everything here is desk scale
 (at most ~12x12), so cofactor expansion with memoization is enough for
@@ -15,6 +18,7 @@ constant case.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence, Union
@@ -23,25 +27,74 @@ Scalar = Union[int, Fraction]
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
+def _coefficient(value) -> Scalar:
+    """Coerce an outside value to a coefficient: ``int`` passes, anything else becomes ``Fraction``.
+
+    Floats and bools are rejected with ValueError: a binary float is not
+    the rational its decimal text suggests, and ``True`` is not a number
+    a user meant.  Rational strings such as ``"1/3"`` are accepted.
+    """
+    if isinstance(value, (bool, float)):
+        raise ValueError(f"coefficient must be an integer or a rational, got {value!r}")
+    if isinstance(value, int):
+        return int(value)
+    try:
+        c = Fraction(value)
+    except TypeError as exc:
+        raise ValueError(f"coefficient must be an integer or a rational, got {value!r}") from exc
+    return c.numerator if c.denominator == 1 else c
+
+
+def _has_fraction(terms: dict) -> bool:
+    return Fraction in map(type, terms.values())
+
+
+def _int_first(terms: dict) -> dict:
+    """Store integral ``Fraction`` coefficients back as ``int``, in place."""
+    for exp, c in terms.items():
+        if c.denominator == 1:
+            terms[exp] = c.numerator
+    return terms
+
+
 class Poly:
-    """Immutable multivariate polynomial with rational coefficients."""
+    """Immutable multivariate polynomial with exact rational coefficients.
+
+    Coefficients are ``int``, or ``Fraction`` when not integral; floats
+    and bools are rejected.  The public constructor validates every term;
+    arithmetic builds its results with :meth:`_trusted`.
+    """
 
     __slots__ = ("names", "terms")
 
     def __init__(self, names: Sequence[str], terms: dict[tuple[int, ...], Scalar]):
         names = tuple(names)
-        clean: dict[tuple[int, ...], Fraction] = {}
+        clean: dict[tuple[int, ...], Scalar] = {}
         for exp, coeff in terms.items():
             exp = tuple(int(e) for e in exp)
             if len(exp) != len(names):
                 raise ValueError(f"exponent {exp} does not match {len(names)} variables")
             if any(e < 0 for e in exp):
                 raise ValueError(f"negative exponent in {exp}")
-            c = Fraction(coeff)
+            c = _coefficient(coeff)
             if c != 0:
-                clean[exp] = clean.get(exp, Fraction(0)) + c
+                clean[exp] = clean.get(exp, 0) + c
         object.__setattr__(self, "names", names)
-        object.__setattr__(self, "terms", {e: c for e, c in clean.items() if c != 0})
+        object.__setattr__(self, "terms", _int_first({e: c for e, c in clean.items() if c != 0}))
+
+    @classmethod
+    def _trusted(cls, names: tuple[str, ...], terms: dict[tuple[int, ...], Scalar]) -> "Poly":
+        """Wrap terms this module produced, without validation.
+
+        The caller guarantees what ``__init__`` would check: ``names`` is a
+        tuple, every exponent is a tuple of nonnegative ints of that length,
+        and every coefficient is nonzero and int-first.  ``terms`` is owned
+        by the result from now on.
+        """
+        p = object.__new__(cls)
+        object.__setattr__(p, "names", names)
+        object.__setattr__(p, "terms", terms)
+        return p
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
@@ -57,7 +110,7 @@ class Poly:
     @classmethod
     def const(cls, value: Scalar, names: Sequence[str] = ()) -> "Poly":
         names = tuple(names)
-        return cls(names, {(0,) * len(names): Fraction(value)})
+        return cls(names, {(0,) * len(names): value})
 
     @classmethod
     def variable(cls, name: str, names: Sequence[str]) -> "Poly":
@@ -65,7 +118,7 @@ class Poly:
         idx = names.index(name)
         exp = [0] * len(names)
         exp[idx] = 1
-        return cls(names, {tuple(exp): Fraction(1)})
+        return cls(names, {tuple(exp): 1})
 
     # ------------------------------------------------------------------
     # queries
@@ -79,9 +132,9 @@ class Poly:
     def is_constant(self) -> bool:
         return all(all(e == 0 for e in exp) for exp in self.terms)
 
-    def constant_value(self) -> Fraction:
+    def constant_value(self) -> Scalar:
         if not self.terms:
-            return Fraction(0)
+            return 0
         if not self.is_constant:
             raise ValueError(f"{self} is not constant")
         return next(iter(self.terms.values()))
@@ -122,9 +175,10 @@ class Poly:
 
     @staticmethod
     def _coerce(value: "Poly | Scalar") -> "Poly":
+        """Poly as is, a number as a constant (ValueError for floats and bools), else NotImplemented."""
         if isinstance(value, Poly):
             return value
-        if isinstance(value, (int, Fraction)):
+        if isinstance(value, (int, float, Fraction)):
             return Poly.const(value)
         return NotImplemented  # type: ignore[return-value]
 
@@ -134,14 +188,21 @@ class Poly:
             return NotImplemented
         a, b = self._aligned(other)
         terms = dict(a.terms)
+        get = terms.get
         for exp, coeff in b.terms.items():
-            terms[exp] = terms.get(exp, Fraction(0)) + coeff
-        return Poly(a.names, terms)
+            c = get(exp, 0) + coeff
+            if c:
+                terms[exp] = c
+            else:
+                del terms[exp]
+        if _has_fraction(a.terms) or _has_fraction(b.terms):
+            _int_first(terms)
+        return Poly._trusted(a.names, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(self.names, {e: -c for e, c in self.terms.items()})
+        return Poly._trusted(self.names, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         other = Poly._coerce(other)
@@ -157,12 +218,21 @@ class Poly:
         if other is NotImplemented:
             return NotImplemented
         a, b = self._aligned(other)
-        terms: dict[tuple[int, ...], Fraction] = {}
+        terms: dict[tuple[int, ...], Scalar] = {}
+        get = terms.get
+        add = operator.add
+        b_items = b.terms.items()
         for ea, ca in a.terms.items():
-            for eb, cb in b.terms.items():
-                exp = tuple(x + y for x, y in zip(ea, eb))
-                terms[exp] = terms.get(exp, Fraction(0)) + ca * cb
-        return Poly(a.names, terms)
+            for eb, cb in b_items:
+                exp = tuple(map(add, ea, eb))
+                c = get(exp, 0) + ca * cb
+                if c:
+                    terms[exp] = c
+                else:
+                    del terms[exp]
+        if _has_fraction(a.terms) or _has_fraction(b.terms):
+            _int_first(terms)
+        return Poly._trusted(a.names, terms)
 
     __rmul__ = __mul__
 
@@ -175,7 +245,10 @@ class Poly:
         return out
 
     def __eq__(self, other) -> bool:
-        other = Poly._coerce(other)
+        try:
+            other = Poly._coerce(other)
+        except ValueError:  # floats and bools are not coefficients, so never equal
+            return NotImplemented
         if other is NotImplemented:
             return NotImplemented
         try:
@@ -185,15 +258,16 @@ class Poly:
         return a.terms == b.terms
 
     def __hash__(self) -> int:
+        # constants compare equal to their value, so they hash like it
         if self.is_constant:
-            return hash(("Poly", self.constant_value()))
+            return hash(self.constant_value())
         return hash(("Poly", self.names, tuple(sorted(self.terms.items()))))
 
     # ------------------------------------------------------------------
     # display
     # ------------------------------------------------------------------
 
-    def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
+    def sorted_terms(self) -> list[tuple[tuple[int, ...], Scalar]]:
         """Terms in descending graded lexicographic order."""
         return sorted(self.terms.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True)
 
@@ -252,7 +326,7 @@ def monomials(names: Sequence[str], degree: int) -> list[Poly]:
     if not names:
         return [Poly.const(1)] if degree == 0 else []
     rec([], degree, 0)
-    return [Poly(names, {exp: Fraction(1)}) for exp in out]
+    return [Poly._trusted(names, {exp: 1}) for exp in out]
 
 
 # ----------------------------------------------------------------------
@@ -281,7 +355,7 @@ def parse_poly(text: str, names: Sequence[str] | None = None) -> Poly:
         raise ValueError("empty polynomial text")
 
     # split into signed terms
-    terms: dict[tuple[int, ...], Fraction] = {}
+    terms: dict[tuple[int, ...], Scalar] = {}
     pos = 0
     sign = 1
     if text[0] in "+-":
@@ -294,7 +368,7 @@ def parse_poly(text: str, names: Sequence[str] | None = None) -> Poly:
         chunk = text[pos:nxt]
         if not chunk:
             raise ValueError(f"malformed polynomial: {text!r}")
-        coeff = Fraction(sign)
+        coeff: Scalar = sign
         exp = [0] * len(names)
         for factor in chunk.split("*"):
             if not factor:
@@ -311,7 +385,7 @@ def parse_poly(text: str, names: Sequence[str] | None = None) -> Poly:
                 raise ValueError(f"unknown variable {base!r}")
             exp[index[base]] += k
         key = tuple(exp)
-        terms[key] = terms.get(key, Fraction(0)) + coeff
+        terms[key] = terms.get(key, 0) + coeff
         if nxt >= len(text):
             break
         sign = -1 if text[nxt] == "-" else 1
@@ -453,11 +527,16 @@ class PolyMatrix:
         memo: dict[tuple[int, ...], Poly] = {}
         return self._cofactor_det(tuple(range(self.rows)), tuple(range(self.cols)), memo)
 
-    def _bareiss_determinant(self) -> Fraction:
+    def _bareiss_determinant(self) -> Scalar:
         n = self.rows
         m = [[e.constant_value() for e in row] for row in self.entries]
+        # Bareiss quotients are exact, so integer matrices stay in int with //;
+        # otherwise every entry becomes a Fraction, so / never divides two ints
+        integral = all(type(v) is int for row in m for v in row)
+        if not integral:
+            m = [[Fraction(v) for v in row] for row in m]
         sign = 1
-        prev = Fraction(1)
+        prev = 1
         for k in range(n - 1):
             if m[k][k] == 0:
                 for r in range(k + 1, n):
@@ -466,10 +545,11 @@ class PolyMatrix:
                         sign = -sign
                         break
                 else:
-                    return Fraction(0)
+                    return 0
             for i in range(k + 1, n):
                 for j in range(k + 1, n):
-                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) / prev
+                    num = m[i][j] * m[k][k] - m[i][k] * m[k][j]
+                    m[i][j] = num // prev if integral else num / prev
             prev = m[k][k]
         return sign * m[n - 1][n - 1]
 

@@ -121,6 +121,18 @@ def test_pfaffian_invalid_matrix(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("matrix", [[[0, 0.1], [-0.1, 0]], [[0, True], [-1, 0]], [[0, None], [None, 0]]])
+def test_pfaffian_rejects_non_rational_entries(matrix, capsys):
+    code, out, err = run_cli(["pfaffian", "-"], json.dumps(matrix), capsys)
+    assert code == 2
+    assert out == "" and "3602879701896397/36028797018963968" not in err
+
+
+def test_pfaffian_accepts_rational_strings(capsys):
+    code, out, _ = run_cli(["pfaffian", "-"], json.dumps([[0, "1/3"], ["-1/3", 0]]), capsys)
+    assert code == 0 and json.loads(out)["pfaffian"] == "1/3"
+
+
 def test_link(capsys):
     code, out, _ = run_cli(
         ["link", "--gens", "[2,2,2,2,2]", "--theta", "5", "--ci", "[2,2,8]", "--extra", "[8]"],

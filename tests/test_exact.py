@@ -45,6 +45,92 @@ def test_scalar_coercion():
     assert Fraction(1, 2) * (x + x) == x
 
 
+def _reference(names, terms):
+    """Reference polynomial: all-Fraction coefficients through the validating constructor."""
+    return Poly(names, {e: Fraction(c) for e, c in terms.items()})
+
+
+def _reference_add(p, q):
+    out = {e: Fraction(c) for e, c in p.terms.items()}
+    for e, c in q.terms.items():
+        out[e] = out.get(e, Fraction(0)) + c
+    return _reference(p.names, out)
+
+
+def _reference_mul(p, q):
+    out = {}
+    for ea, ca in p.terms.items():
+        for eb, cb in q.terms.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            out[e] = out.get(e, Fraction(0)) + Fraction(ca) * cb
+    return _reference(p.names, out)
+
+
+def _assert_int_first(p):
+    for c in p.terms.values():
+        assert c != 0
+        assert type(c) is int if c.denominator == 1 else type(c) is Fraction
+
+
+def test_int_first_coefficients_random():
+    rng = random.Random(31)
+    names = ("x", "y")
+
+    def rand_poly():
+        # mixed int and Fraction inputs, including integral Fractions and halves that pair up
+        terms = {}
+        for _ in range(rng.randint(0, 5)):
+            exp = (rng.randint(0, 2), rng.randint(0, 2))
+            terms[exp] = rng.choice(
+                (rng.randint(-4, 4), Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3))), Fraction(6, 3))
+            )
+        return Poly(names, terms)
+
+    for _ in range(200):
+        a, b = rand_poly(), rand_poly()
+        cases = (
+            (a + b, _reference_add(a, b)),
+            (a - b, _reference_add(a, _reference(names, {e: -c for e, c in b.terms.items()}))),
+            (a * b, _reference_mul(a, b)),
+            (a**2, _reference_mul(a, a)),
+            (a**3, _reference_mul(_reference_mul(a, a), a)),
+        )
+        for got, want in cases:
+            _assert_int_first(got)
+            assert got == want and got.terms == want.terms
+            assert str(got) == str(want)
+    x, = variables("x")
+    half = Fraction(1, 2) * (x + x)
+    assert str(half) == "x" and type(half.terms[(1,)]) is int
+
+
+def test_coefficient_boundary_rejects_float_and_bool():
+    x, = variables("x")
+    for bad in (0.5, 1.0, True, False):
+        with pytest.raises(ValueError):
+            Poly.const(bad)
+        with pytest.raises(ValueError):
+            Poly(("x",), {(1,): bad})
+        with pytest.raises(ValueError):
+            x + bad
+        with pytest.raises(ValueError):
+            PolyMatrix([[bad]])
+        assert x != bad
+    with pytest.raises(ValueError):
+        parse_matrix([[0, 0.1], [-0.1, 0]])
+    assert Poly.const("1/3") == Fraction(1, 3)
+    assert type(Poly.const(Fraction(4, 2)).constant_value()) is int
+
+
+def test_constant_hash_agrees_with_equality():
+    assert Poly.const(3) == 3
+    assert hash(Poly.const(3)) == hash(3)
+    assert {Poly.const(3): 1}[3] == 1
+    half = Poly.const(Fraction(1, 2), ("x",))
+    assert half == Fraction(1, 2) and hash(half) == hash(Fraction(1, 2))
+    assert hash(Poly.zero(("x",))) == hash(0)
+
+
 def test_homogeneity():
     p = parse_poly("x^2 + x*y")
     assert p.homogeneous_degree() == 2 and p.is_homogeneous()
@@ -115,12 +201,22 @@ def test_bareiss_matches_cofactor():
     rng = random.Random(17)
     for n in (2, 3, 4, 5):
         for _ in range(10):
-            rows = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
-            m = PolyMatrix(rows)
-            lifted = PolyMatrix([[Poly(("u",), {(0,): v}) for v in row] for row in rows])
-            assert m.determinant().constant_value() == lifted._cofactor_det(
-                tuple(range(n)), tuple(range(n)), {}
-            ).constant_value()
+            integral = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
+            # int and non-integral Fraction entries mixed; one entry is always non-integral
+            rational = [
+                [rng.randint(-6, 6) + rng.choice((0, Fraction(1, 2), Fraction(-2, 3))) for _ in range(n)]
+                for _ in range(n)
+            ]
+            rational[n - 1][0] += Fraction(1, 5)
+            for rows in (integral, rational):
+                m = PolyMatrix(rows)
+                lifted = PolyMatrix([[Poly(("u",), {(0,): v}) for v in row] for row in rows])
+                det = m.determinant().constant_value()
+                assert det == lifted._cofactor_det(
+                    tuple(range(n)), tuple(range(n)), {}
+                ).constant_value()
+                if rows is integral:
+                    assert type(det) is int
 
 
 def test_adjugate_contract():
