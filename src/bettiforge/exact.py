@@ -40,7 +40,7 @@ def _coefficient(value) -> Scalar:
         return int(value)
     try:
         c = Fraction(value)
-    except TypeError as exc:
+    except (TypeError, ZeroDivisionError) as exc:
         raise ValueError(f"coefficient must be an integer or a rational, got {value!r}") from exc
     return c.numerator if c.denominator == 1 else c
 
@@ -374,7 +374,7 @@ def parse_poly(text: str, names: Sequence[str] | None = None) -> Poly:
             if not factor:
                 raise ValueError(f"malformed term {chunk!r}")
             if factor[0].isdigit():
-                coeff *= Fraction(factor)
+                coeff *= _coefficient(factor)
                 continue
             if "^" in factor:
                 base, _, power = factor.partition("^")
@@ -530,13 +530,8 @@ class PolyMatrix:
     def _bareiss_determinant(self) -> Scalar:
         n = self.rows
         m = [[e.constant_value() for e in row] for row in self.entries]
-        # Bareiss quotients are exact, so integer matrices stay in int with //;
-        # otherwise every entry becomes a Fraction, so / never divides two ints
-        integral = all(type(v) is int for row in m for v in row)
-        if not integral:
-            m = [[Fraction(v) for v in row] for row in m]
         sign = 1
-        prev = 1
+        prev = Fraction(1)
         for k in range(n - 1):
             if m[k][k] == 0:
                 for r in range(k + 1, n):
@@ -548,8 +543,7 @@ class PolyMatrix:
                     return 0
             for i in range(k + 1, n):
                 for j in range(k + 1, n):
-                    num = m[i][j] * m[k][k] - m[i][k] * m[k][j]
-                    m[i][j] = num // prev if integral else num / prev
+                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) / prev
             prev = m[k][k]
         return sign * m[n - 1][n - 1]
 

@@ -121,7 +121,10 @@ def test_pfaffian_invalid_matrix(capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("matrix", [[[0, 0.1], [-0.1, 0]], [[0, True], [-1, 0]], [[0, None], [None, 0]]])
+@pytest.mark.parametrize(
+    "matrix",
+    [[[0, 0.1], [-0.1, 0]], [[0, True], [-1, 0]], [[0, None], [None, 0]], [[0, "1/0"], ["-1/0", 0]]],
+)
 def test_pfaffian_rejects_non_rational_entries(matrix, capsys):
     code, out, err = run_cli(["pfaffian", "-"], json.dumps(matrix), capsys)
     assert code == 2

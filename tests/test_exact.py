@@ -118,6 +118,9 @@ def test_coefficient_boundary_rejects_float_and_bool():
         assert x != bad
     with pytest.raises(ValueError):
         parse_matrix([[0, 0.1], [-0.1, 0]])
+    for zero_denominator in (lambda: Poly.const("1/0"), lambda: parse_poly("1/0*x")):
+        with pytest.raises(ValueError):
+            zero_denominator()
     assert Poly.const("1/3") == Fraction(1, 3)
     assert type(Poly.const(Fraction(4, 2)).constant_value()) is int
 
