@@ -22,8 +22,9 @@ degree bounds in a canonical deterministic order.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .gorenstein import (
     GorensteinBetti,
@@ -68,10 +69,15 @@ class AciBetti:
 
     @classmethod
     def from_json(cls, data: dict) -> "AciBetti":
+        """Parse {"D": [...], "E": [...], "F": [...]}; bools, floats and strings are rejected."""
         try:
-            return cls.from_values(data["D"], data["E"], data["F"])
+            arrays = [data[key] for key in "DEF"]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"expected keys D, E, F with integer arrays: {exc}") from exc
+        for key, values in zip("DEF", arrays):
+            if not isinstance(values, list) or not all(type(v) is int for v in values):
+                raise ValueError(f"{key} must be an array of integers, got {values!r}")
+        return cls.from_values(*arrays)
 
     def to_json(self) -> dict:
         return {"D": self.d.to_list(), "E": self.e.to_list(), "F": self.f.to_list()}
@@ -378,30 +384,31 @@ def _submultisets(values: list[int]) -> list[tuple[int, ...]]:
     return sorted(out)
 
 
-def _fixed_sum_multisets(lo: int, hi: int, k: int, total: int) -> Iterator[tuple[int, ...]]:
-    """Sorted k-tuples with entries in [lo, hi] summing to total."""
-    if k == 0:
-        if total == 0:
-            yield ()
-        return
-    start = max(lo, total - (k - 1) * hi)
-    stop = min(hi, total // k)
-    for v in range(start, stop + 1):
-        for rest in _fixed_sum_multisets(v, hi, k - 1, total - v):
-            yield (v,) + rest
+class _FWindow(NamedTuple):
+    """One (S, |F|) slice of the F search for a fixed D.
+
+    Every F in the window is a sorted k-tuple over [lo, hi] with sum
+    ``total``, and its induced generators are G0 = (theta_z - F) + tail.
+    """
+
+    ehat: IntMultiset
+    k: int
+    lo: int
+    hi: int
+    total: int
+    tail: list[int]  # Dbar + T: the part of G0 that does not come from F
+    strict: IntMultiset  # S minus T: where stage 3 asks for strict domination
 
 
-def _candidates_for_d(
+def _f_windows(
     dvals: tuple[int, int, int, int], max_degree: int, max_f: int
-) -> list[AciBetti]:
-    """All admissible triples with the given sorted D, canonically ordered.
+) -> Iterator[_FWindow]:
+    """Every (S, |F|) window of a sorted D in which |G0| is odd.
 
-    Synthesis: each admissible triple determines a canonical overlap
+    Each admissible triple determines a canonical overlap
     S = Dstar & (theta_z - Ehat), so iterating over the submultisets of
     Dstar and keeping only the choices that reproduce themselves as the
-    canonical overlap generates every admissible triple exactly once.
-    The F loop is cut by the socle degree balance, which pins norm(F)
-    given (S, |F|), and the stage-2/3 tests run inline on sorted lists.
+    canonical overlap reaches every admissible triple exactly once.
     """
     d0 = dvals[0]
     dstar_list = list(dvals[1:])
@@ -409,7 +416,10 @@ def _candidates_for_d(
     theta_z = sum(dstar_list)
     theta_g = theta_z - d0
     d = d0 + theta_z
-    found: dict[tuple, AciBetti] = {}
+    # degree bounds, d - f must be a valid E entry, and the induced
+    # generator theta_z - f must be positive and below theta_g
+    lo = max(1, d - max_degree, d0 + 1)
+    hi = min(max_degree, d - 1, theta_z - 1)
     for s_tuple in _submultisets(dstar_list):
         s = IntMultiset.from_values(s_tuple)
         dbar = dstar.diff(s)
@@ -418,45 +428,117 @@ def _candidates_for_d(
             continue
         if dstar.intersect(ehat.affine(theta_z, -1)) != s:
             continue  # not the canonical overlap; the canonical choice covers it
-        # F window: degree bounds, d - f must be a valid E entry, and the
-        # induced generator theta_z - f must be positive and below theta_g.
-        lo = max(1, d - max_degree, d0 + 1)
-        hi = min(max_degree, d - 1, theta_z - 1)
         if lo > hi:
             continue
         dbar_vals = dbar.values()
-        dbar_norm = dbar.norm()
-        dbar_card = len(dbar_vals)
         for k in range(2, max_f + 1):
-            t = _t_multiset(theta_g, s, k, dbar_card)
-            t_vals = t.values()
-            t_card = len(t_vals)
-            if (k + dbar_card + t_card) % 2 == 0:
+            t = _t_multiset(theta_g, s, k, len(dbar_vals))
+            tail = dbar_vals + t.values()
+            n = k + len(tail)
+            if n % 2 == 0:
                 continue  # |G0| must be odd
-            # socle degree balance: 2*norm(G0) = theta_g * (|G0| - 1)
-            doubled = (
-                2 * k * theta_z
-                + 2 * dbar_norm
-                + t_card * theta_g
-                - theta_g * (k + dbar_card + t_card - 1)
-            )
-            if doubled % 2:
-                continue
-            target = doubled // 2
-            strict = s.diff(t)
-            tail = dbar_vals + t_vals
-            for f_tuple in _fixed_sum_multisets(lo, hi, k, target):
-                g0 = sorted([theta_z - fv for fv in f_tuple] + tail)
+            # socle degree balance: norm(G0) = m * theta_g with |G0| = 2m + 1
+            total = k * theta_z + sum(tail) - (n // 2) * theta_g
+            yield _FWindow(ehat, k, lo, hi, total, tail, s.diff(t))
+
+
+def _admissible_f_tuples(
+    dvals: tuple[int, int, int, int], w: _FWindow
+) -> Iterator[tuple[int, ...]]:
+    """The F of window ``w`` whose G0 passes Gaeta-Diesel and stage 3, in lex order.
+
+    F is built smallest-first, and a branch is cut by the bounds that
+    :func:`_candidates_for_d` describes.  Every leaf left is decided by
+    the exact tests.
+    """
+    dstar = dvals[1:]
+    d1, d2, d3 = dstar
+    theta_z = d1 + d2 + d3
+    theta_g = theta_z - dvals[0]
+    hi, tail, strict = w.hi, w.tail, w.strict
+    n = w.k + len(tail)
+    m = n // 2
+    if m > d1:
+        return  # bound (a)
+    pairs = [(i, n - i) for i in range(1, m + 1)]  # 0-based Gaeta-Diesel pairs
+
+    def may_complete(prefix_g: list[int], v: int, r: int, rest: int) -> bool:
+        # bound (b): r entries >= v summing to rest are left, and the i-th
+        # largest of them is at most (rest - (r - i) * v) // i
+        h = [theta_z - min(hi, (rest - (r - i) * v) // i) for i in range(1, r + 1)]
+        h += prefix_g
+        h += tail
+        h.sort()
+        if h[0] > d1 or h[1] > d2 or h[2] > d3:
+            return False
+        for a, b in pairs:
+            if h[a] + h[b] >= theta_g:
+                return False
+        return True
+
+    def grow(
+        prefix: tuple[int, ...], prefix_g: list[int], v: int, r: int, rest: int
+    ) -> Iterator[tuple[int, ...]]:
+        r -= 1  # entries left after this one
+        for x in range(max(v, rest - r * hi), min(hi, rest // (r + 1)) + 1):
+            g = prefix_g + [theta_z - x]
+            left = rest - x
+            if r == 1:  # the last entry is forced: a leaf
+                g0 = g + tail
+                g0.append(theta_z - left)
+                g0.sort()
                 if gaeta_diesel_violation(g0, theta_g) is not None:
                     continue
-                e_triple = mci_from_sorted(g0, theta_g)
-                if _stage3_witness(dstar_list, e_triple, strict) is not None:
-                    continue
-                f = IntMultiset.from_values(f_tuple)
-                e = f.affine(d, -1).sum(ehat)
-                candidate = AciBetti(IntMultiset.from_values(dvals), e, f)
-                assert check_betti(candidate).admissible
-                found[candidate.key()] = candidate
+                if _stage3_witness(dstar, mci_from_sorted(g0, theta_g), strict) is None:
+                    yield prefix + (x, left)
+            elif may_complete(g, x, r, left):
+                yield from grow(prefix + (x,), g, x, r, left)
+
+    if may_complete([], w.lo, w.k, w.total):
+        yield from grow((), [], w.lo, w.k, w.total)
+
+
+def _candidates_for_d(
+    dvals: tuple[int, int, int, int], max_degree: int, max_f: int
+) -> list[AciBetti]:
+    """All admissible triples with the given sorted D, canonically ordered.
+
+    The search runs over the windows of :func:`_f_windows`.  Within a
+    window |G0| = k + |Dbar| + |T| = 2m + 1 is fixed, and the socle degree
+    balance pins norm(F), hence norm(G0) = m * theta_g.  F is built
+    smallest-first, and a branch is cut only where no completion can
+    pass Gaeta-Diesel (theta_g > h_{i+1} + h_{2m+2-i} for i = 1..m on the
+    sorted G0) together with the domination part of stage 3
+    (d_j >= e_j, where (e_1, e_2, e_3) is the mci triple):
+
+    (a) Whole windows.  The m Gaeta-Diesel pairs use every element of G0
+        but h_1, so their sums add up to m * theta_g - h_1; each being at
+        most theta_g - 1 forces h_1 >= m.  The mci triple has e_1 = h_1,
+        and stage 3 needs e_1 <= d_1, so a window with m > d_1 is empty.
+    (b) Prefixes.  With f_1 <= ... <= f_j fixed, the r entries left are
+        each >= v = f_j (or lo) and sum to the rest, so the i-th largest
+        of them is at most min(hi, (rest - (r - i) * v) // i): the i
+        largest sum to at most rest - (r - i) * v.  Each entry f gives the
+        generator theta_z - f, so this bounds every remaining generator
+        from below, and the sorted G0 dominates the sorted bounds entry by
+        entry.  Pair sums only grow, so a bound pair >= theta_g rules out
+        every completion.  The mci triple satisfies e_1 = h_1, e_2 >= h_2
+        and e_3 >= h_3, so bounds on h_1, h_2, h_3 above d_1, d_2, d_3 do
+        too.
+
+    The leaves left are decided by the exact Gaeta-Diesel, mci and
+    stage-3 tests, and each emitted triple is re-checked by
+    :func:`check_betti`.
+    """
+    d = sum(dvals)
+    found: dict[tuple, AciBetti] = {}
+    for w in _f_windows(dvals, max_degree, max_f):
+        for f_tuple in _admissible_f_tuples(dvals, w):
+            f = IntMultiset.from_values(f_tuple)
+            e = f.affine(d, -1).sum(w.ehat)
+            candidate = AciBetti(IntMultiset.from_values(dvals), e, f)
+            assert check_betti(candidate).admissible
+            found[candidate.key()] = candidate
     return [found[k] for k in sorted(found)]
 
 
@@ -477,14 +559,27 @@ def _sorted_d_tuples(max_degree: int) -> Iterator[tuple[int, int, int, int]]:
         yield from sorted(groups[total])
 
 
+def worker_count(jobs: int) -> int:
+    """Validated process count: at least 1, clamped at the CPU count.
+
+    The output does not depend on it, so clamping changes nothing but the
+    number of processes started.
+    """
+    if type(jobs) is not int or jobs < 1:
+        raise ValueError(f"jobs must be an integer >= 1, got {jobs!r}")
+    return min(jobs, os.cpu_count() or 1)
+
+
 def enumerate_admissible(
     max_degree: int, max_f: int, jobs: int = 1
 ) -> Iterator[AciBetti]:
     """Stream every admissible (D, E, F) with degrees <= max_degree and |F| <= max_f.
 
     Output is deduplicated and globally sorted by (norm(D), D, F, E); the
-    stream is identical for any job count.
+    stream is identical for any job count.  ``jobs`` goes through
+    :func:`worker_count`.
     """
+    jobs = worker_count(jobs)
     if max_degree < 1 or max_f < 2:
         return
     d_tuples = list(_sorted_d_tuples(max_degree))

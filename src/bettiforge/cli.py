@@ -15,7 +15,7 @@ import os
 import sys
 from typing import Sequence
 
-from .aci import AciBetti, check_betti, enumerate_admissible, link_betti
+from .aci import AciBetti, check_betti, enumerate_admissible, link_betti, worker_count
 from .exact import parse_matrix
 from .gorenstein import (
     GorensteinBetti,
@@ -43,12 +43,17 @@ def _read_json(path: str):
         raise InputError(f"cannot read JSON from {path}: {exc}") from exc
 
 
+def _is_int_array(data) -> bool:
+    """True for a JSON array of integers; bools, floats and strings do not count."""
+    return isinstance(data, list) and all(type(x) is int for x in data)
+
+
 def _parse_int_list(text: str) -> list[int]:
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"expected a JSON integer array, got {text!r}: {exc}") from exc
-    if not isinstance(data, list) or not all(isinstance(x, int) for x in data):
+    if not _is_int_array(data):
         raise InputError(f"expected a JSON integer array, got {text!r}")
     return data
 
@@ -128,12 +133,9 @@ def cmd_hilbert(args) -> int:
             data = json.loads(args.resolution)
         except json.JSONDecodeError as exc:
             raise InputError(f"--resolution is not valid JSON: {exc}") from exc
-        if not isinstance(data, list) or not all(isinstance(m, list) for m in data):
+        if not isinstance(data, list) or not all(_is_int_array(m) for m in data):
             raise InputError("--resolution must be a JSON array of integer arrays")
-        try:
-            modules = [IntMultiset.from_values(m) for m in data]
-        except (TypeError, ValueError) as exc:
-            raise InputError(f"--resolution entries must be integers: {exc}") from exc
+        modules = [IntMultiset.from_values(m) for m in data]
     try:
         h = hilbert_from_resolution(modules, args.nvars)
     except ValueError as exc:
@@ -166,7 +168,11 @@ def cmd_link(args) -> int:
 def cmd_enumerate(args) -> int:
     if args.max_degree < 1 or args.max_f < 2:
         raise InputError("--max-degree must be >= 1 and --max-f >= 2")
-    for betti in enumerate_admissible(args.max_degree, args.max_f, jobs=args.jobs):
+    try:
+        jobs = worker_count(args.jobs)
+    except ValueError as exc:
+        raise InputError(f"--jobs: {exc}") from exc
+    for betti in enumerate_admissible(args.max_degree, args.max_f, jobs=jobs):
         print(json.dumps(betti.to_json(), sort_keys=True))
     return 0
 
@@ -245,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="stream all admissible triples within bounds as NDJSON")
     p.add_argument("--max-degree", required=True, type=int)
     p.add_argument("--max-f", required=True, type=int)
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers (order-preserving)")
+    p.add_argument("--jobs", type=int, default=1, help="parallel workers, at most the CPU count (order-preserving)")
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("verify-structure", help="build and verify the four-term complex of a presentation")

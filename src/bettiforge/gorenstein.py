@@ -240,21 +240,23 @@ def hilbert_from_resolution(modules: Sequence[IntMultiset], nvars: int) -> Hilbe
 
 
 def koszul_modules(degrees: Sequence[int]) -> list[IntMultiset]:
-    """Twist multisets of the Koszul resolution of a complete intersection."""
-    degrees = [int(d) for d in degrees]
-    n = len(degrees)
-    out = []
-    for k in range(1, n + 1):
-        sums = []
-        def rec(start: int, chosen: int, total: int) -> None:
-            if chosen == k:
-                sums.append(total)
-                return
-            for idx in range(start, n):
-                rec(idx + 1, chosen + 1, total + degrees[idx])
-        rec(0, 0, 0)
-        out.append(IntMultiset.from_values(sums))
-    return out
+    """Twist multisets of the Koszul resolution of a complete intersection.
+
+    The k-th module holds the sum of every k-subset of ``degrees``.  The
+    sums are counted by a table over (k, partial sum), one degree at a
+    time, so the work grows with the number of distinct (k, sum) pairs,
+    at most n * (n * (max - min) + 1) for n degrees, not with the 2^n
+    subsets.
+    """
+    counts: list[dict[int, int]] = [{0: 1}]  # counts[k][s]: k-subsets summing to s
+    for deg in degrees:
+        deg = int(deg)
+        counts.append({})
+        for k in range(len(counts) - 1, 0, -1):
+            row = counts[k]
+            for total, mult in counts[k - 1].items():
+                row[total + deg] = row.get(total + deg, 0) + mult
+    return [IntMultiset(tuple(sorted(row.items()))) for row in counts[1:]]
 
 
 def initial_degree(h: HilbertFn, nvars: int = 3) -> int:

@@ -1,7 +1,11 @@
+import hashlib
+import json
+import os
 import random
 
 import pytest
 
+from bettiforge import aci
 from bettiforge.aci import (
     AciBetti,
     AciTypeFailure,
@@ -12,8 +16,9 @@ from bettiforge.aci import (
     induced_gorenstein,
     link_betti,
     retained_overlap_cardinalities,
+    worker_count,
 )
-from bettiforge.gorenstein import random_admissible
+from bettiforge.gorenstein import gaeta_diesel_violation, mci_from_sorted, random_admissible
 from bettiforge.multiset import IntMultiset
 
 ms = IntMultiset.from_values
@@ -381,6 +386,66 @@ def test_enumerate_jobs_identical():
     seq = [b.to_json() for b in enumerate_admissible(6, 2)]
     par = [b.to_json() for b in enumerate_admissible(6, 2, jobs=2)]
     assert seq == par
+
+
+def test_worker_count_validates_and_clamps():
+    assert worker_count(1) == 1
+    assert worker_count(10**6) == (os.cpu_count() or 1)
+    for bad in (0, -3, True, 2.0):
+        with pytest.raises(ValueError, match="jobs"):
+            worker_count(bad)
+    with pytest.raises(ValueError, match="jobs"):
+        next(enumerate_admissible(6, 2, jobs=0))
+
+
+# NDJSON of the stream as the CLI prints it, recorded before the F search
+# was pruned
+@pytest.mark.parametrize(
+    "max_degree, max_f, lines, md5",
+    [
+        (12, 5, 1517, "06009033f4b7418ed137b4a717230732"),
+        (10, 6, 473, "1325ff827b98e8a5af5b80a6d409e982"),
+    ],
+)
+def test_enumerate_ndjson_is_pinned(max_degree, max_f, lines, md5):
+    out = [json.dumps(b.to_json(), sort_keys=True) + "\n" for b in enumerate_admissible(max_degree, max_f)]
+    assert len(out) == lines
+    assert hashlib.md5("".join(out).encode()).hexdigest() == md5
+
+
+def _fixed_sum_tuples(lo, hi, k, total):
+    """Every sorted k-tuple over [lo, hi] summing to total: the unpruned F search."""
+    if k == 0:
+        if total == 0:
+            yield ()
+        return
+    for v in range(max(lo, total - (k - 1) * hi), min(hi, total // k) + 1):
+        for rest in _fixed_sum_tuples(v, hi, k - 1, total - v):
+            yield (v,) + rest
+
+
+def test_pruned_f_search_equals_filtered_full_search():
+    """Over every (D, S, |F|) window at (12, 5), pruning loses no F that passes
+    Gaeta-Diesel and stage 3, and keeps none that fails them."""
+    windows = whole_window_cuts = kept = 0
+    for dvals in aci._sorted_d_tuples(12):
+        dstar = dvals[1:]
+        theta_z = sum(dstar)
+        theta_g = theta_z - dvals[0]
+        for w in aci._f_windows(dvals, 12, 5):
+            expected = []
+            for f in _fixed_sum_tuples(w.lo, w.hi, w.k, w.total):
+                g0 = sorted([theta_z - x for x in f] + w.tail)
+                if gaeta_diesel_violation(g0, theta_g) is not None:
+                    continue
+                if aci._stage3_witness(dstar, mci_from_sorted(g0, theta_g), w.strict) is None:
+                    expected.append(f)
+            assert list(aci._admissible_f_tuples(dvals, w)) == expected, (dvals, w)
+            windows += 1
+            whole_window_cuts += (w.k + len(w.tail)) // 2 > dstar[0]
+            kept += len(expected)
+    assert windows > whole_window_cuts > 0
+    assert kept >= 1517
 
 
 def test_enumerate_contains_worked_example():

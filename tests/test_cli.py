@@ -60,6 +60,20 @@ def test_check_bad_shape(capsys):
     assert code == 2 and "error" in err
 
 
+@pytest.mark.parametrize("bad", [4.9, True, "4"], ids=["float", "bool", "string"])
+def test_check_rejects_non_integer_degrees(bad, capsys):
+    payload = json.loads(EX_ADMISSIBLE)
+    payload["D"][0] = bad
+    code, out, err = run_cli(["check", "-"], json.dumps(payload), capsys)
+    assert code == 2 and out == "" and "integers" in err
+
+
+def test_check_rejects_string_arrays(capsys):
+    payload = dict(json.loads(EX_ADMISSIBLE), F="1214")
+    code, out, err = run_cli(["check", "-"], json.dumps(payload), capsys)
+    assert code == 2 and out == ""
+
+
 def test_check_from_file(tmp_path, capsys):
     path = tmp_path / "seq.json"
     path.write_text(EX_ADMISSIBLE, encoding="utf-8")
@@ -97,6 +111,22 @@ def test_hilbert_ci(capsys):
     code, out, _ = run_cli(["hilbert", "--ci", "[2,2,8]"], capsys=capsys)
     assert code == 0
     assert json.loads(out)["length"] == 32
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gorenstein-check", "--gens", "[true,true,true]"],
+        ["mci", "--gens", "[true,true,true]"],
+        ["hilbert", "--ci", "[true,true,true]"],
+        ["hilbert", "--resolution", "[[2,2,2,2,2],[3,3,3,3,3],[5.0]]"],
+        ["hilbert", "--resolution", "[[true,true,true],[2,2,2],[3]]"],
+    ],
+    ids=["gorenstein-check", "mci", "hilbert-ci", "hilbert-float", "hilbert-bool"],
+)
+def test_integer_arrays_reject_bools_and_floats(argv, capsys):
+    code, out, err = run_cli(argv, capsys=capsys)
+    assert code == 2 and out == "" and "error" in err
 
 
 def test_hilbert_needs_one_source(capsys):
@@ -181,6 +211,14 @@ def test_enumerate_jobs_preserve_order(capsys):
 def test_enumerate_bad_bounds(capsys):
     code, _, _ = run_cli(["enumerate", "--max-degree", "6", "--max-f", "1"], capsys=capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_enumerate_rejects_nonpositive_jobs(jobs, capsys):
+    code, out, err = run_cli(
+        ["enumerate", "--max-degree", "6", "--max-f", "2", "--jobs", jobs], capsys=capsys
+    )
+    assert code == 2 and out == "" and "--jobs" in err
 
 
 def test_verify_structure(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -144,6 +145,16 @@ def test_hilbert_five_quadrics():
 def test_hilbert_ci_length_is_product():
     h = hilbert_from_resolution(koszul_modules([2, 2, 8]), 3)
     assert h.length() == 2 * 2 * 8
+
+
+def test_koszul_modules_equal_subset_sums():
+    rng = random.Random(11)
+    for _ in range(200):
+        degrees = [rng.randint(-3, 9) for _ in range(rng.randint(0, 8))]
+        expected = [
+            ms(sum(c) for c in combinations(degrees, k)) for k in range(1, len(degrees) + 1)
+        ]
+        assert koszul_modules(degrees) == expected, degrees
 
 
 def test_hilbert_rejects_non_artinian():
