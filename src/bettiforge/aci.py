@@ -24,13 +24,13 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Container, Iterable, Iterator, NamedTuple, Sequence
 
 from .gorenstein import (
     GorensteinBetti,
     check_gorenstein_betti,
     gaeta_diesel_violation,
-    mci,
+    mci,  # noqa: F401 -- unused here; kept in the namespace, where tracing tools look it up
     mci_from_sorted,
 )
 from .multiset import IntMultiset
@@ -45,14 +45,13 @@ class AciBetti:
     f: IntMultiset
 
     def __post_init__(self) -> None:
-        if self.d.card() != 4:
-            raise ValueError(f"|D| must be 4, got {self.d.card()}")
-        if self.f.card() < 2:
-            raise ValueError(f"|F| must be >= 2, got {self.f.card()}")
-        if self.e.card() != self.f.card() + 3:
-            raise ValueError(
-                f"|E| must be |F| + 3 = {self.f.card() + 3}, got {self.e.card()}"
-            )
+        d_card, e_card, f_card = self.d.card(), self.e.card(), self.f.card()
+        if d_card != 4:
+            raise ValueError(f"|D| must be 4, got {d_card}")
+        if f_card < 2:
+            raise ValueError(f"|F| must be >= 2, got {f_card}")
+        if e_card != f_card + 3:
+            raise ValueError(f"|E| must be |F| + 3 = {f_card + 3}, got {e_card}")
         for name, m in (("D", self.d), ("E", self.e), ("F", self.f)):
             if m.min() < 1:
                 raise ValueError(f"{name} must contain positive degrees only")
@@ -113,11 +112,16 @@ class AciTypeFailure:
     reason: str
 
 
-def _t_multiset(theta_g: int, s: IntMultiset, f_card: int, dbar_card: int) -> IntMultiset:
-    """Socle-halving slot: {theta_g/2} only when it lies in Supp S and |F|+|Dbar| is even."""
+def _t_values(theta_g: int, s: Container[int], f_card: int, dbar_card: int) -> list[int]:
+    """Socle-halving slot: [theta_g/2] only when it lies in Supp S and |F|+|Dbar| is even."""
     if theta_g % 2 == 0 and (theta_g // 2) in s and (f_card + dbar_card) % 2 == 0:
-        return IntMultiset.from_values([theta_g // 2])
-    return IntMultiset.empty()
+        return [theta_g // 2]
+    return []
+
+
+def _t_multiset(theta_g: int, s: Container[int], f_card: int, dbar_card: int) -> IntMultiset:
+    """The slot of :func:`_t_values` as a multiset T."""
+    return IntMultiset.from_values(_t_values(theta_g, s, f_card, dbar_card))
 
 
 def decompose(b: AciBetti) -> AciDecomposition | AciTypeFailure:
@@ -126,33 +130,61 @@ def decompose(b: AciBetti) -> AciDecomposition | AciTypeFailure:
     Succeeds iff (d - F) is a submultiset of E and the leftover
     Ehat = E \\ (d - F) splits exactly as (d0 + Dbar) + (theta_z - S) with
     S = Dstar & (theta_z - Ehat).
+
+    The work runs on value -> multiplicity dicts taken from the sorted
+    ``entries``; deleting keys keeps a dict's order, so each dict built
+    in ascending order stays sorted.  Multisets are built only for the
+    returned fields and the failure witnesses.
     """
     d_norm = b.d.norm()
-    shifted_f = b.f.affine(d_norm, -1)
-    if not shifted_f.is_submultiset(b.e):
-        missing = shifted_f.diff(b.e)
-        return AciTypeFailure(2, f"(d - F) is not a submultiset of E: missing {missing}")
-    ehat = b.e.diff(shifted_f)
-    d0 = b.d.min()
-    dstar = b.d.diff(IntMultiset.from_values([d0]))
-    theta_z = dstar.norm()
-    s = dstar.intersect(ehat.affine(theta_z, -1))
-    dbar = dstar.diff(s)
-    expected = dbar.affine(d0, 1).sum(s.affine(theta_z, -1))
+    ehat = dict(b.e.entries)  # E minus (d - F), once every d - f is removed
+    missing = []
+    for v, m in reversed(b.f.entries):  # d - f ascending
+        w = d_norm - v
+        left = ehat.get(w, 0) - m
+        if left > 0:
+            ehat[w] = left
+        elif left == 0:
+            del ehat[w]
+        else:
+            missing.append((w, -left))
+    if missing:
+        return AciTypeFailure(
+            2, f"(d - F) is not a submultiset of E: missing {IntMultiset(tuple(missing))}"
+        )
+    dstar = dict(b.d.entries)
+    d0 = b.d.entries[0][0]
+    if dstar[d0] == 1:
+        del dstar[d0]
+    else:
+        dstar[d0] -= 1
+    theta_z = d_norm - d0
+    s: dict[int, int] = {}
+    dbar: dict[int, int] = {}
+    for v, m in dstar.items():
+        k = min(m, ehat.get(theta_z - v, 0))
+        if k:
+            s[v] = k
+        if m > k:
+            dbar[v] = m - k
+    expected = {d0 + v: m for v, m in dbar.items()}
+    for v, m in s.items():
+        expected[theta_z - v] = expected.get(theta_z - v, 0) + m
     if ehat != expected:
         return AciTypeFailure(
-            3, f"Ehat = {ehat} differs from (d0 + Dbar) + (theta_z - S) = {expected}"
+            3,
+            f"Ehat = {IntMultiset(tuple(ehat.items()))} differs from "
+            f"(d0 + Dbar) + (theta_z - S) = {IntMultiset(tuple(sorted(expected.items())))}",
         )
     theta_g = theta_z - d0
-    t = _t_multiset(theta_g, s, b.f.card(), dbar.card())
     return AciDecomposition(
         d0=d0,
-        dstar=dstar,
+        dstar=IntMultiset(tuple(dstar.items())),
         theta_z=theta_z,
-        ehat=ehat,
-        s=s,
-        dbar=dbar,
-        t=t,
+        ehat=IntMultiset(tuple(ehat.items())),
+        s=IntMultiset(tuple(s.items())),
+        dbar=IntMultiset(tuple(dbar.items())),
+        t=_t_multiset(theta_g, s, b.f.card(), sum(dbar.values())),
         theta_g=theta_g,
         d=d_norm,
     )
@@ -168,10 +200,13 @@ def induced_gorenstein(
     dec: AciDecomposition, f: IntMultiset
 ) -> GorensteinBetti | GorensteinFailure:
     """Gorenstein generator data induced by linkage: G0 = (theta_z - F) + Dbar + T."""
-    g0 = f.affine(dec.theta_z, -1).sum(dec.dbar).sum(dec.t)
-    if g0.card() % 2 == 0:
+    values = [dec.theta_z - v for v in f.values()]
+    values += dec.dbar.values()
+    values += dec.t.values()
+    g0 = IntMultiset.from_values(values)
+    if len(values) % 2 == 0:
         return GorensteinFailure(
-            "parity", f"induced generator multiset {g0} has even cardinality {g0.card()}"
+            "parity", f"induced generator multiset {g0} has even cardinality {len(values)}"
         )
     verdict = check_gorenstein_betti(g0)
     if not verdict.admissible:
@@ -232,11 +267,13 @@ def check_betti(b: AciBetti) -> Verdict:
     beta_g = induced_gorenstein(dec, b.f)
     if isinstance(beta_g, GorensteinFailure):
         return Verdict(False, stage=2, witness=f"{beta_g.kind}: {beta_g.reason}")
-    e = mci(beta_g)
-    witness = _stage3_witness(dec.dstar.values(), e, dec.s.diff(dec.t))
+    # induced_gorenstein has just admitted beta_g, so mci needs no re-check
+    e = mci_from_sorted(beta_g.gens.values(), beta_g.theta)
+    strict = dec.s.diff(dec.t) if dec.t else dec.s
+    witness = _stage3_witness(dec.dstar.values(), e, strict)
     if witness is not None:
-        return Verdict(False, stage=3, witness=witness, beta_g=beta_g, mci=tuple(e))
-    return Verdict(True, beta_g=beta_g, mci=tuple(e))
+        return Verdict(False, stage=3, witness=witness, beta_g=beta_g, mci=e)
+    return Verdict(True, beta_g=beta_g, mci=e)
 
 
 # ----------------------------------------------------------------------
@@ -409,10 +446,16 @@ def _f_windows(
     S = Dstar & (theta_z - Ehat), so iterating over the submultisets of
     Dstar and keeping only the choices that reproduce themselves as the
     canonical overlap reaches every admissible triple exactly once.
+
+    Both tests run on the sorted value lists, and multisets are built
+    only for the choices that pass them.  With Ehat = (d0 + Dbar) +
+    (theta_z - S), theta_z - Ehat = (theta_g - Dbar) + S and Dstar =
+    Dbar + S, so Dstar & (theta_z - Ehat) = S + (Dbar & (theta_g - Dbar)):
+    S is canonical iff no x in Dbar has its partner theta_g - x in Dbar
+    (x itself counts as its partner when x = theta_g / 2).
     """
     d0 = dvals[0]
     dstar_list = list(dvals[1:])
-    dstar = IntMultiset.from_values(dstar_list)
     theta_z = sum(dstar_list)
     theta_g = theta_z - d0
     d = d0 + theta_z
@@ -420,26 +463,31 @@ def _f_windows(
     # generator theta_z - f must be positive and below theta_g
     lo = max(1, d - max_degree, d0 + 1)
     hi = min(max_degree, d - 1, theta_z - 1)
+    if lo > hi:
+        return
     for s_tuple in _submultisets(dstar_list):
-        s = IntMultiset.from_values(s_tuple)
-        dbar = dstar.diff(s)
-        ehat = dbar.affine(d0, 1).sum(s.affine(theta_z, -1))
-        if ehat.max() > max_degree:
+        dbar_vals = list(dstar_list)
+        for x in s_tuple:
+            dbar_vals.remove(x)
+        ehat_vals = [d0 + x for x in dbar_vals] + [theta_z - x for x in s_tuple]
+        if max(ehat_vals) > max_degree:
             continue
-        if dstar.intersect(ehat.affine(theta_z, -1)) != s:
+        if any(theta_g - x in dbar_vals for x in dbar_vals):
             continue  # not the canonical overlap; the canonical choice covers it
-        if lo > hi:
-            continue
-        dbar_vals = dbar.values()
+        ehat = IntMultiset.from_values(ehat_vals)
+        s = IntMultiset.from_values(s_tuple)
+        s_less_t = None  # S minus T when T = {theta_g / 2}
         for k in range(2, max_f + 1):
-            t = _t_multiset(theta_g, s, k, len(dbar_vals))
-            tail = dbar_vals + t.values()
+            t = _t_values(theta_g, s_tuple, k, len(dbar_vals))
+            tail = dbar_vals + t
             n = k + len(tail)
             if n % 2 == 0:
                 continue  # |G0| must be odd
+            if t and s_less_t is None:
+                s_less_t = s.diff(IntMultiset.from_values(t))
             # socle degree balance: norm(G0) = m * theta_g with |G0| = 2m + 1
             total = k * theta_z + sum(tail) - (n // 2) * theta_g
-            yield _FWindow(ehat, k, lo, hi, total, tail, s.diff(t))
+            yield _FWindow(ehat, k, lo, hi, total, tail, s_less_t if t else s)
 
 
 def _admissible_f_tuples(
@@ -531,12 +579,13 @@ def _candidates_for_d(
     :func:`check_betti`.
     """
     d = sum(dvals)
+    d_level = IntMultiset.from_values(dvals)
     found: dict[tuple, AciBetti] = {}
     for w in _f_windows(dvals, max_degree, max_f):
         for f_tuple in _admissible_f_tuples(dvals, w):
             f = IntMultiset.from_values(f_tuple)
             e = f.affine(d, -1).sum(w.ehat)
-            candidate = AciBetti(IntMultiset.from_values(dvals), e, f)
+            candidate = AciBetti(d_level, e, f)
             assert check_betti(candidate).admissible
             found[candidate.key()] = candidate
     return [found[k] for k in sorted(found)]

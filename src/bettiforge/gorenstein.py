@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .exact import binomial
 from .multiset import IntMultiset
@@ -46,16 +46,16 @@ def gaeta_diesel_violation(h: Sequence[int], theta: int) -> tuple[int, int] | No
 
 def check_gorenstein_betti(gens: IntMultiset) -> GorensteinVerdict:
     """Gaeta-Diesel admissibility test for a generator-degree multiset."""
-    n = gens.card()
+    h = gens.values()  # sorted ascending, h[0] = h_1
+    n = len(h)
     if n < 3 or n % 2 == 0:
         return GorensteinVerdict(False, None, f"|gens| = {n} must be odd and >= 3")
-    if gens.min() < 1:
+    if h[0] < 1:
         return GorensteinVerdict(False, None, "generator degrees must be positive")
-    total = 2 * gens.norm()
+    total = 2 * sum(h)
     if total % (n - 1):
         return GorensteinVerdict(False, None, f"2*norm/(card-1) = {total}/{n - 1} is not an integer")
     theta = total // (n - 1)
-    h = gens.values()  # sorted ascending, h[0] = h_1
     hit = gaeta_diesel_violation(h, theta)
     if hit is not None:
         i, pair = hit
@@ -106,12 +106,6 @@ class GorensteinBetti:
         return {"gens": self.gens.to_list(), "theta": self.theta}
 
 
-class MciTriple(NamedTuple):
-    e1: int
-    e2: int
-    e3: int
-
-
 def ci_index_sets(b: GorensteinBetti) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
     """Index sets (B, C, Bbar) on the sorted degrees, 1-based.
 
@@ -137,7 +131,7 @@ def ci_index_sets(b: GorensteinBetti) -> tuple[tuple[int, ...], tuple[int, ...],
     return big_b, big_c, b_bar
 
 
-def mci_from_sorted(d: Sequence[int], theta: int) -> MciTriple:
+def mci_from_sorted(d: Sequence[int], theta: int) -> tuple[int, int, int]:
     """mci on a sorted admissible degree list; no admissibility re-check."""
     n = (len(d) - 1) // 2
 
@@ -151,17 +145,17 @@ def mci_from_sorted(d: Sequence[int], theta: int) -> MciTriple:
                 b_min = i
             b_max = i
     if b_min:
-        return MciTriple(deg(1), deg(b_max), deg(2 * n + 4 - b_min))
+        return (deg(1), deg(b_max), deg(2 * n + 4 - b_min))
     c_max = 0
     for i in range(4, n + 3):
         if theta <= deg(i) + deg(2 * n + 5 - i):
             c_max = i
     if c_max:
-        return MciTriple(deg(1), deg(2), deg(c_max))
-    return MciTriple(deg(1), deg(2), deg(3))
+        return (deg(1), deg(2), deg(c_max))
+    return (deg(1), deg(2), deg(3))
 
 
-def mci(b: GorensteinBetti) -> MciTriple:
+def mci(b: GorensteinBetti) -> tuple[int, int, int]:
     """Minimal type of a regular sequence inside an ideal with this Betti sequence."""
     verdict = check_gorenstein_betti(b.gens)
     if not verdict.admissible:
@@ -204,12 +198,17 @@ class HilbertFn:
         return self.value(n) - 2 * self.value(n - 1) + self.value(n - 2)
 
 
+HILBERT_MAX_LENGTH = 10_000
+
+
 def hilbert_from_resolution(modules: Sequence[IntMultiset], nvars: int) -> HilbertFn:
     """Alternating binomial sum over a free resolution's twist multisets.
 
     ``modules`` lists [M_1, ..., M_p]; the leading free module R (twist 0)
     is implied.  H(n) = C(n+nvars-1, nvars-1) + sum_i (-1)^i sum_{h in M_i}
     C(n-h+nvars-1, nvars-1).  Raises if the result is not eventually zero.
+    H is evaluated at n = 0 .. max twist + nvars, and more than
+    ``HILBERT_MAX_LENGTH`` points are rejected before any is computed.
     """
     if nvars < 1:
         raise ValueError("nvars must be positive")
@@ -217,6 +216,12 @@ def hilbert_from_resolution(modules: Sequence[IntMultiset], nvars: int) -> Hilbe
     for m in modules:
         if m:
             top = max(top, m.max())
+    limit = top + nvars
+    if limit + 1 > HILBERT_MAX_LENGTH:
+        raise ValueError(
+            f"largest twist {top} plus nvars {nvars} needs {limit + 1} Hilbert values, "
+            f"above the cap of {HILBERT_MAX_LENGTH}"
+        )
 
     def h_at(n: int) -> int:
         acc = binomial(n + nvars - 1, nvars - 1)
@@ -228,7 +233,6 @@ def hilbert_from_resolution(modules: Sequence[IntMultiset], nvars: int) -> Hilbe
             sign = -sign
         return acc
 
-    limit = max(top, 0) + nvars
     values = [h_at(n) for n in range(limit + 1)]
     # beyond the largest twist the sum is a polynomial of degree < nvars,
     # so vanishing at nvars consecutive points means vanishing identically

@@ -34,11 +34,20 @@ class IntMultiset:
 
     @classmethod
     def from_values(cls, values: Iterable[int]) -> "IntMultiset":
-        counts: dict[int, int] = {}
-        for v in values:
-            v = int(v)
-            counts[v] = counts.get(v, 0) + 1
-        return cls(tuple((v, counts[v]) for v in sorted(counts)))
+        """Run-length encoding of the sorted values."""
+        vals = sorted(map(int, values))
+        if not vals:
+            return cls(())
+        runs = []
+        prev, count = vals[0], 0
+        for v in vals:
+            if v == prev:
+                count += 1
+            else:
+                runs.append((prev, count))
+                prev, count = v, 1
+        runs.append((prev, count))
+        return cls(tuple(runs))
 
     @classmethod
     def empty(cls) -> "IntMultiset":

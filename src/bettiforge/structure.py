@@ -29,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .aci import link_betti
 from .exact import Poly, PolyMatrix
 from .multiset import IntMultiset
 from .pfaffian import AlternatingMatrix
@@ -256,44 +255,3 @@ def colon_generators(
         if not 1 <= i <= m.size:
             raise ValueError(f"index {i} out of range 1..{m.size}")
     return pf_vec[a - 1], pf_vec[b - 1], pf_vec[c - 1], m.delete((a, b, c)).pfaffian()
-
-
-def linkage_example_2_2_8() -> dict:
-    """Zero-dimensional quotient linked to five general points in a (2,2,8) complete intersection.
-
-    Drives the multiset-level linkage with generator degrees {2,2,2,2,2},
-    socle-syzygy degree 5, regular sequence type (2,2,8) and one bordered
-    pair for the degree-8 member (partner slot at degree -3), then checks
-    the expected four-term resolution and its minimalization.
-    """
-    result = link_betti(
-        IntMultiset.from_values([2, 2, 2, 2, 2]),
-        5,
-        (2, 2, 8),
-        IntMultiset.from_values([8]),
-    )
-    expected = {
-        "d0": 7,
-        "d": 19,
-        "D": [2, 2, 7, 8],
-        "E": [4, 9, 9, 9, 9, 9, 15],
-        "F": [10, 10, 10, 15],
-        "minimal_E": [4, 9, 9, 9, 9, 9],
-        "minimal_F": [10, 10, 10],
-    }
-    got = {
-        "d0": result.d0,
-        "d": result.d,
-        "D": result.d_level.to_list(),
-        "E": result.e_level.to_list(),
-        "F": result.f_level.to_list(),
-        "minimal_E": result.minimal.e.to_list(),
-        "minimal_F": result.minimal.f.to_list(),
-    }
-    if got != expected:
-        raise RuntimeError(f"linkage example mismatch: {got} != {expected}")
-    return {
-        "resolution": result.to_json(),
-        "ghost_removed": [15],
-        "matches_expected": True,
-    }

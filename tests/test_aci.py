@@ -413,6 +413,139 @@ def test_enumerate_ndjson_is_pinned(max_degree, max_f, lines, md5):
     assert hashlib.md5("".join(out).encode()).hexdigest() == md5
 
 
+# verdict counts and md5 of the verdict lines of _verdict_corpus(),
+# recorded before check_betti moved to count dicts
+VERDICT_KINDS = {
+    "admissible": 280,
+    "clause2": 297,
+    "clause3": 302,
+    "parity": 139,
+    "gaeta_diesel": 129,
+    "socle": 32,
+    "stage3": 21,
+}
+VERDICT_MD5 = "15a6ebf9f80d183bdd0e0d3bed6d6c37"
+
+
+def _verdict_corpus(seed=2026, per_stratum=300):
+    """Seeded (D, E, F) triples in four strata, as plain lists.
+
+    * random E, which mostly misses part of d - F (clause 2);
+    * E = (d - F) + three random degrees, which mostly do not split (clause 3);
+    * E = (d - F) + (d0 + Dbar) + (theta_z - S) for a random S, which
+      decomposes and is mostly rejected in stage 2;
+    * linkage of a sampled admissible Gorenstein sequence in three of its
+      generator degrees, which mostly reaches stage 3 or passes.
+    """
+    rng = random.Random(seed)
+    out = []
+    for i in range(3 * per_stratum):
+        d = sorted(rng.randint(1, 9) for _ in range(4))
+        d0, dstar, dsum = d[0], d[1:], sum(d)
+        theta_z = dsum - d0
+        f = sorted(rng.randint(1, dsum - 1) for _ in range(rng.randint(2, 6)))
+        if i % 3 == 0:
+            e = [rng.randint(1, dsum) for _ in range(len(f) + 3)]
+        elif i % 3 == 1:
+            e = [dsum - x for x in f] + [rng.randint(1, dsum) for _ in range(3)]
+        else:
+            s = [x for x in dstar if rng.random() < 0.4]
+            dbar = list(dstar)
+            for x in s:
+                dbar.remove(x)
+            e = [dsum - x for x in f] + [d0 + x for x in dbar] + [theta_z - x for x in s]
+        out.append((d, sorted(e), f))
+    while len(out) < 4 * per_stratum:
+        beta = random_admissible(rng)
+        gens = beta.gens.values()
+        picks = set(rng.sample(range(len(gens)), 3))
+        ci = [gens[j] for j in sorted(picks)]
+        slots = [gens[j] for j in range(len(gens)) if j not in picks]
+        d0 = sum(ci) - beta.theta
+        if d0 < 1:
+            continue
+        dsum = d0 + sum(ci)
+        e = [c + d0 for c in ci] + [x + d0 for x in slots]
+        out.append((sorted(ci + [d0]), sorted(e), sorted(dsum - x for x in e[3:])))
+    return out
+
+
+def _verdict_kind(v):
+    if v.admissible:
+        return "admissible"
+    if v.stage == 1:
+        return "clause2" if v.witness.startswith("(d - F)") else "clause3"
+    if v.stage == 2:
+        return v.witness.split(":")[0]
+    return "stage3"
+
+
+def test_check_betti_verdicts_are_pinned():
+    """Every verdict and witness string of a corpus reaching every verdict kind."""
+    lines = []
+    kinds = {}
+    for d, e, f in _verdict_corpus():
+        v = check_betti(AciBetti.from_values(d, e, f))
+        kind = _verdict_kind(v)
+        kinds[kind] = kinds.get(kind, 0) + 1
+        lines.append(json.dumps(v.to_json(), sort_keys=True))
+    assert kinds == VERDICT_KINDS
+    assert hashlib.md5("\n".join(lines).encode()).hexdigest() == VERDICT_MD5
+
+
+def _decompose_by_multiset_algebra(b):
+    """decompose spelled out with IntMultiset operations: the reference."""
+    shifted_f = b.f.affine(b.d.norm(), -1)
+    if not shifted_f.is_submultiset(b.e):
+        return AciTypeFailure(2, f"(d - F) is not a submultiset of E: missing {shifted_f.diff(b.e)}")
+    ehat = b.e.diff(shifted_f)
+    d0 = b.d.min()
+    dstar = b.d.diff(ms([d0]))
+    theta_z = dstar.norm()
+    s = dstar.intersect(ehat.affine(theta_z, -1))
+    dbar = dstar.diff(s)
+    expected = dbar.affine(d0, 1).sum(s.affine(theta_z, -1))
+    if ehat != expected:
+        return AciTypeFailure(3, f"Ehat = {ehat} differs from (d0 + Dbar) + (theta_z - S) = {expected}")
+    t = aci._t_multiset(theta_z - d0, s, b.f.card(), dbar.card())
+    return aci.AciDecomposition(d0, dstar, theta_z, ehat, s, dbar, t, theta_z - d0, b.d.norm())
+
+
+def test_decompose_matches_multiset_algebra():
+    outcomes = set()
+    for d, e, f in _verdict_corpus(seed=7, per_stratum=150):
+        b = AciBetti.from_values(d, e, f)
+        got = decompose(b)
+        assert got == _decompose_by_multiset_algebra(b), (d, e, f)
+        outcomes.add(getattr(got, "clause", 0))
+    assert outcomes == {0, 2, 3}
+
+
+def test_f_windows_match_multiset_algebra():
+    """The int-level Ehat bound and canonical-overlap test keep exactly the
+    windows that the multiset formulation keeps."""
+    for dvals in aci._sorted_d_tuples(12):
+        d0, dstar_list = dvals[0], list(dvals[1:])
+        dstar = ms(dstar_list)
+        theta_z = sum(dstar_list)
+        theta_g = theta_z - d0
+        lo = max(1, d0 + theta_z - 12, d0 + 1)
+        hi = min(12, d0 + theta_z - 1, theta_z - 1)
+        expected = []
+        for s_tuple in aci._submultisets(dstar_list):
+            s = ms(s_tuple)
+            dbar = dstar.diff(s)
+            ehat = dbar.affine(d0, 1).sum(s.affine(theta_z, -1))
+            if ehat.max() > 12 or dstar.intersect(ehat.affine(theta_z, -1)) != s or lo > hi:
+                continue
+            for k in range(2, 6):
+                t = aci._t_multiset(theta_g, s, k, dbar.card())
+                if (k + dbar.card() + t.card()) % 2:
+                    expected.append((ehat, k, lo, hi, dbar.values() + t.values(), s.diff(t)))
+        got = [(w.ehat, w.k, w.lo, w.hi, w.tail, w.strict) for w in aci._f_windows(dvals, 12, 5)]
+        assert got == expected, dvals
+
+
 def _fixed_sum_tuples(lo, hi, k, total):
     """Every sorted k-tuple over [lo, hi] summing to total: the unpruned F search."""
     if k == 0:

@@ -129,6 +129,11 @@ def test_integer_arrays_reject_bools_and_floats(argv, capsys):
     assert code == 2 and out == "" and "error" in err
 
 
+def test_hilbert_rejects_length_above_cap(capsys):
+    code, out, err = run_cli(["hilbert", "--ci", "[1,1,20000]"], capsys=capsys)
+    assert code == 2 and out == "" and "cap" in err
+
+
 def test_hilbert_needs_one_source(capsys):
     code, _, err = run_cli(["hilbert"], capsys=capsys)
     assert code == 2

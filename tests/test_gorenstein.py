@@ -4,6 +4,7 @@ from itertools import combinations
 import pytest
 
 from bettiforge.gorenstein import (
+    HILBERT_MAX_LENGTH,
     GorensteinBetti,
     cancel_duals,
     check_gorenstein_betti,
@@ -160,6 +161,20 @@ def test_koszul_modules_equal_subset_sums():
 def test_hilbert_rejects_non_artinian():
     with pytest.raises(ValueError, match="Artinian"):
         hilbert_from_resolution([ms([1])], 3)
+
+
+def test_hilbert_length_is_capped():
+    # H is evaluated at 0 .. largest twist + nvars; the Koszul resolution
+    # of type (1, 1, c) has largest twist c + 2 and length c
+    c = HILBERT_MAX_LENGTH - 6
+    assert hilbert_from_resolution(koszul_modules([1, 1, c]), 3).length() == c
+    for modules, nvars in (
+        (koszul_modules([1, 1, c + 1]), 3),
+        ([ms([10**12])], 3),
+        ([ms([2])], 10**9),
+    ):
+        with pytest.raises(ValueError, match="cap"):
+            hilbert_from_resolution(modules, nvars)
 
 
 def test_hilbert_handles_negative_twists():

@@ -15,10 +15,40 @@ def test_canonical_form():
 
 
 def test_invalid_entries_rejected():
-    with pytest.raises(ValueError):
-        IntMultiset(((3, 0),))
-    with pytest.raises(ValueError):
-        IntMultiset(((5, 1), (4, 1)))
+    for entries in (
+        ((3, 0),),
+        ((5, 1), (4, 1)),
+        ((3, -1),),
+        ((2, 1), (5, 0)),
+        ((5, 1), (5, 2)),
+        ((1, 1), (3, 1), (2, 1)),
+    ):
+        with pytest.raises(ValueError):
+            IntMultiset(entries)
+
+
+def test_from_values_matches_dict_count():
+    rng = random.Random(3)
+    for _ in range(300):
+        values = [rng.randint(-6, 6) for _ in range(rng.randint(0, 12))]
+        counts: dict[int, int] = {}
+        for v in values:
+            counts[v] = counts.get(v, 0) + 1
+        m = ms(values)
+        assert m.entries == tuple(sorted(counts.items()))
+        assert type(m) is IntMultiset and m.card() == len(values)
+    # values pass through int()
+    assert ms((True, 2.0, -1)).entries == ((-1, 1), (1, 1), (2, 1))
+
+
+def test_algebra_results_are_valid_multisets():
+    rng = random.Random(17)
+    for _ in range(200):
+        a = ms([rng.randint(-5, 9) for _ in range(rng.randint(0, 8))])
+        b = ms([rng.randint(-5, 9) for _ in range(rng.randint(0, 8))])
+        n = rng.randint(-6, 12)
+        for r in (a.sum(b), a.diff(b), a.intersect(b), a.union(b), a.affine(n, 1), a.affine(n, -1)):
+            assert IntMultiset(r.entries) == r
 
 
 def test_intersect():

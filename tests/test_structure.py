@@ -12,7 +12,6 @@ from bettiforge.structure import (
     GradedFreeModule,
     build_aci_complex,
     colon_generators,
-    linkage_example_2_2_8,
     verify_complex,
 )
 
@@ -225,6 +224,47 @@ def test_bordered_presentation_builds():
     assert verify_complex(c).ok
     sigma_tail = aug.submaximal_pfaffians()[4]
     assert sigma_tail.is_zero
+
+
+def linkage_example_2_2_8() -> dict:
+    """Zero-dimensional quotient linked to five general points in a (2,2,8) complete intersection.
+
+    Drives the multiset-level linkage with generator degrees {2,2,2,2,2},
+    socle-syzygy degree 5, regular sequence type (2,2,8) and one bordered
+    pair for the degree-8 member (partner slot at degree -3), then checks
+    the expected four-term resolution and its minimalization.
+    """
+    result = link_betti(
+        IntMultiset.from_values([2, 2, 2, 2, 2]),
+        5,
+        (2, 2, 8),
+        IntMultiset.from_values([8]),
+    )
+    expected = {
+        "d0": 7,
+        "d": 19,
+        "D": [2, 2, 7, 8],
+        "E": [4, 9, 9, 9, 9, 9, 15],
+        "F": [10, 10, 10, 15],
+        "minimal_E": [4, 9, 9, 9, 9, 9],
+        "minimal_F": [10, 10, 10],
+    }
+    got = {
+        "d0": result.d0,
+        "d": result.d,
+        "D": result.d_level.to_list(),
+        "E": result.e_level.to_list(),
+        "F": result.f_level.to_list(),
+        "minimal_E": result.minimal.e.to_list(),
+        "minimal_F": result.minimal.f.to_list(),
+    }
+    if got != expected:
+        raise RuntimeError(f"linkage example mismatch: {got} != {expected}")
+    return {
+        "resolution": result.to_json(),
+        "ghost_removed": [15],
+        "matches_expected": True,
+    }
 
 
 def test_linkage_example_report():
