@@ -239,24 +239,39 @@ class Verdict:
         }
 
 
-def _stage3_witness(
+def _stage3_violation(
     dvals: Sequence[int], e: Sequence[int], strict: IntMultiset
-) -> str | None:
+) -> tuple[int, int | None] | None:
     """First failed mci comparison, or None if the linkage type dominates.
 
     ``dvals`` is the sorted type d_1 <= d_2 <= d_3, ``e`` the mci triple,
     ``strict`` the degrees whose chosen regular-sequence members are forced
     non-minimal, so domination must be strict at the index
-    min{j | d_j = s} + multiplicity(s) - 1.
+    min{j | d_j = s} + multiplicity(s) - 1.  A violation is reported as
+    (i, None) for the first 1-based i with d_i < e_i, or as (i, s) when
+    d_i > e_i fails at the strict index of s.
     """
-    if any(dvals[i] < e[i] for i in range(3)):
-        return "({},{},{}) ≱ ({},{},{})".format(*dvals, *e)
+    for i in range(3):
+        if dvals[i] < e[i]:
+            return i + 1, None
     for s_val, mult in strict.entries:
-        first = next(j for j in range(1, 4) if dvals[j - 1] == s_val)
-        i = first + mult - 1
-        if not dvals[i - 1] > e[i - 1]:
-            return f"s={s_val}, i={i}, d_{i}={dvals[i - 1]} not > e_{i}={e[i - 1]}"
+        i = dvals.index(s_val) + mult  # strict ⊆ S ⊆ Dstar, so s is in dvals
+        if dvals[i - 1] <= e[i - 1]:
+            return i, s_val
     return None
+
+
+def _stage3_witness(
+    dvals: Sequence[int], e: Sequence[int], strict: IntMultiset
+) -> str | None:
+    """The failure of :func:`_stage3_violation` as witness text, or None."""
+    hit = _stage3_violation(dvals, e, strict)
+    if hit is None:
+        return None
+    i, s_val = hit
+    if s_val is None:
+        return "({},{},{}) ≱ ({},{},{})".format(*dvals, *e)
+    return f"s={s_val}, i={i}, d_{i}={dvals[i - 1]} not > e_{i}={e[i - 1]}"
 
 
 def check_betti(b: AciBetti) -> Verdict:
@@ -500,13 +515,12 @@ def _admissible_f_tuples(
     the exact tests.
     """
     dstar = dvals[1:]
-    d1, d2, d3 = dstar
-    theta_z = d1 + d2 + d3
+    theta_z = sum(dstar)
     theta_g = theta_z - dvals[0]
     hi, tail, strict = w.hi, w.tail, w.strict
     n = w.k + len(tail)
     m = n // 2
-    if m > d1:
+    if m > dstar[0]:
         return  # bound (a)
     pairs = [(i, n - i) for i in range(1, m + 1)]  # 0-based Gaeta-Diesel pairs
 
@@ -517,12 +531,11 @@ def _admissible_f_tuples(
         h += prefix_g
         h += tail
         h.sort()
-        if h[0] > d1 or h[1] > d2 or h[2] > d3:
-            return False
         for a, b in pairs:
             if h[a] + h[b] >= theta_g:
                 return False
-        return True
+        # bound (c)
+        return _stage3_violation(dstar, mci_from_sorted(h, theta_g), strict) is None
 
     def grow(
         prefix: tuple[int, ...], prefix_g: list[int], v: int, r: int, rest: int
@@ -537,7 +550,7 @@ def _admissible_f_tuples(
                 g0.sort()
                 if gaeta_diesel_violation(g0, theta_g) is not None:
                     continue
-                if _stage3_witness(dstar, mci_from_sorted(g0, theta_g), strict) is None:
+                if _stage3_violation(dstar, mci_from_sorted(g0, theta_g), strict) is None:
                     yield prefix + (x, left)
             elif may_complete(g, x, r, left):
                 yield from grow(prefix + (x,), g, x, r, left)
@@ -556,8 +569,8 @@ def _candidates_for_d(
     balance pins norm(F), hence norm(G0) = m * theta_g.  F is built
     smallest-first, and a branch is cut only where no completion can
     pass Gaeta-Diesel (theta_g > h_{i+1} + h_{2m+2-i} for i = 1..m on the
-    sorted G0) together with the domination part of stage 3
-    (d_j >= e_j, where (e_1, e_2, e_3) is the mci triple):
+    sorted G0) together with stage 3 (d_j >= e_j, where (e_1, e_2, e_3)
+    is the mci triple, strictly at the indices forced by S - T):
 
     (a) Whole windows.  The m Gaeta-Diesel pairs use every element of G0
         but h_1, so their sums add up to m * theta_g - h_1; each being at
@@ -570,9 +583,22 @@ def _candidates_for_d(
         generator theta_z - f, so this bounds every remaining generator
         from below, and the sorted G0 dominates the sorted bounds entry by
         entry.  Pair sums only grow, so a bound pair >= theta_g rules out
-        every completion.  The mci triple satisfies e_1 = h_1, e_2 >= h_2
-        and e_3 >= h_3, so bounds on h_1, h_2, h_3 above d_1, d_2, d_3 do
-        too.
+        every completion.
+    (c) Stage 3 on the bounds.  If h <= h' entrywise, both sorted, every
+        pair sum of h is at most the same pair sum of h', so the B and C
+        index sets of h (see ``ci_index_sets`` in the gorenstein module)
+        are contained in those of h'.  The mci triple of h' therefore
+        reads h' at 1-based indices no smaller than those the triple of
+        h reads in h: with B(h) nonempty, B(h') has a larger or equal
+        maximum and a smaller or equal minimum; with only B(h') nonempty,
+        h' is read at 1, >= 3 and >= n + 3 where h is read at 1, 2 and
+        <= n + 2 (|G0| = 2n + 1); with both empty, the maximum of C only
+        grows.  As h' is sorted and dominates h, mci(h) <= mci(h')
+        componentwise.  The strict indices depend on D and S only, so a
+        comparison d_i >= e_i, or d_i > e_i, that fails on the sorted
+        bounds fails for every completion.  This covers the comparison
+        of h_1, h_2, h_3 with d_1, d_2, d_3, since e_1 = h_1, e_2 >= h_2
+        and e_3 >= h_3.
 
     The leaves left are decided by the exact Gaeta-Diesel, mci and
     stage-3 tests, and each emitted triple is re-checked by
@@ -597,15 +623,18 @@ def _worker(args: tuple[tuple[int, int, int, int], int, int]) -> list[AciBetti]:
 
 
 def _sorted_d_tuples(max_degree: int) -> Iterator[tuple[int, int, int, int]]:
-    """All sorted 4-tuples over [1, max_degree], grouped by total then lex."""
-    groups: dict[int, list[tuple[int, int, int, int]]] = {}
-    for a in range(1, max_degree + 1):
-        for b in range(a, max_degree + 1):
-            for c in range(b, max_degree + 1):
-                for e in range(c, max_degree + 1):
-                    groups.setdefault(a + b + c + e, []).append((a, b, c, e))
-    for total in sorted(groups):
-        yield from sorted(groups[total])
+    """All sorted 4-tuples over [1, max_degree], by total and then in lex order.
+
+    They are generated lazily: for a fixed total each entry ranges over
+    the values that leave the later entries room to be at least it and at
+    most ``max_degree``, and the last entry is what the total leaves.
+    """
+    top = max_degree
+    for total in range(4, 4 * top + 1):
+        for a in range(max(1, total - 3 * top), total // 4 + 1):
+            for b in range(max(a, total - a - 2 * top), (total - a) // 3 + 1):
+                for c in range(max(b, total - a - b - top), (total - a - b) // 2 + 1):
+                    yield (a, b, c, total - a - b - c)
 
 
 def worker_count(jobs: int) -> int:
@@ -631,7 +660,7 @@ def enumerate_admissible(
     jobs = worker_count(jobs)
     if max_degree < 1 or max_f < 2:
         return
-    d_tuples = list(_sorted_d_tuples(max_degree))
+    d_tuples = _sorted_d_tuples(max_degree)
     if jobs > 1:
         import multiprocessing
 

@@ -2,16 +2,14 @@
 
 Exit codes: 0 for success / admissible, 1 for a negative verdict or a
 failed verification, 2 for invalid input.  All output is deterministic:
-enumeration streams NDJSON in canonical order, JSON keys are sorted, and
-any randomness is seeded (``--seed``, overridden by the BETTIFORGE_SEED
-environment variable).
+no command uses randomness, enumeration streams NDJSON in canonical
+order, and JSON keys are sorted.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import Sequence
 
@@ -210,12 +208,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="bettiforge",
         description="Exact pfaffian algebra and Betti-sequence tools for codimension-3 almost complete intersections.",
     )
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=0,
-        help="seed for any randomized operation (BETTIFORGE_SEED overrides)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check", help="decide admissibility of a (D, E, F) triple")
@@ -265,13 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    env_seed = os.environ.get("BETTIFORGE_SEED")
-    if env_seed is not None:
-        try:
-            args.seed = int(env_seed)
-        except ValueError:
-            print(f"error: BETTIFORGE_SEED must be an integer, got {env_seed!r}", file=sys.stderr)
-            return 2
     try:
         return args.func(args)
     except InputError as exc:

@@ -399,12 +399,13 @@ def test_worker_count_validates_and_clamps():
 
 
 # NDJSON of the stream as the CLI prints it, recorded before the F search
-# was pruned
+# was pruned; (14, 5) recorded before the stage-3 cut at inner nodes
 @pytest.mark.parametrize(
     "max_degree, max_f, lines, md5",
     [
         (12, 5, 1517, "06009033f4b7418ed137b4a717230732"),
         (10, 6, 473, "1325ff827b98e8a5af5b80a6d409e982"),
+        (14, 5, 4222, "5ec4cb065530f20a25074594f5109e0b"),
     ],
 )
 def test_enumerate_ndjson_is_pinned(max_degree, max_f, lines, md5):
@@ -519,6 +520,20 @@ def test_decompose_matches_multiset_algebra():
         assert got == _decompose_by_multiset_algebra(b), (d, e, f)
         outcomes.add(getattr(got, "clause", 0))
     assert outcomes == {0, 2, 3}
+
+
+def test_sorted_d_tuples_match_grouped_sort():
+    """The lazy D tuples come in the order of the whole list grouped by
+    total and sorted within each total."""
+    for max_degree in range(1, 13):
+        groups = {}
+        for a in range(1, max_degree + 1):
+            for b in range(a, max_degree + 1):
+                for c in range(b, max_degree + 1):
+                    for e in range(c, max_degree + 1):
+                        groups.setdefault(a + b + c + e, []).append((a, b, c, e))
+        expected = [t for total in sorted(groups) for t in sorted(groups[total])]
+        assert list(aci._sorted_d_tuples(max_degree)) == expected, max_degree
 
 
 def test_f_windows_match_multiset_algebra():

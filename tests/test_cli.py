@@ -134,6 +134,13 @@ def test_hilbert_rejects_length_above_cap(capsys):
     assert code == 2 and out == "" and "cap" in err
 
 
+def test_hilbert_rejects_work_above_cap(capsys):
+    # 20 degrees in 1..1000 (seed 3): within the length cap, not the work cap
+    degrees = "[244,607,558,134,379,938,619,486,641,595,68,621,14,931,858,481,266,565,240,197]"
+    code, out, err = run_cli(["hilbert", "--ci", degrees], capsys=capsys)
+    assert code == 2 and out == "" and "binomials, above the cap" in err
+
+
 def test_hilbert_needs_one_source(capsys):
     code, _, err = run_cli(["hilbert"], capsys=capsys)
     assert code == 2
@@ -257,7 +264,11 @@ def test_verify_structure_needs_twists(tmp_path, capsys):
     assert code == 2 and "twists" in err
 
 
-def test_seed_env_override(monkeypatch, capsys):
-    monkeypatch.setenv("BETTIFORGE_SEED", "not-an-int")
-    code, _, err = run_cli(["enumerate", "--max-degree", "6", "--max-f", "2"], capsys=capsys)
-    assert code == 2 and "BETTIFORGE_SEED" in err
+def test_seed_option_is_gone(capsys):
+    # no command uses randomness, so there is no --seed to set
+    enumerate_argv = ["enumerate", "--max-degree", "6", "--max-f", "2"]
+    for argv in (["--seed", "1"] + enumerate_argv, enumerate_argv + ["--seed", "1"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2 and out == "" and "error" in err

@@ -5,6 +5,7 @@ import pytest
 
 from bettiforge.gorenstein import (
     HILBERT_MAX_LENGTH,
+    HILBERT_MAX_WORK,
     GorensteinBetti,
     cancel_duals,
     check_gorenstein_betti,
@@ -14,6 +15,7 @@ from bettiforge.gorenstein import (
     koszul_modules,
     max_new_generators,
     mci,
+    mci_from_sorted,
     random_admissible,
 )
 from bettiforge.multiset import IntMultiset
@@ -119,6 +121,39 @@ def test_mci_monotone_under_dual_pair_deletion():
     assert all(x <= y for x, y in zip(mci(reduced), mci(b)))
 
 
+def _mci_by_index_sets(h, theta):
+    """mci read off the 1-based B and C sets of ci_index_sets, on any sorted odd-length h."""
+    n = (len(h) - 1) // 2
+
+    def deg(i):
+        return h[i - 1]
+
+    big_b = [i for i in range(3, n + 2) if theta <= deg(i) + deg(2 * n + 4 - i)]
+    big_c = [i for i in range(4, n + 3) if theta <= deg(i) + deg(2 * n + 5 - i)]
+    if big_b:
+        return (deg(1), deg(max(big_b)), deg(2 * n + 4 - min(big_b)))
+    if big_c:
+        return (deg(1), deg(2), deg(max(big_c)))
+    return (deg(1), deg(2), deg(3))
+
+
+def test_mci_from_sorted_is_monotone():
+    """For sorted h <= h' entrywise and a fixed theta, mci(h) <= mci(h')
+    componentwise: the lemma behind the stage-3 cut of the F search.
+    h need not be admissible, as the search applies it to lower bounds;
+    each mci is also checked against the B/C definitions."""
+    rng = random.Random(17)
+    for _ in range(20000):
+        n = rng.randint(1, 5)
+        h = sorted(rng.randint(1, 12) for _ in range(2 * n + 1))
+        h_up = sorted(x + rng.randint(0, 3) for x in h)  # still >= h entrywise
+        theta = rng.randint(2, 24)
+        low, up = mci_from_sorted(h, theta), mci_from_sorted(h_up, theta)
+        assert low == _mci_by_index_sets(h, theta), (h, theta)
+        assert up == _mci_by_index_sets(h_up, theta), (h_up, theta)
+        assert all(a <= b for a, b in zip(low, up)), (h, h_up, theta)
+
+
 def test_bvuoto_on_corpus():
     for b in corpus(31, 150):
         big_b, _, b_bar = ci_index_sets(b)
@@ -175,6 +210,19 @@ def test_hilbert_length_is_capped():
     ):
         with pytest.raises(ValueError, match="cap"):
             hilbert_from_resolution(modules, nvars)
+
+
+def test_hilbert_work_is_capped():
+    # 20 seeded degrees in 1..1000 stay under the length cap but give
+    # about 4 * 10^8 binomials; the cap rejects them before any is computed
+    rng = random.Random(3)
+    degrees = [rng.randint(1, 1000) for _ in range(20)]
+    modules = koszul_modules(degrees)
+    points = sum(degrees) + 3 + 1
+    assert points <= HILBERT_MAX_LENGTH
+    assert points * (1 + sum(len(m.entries) for m in modules)) > HILBERT_MAX_WORK
+    with pytest.raises(ValueError, match="binomials, above the cap"):
+        hilbert_from_resolution(modules, 3)
 
 
 def test_hilbert_handles_negative_twists():
