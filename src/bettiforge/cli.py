@@ -14,7 +14,7 @@ import sys
 from typing import Sequence
 
 from .aci import AciBetti, check_betti, enumerate_admissible, link_betti, worker_count
-from .exact import parse_matrix
+from .exact import _NAME_RE, parse_matrix
 from .gorenstein import (
     GorensteinBetti,
     check_gorenstein_betti,
@@ -25,6 +25,13 @@ from .gorenstein import (
 from .multiset import IntMultiset
 from .pfaffian import AlternatingMatrix
 from .structure import AlternatingPresentation, build_aci_complex, verify_complex
+
+
+# Largest matrix `pfaffian` and `verify-structure` accept.  The worst case
+# admitted, the submaximal vector of a generic 13x13 matrix (one variable
+# per entry), takes about 3 s and 180 MB; each +2 in size multiplies the
+# terms of a generic pfaffian by about 13.
+MAX_MATRIX_SIZE = 13
 
 
 class InputError(Exception):
@@ -60,8 +67,21 @@ def _emit(data) -> None:
     print(json.dumps(data, sort_keys=True))
 
 
+def _is_name_array(data) -> bool:
+    """True for a JSON array of distinct identifier strings."""
+    return (
+        isinstance(data, list)
+        and all(isinstance(x, str) and _NAME_RE.fullmatch(x) for x in data)
+        and len(set(data)) == len(data)
+    )
+
+
 def _load_alternating(data) -> tuple[AlternatingMatrix, list[int] | None]:
-    """Accept a bare array-of-arrays or {"entries": ..., "twists": ..., "variables": ...}."""
+    """Accept a bare array-of-arrays or {"entries": ..., "twists": ..., "variables": ...}.
+
+    Matrices with more than MAX_MATRIX_SIZE rows are refused before any
+    entry is parsed.
+    """
     twists = None
     if isinstance(data, dict):
         if "entries" not in data:
@@ -69,11 +89,15 @@ def _load_alternating(data) -> tuple[AlternatingMatrix, list[int] | None]:
         entries = data["entries"]
         names = data.get("variables")
         twists = data.get("twists")
+        if names is not None and not _is_name_array(names):
+            raise InputError('"variables" must be a JSON array of distinct identifier strings')
     else:
         entries = data
         names = None
     if not isinstance(entries, list) or not all(isinstance(r, list) for r in entries):
         raise InputError("matrix entries must be an array of arrays")
+    if len(entries) > MAX_MATRIX_SIZE:
+        raise InputError(f"matrix has {len(entries)} rows; at most {MAX_MATRIX_SIZE} are supported")
     try:
         pm = parse_matrix(entries, names)
         return AlternatingMatrix.from_poly_matrix(pm), twists
@@ -180,6 +204,8 @@ def cmd_verify_structure(args) -> int:
     matrix, twists = _load_alternating(data)
     if twists is None:
         raise InputError('structure verification needs "twists" in the matrix file')
+    if not _is_int_array(twists):
+        raise InputError('"twists" must be a JSON array of integers')
     try:
         g_rows = tuple(int(x) for x in args.g_rows.split(","))
     except ValueError as exc:
@@ -187,7 +213,7 @@ def cmd_verify_structure(args) -> int:
     if len(g_rows) != 3:
         raise InputError("--g-rows needs exactly three row indices")
     try:
-        pres = AlternatingPresentation(matrix, g_rows, tuple(int(t) for t in twists))
+        pres = AlternatingPresentation(matrix, g_rows, tuple(twists))
         complex_ = build_aci_complex(pres)
     except (TypeError, ValueError) as exc:
         raise InputError(str(exc)) from exc

@@ -13,6 +13,12 @@ Matrices of polynomials are dense; everything here is desk scale
 (at most ~12x12), so cofactor expansion with memoization is enough for
 symbolic determinants and fraction-free Bareiss elimination covers the
 constant case.
+
+Expansions that add up many products (the cofactor determinant here and
+the pfaffian row expansion) go through one private kernel,
+``_sum_of_products``: it adds every term product of sum(a_k * b_k)
+straight into one dict instead of building a polynomial per product and
+per partial sum.  Matrix products still use the ``Poly`` operators.
 """
 
 from __future__ import annotations
@@ -303,6 +309,45 @@ class Poly:
         return f"Poly({self})"
 
 
+def _sum_of_products(pairs: Sequence[tuple[Poly, Poly]], names: tuple[str, ...] = ()) -> Poly:
+    """``Poly.zero(names) + a1*b1 + a2*b2 + ...`` over the (a, b) pairs, in one dict.
+
+    Every term product is added straight into the result, with no
+    intermediate polynomial per product or per partial sum.  Variable
+    tuples align as in ``Poly._aligned``: operands with variables must
+    all have the same tuple (or ``names``, when given), and nameless
+    operands are constants that take it on; otherwise ValueError.
+    Coefficients stay int-first and zero coefficients are dropped.
+    """
+    for a, b in pairs:
+        for p in (a, b):
+            if p.names != names and p.names:
+                if names:
+                    raise ValueError(f"variable sets differ: {names} vs {p.names}")
+                names = p.names
+    const_exp = (0,) * len(names)
+    terms: dict[tuple[int, ...], Scalar] = {}
+    get = terms.get
+    add = operator.add
+    for a, b in pairs:
+        if not a.terms or not b.terms:
+            continue
+        a_items = a.terms.items() if a.names else [(const_exp, c) for c in a.terms.values()]
+        b_items = b.terms.items() if b.names else [(const_exp, c) for c in b.terms.values()]
+        for ea, ca in a_items:
+            for eb, cb in b_items:
+                exp = tuple(map(add, ea, eb))
+                c = get(exp, 0) + ca * cb
+                if c:
+                    terms[exp] = c
+                else:
+                    del terms[exp]
+    # a sum that met a Fraction holds a Fraction, integral or not
+    if _has_fraction(terms):
+        _int_first(terms)
+    return Poly._trusted(names, terms)
+
+
 def variables(names: str | Sequence[str]) -> tuple[Poly, ...]:
     """Create generator polynomials, e.g. ``x, y = variables("x y")``."""
     names = tuple(names.split()) if isinstance(names, str) else tuple(names)
@@ -561,16 +606,16 @@ class PolyMatrix:
             return cached
         i = rows[0]
         rest = rows[1:]
-        acc = Poly.zero()
+        pairs = []
         for pos, j in enumerate(cols):
             e = self.entries[i][j]
             if e.is_zero:
                 continue
             minor = self._cofactor_det(rest, cols[:pos] + cols[pos + 1 :], memo)
-            term = e * minor
-            acc = acc + (term if pos % 2 == 0 else -term)
-        memo[key] = acc
-        return acc
+            pairs.append((e if pos % 2 == 0 else -e, minor))
+        value = _sum_of_products(pairs)
+        memo[key] = value
+        return value
 
     def adjugate(self) -> "PolyMatrix":
         """Classical adjugate: adj(A) @ A = A @ adj(A) = det(A) * I."""

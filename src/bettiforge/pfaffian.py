@@ -5,6 +5,14 @@ provides the row-expansion pfaffian, an independent perfect-matching
 oracle, submaximal pfaffian vectors, the pfaffian adjoint, the two-row
 block expansion, bordered augmentation and congruence transforms.
 
+Each matrix fixes its variable tuple once, and memoizes the pfaffians of
+its principal submatrices by row bitmask; the expansion sums each row
+through ``exact._sum_of_products``.  ``pfaffian(rows)`` and
+``adjoint(rows)`` evaluate a principal submatrix from that memo, so
+pf(beta) and its adjoint on the rows left after the submaximal vector
+cost no new expansion.  The perfect-matching oracle stays on the ``Poly``
+operators and shares no code with the expansion.
+
 Sign conventions (fixed by contract, verified in the test suite):
 
 * ``submaximal_pfaffians`` returns ``p_i = (-1)**(i+1) * pf(M_del_i)``
@@ -21,9 +29,9 @@ not merely up to sign.
 from __future__ import annotations
 
 import random
-from typing import Sequence
+from typing import Iterable, Sequence
 
-from .exact import Poly, PolyMatrix, Scalar, monomials
+from .exact import Poly, PolyMatrix, Scalar, _sum_of_products, monomials
 
 
 def sign_bracket(i: int, j: int) -> int:
@@ -45,7 +53,7 @@ def _perm_sign(seq: Sequence[int]) -> int:
 class AlternatingMatrix:
     """Square skew matrix with zero diagonal over exact polynomials."""
 
-    __slots__ = ("entries", "size", "_pf_memo")
+    __slots__ = ("entries", "size", "names", "_row_masks", "_pf_memo")
 
     def __init__(self, entries: Sequence[Sequence[Poly | Scalar]]):
         grid = tuple(tuple(Poly._coerce(e) for e in row) for row in entries)
@@ -61,6 +69,14 @@ class AlternatingMatrix:
                     raise ValueError(f"entry ({j + 1},{i + 1}) is not the negative of ({i + 1},{j + 1})")
         object.__setattr__(self, "entries", grid)
         object.__setattr__(self, "size", n)
+        object.__setattr__(self, "names", next((e.names for row in grid for e in row if e.names), ()))
+        # bit j of _row_masks[i] is set when entry (i + 1, j + 1) is nonzero
+        object.__setattr__(
+            self,
+            "_row_masks",
+            tuple(sum(1 << j for j, e in enumerate(row) if e.terms) for row in grid),
+        )
+        # pfaffians of principal submatrices, keyed by their row bitmask
         object.__setattr__(self, "_pf_memo", {})
 
     def __setattr__(self, name, value):
@@ -135,80 +151,76 @@ class AlternatingMatrix:
     # submatrices
     # ------------------------------------------------------------------
 
-    def delete(self, indices: Sequence[int]) -> "AlternatingMatrix":
-        """Delete the given rows *and* columns (1-based, distinct)."""
-        chosen = set()
+    def _row_mask(self, indices: Iterable[int]) -> int:
+        """Bitmask of 1-based, distinct row indices: bit i - 1 stands for row i."""
+        mask = 0
         for i in indices:
             if not (1 <= i <= self.size):
                 raise ValueError(f"index {i} out of range 1..{self.size}")
-            if i in chosen:
+            if mask >> (i - 1) & 1:
                 raise ValueError(f"repeated index {i}")
-            chosen.add(i)
-        keep = [i for i in range(self.size) if (i + 1) not in chosen]
+            mask |= 1 << (i - 1)
+        return mask
+
+    def delete(self, indices: Sequence[int]) -> "AlternatingMatrix":
+        """Delete the given rows *and* columns (1-based, distinct)."""
+        chosen = self._row_mask(indices)
+        keep = [i for i in range(self.size) if not chosen >> i & 1]
         return AlternatingMatrix([[self.entries[i][j] for j in keep] for i in keep])
 
     # ------------------------------------------------------------------
     # pfaffians
     # ------------------------------------------------------------------
 
-    def _zero(self) -> Poly:
-        return Poly.zero(self._names())
+    def _principal(self, rows: Iterable[int] | None) -> int:
+        """Row bitmask of the principal submatrix on ``rows`` (1-based); all rows when None."""
+        return (1 << self.size) - 1 if rows is None else self._row_mask(rows)
 
-    def _names(self) -> tuple[str, ...]:
-        for row in self.entries:
-            for e in row:
-                if e.names:
-                    return e.names
-        return ()
+    def pfaffian(self, rows: Iterable[int] | None = None) -> Poly:
+        """pf(M), or with ``rows`` (1-based, distinct) the pfaffian of that principal submatrix.
 
-    def pfaffian(self) -> Poly:
-        if self.size % 2:
+        ``M.pfaffian(rows)`` equals ``M.delete(complement).pfaffian()`` and
+        reuses the minors this matrix has already expanded.
+        """
+        mask = self._principal(rows)
+        if mask.bit_count() % 2:
             raise ValueError("odd-size pfaffian undefined")
-        return self._pf(tuple(range(self.size)))
+        return self._pf(mask)
 
-    def _pf(self, idx: tuple[int, ...]) -> Poly:
-        """Row expansion over the submatrix on ``idx`` (0-based, sorted)."""
-        if not idx:
-            return Poly.const(1, self._names())
-        cached = self._pf_memo.get(idx)
+    def _pf(self, mask: int) -> Poly:
+        """Row expansion over the principal submatrix on the rows set in ``mask``."""
+        if not mask:
+            return Poly.const(1, self.names)
+        cached = self._pf_memo.get(mask)
         if cached is not None:
             return cached
-        k = len(idx)
-        # expand along the local row with fewest nonzero entries
-        best_a, best_count = 0, k + 1
-        for a in range(k):
-            count = sum(
-                1 for b in range(k) if b != a and not self.entries[idx[a]][idx[b]].is_zero
-            )
-            if count < best_count:
-                best_a, best_count = a, count
-                if count == 0:
-                    break
-        acc = self._zero()
-        if best_count > 0:
-            a = best_a
-            for b in range(k):
-                if b == a:
-                    continue
-                e = self.entries[idx[a]][idx[b]]
-                if e.is_zero:
-                    continue
-                rest = tuple(idx[c] for c in range(k) if c not in (a, b))
-                term = e * self._pf(rest)
-                if sign_bracket(a + 1, b + 1) % 2:
-                    term = -term
-                acc = acc + term
-        self._pf_memo[idx] = acc
-        return acc
+        rows = [i for i in range(self.size) if mask >> i & 1]
+        nonzero = self._row_masks
+        # expand along the row with fewest nonzero entries, the first such row on ties
+        a = min(rows, key=lambda i: (nonzero[i] & mask).bit_count())
+        pos_a = rows.index(a)
+        row = self.entries[a]
+        rest = mask & ~(1 << a)
+        pairs = []
+        for pos_b, b in enumerate(rows):
+            if nonzero[a] >> b & 1:
+                e = -row[b] if sign_bracket(pos_a + 1, pos_b + 1) % 2 else row[b]
+                pairs.append((e, self._pf(rest & ~(1 << b))))
+        value = _sum_of_products(pairs, self.names)
+        self._pf_memo[mask] = value
+        return value
 
     def pfaffian_oracle(self) -> Poly:
-        """Signed sum over perfect matchings; independent of the expansion."""
+        """Signed sum over perfect matchings; independent of the expansion.
+
+        It stays on ``Poly`` operators, so it shares no code with ``pfaffian``.
+        """
         if self.size % 2:
             raise ValueError("odd-size pfaffian undefined")
-        acc = self._zero()
+        acc = Poly.zero(self.names)
         for matching in _perfect_matchings(tuple(range(self.size))):
             seq = [pos for pair in matching for pos in pair]
-            prod = Poly.const(_perm_sign(seq), self._names())
+            prod = Poly.const(_perm_sign(seq), self.names)
             for i, j in matching:
                 prod = prod * self.entries[i][j]
             acc = acc + prod
@@ -218,28 +230,33 @@ class AlternatingMatrix:
         """Syzygy-signed vector p with M @ p = 0 (size must be odd)."""
         if self.size % 2 == 0:
             raise ValueError("submaximal pfaffian vector requires odd size")
+        full = (1 << self.size) - 1
         out = []
-        all_idx = tuple(range(self.size))
         for i in range(self.size):
-            rest = all_idx[:i] + all_idx[i + 1 :]
-            value = self._pf(rest)
+            value = self._pf(full & ~(1 << i))
             out.append(value if i % 2 == 0 else -value)
         return tuple(out)
 
-    def adjoint(self) -> "AlternatingMatrix":
-        """Alternating Mbar with Mbar @ M = M @ Mbar = pf(M) * I."""
-        if self.size % 2:
+    def adjoint(self, rows: Iterable[int] | None = None) -> "AlternatingMatrix":
+        """Alternating Mbar with Mbar @ M = M @ Mbar = pf(M) * I.
+
+        With ``rows`` (1-based, distinct) it is the adjoint of that
+        principal submatrix, equal to ``M.delete(complement).adjoint()``,
+        read from this matrix's minors.
+        """
+        mask = self._principal(rows)
+        k = mask.bit_count()
+        if k % 2:
             raise ValueError("pfaffian adjoint requires even size")
-        all_idx = tuple(range(self.size))
-        grid: list[list[Poly]] = [[self._zero()] * self.size for _ in range(self.size)]
-        for i in range(self.size):
-            for j in range(i + 1, self.size):
-                rest = tuple(k for k in all_idx if k not in (i, j))
-                value = self._pf(rest)
-                if sign_bracket(i + 1, j + 1) % 2 == 0:
+        idx = [i for i in range(self.size) if mask >> i & 1]
+        grid: list[list[Poly]] = [[Poly.zero(self.names)] * k for _ in range(k)]
+        for a in range(k):
+            for b in range(a + 1, k):
+                value = self._pf(mask & ~(1 << idx[a]) & ~(1 << idx[b]))
+                if sign_bracket(a + 1, b + 1) % 2 == 0:
                     value = -value
-                grid[i][j] = value
-                grid[j][i] = -value
+                grid[a][b] = value
+                grid[b][a] = -value
         return AlternatingMatrix(grid)
 
     # ------------------------------------------------------------------
@@ -259,14 +276,14 @@ class AlternatingMatrix:
         if len(coeffs) != self.size:
             raise ValueError(f"need {self.size} coefficients, got {len(coeffs)}")
         m = self.size
-        grid: list[list[Poly]] = [[self._zero()] * (m + 2) for _ in range(m + 2)]
+        grid: list[list[Poly]] = [[Poly.zero(self.names)] * (m + 2) for _ in range(m + 2)]
         for i in range(m):
             for j in range(m):
                 grid[i][j] = self.entries[i][j]
         for i in range(m):
             grid[i][m + 1] = coeffs[i]
             grid[m + 1][i] = -coeffs[i]
-        one = Poly.const(1, self._names())
+        one = Poly.const(1, self.names)
         grid[m][m + 1] = -one
         grid[m + 1][m] = one
         return AlternatingMatrix(grid)

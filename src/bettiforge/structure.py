@@ -130,9 +130,12 @@ def build_aci_complex(pres: AlternatingPresentation) -> GradedComplex:
     pf_vec = mat.submaximal_pfaffians()
     p123 = pf_vec[:3]
     sigma = pf_vec[3:]
+    # pf(beta) and its adjoint are read from mat's minors, which the
+    # submaximal pfaffians above have already expanded
+    f_rows = range(4, m + 1)
+    p = mat.pfaffian(f_rows)
+    beta_adj = mat.adjoint(f_rows).to_poly_matrix()
     beta = mat.delete((1, 2, 3))
-    p = beta.pfaffian()
-    beta_adj = beta.adjoint().to_poly_matrix()
     # lambda is the F x G lower-left block; the upper-right block is -lambda^T
     lam_t = mat.to_poly_matrix().submatrix(tuple(range(3, m)), (0, 1, 2)).transpose()
 
@@ -254,4 +257,5 @@ def colon_generators(
     for i in (a, b, c):
         if not 1 <= i <= m.size:
             raise ValueError(f"index {i} out of range 1..{m.size}")
-    return pf_vec[a - 1], pf_vec[b - 1], pf_vec[c - 1], m.delete((a, b, c)).pfaffian()
+    rest = [i for i in range(1, m.size + 1) if i not in (a, b, c)]
+    return pf_vec[a - 1], pf_vec[b - 1], pf_vec[c - 1], m.pfaffian(rest)

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from bettiforge import cli
 from bettiforge.cli import main
 
 
@@ -262,6 +263,61 @@ def test_verify_structure_needs_twists(tmp_path, capsys):
         ["verify-structure", "--matrix", str(path), "--g-rows", "1,2,3"], capsys=capsys
     )
     assert code == 2 and "twists" in err
+
+
+def _presentation_payload():
+    import random
+
+    from bettiforge.pfaffian import random_graded_alternating
+
+    m = random_graded_alternating([2] * 5, random.Random(3))
+    return {"entries": m.to_poly_matrix().to_lists(), "twists": [2] * 5, "variables": ["x1", "x2", "x3"]}
+
+
+@pytest.mark.parametrize(
+    "twists",
+    [[2.9, 2, 2, 2, 2.1], [True, 2, 2, 2, 2], ["2", "2", "2", "2", "2"]],
+    ids=["float", "bool", "string"],
+)
+def test_verify_structure_rejects_non_integer_twists(twists, capsys):
+    payload = dict(_presentation_payload(), twists=twists)
+    code, out, err = run_cli(
+        ["verify-structure", "--matrix", "-", "--g-rows", "1,2,3"], json.dumps(payload), capsys
+    )
+    assert code == 2 and out == "" and "twists" in err
+
+
+@pytest.mark.parametrize(
+    "variables",
+    [5, "x", ["x", "x"], ["x", 1], ["x", "1y"], ["x", "a b"]],
+    ids=["number", "string", "repeated", "non-string", "leading-digit", "space"],
+)
+def test_variables_must_be_distinct_identifiers(variables, capsys):
+    pfaffian_input = {"entries": [[0, "x"], ["-x", 0]], "variables": variables}
+    structure_input = dict(_presentation_payload(), variables=variables)
+    for argv, payload in (
+        (["pfaffian", "-"], pfaffian_input),
+        (["verify-structure", "--matrix", "-", "--g-rows", "1,2,3"], structure_input),
+    ):
+        code, out, err = run_cli(argv, json.dumps(payload), capsys)
+        assert code == 2 and out == "" and '"variables"' in err, argv
+
+
+def test_matrix_size_is_capped(capsys):
+    # only the row count is read: entries that would not even parse show
+    # that nothing is built from a matrix over the cap
+    n = cli.MAX_MATRIX_SIZE + 1
+    rows = [["1/0"] * n for _ in range(n)]
+    structure_input = {"entries": rows, "twists": [1] * n}
+    for data in (rows, structure_input):
+        with pytest.raises(cli.InputError, match=f"at most {cli.MAX_MATRIX_SIZE}"):
+            cli._load_alternating(data)
+    for argv, payload in (
+        (["pfaffian", "-"], rows),
+        (["verify-structure", "--matrix", "-", "--g-rows", "1,2,3"], structure_input),
+    ):
+        code, out, err = run_cli(argv, json.dumps(payload), capsys)
+        assert code == 2 and out == "" and f"at most {cli.MAX_MATRIX_SIZE}" in err, argv
 
 
 def test_seed_option_is_gone(capsys):

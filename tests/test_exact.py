@@ -6,6 +6,7 @@ import pytest
 from bettiforge.exact import (
     Poly,
     PolyMatrix,
+    _sum_of_products,
     binomial,
     monomials,
     parse_matrix,
@@ -102,6 +103,69 @@ def test_int_first_coefficients_random():
     x, = variables("x")
     half = Fraction(1, 2) * (x + x)
     assert str(half) == "x" and type(half.terms[(1,)]) is int
+
+
+def _operator_sum(pairs, names=()):
+    """The sum of products through Poly operators, the kernel's reference."""
+    acc = Poly.zero(names)
+    for a, b in pairs:
+        acc = acc + a * b
+    return acc
+
+
+def _typed_terms(p):
+    return {e: (type(c), c) for e, c in p.terms.items()}
+
+
+def test_sum_of_products_matches_operators():
+    rng = random.Random(67)
+    names = ("x", "y")
+
+    def operand():
+        kind = rng.randrange(5)
+        if kind == 0:
+            return Poly.zero(names)
+        if kind == 1:
+            return Poly.zero()
+        if kind == 2:  # a nameless constant
+            return Poly.const(rng.choice((rng.randint(-3, 3), Fraction(rng.randint(-3, 3), 2))))
+        terms = {}
+        for _ in range(rng.randint(1, 4)):
+            exp = (rng.randint(0, 2), rng.randint(0, 2))
+            terms[exp] = rng.choice((rng.randint(-3, 3), Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3)))))
+        return Poly(names, terms)
+
+    for _ in range(400):
+        pairs = [(operand(), operand()) for _ in range(rng.randint(0, 6))]
+        for seed_names in ((), names):
+            want = _operator_sum(pairs, seed_names)
+            got = _sum_of_products(pairs, seed_names)
+            _assert_int_first(got)
+            assert got.names == want.names
+            assert _typed_terms(got) == _typed_terms(want)
+
+
+def test_sum_of_products_cancellation_and_constants():
+    x, y = variables("x y")
+    half = Fraction(1, 2) * x
+    # Fractions that add up to an integer come back as int
+    got = _sum_of_products([(half, y), (y, half), (Poly.const(Fraction(1, 3)), Poly.const(3))])
+    assert got == x * y + 1
+    assert _typed_terms(got) == {(1, 1): (int, 1), (0, 0): (int, 1)}
+    # a full cancellation is the zero polynomial of the ring
+    got = _sum_of_products([(x, y), (-x, y), (Poly.const(2), x), (x, Poly.const(-2))])
+    assert got.is_zero and got.names == ("x", "y") and got.terms == {}
+    # nameless constants alone stay nameless; a seed ring is kept for the empty sum
+    assert _typed_terms(_sum_of_products([(Poly.const(2), Poly.const(3))])) == {(): (int, 6)}
+    assert _sum_of_products([], ("x", "y")).names == ("x", "y")
+    # constants lift into the ring of a later operand
+    got = _sum_of_products([(Poly.const(2), Poly.const(3)), (x, y)])
+    assert _typed_terms(got) == {(0, 0): (int, 6), (1, 1): (int, 1)}
+    (z,) = variables("z")
+    with pytest.raises(ValueError, match="variable sets differ"):
+        _sum_of_products([(x, y), (z, z)])
+    with pytest.raises(ValueError, match="variable sets differ"):
+        _sum_of_products([(z, Poly.zero(("z",)))], ("x", "y"))
 
 
 def test_coefficient_boundary_rejects_float_and_bool():

@@ -1,7 +1,9 @@
 import random
+from fractions import Fraction
 
 import pytest
 
+from bettiforge import exact, pfaffian
 from bettiforge.exact import Poly, PolyMatrix, parse_matrix, parse_poly
 from bettiforge.pfaffian import (
     AlternatingMatrix,
@@ -104,6 +106,103 @@ def test_delete_rows_cols():
         m.delete((0,))
     with pytest.raises(ValueError):
         m.delete((1, 1))
+
+
+def _is_int_first(p):
+    return all(type(c) is int if c.denominator == 1 else type(c) is Fraction for c in p.terms.values())
+
+
+def _principal_cases(rng):
+    """(matrix, 1-based rows in random order) on integer, rational, generic and bordered matrices.
+
+    Each matrix has already expanded its own pfaffian or submaximal
+    vector, so the principal minors are partly read from its memo.
+    """
+    mats = [AlternatingMatrix.random_integer(n, rng) for n in (6, 7, 8, 9)]
+    # halves mixed with integers, so many minors are integral sums of Fractions
+    values = (Fraction(1, 2), Fraction(-1, 2), Fraction(3, 2), 1, -1, 2)
+    for n in (4, 5, 6, 7, 8):
+        upper = {(i, j): rng.choice(values) for i in range(1, n + 1) for j in range(i + 1, n + 1)}
+        mats.append(AlternatingMatrix.from_upper(n, upper))
+    mats += [AlternatingMatrix.generic(n) for n in (6, 7)]
+    mats.append(AlternatingMatrix.generic(5).augment([rng.randint(-2, 2) for _ in range(5)]))
+    mats.append(AlternatingMatrix.random_integer(7, rng).augment([rng.randint(-3, 3) for _ in range(7)]))
+    for m in mats:
+        if m.size % 2:
+            m.submaximal_pfaffians()
+        else:
+            m.pfaffian()
+        for _ in range(8):
+            rows = rng.sample(range(1, m.size + 1), 2 * rng.randint(0, m.size // 2))
+            yield m, rows
+
+
+def _complement(m, rows):
+    return [i for i in range(1, m.size + 1) if i not in rows]
+
+
+def test_principal_pfaffian_matches_delete_and_oracle():
+    for m, rows in _principal_cases(random.Random(8)):
+        sub = m.delete(_complement(m, rows))
+        got = m.pfaffian(rows)
+        assert got == sub.pfaffian() == sub.pfaffian_oracle()
+        assert _is_int_first(got)
+
+
+def test_principal_adjoint_matches_delete():
+    for m, rows in _principal_cases(random.Random(9)):
+        sub = m.delete(_complement(m, rows))
+        adj = m.adjoint(rows)
+        assert adj == sub.adjoint()
+        pf = sub.pfaffian_oracle()
+        k = len(rows)
+        want = PolyMatrix([[pf if i == j else 0 for j in range(k)] for i in range(k)])
+        assert adj.to_poly_matrix() @ sub.to_poly_matrix() == want
+
+
+def test_principal_rows_are_validated():
+    m = AlternatingMatrix.generic(6)
+    assert m.pfaffian(()) == 1
+    for bad in ((1, 2, 3, 3, 4), (0, 1), (1, 7)):
+        with pytest.raises(ValueError):
+            m.pfaffian(bad)
+        with pytest.raises(ValueError):
+            m.adjoint(bad)
+    with pytest.raises(ValueError, match="odd-size pfaffian undefined"):
+        m.pfaffian((1, 2, 3))
+    with pytest.raises(ValueError, match="requires even size"):
+        m.adjoint((2,))
+
+
+def test_structure_minors_come_from_the_memo():
+    # on a linear presentation, pf(beta) and its adjoint need no minor the
+    # submaximal pfaffians have not already expanded
+    from bettiforge.pfaffian import random_graded_alternating
+
+    for size in (7, 9, 11):
+        m = random_graded_alternating([(size - 1) // 2] * size, random.Random(size))
+        m.submaximal_pfaffians()
+        expanded = len(m._pf_memo)
+        f_rows = range(4, size + 1)
+        m.pfaffian(f_rows)
+        m.adjoint(f_rows)
+        assert len(m._pf_memo) == expanded
+
+
+def test_oracle_does_not_use_the_kernel(monkeypatch):
+    def broken(*args, **kwargs):
+        raise AssertionError("sum-of-products kernel called")
+
+    rng = random.Random(12)
+    for m in (AlternatingMatrix.generic(6), AlternatingMatrix.random_integer(8, rng)):
+        expected = m.pfaffian()
+        monkeypatch.setattr(exact, "_sum_of_products", broken)
+        monkeypatch.setattr(pfaffian, "_sum_of_products", broken)
+        fresh = AlternatingMatrix(m.entries)
+        assert fresh.pfaffian_oracle() == expected
+        with pytest.raises(AssertionError, match="kernel called"):
+            fresh.pfaffian()
+        monkeypatch.undo()
 
 
 def test_submaximal_pfaffians_3x3():
