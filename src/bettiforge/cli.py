@@ -29,7 +29,7 @@ from .structure import AlternatingPresentation, build_aci_complex, verify_comple
 
 # Largest matrix `pfaffian` and `verify-structure` accept.  The worst case
 # admitted, the submaximal vector of a generic 13x13 matrix (one variable
-# per entry), takes about 3 s and 180 MB; each +2 in size multiplies the
+# per entry), takes about 2 s and 120 MB; each +2 in size multiplies the
 # terms of a generic pfaffian by about 13.
 MAX_MATRIX_SIZE = 13
 
@@ -168,10 +168,14 @@ def cmd_hilbert(args) -> int:
 
 def cmd_pfaffian(args) -> int:
     matrix, _ = _load_alternating(_read_json(args.input))
-    if matrix.size % 2 == 0:
-        _emit({"pfaffian": str(matrix.pfaffian())})
-    else:
-        _emit({"submaximal_pfaffians": [str(p) for p in matrix.submaximal_pfaffians()]})
+    try:  # a product whose degree passes exact._MAX_DEGREE raises ValueError
+        if matrix.size % 2 == 0:
+            payload = {"pfaffian": str(matrix.pfaffian())}
+        else:
+            payload = {"submaximal_pfaffians": [str(p) for p in matrix.submaximal_pfaffians()]}
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
+    _emit(payload)
     return 0
 
 
@@ -215,9 +219,9 @@ def cmd_verify_structure(args) -> int:
     try:
         pres = AlternatingPresentation(matrix, g_rows, tuple(twists))
         complex_ = build_aci_complex(pres)
+        report = verify_complex(complex_)
     except (TypeError, ValueError) as exc:
         raise InputError(str(exc)) from exc
-    report = verify_complex(complex_)
     payload = report.to_json()
     payload["twist_multisets"] = [m.to_list() for m in complex_.twist_multisets()]
     _emit(payload)

@@ -4,10 +4,21 @@ Coefficients are ``int``, promoted to :class:`fractions.Fraction` only
 when a value is not an integer; a ``Fraction`` with denominator 1 is
 stored back as ``int``.  Floats and bools are rejected, so every identity
 in this package holds exactly and there is no floating point anywhere.
-A polynomial is a map from exponent tuples to nonzero coefficients
-together with an ordered tuple of variable names.  Terms are kept
-canonical (no zero coefficients) and displayed in graded lexicographic
-order.
+A polynomial is a map from monomials to nonzero coefficients together
+with an ordered tuple of variable names.  Terms are kept canonical (no
+zero coefficients) and displayed in graded lexicographic order.
+
+Each monomial is stored as one packed ``int`` key.  In a ring of n
+variables the key of x1^e1 * ... * xn^en holds n + 1 fields of ``_W``
+bits each, most significant first: the total degree e1 + ... + en, then
+e1, ..., en.  So the integer order of keys is graded lexicographic order,
+a constant has key 0 in every ring, and the key of a product of two
+monomials is the sum of their keys.  That sum is exact only while no
+field carries into the next one, so the total degree of every term is
+capped at ``_MAX_DEGREE`` = 2**_W - 1: the constructors reject higher
+terms and the products refuse operands whose degrees add up past it, all
+with ValueError.  ``Poly.terms`` is the public view keyed by exponent
+tuples; it is decoded on each access.
 
 Matrices of polynomials are dense; everything here is desk scale
 (at most ~12x12), so cofactor expansion with memoization is enough for
@@ -23,14 +34,57 @@ per partial sum.  Matrix products still use the ``Poly`` operators.
 
 from __future__ import annotations
 
+import functools
 import math
-import operator
 import re
+import struct
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence, Union
+from itertools import compress
+from typing import Callable, Iterator, Sequence, Union
 
 Scalar = Union[int, Fraction]
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_EXPONENT_RE = re.compile(r"[0-9]+")
+
+# Bits per field of a packed monomial key, and the largest total degree a
+# term may have.  The fields are big-endian struct fields of code _FIELD,
+# which must be the unsigned integer of _W bits.
+_W = 32
+_MAX_DEGREE = (1 << _W) - 1
+_FIELD = "I"
+
+
+@functools.lru_cache(maxsize=None)
+def _layout(n: int) -> tuple[Callable[[Sequence[int]], int], Callable[[int], tuple[int, ...]]]:
+    """(pack, unpack) between exponent tuples and keys of the n-variable ring.
+
+    ``pack`` takes nonnegative exponents of total degree at most
+    ``_MAX_DEGREE``; ``unpack`` returns the exponents without the degree.
+    """
+    fields = struct.Struct(f">{n + 1}{_FIELD}")
+    exponents = struct.Struct(f">{_W // 8}x{n}{_FIELD}")  # skips the degree field
+    size = fields.size
+    from_bytes = int.from_bytes
+
+    def pack(exp: Sequence[int]) -> int:
+        return from_bytes(fields.pack(sum(exp), *exp), "big")
+
+    def unpack(key: int) -> tuple[int, ...]:
+        return exponents.unpack(key.to_bytes(size, "big"))
+
+    return pack, unpack
+
+
+def _check_product_degree(a_terms: dict, b_terms: dict, shift: int) -> None:
+    """Refuse a product of two nonzero term dicts whose degrees add up past ``_MAX_DEGREE``.
+
+    Below the cap no field of a key sum can carry, so the sum of two keys
+    is the key of the product.  ``shift`` is the bit offset of the degree
+    field.
+    """
+    degree = (max(a_terms) >> shift) + (max(b_terms) >> shift)
+    if degree > _MAX_DEGREE:
+        raise ValueError(f"product degree {degree} is above the cap {_MAX_DEGREE}")
 
 
 def _coefficient(value) -> Scalar:
@@ -67,43 +121,58 @@ class Poly:
     """Immutable multivariate polynomial with exact rational coefficients.
 
     Coefficients are ``int``, or ``Fraction`` when not integral; floats
-    and bools are rejected.  The public constructor validates every term;
-    arithmetic builds its results with :meth:`_trusted`.
+    and bools are rejected.  Terms live in ``_terms`` under packed keys
+    (see the module docstring): the total degree in the top ``_W``-bit
+    field, then one field per exponent.  Every term has total degree at
+    most ``_MAX_DEGREE``.  ``terms`` is the exponent-tuple view of the
+    same terms, decoded on each access.  The public constructor validates
+    every term; arithmetic builds its results with :meth:`_trusted`.
     """
 
-    __slots__ = ("names", "terms")
+    __slots__ = ("names", "_terms")
 
     def __init__(self, names: Sequence[str], terms: dict[tuple[int, ...], Scalar]):
         names = tuple(names)
-        clean: dict[tuple[int, ...], Scalar] = {}
+        pack, _ = _layout(len(names))
+        clean: dict[int, Scalar] = {}
         for exp, coeff in terms.items():
             exp = tuple(int(e) for e in exp)
             if len(exp) != len(names):
                 raise ValueError(f"exponent {exp} does not match {len(names)} variables")
             if any(e < 0 for e in exp):
                 raise ValueError(f"negative exponent in {exp}")
+            degree = sum(exp)
+            if degree > _MAX_DEGREE:
+                raise ValueError(f"term degree {degree} is above the cap {_MAX_DEGREE}")
             c = _coefficient(coeff)
             if c != 0:
-                clean[exp] = clean.get(exp, 0) + c
+                key = pack(exp)
+                clean[key] = clean.get(key, 0) + c
         object.__setattr__(self, "names", names)
-        object.__setattr__(self, "terms", _int_first({e: c for e, c in clean.items() if c != 0}))
+        object.__setattr__(self, "_terms", _int_first({k: c for k, c in clean.items() if c != 0}))
 
     @classmethod
-    def _trusted(cls, names: tuple[str, ...], terms: dict[tuple[int, ...], Scalar]) -> "Poly":
-        """Wrap terms this module produced, without validation.
+    def _trusted(cls, names: tuple[str, ...], terms: dict[int, Scalar]) -> "Poly":
+        """Wrap packed terms this module produced, without validation.
 
         The caller guarantees what ``__init__`` would check: ``names`` is a
-        tuple, every exponent is a tuple of nonnegative ints of that length,
-        and every coefficient is nonzero and int-first.  ``terms`` is owned
-        by the result from now on.
+        tuple, every key is a packed key of that many variables, and every
+        coefficient is nonzero and int-first.  No ``Poly`` mutates its
+        dict, so ``terms`` may be shared with other polynomials.
         """
         p = object.__new__(cls)
         object.__setattr__(p, "names", names)
-        object.__setattr__(p, "terms", terms)
+        object.__setattr__(p, "_terms", terms)
         return p
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
+
+    @property
+    def terms(self) -> dict[tuple[int, ...], Scalar]:
+        """The terms keyed by exponent tuple, decoded on each access."""
+        _, unpack = _layout(len(self.names))
+        return {unpack(k): c for k, c in self._terms.items()}
 
     # ------------------------------------------------------------------
     # construction
@@ -115,8 +184,8 @@ class Poly:
 
     @classmethod
     def const(cls, value: Scalar, names: Sequence[str] = ()) -> "Poly":
-        names = tuple(names)
-        return cls(names, {(0,) * len(names): value})
+        c = _coefficient(value)
+        return cls._trusted(tuple(names), {0: c} if c else {})
 
     @classmethod
     def variable(cls, name: str, names: Sequence[str]) -> "Poly":
@@ -132,24 +201,24 @@ class Poly:
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._terms
 
     @property
     def is_constant(self) -> bool:
-        return all(all(e == 0 for e in exp) for exp in self.terms)
+        return not any(self._terms)
 
     def constant_value(self) -> Scalar:
-        if not self.terms:
+        if not self._terms:
             return 0
         if not self.is_constant:
             raise ValueError(f"{self} is not constant")
-        return next(iter(self.terms.values()))
+        return next(iter(self._terms.values()))
 
     def total_degree(self) -> int:
         """Maximum term degree; the zero polynomial reports -1."""
-        if not self.terms:
+        if not self._terms:
             return -1
-        return max(sum(exp) for exp in self.terms)
+        return max(self._terms) >> (_W * len(self.names))
 
     def homogeneous_degree(self) -> int | None:
         """Common degree of all terms, or None.
@@ -158,7 +227,8 @@ class Poly:
         polynomial is homogeneous of every degree (see is_homogeneous), so
         it cannot report a single value here.
         """
-        degrees = {sum(exp) for exp in self.terms}
+        shift = _W * len(self.names)
+        degrees = {k >> shift for k in self._terms}
         if len(degrees) == 1:
             return degrees.pop()
         return None
@@ -173,10 +243,11 @@ class Poly:
     def _aligned(self, other: "Poly") -> tuple["Poly", "Poly"]:
         if self.names == other.names:
             return self, other
-        if not self.names and self.is_constant:
-            return Poly.const(self.constant_value(), other.names), other
-        if not other.names and other.is_constant:
-            return self, Poly.const(other.constant_value(), self.names)
+        # a nameless poly is a constant, and key 0 is a constant in every ring
+        if not self.names:
+            return Poly._trusted(other.names, self._terms), other
+        if not other.names:
+            return self, Poly._trusted(self.names, other._terms)
         raise ValueError(f"variable sets differ: {self.names} vs {other.names}")
 
     @staticmethod
@@ -193,22 +264,22 @@ class Poly:
         if other is NotImplemented:
             return NotImplemented
         a, b = self._aligned(other)
-        terms = dict(a.terms)
+        terms = dict(a._terms)
         get = terms.get
-        for exp, coeff in b.terms.items():
-            c = get(exp, 0) + coeff
+        for key, coeff in b._terms.items():
+            c = get(key, 0) + coeff
             if c:
-                terms[exp] = c
+                terms[key] = c
             else:
-                del terms[exp]
-        if _has_fraction(a.terms) or _has_fraction(b.terms):
+                del terms[key]
+        if _has_fraction(a._terms) or _has_fraction(b._terms):
             _int_first(terms)
         return Poly._trusted(a.names, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly._trusted(self.names, {e: -c for e, c in self.terms.items()})
+        return Poly._trusted(self.names, {k: -c for k, c in self._terms.items()})
 
     def __sub__(self, other):
         other = Poly._coerce(other)
@@ -224,20 +295,22 @@ class Poly:
         if other is NotImplemented:
             return NotImplemented
         a, b = self._aligned(other)
-        terms: dict[tuple[int, ...], Scalar] = {}
-        get = terms.get
-        add = operator.add
-        b_items = b.terms.items()
-        for ea, ca in a.terms.items():
-            for eb, cb in b_items:
-                exp = tuple(map(add, ea, eb))
-                c = get(exp, 0) + ca * cb
-                if c:
-                    terms[exp] = c
-                else:
-                    del terms[exp]
-        if _has_fraction(a.terms) or _has_fraction(b.terms):
-            _int_first(terms)
+        a_terms, b_terms = a._terms, b._terms
+        terms: dict[int, Scalar] = {}
+        if a_terms and b_terms:
+            _check_product_degree(a_terms, b_terms, _W * len(a.names))
+            get = terms.get
+            b_items = b_terms.items()
+            for ka, ca in a_terms.items():
+                for kb, cb in b_items:
+                    key = ka + kb
+                    c = get(key, 0) + ca * cb
+                    if c:
+                        terms[key] = c
+                    else:
+                        del terms[key]
+            if _has_fraction(a_terms) or _has_fraction(b_terms):
+                _int_first(terms)
         return Poly._trusted(a.names, terms)
 
     __rmul__ = __mul__
@@ -245,6 +318,9 @@ class Poly:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power")
+        degree = n * max(self.total_degree(), 0)
+        if degree > _MAX_DEGREE:
+            raise ValueError(f"power degree {degree} is above the cap {_MAX_DEGREE}")
         out = Poly.const(1, self.names)
         for _ in range(n):
             out = out * self
@@ -261,33 +337,32 @@ class Poly:
             a, b = self._aligned(other)
         except ValueError:
             return False
-        return a.terms == b.terms
+        return a._terms == b._terms
 
     def __hash__(self) -> int:
         # constants compare equal to their value, so they hash like it
         if self.is_constant:
             return hash(self.constant_value())
-        return hash(("Poly", self.names, tuple(sorted(self.terms.items()))))
+        return hash(("Poly", self.names, tuple(sorted(self._terms.items()))))
 
     # ------------------------------------------------------------------
     # display
     # ------------------------------------------------------------------
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], Scalar]]:
-        """Terms in descending graded lexicographic order."""
-        return sorted(self.terms.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True)
+        """Terms keyed by exponent tuple, in descending graded lexicographic order."""
+        _, unpack = _layout(len(self.names))
+        terms = self._terms
+        return [(unpack(k), terms[k]) for k in sorted(terms, reverse=True)]
 
     def _monomial_str(self, exp: tuple[int, ...]) -> str:
         factors = []
-        for name, e in zip(self.names, exp):
-            if e == 1:
-                factors.append(name)
-            elif e > 1:
-                factors.append(f"{name}^{e}")
+        for name, e in compress(zip(self.names, exp), exp):  # the nonzero exponents only
+            factors.append(name if e == 1 else f"{name}^{e}")
         return "*".join(factors)
 
     def __str__(self) -> str:
-        if not self.terms:
+        if not self._terms:
             return "0"
         parts: list[str] = []
         for exp, coeff in self.sorted_terms():
@@ -316,8 +391,10 @@ def _sum_of_products(pairs: Sequence[tuple[Poly, Poly]], names: tuple[str, ...] 
     intermediate polynomial per product or per partial sum.  Variable
     tuples align as in ``Poly._aligned``: operands with variables must
     all have the same tuple (or ``names``, when given), and nameless
-    operands are constants that take it on; otherwise ValueError.
-    Coefficients stay int-first and zero coefficients are dropped.
+    operands are constants that take it on; otherwise ValueError.  A pair
+    whose degrees add up past ``_MAX_DEGREE`` raises ValueError, as in
+    ``Poly.__mul__``.  Coefficients stay int-first and zero coefficients
+    are dropped.
     """
     for a, b in pairs:
         for p in (a, b):
@@ -325,23 +402,23 @@ def _sum_of_products(pairs: Sequence[tuple[Poly, Poly]], names: tuple[str, ...] 
                 if names:
                     raise ValueError(f"variable sets differ: {names} vs {p.names}")
                 names = p.names
-    const_exp = (0,) * len(names)
-    terms: dict[tuple[int, ...], Scalar] = {}
+    shift = _W * len(names)
+    terms: dict[int, Scalar] = {}
     get = terms.get
-    add = operator.add
     for a, b in pairs:
-        if not a.terms or not b.terms:
+        a_terms, b_terms = a._terms, b._terms
+        if not a_terms or not b_terms:
             continue
-        a_items = a.terms.items() if a.names else [(const_exp, c) for c in a.terms.values()]
-        b_items = b.terms.items() if b.names else [(const_exp, c) for c in b.terms.values()]
-        for ea, ca in a_items:
-            for eb, cb in b_items:
-                exp = tuple(map(add, ea, eb))
-                c = get(exp, 0) + ca * cb
+        _check_product_degree(a_terms, b_terms, shift)
+        b_items = b_terms.items()
+        for ka, ca in a_terms.items():
+            for kb, cb in b_items:
+                key = ka + kb
+                c = get(key, 0) + ca * cb
                 if c:
-                    terms[exp] = c
+                    terms[key] = c
                 else:
-                    del terms[exp]
+                    del terms[key]
     # a sum that met a Fraction holds a Fraction, integral or not
     if _has_fraction(terms):
         _int_first(terms)
@@ -368,10 +445,13 @@ def monomials(names: Sequence[str], degree: int) -> list[Poly]:
 
     if degree < 0:
         return []
+    if degree > _MAX_DEGREE:
+        raise ValueError(f"degree {degree} is above the cap {_MAX_DEGREE}")
     if not names:
         return [Poly.const(1)] if degree == 0 else []
     rec([], degree, 0)
-    return [Poly._trusted(names, {exp: 1}) for exp in out]
+    pack, _ = _layout(len(names))
+    return [Poly._trusted(names, {pack(exp): 1}) for exp in out]
 
 
 # ----------------------------------------------------------------------
@@ -387,9 +467,10 @@ def parse_poly(text: str, names: Sequence[str] | None = None) -> Poly:
     """Parse a human-readable polynomial like ``3*x1^2*x2 - x3``.
 
     The grammar is a signed sum of terms; each term is a '*'-separated
-    product of rational constants and ``var`` or ``var^k`` factors.  If
-    ``names`` is omitted the variables are the identifiers found in the
-    text, sorted.
+    product of rational constants and ``var`` or ``var^k`` factors, where
+    ``k`` is ASCII digits.  If ``names`` is omitted the variables are the
+    identifiers found in the text, sorted.  A term of total degree above
+    ``_MAX_DEGREE`` raises ValueError.
     """
     if names is None:
         names = tuple(sorted(collect_names(text)))
@@ -423,6 +504,8 @@ def parse_poly(text: str, names: Sequence[str] | None = None) -> Poly:
                 continue
             if "^" in factor:
                 base, _, power = factor.partition("^")
+                if not _EXPONENT_RE.fullmatch(power):
+                    raise ValueError(f"exponent of {base!r} must be ASCII digits, got {power!r}")
                 k = int(power)
             else:
                 base, k = factor, 1

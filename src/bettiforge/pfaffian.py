@@ -74,7 +74,7 @@ class AlternatingMatrix:
         object.__setattr__(
             self,
             "_row_masks",
-            tuple(sum(1 << j for j, e in enumerate(row) if e.terms) for row in grid),
+            tuple(sum(1 << j for j, e in enumerate(row) if not e.is_zero) for row in grid),
         )
         # pfaffians of principal submatrices, keyed by their row bitmask
         object.__setattr__(self, "_pf_memo", {})

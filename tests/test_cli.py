@@ -6,6 +6,7 @@ import pytest
 
 from bettiforge import cli
 from bettiforge.cli import main
+from bettiforge.exact import _W
 
 
 def run_cli(argv, stdin_text=None, capsys=None):
@@ -177,6 +178,28 @@ def test_pfaffian_rejects_non_rational_entries(matrix, capsys):
 def test_pfaffian_accepts_rational_strings(capsys):
     code, out, _ = run_cli(["pfaffian", "-"], json.dumps([[0, "1/3"], ["-1/3", 0]]), capsys)
     assert code == 0 and json.loads(out)["pfaffian"] == "1/3"
+
+
+@pytest.mark.parametrize(
+    "entry, shown",
+    [("x^\u0663", "'\u0663'"), ("x^1_0", "'1_0'"), ("x^", "''")],
+    ids=["unicode-digit", "underscore", "empty"],
+)
+def test_pfaffian_exponents_are_ascii_digits(entry, shown, capsys):
+    code, out, err = run_cli(["pfaffian", "-"], json.dumps([[0, entry], ["-x^3", 0]]), capsys)
+    assert code == 2 and out == ""
+    assert "must be ASCII digits" in err and shown in err and "invalid literal" not in err
+
+
+def test_pfaffian_rejects_degrees_above_cap(capsys):
+    code, out, err = run_cli(["pfaffian", "-"], json.dumps([[0, "x^99999999999"], ["-x^99999999999", 0]]), capsys)
+    assert code == 2 and out == "" and "above the cap" in err
+    # entries under the cap whose products pass it
+    half = f"x^{2 ** (_W - 1)}"
+    rows = [[0, half, half, half], ["-" + half, 0, half, half], ["-" + half, "-" + half, 0, half]]
+    rows.append(["-" + half, "-" + half, "-" + half, 0])
+    code, out, err = run_cli(["pfaffian", "-"], json.dumps(rows), capsys)
+    assert code == 2 and out == "" and "product degree" in err
 
 
 def test_link(capsys):

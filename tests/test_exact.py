@@ -4,8 +4,11 @@ from fractions import Fraction
 import pytest
 
 from bettiforge.exact import (
+    _MAX_DEGREE,
+    _W,
     Poly,
     PolyMatrix,
+    _layout,
     _sum_of_products,
     binomial,
     monomials,
@@ -306,3 +309,141 @@ def test_binomial_edge_cases():
     assert binomial(5, 2) == 10
     assert binomial(1, 2) == 0
     assert binomial(-1, 2) == 0
+
+
+# ----------------------------------------------------------------------
+# packed monomial keys
+# ----------------------------------------------------------------------
+
+
+def _random_exponents(rng, n, top=4):
+    return tuple(rng.choice((0, 0, 1, rng.randint(0, top))) for _ in range(n))
+
+
+def test_packed_keys_round_trip():
+    rng = random.Random(71)
+    for n in (0, 1, 3, 78):
+        pack, unpack = _layout(n)
+        samples = {(0,) * n}
+        if n:
+            samples.add((_MAX_DEGREE,) + (0,) * (n - 1))
+            samples.add((0,) * (n - 1) + (_MAX_DEGREE,))
+            samples.add((_MAX_DEGREE - n + 1,) + (1,) * (n - 1))
+        samples.update(_random_exponents(rng, n, top=1000) for _ in range(200))
+        for exp in samples:
+            key = pack(exp)
+            assert unpack(key) == exp
+            # the layout: total degree on top, then e1 ... en, one _W-bit field each
+            want = sum(exp) << (_W * n)
+            for i, e in enumerate(exp):
+                want |= e << (_W * (n - 1 - i))
+            assert key == want
+        assert pack((0,) * n) == 0
+
+
+def test_packed_key_order_is_graded_lex():
+    rng = random.Random(73)
+    for n in (1, 2, 3, 7, 45):
+        pack, _ = _layout(n)
+        exps = list({_random_exponents(rng, n) for _ in range(300)})
+        by_key = sorted(exps, key=pack)
+        assert by_key == sorted(exps, key=lambda e: (sum(e), e))
+
+
+def _reference_str(p):
+    """The formatter over the public ``terms`` view and the (degree, exponents) sort key."""
+    if not p.terms:
+        return "0"
+    parts = []
+    for exp, coeff in sorted(p.terms.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True):
+        factors = []
+        for name, e in zip(p.names, exp):
+            if e == 1:
+                factors.append(name)
+            elif e > 1:
+                factors.append(f"{name}^{e}")
+        mono = "*".join(factors)
+        mag = abs(coeff)
+        body = str(mag) if not mono else mono if mag == 1 else f"{mag}*{mono}"
+        if not parts:
+            parts.append(body if coeff > 0 else f"-{body}")
+        else:
+            parts.append(f" + {body}" if coeff > 0 else f" - {body}")
+    return "".join(parts)
+
+
+def test_str_matches_reference_formatter():
+    rng = random.Random(79)
+    for n in (1, 3, 45):
+        names = tuple(f"v{i}" for i in range(n))
+        for _ in range(150):
+            terms = {}
+            for _ in range(rng.randint(0, 8)):
+                exp = _random_exponents(rng, n)
+                terms[exp] = rng.choice((1, -1, rng.randint(-9, 9), Fraction(rng.randint(-9, 9), rng.randint(1, 4))))
+            p = Poly(names, terms)
+            assert str(p) == _reference_str(p)
+            assert [e for e, _ in p.sorted_terms()] == sorted(p.terms, key=lambda e: (sum(e), e), reverse=True)
+            assert str(p * p) == _reference_str(_reference_mul(p, p))
+
+
+def test_nameless_constant_equals_and_hashes_like_named():
+    for value in (0, 1, -3, Fraction(2, 5)):
+        nameless = Poly.const(value)
+        for names in (("x",), ("x", "y", "z"), tuple(f"v{i}" for i in range(45))):
+            named = Poly.const(value, names)
+            assert nameless == named and named == nameless
+            assert hash(nameless) == hash(named) == hash(value)
+            assert named.terms == ({(0,) * len(names): value} if value else {})
+            # lifted through arithmetic, on either side, the constant takes the ring on
+            x = Poly.variable(names[0], names)
+            for lifted in (x + nameless, nameless + x, nameless * x, x * nameless):
+                assert lifted.names == names
+            assert (nameless + x) - x == named and nameless * x == named * x
+    assert Poly.const(3).terms == {(): 3}
+
+
+def test_term_degree_is_capped_at_input():
+    for terms in ({(2**_W,): 1}, {(_MAX_DEGREE + 1,): 1}):
+        with pytest.raises(ValueError, match="above the cap"):
+            Poly(("x",), terms)
+    with pytest.raises(ValueError, match="above the cap"):
+        Poly(("x", "y"), {(2 ** (_W - 1), 2 ** (_W - 1)): 1})
+    assert Poly(("x",), {(_MAX_DEGREE,): 1}).total_degree() == _MAX_DEGREE
+    with pytest.raises(ValueError, match="above the cap"):
+        parse_poly("x^99999999999")
+    with pytest.raises(ValueError, match="above the cap"):
+        parse_poly(f"x^{2 ** (_W - 1)}*x^{2 ** (_W - 1)}")
+    assert parse_poly(f"x^{_MAX_DEGREE}").total_degree() == _MAX_DEGREE
+    with pytest.raises(ValueError, match="above the cap"):
+        monomials(("x", "y"), _MAX_DEGREE + 1)
+
+
+def test_product_degree_guard():
+    half = 2 ** (_W - 1)
+    for names in (("x",), ("x", "y", "z")):
+        x = Poly.variable("x", names)
+        big = Poly(names, {(half,) + (0,) * (len(names) - 1): 1})
+        below = Poly(names, {(half - 1,) + (0,) * (len(names) - 1): 1})
+        with pytest.raises(ValueError, match="above the cap"):
+            big * big
+        with pytest.raises(ValueError, match="above the cap"):
+            _sum_of_products([(x, x), (big, big)])
+        # at the cap exactly the product is exact
+        top = big * below
+        assert top.total_degree() == _MAX_DEGREE
+        assert top.terms == {(_MAX_DEGREE,) + (0,) * (len(names) - 1): 1}
+        assert _sum_of_products([(big, below)]) == top
+        # a zero factor is no product at all
+        assert (big * Poly.zero(names)).is_zero
+
+
+def test_power_degree_is_refused_up_front():
+    x, y = variables("x y")
+    for n in (2**40, 10**30):
+        with pytest.raises(ValueError, match="above the cap"):
+            x**n
+    with pytest.raises(ValueError, match="above the cap"):
+        (x * y) ** (2 ** (_W - 1))
+    assert (x * y) ** 3 == x * x * x * y * y * y
+    assert Poly.zero(("x",)) ** 3 == 0
