@@ -1,7 +1,11 @@
 """Command-line front end: batch tools with JSON input and output.
 
 Exit codes: 0 for success / admissible, 1 for a negative verdict or a
-failed verification, 2 for invalid input.  All output is deterministic:
+failed verification, 2 for invalid input.  Invalid input has one rule:
+every ``ValueError`` a command raises, whether from the library or as
+an :class:`InputError` from the CLI's own checks, is printed as
+``error: <message>`` on stderr with exit code 2; nothing else is mapped,
+so a failed internal check still crashes.  All output is deterministic:
 no command uses randomness, enumeration streams NDJSON in canonical
 order, and JSON keys are sorted.
 """
@@ -34,8 +38,8 @@ from .structure import AlternatingPresentation, build_aci_complex, verify_comple
 MAX_MATRIX_SIZE = 13
 
 
-class InputError(Exception):
-    """Invalid user input; mapped to exit code 2."""
+class InputError(ValueError):
+    """Invalid user input found by the CLI itself; mapped to exit code 2 like any ValueError."""
 
 
 def _read_json(path: str):
@@ -44,7 +48,7 @@ def _read_json(path: str):
             return json.load(sys.stdin)
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or bad UTF-8
         raise InputError(f"cannot read JSON from {path}: {exc}") from exc
 
 
@@ -98,11 +102,7 @@ def _load_alternating(data) -> tuple[AlternatingMatrix, list[int] | None]:
         raise InputError("matrix entries must be an array of arrays")
     if len(entries) > MAX_MATRIX_SIZE:
         raise InputError(f"matrix has {len(entries)} rows; at most {MAX_MATRIX_SIZE} are supported")
-    try:
-        pm = parse_matrix(entries, names)
-        return AlternatingMatrix.from_poly_matrix(pm), twists
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    return AlternatingMatrix.from_poly_matrix(parse_matrix(entries, names)), twists
 
 
 # ----------------------------------------------------------------------
@@ -111,12 +111,7 @@ def _load_alternating(data) -> tuple[AlternatingMatrix, list[int] | None]:
 
 
 def cmd_check(args) -> int:
-    data = _read_json(args.input)
-    try:
-        betti = AciBetti.from_json(data)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
-    verdict = check_betti(betti)
+    verdict = check_betti(AciBetti.from_json(_read_json(args.input)))
     _emit(verdict.to_json())
     if args.explain:
         if verdict.admissible:
@@ -127,13 +122,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_mci(args) -> int:
-    gens = IntMultiset.from_values(_parse_int_list(args.gens))
-    try:
-        beta = GorensteinBetti.from_gens(gens)
-        triple = mci(beta)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
-    _emit({"mci": list(triple), "theta": beta.theta})
+    beta = GorensteinBetti.from_gens(IntMultiset.from_values(_parse_int_list(args.gens)))
+    _emit({"mci": list(mci(beta)), "theta": beta.theta})
     return 0
 
 
@@ -158,24 +148,17 @@ def cmd_hilbert(args) -> int:
         if not isinstance(data, list) or not all(_is_int_array(m) for m in data):
             raise InputError("--resolution must be a JSON array of integer arrays")
         modules = [IntMultiset.from_values(m) for m in data]
-    try:
-        h = hilbert_from_resolution(modules, args.nvars)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    h = hilbert_from_resolution(modules, args.nvars)
     _emit({"values": list(h.values), "socle_degree": h.socle_degree(), "length": h.length()})
     return 0
 
 
 def cmd_pfaffian(args) -> int:
     matrix, _ = _load_alternating(_read_json(args.input))
-    try:  # a product whose degree passes exact._MAX_DEGREE raises ValueError
-        if matrix.size % 2 == 0:
-            payload = {"pfaffian": str(matrix.pfaffian())}
-        else:
-            payload = {"submaximal_pfaffians": [str(p) for p in matrix.submaximal_pfaffians()]}
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
-    _emit(payload)
+    if matrix.size % 2 == 0:
+        _emit({"pfaffian": str(matrix.pfaffian())})
+    else:
+        _emit({"submaximal_pfaffians": [str(p) for p in matrix.submaximal_pfaffians()]})
     return 0
 
 
@@ -183,11 +166,7 @@ def cmd_link(args) -> int:
     gens = IntMultiset.from_values(_parse_int_list(args.gens))
     ci_type = _parse_int_list(args.ci)
     extra = IntMultiset.from_values(_parse_int_list(args.extra)) if args.extra else None
-    try:
-        result = link_betti(gens, args.theta, ci_type, extra)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
-    _emit(result.to_json())
+    _emit(link_betti(gens, args.theta, ci_type, extra).to_json())
     return 0
 
 
@@ -216,12 +195,8 @@ def cmd_verify_structure(args) -> int:
         raise InputError(f"--g-rows must be comma-separated integers: {exc}") from exc
     if len(g_rows) != 3:
         raise InputError("--g-rows needs exactly three row indices")
-    try:
-        pres = AlternatingPresentation(matrix, g_rows, tuple(twists))
-        complex_ = build_aci_complex(pres)
-        report = verify_complex(complex_)
-    except (TypeError, ValueError) as exc:
-        raise InputError(str(exc)) from exc
+    complex_ = build_aci_complex(AlternatingPresentation(matrix, g_rows, tuple(twists)))
+    report = verify_complex(complex_)
     payload = report.to_json()
     payload["twist_multisets"] = [m.to_list() for m in complex_.twist_multisets()]
     _emit(payload)
@@ -289,7 +264,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

@@ -20,10 +20,10 @@ terms and the products refuse operands whose degrees add up past it, all
 with ValueError.  ``Poly.terms`` is the public view keyed by exponent
 tuples; it is decoded on each access.
 
-Matrices of polynomials are dense; everything here is desk scale
-(at most ~12x12), so cofactor expansion with memoization is enough for
-symbolic determinants and fraction-free Bareiss elimination covers the
-constant case.
+Matrices of polynomials are dense; everything here is desk scale (the
+CLI accepts at most 13 rows), so cofactor expansion with memoization is
+enough for symbolic determinants and fraction-free Bareiss elimination
+covers the constant case.
 
 Expansions that add up many products (the cofactor determinant here and
 the pfaffian row expansion) go through one private kernel,
@@ -136,7 +136,8 @@ class Poly:
         pack, _ = _layout(len(names))
         clean: dict[int, Scalar] = {}
         for exp, coeff in terms.items():
-            exp = tuple(int(e) for e in exp)
+            if any(type(e) is not int for e in exp):
+                raise ValueError(f"exponents must be ints, got {exp!r}")
             if len(exp) != len(names):
                 raise ValueError(f"exponent {exp} does not match {len(names)} variables")
             if any(e < 0 for e in exp):
@@ -467,10 +468,11 @@ def parse_poly(text: str, names: Sequence[str] | None = None) -> Poly:
     """Parse a human-readable polynomial like ``3*x1^2*x2 - x3``.
 
     The grammar is a signed sum of terms; each term is a '*'-separated
-    product of rational constants and ``var`` or ``var^k`` factors, where
-    ``k`` is ASCII digits.  If ``names`` is omitted the variables are the
-    identifiers found in the text, sorted.  A term of total degree above
-    ``_MAX_DEGREE`` raises ValueError.
+    product of rational constants and ``var`` or ``var^k`` factors; the
+    constants are ASCII text without '_', and ``k`` is ASCII digits.  If
+    ``names`` is omitted the variables are the identifiers found in the
+    text, sorted.  A term of total degree above ``_MAX_DEGREE`` raises
+    ValueError.
     """
     if names is None:
         names = tuple(sorted(collect_names(text)))
@@ -500,6 +502,8 @@ def parse_poly(text: str, names: Sequence[str] | None = None) -> Poly:
             if not factor:
                 raise ValueError(f"malformed term {chunk!r}")
             if factor[0].isdigit():
+                if not factor.isascii() or "_" in factor:
+                    raise ValueError(f"coefficient must be written in ASCII without '_', got {factor!r}")
                 coeff *= _coefficient(factor)
                 continue
             if "^" in factor:
@@ -549,11 +553,6 @@ class PolyMatrix:
         one = Poly.const(1, names)
         zero = Poly.zero(names)
         return cls([[one if i == j else zero for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int, names: Sequence[str] = ()) -> "PolyMatrix":
-        zero = Poly.zero(names)
-        return cls([[zero] * cols for _ in range(rows)])
 
     def entry(self, i: int, j: int) -> Poly:
         """0-based access."""

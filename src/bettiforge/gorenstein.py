@@ -30,6 +30,20 @@ class GorensteinVerdict:
     reason: str | None = None
 
 
+def theta_of(degrees: Sequence[int]) -> int | None:
+    """theta = 2*sum(degrees)/(len(degrees) - 1), or None when it is not an integer.
+
+    This is the socle-syzygy degree of a Gorenstein quotient with these
+    generator degrees, and the degree of the alternating presentation
+    whose rows have these twists.
+    """
+    n = len(degrees)
+    if n == 1:
+        return None
+    theta, rem = divmod(2 * sum(degrees), n - 1)
+    return None if rem else theta
+
+
 def gaeta_diesel_violation(h: Sequence[int], theta: int) -> tuple[int, int] | None:
     """First failing inequality theta > h_{i+1} + h_{2m+2-i}, or None.
 
@@ -52,10 +66,9 @@ def check_gorenstein_betti(gens: IntMultiset) -> GorensteinVerdict:
         return GorensteinVerdict(False, None, f"|gens| = {n} must be odd and >= 3")
     if h[0] < 1:
         return GorensteinVerdict(False, None, "generator degrees must be positive")
-    total = 2 * sum(h)
-    if total % (n - 1):
-        return GorensteinVerdict(False, None, f"2*norm/(card-1) = {total}/{n - 1} is not an integer")
-    theta = total // (n - 1)
+    theta = theta_of(h)
+    if theta is None:
+        return GorensteinVerdict(False, None, f"2*norm/(card-1) = {2 * sum(h)}/{n - 1} is not an integer")
     hit = gaeta_diesel_violation(h, theta)
     if hit is not None:
         i, pair = hit
@@ -74,23 +87,26 @@ class GorensteinBetti:
     theta: int
 
     def __post_init__(self) -> None:
-        n = self.gens.card()
+        h = self.gens.values()
+        n = len(h)
         if n < 3 or n % 2 == 0:
             raise ValueError(f"|gens| = {n} must be odd and >= 3")
-        if 2 * self.gens.norm() != self.theta * (n - 1):
+        theta = theta_of(h)
+        if theta is None and self.theta is None:  # see from_gens
+            raise ValueError(f"2*norm = {2 * self.gens.norm()} is not divisible by {n - 1}")
+        if theta != self.theta:
             raise ValueError(
                 f"theta = {self.theta} inconsistent with gens (2*norm = {2 * self.gens.norm()}, card-1 = {n - 1})"
             )
 
     @classmethod
     def from_gens(cls, gens: IntMultiset) -> "GorensteinBetti":
-        n = gens.card()
-        if n < 3 or n % 2 == 0:
-            raise ValueError(f"|gens| = {n} must be odd and >= 3")
-        total = 2 * gens.norm()
-        if total % (n - 1):
-            raise ValueError(f"2*norm = {total} is not divisible by {n - 1}")
-        return cls(gens, total // (n - 1))
+        """Betti data with theta worked out from ``gens``.
+
+        A non-integral theta is passed on as None, which ``__post_init__``
+        reports after its count check.
+        """
+        return cls(gens, theta_of(gens.values()))
 
     def syzygies(self) -> IntMultiset:
         return self.gens.affine(self.theta, -1)
@@ -106,6 +122,12 @@ class GorensteinBetti:
         return {"gens": self.gens.to_list(), "theta": self.theta}
 
 
+def _require_admissible(b: GorensteinBetti) -> None:
+    verdict = check_gorenstein_betti(b.gens)
+    if not verdict.admissible:
+        raise ValueError(f"inadmissible Gorenstein Betti sequence: {verdict.reason}")
+
+
 def ci_index_sets(b: GorensteinBetti) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
     """Index sets (B, C, Bbar) on the sorted degrees, 1-based.
 
@@ -115,9 +137,7 @@ def ci_index_sets(b: GorensteinBetti) -> tuple[tuple[int, ...], tuple[int, ...],
     * C    = {4 <= i <= n+2   | theta <= d_i + d_{2n+5-i}}
     * Bbar = {3 <= i <= 2n+1  | theta <= d_i + d_{2n+4-i}}
     """
-    verdict = check_gorenstein_betti(b.gens)
-    if not verdict.admissible:
-        raise ValueError(f"inadmissible Gorenstein Betti sequence: {verdict.reason}")
+    _require_admissible(b)
     d = b.gens.values()
     theta = b.theta
     n = (b.gens.card() - 1) // 2
@@ -158,9 +178,7 @@ def mci_from_sorted(d: Sequence[int], theta: int) -> tuple[int, int, int]:
 
 def mci(b: GorensteinBetti) -> tuple[int, int, int]:
     """Minimal type of a regular sequence inside an ideal with this Betti sequence."""
-    verdict = check_gorenstein_betti(b.gens)
-    if not verdict.admissible:
-        raise ValueError(f"inadmissible Gorenstein Betti sequence: {verdict.reason}")
+    _require_admissible(b)
     return mci_from_sorted(b.gens.values(), b.theta)
 
 
@@ -191,9 +209,6 @@ class HilbertFn:
 
     def length(self) -> int:
         return sum(self.values)
-
-    def delta(self, n: int) -> int:
-        return self.value(n) - self.value(n - 1)
 
     def delta2(self, n: int) -> int:
         return self.value(n) - 2 * self.value(n - 1) + self.value(n - 2)
@@ -330,20 +345,16 @@ def cancel_duals(m0: IntMultiset, m1: IntMultiset, theta: int) -> tuple[IntMulti
 # ----------------------------------------------------------------------
 
 
-def random_admissible(
-    rng: random.Random,
-    n_min: int = 1,
-    n_max: int = 5,
-    max_tries: int = 10000,
-) -> GorensteinBetti:
+def random_admissible(rng: random.Random) -> GorensteinBetti:
     """Sample an admissible Gorenstein Betti sequence by seeded rejection.
 
-    Degrees are drawn near a common base (wide spreads almost never pass
-    the Gaeta-Diesel inequalities for larger n), then the largest degree is
-    adjusted so that theta is integral.
+    The sequence has 2n + 1 generators with n in 1..5.  Degrees are drawn
+    near a common base (wide spreads almost never pass the Gaeta-Diesel
+    inequalities for larger n), then the largest degree is adjusted so
+    that theta is integral.  Gives up after 10,000 draws.
     """
-    for _ in range(max_tries):
-        n = rng.randint(n_min, n_max)
+    for _ in range(10_000):
+        n = rng.randint(1, 5)
         count = 2 * n + 1
         base = rng.randint(2, 9)
         width = rng.choice((1, 1, 2, 3))

@@ -32,6 +32,7 @@ import random
 from typing import Iterable, Sequence
 
 from .exact import Poly, PolyMatrix, Scalar, _sum_of_products, monomials
+from .gorenstein import theta_of
 
 
 def sign_bracket(i: int, j: int) -> int:
@@ -110,9 +111,10 @@ class AlternatingMatrix:
         return cls.from_upper(size, upper)
 
     @classmethod
-    def random_integer(cls, size: int, rng: random.Random, bound: int = 9) -> "AlternatingMatrix":
+    def random_integer(cls, size: int, rng: random.Random) -> "AlternatingMatrix":
+        """Seeded integer matrix with upper entries drawn from -9..9."""
         upper = {
-            (i, j): rng.randint(-bound, bound)
+            (i, j): rng.randint(-9, 9)
             for i in range(1, size + 1)
             for j in range(i + 1, size + 1)
         }
@@ -373,22 +375,21 @@ def random_graded_alternating(
     twists: Sequence[int],
     rng: random.Random,
     names: Sequence[str] = ("x1", "x2", "x3"),
-    coeff_bound: int = 4,
 ) -> AlternatingMatrix:
     """Random homogeneous alternating matrix for the given row twists.
 
     Entry (i, j) gets a random form of degree theta - t_i - t_j where
     theta = 2 * sum(twists) / (size - 1); slots of negative degree are
-    zero.  Coefficients avoid 0 so the matrix stays generic.
+    zero.  Coefficients are drawn from +-1..4, avoiding 0 so the matrix
+    stays generic.
     """
     twists = tuple(int(t) for t in twists)
     size = len(twists)
     if size < 2:
         raise ValueError("need at least two rows")
-    total = 2 * sum(twists)
-    if total % (size - 1):
+    theta = theta_of(twists)
+    if theta is None:
         raise ValueError("twists do not admit an integral matrix degree")
-    theta = total // (size - 1)
     names = tuple(names)
     upper: dict[tuple[int, int], Poly] = {}
     for i in range(1, size + 1):
@@ -398,7 +399,7 @@ def random_graded_alternating(
                 continue
             acc = Poly.zero(names)
             for mono in monomials(names, d):
-                c = rng.randint(1, coeff_bound) * rng.choice((1, -1))
+                c = rng.randint(1, 4) * rng.choice((1, -1))
                 acc = acc + c * mono
             upper[(i, j)] = acc
     return AlternatingMatrix.from_upper(size, upper)

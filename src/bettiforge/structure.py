@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .exact import Poly, PolyMatrix
+from .gorenstein import theta_of
 from .multiset import IntMultiset
 from .pfaffian import AlternatingMatrix
 
@@ -69,6 +70,24 @@ class GradedComplex:
         return [m.twist_multiset() for m in self.modules]
 
 
+def _degree_violation(
+    entries: Sequence[Sequence[Poly]], src: Sequence[int], tgt: Sequence[int]
+) -> tuple[int, int, int] | None:
+    """First nonzero entry (i, j) that is not homogeneous of degree src[j] - tgt[i] >= 0.
+
+    Returned as 0-based (i, j, required degree); None when every nonzero
+    entry has its degree.
+    """
+    for i, row in enumerate(entries):
+        for j, entry in enumerate(row):
+            if entry.is_zero:
+                continue
+            need = src[j] - tgt[i]
+            if need < 0 or entry.homogeneous_degree() != need:
+                return i, j, need
+    return None
+
+
 @dataclass(frozen=True)
 class AlternatingPresentation:
     """Odd graded alternating matrix with a marked G block of three rows.
@@ -92,20 +111,17 @@ class AlternatingPresentation:
         g = tuple(self.g_indices)
         if len(set(g)) != 3 or any(not 1 <= i <= m for i in g):
             raise ValueError(f"g_indices must be 3 distinct rows in 1..{m}, got {g}")
-        total = 2 * sum(self.twists)
-        if total % (m - 1):
+        theta = theta_of(self.twists)
+        if theta is None:
             raise ValueError("twists do not admit an integral matrix degree")
-        object.__setattr__(self, "theta", total // (m - 1))
-        for i in range(m):
-            for j in range(m):
-                entry = self.matrix.entries[i][j]
-                if entry.is_zero:
-                    continue
-                need = self.theta - self.twists[i] - self.twists[j]
-                if need < 0 or entry.homogeneous_degree() != need:
-                    raise ValueError(
-                        f"entry ({i + 1},{j + 1}) must be homogeneous of degree {need}, got {entry}"
-                    )
+        object.__setattr__(self, "theta", theta)
+        hit = _degree_violation(self.matrix.entries, [theta - t for t in self.twists], self.twists)
+        if hit is not None:
+            i, j, need = hit
+            raise ValueError(
+                f"entry ({i + 1},{j + 1}) must be homogeneous of degree {need}, "
+                f"got {self.matrix.entries[i][j]}"
+            )
 
     def reordered(self) -> tuple[AlternatingMatrix, tuple[int, ...]]:
         """Congruence-permuted copy with the G rows moved to the front."""
@@ -202,23 +218,13 @@ def verify_complex(c: GradedComplex) -> ComplexReport:
     source_twist(j) - target_twist(i); zero entries are exempt, and any
     slot whose required degree is negative must be zero.
     """
-    homogeneous = True
     hom_witness = None
     for k, mp in enumerate(c.maps):
-        src = c.modules[k + 1].twists
-        tgt = c.modules[k].twists
-        for i in range(mp.rows):
-            for j in range(mp.cols):
-                entry = mp.entry(i, j)
-                need = src[j] - tgt[i]
-                if entry.is_zero:
-                    continue
-                if need < 0 or entry.homogeneous_degree() != need:
-                    if homogeneous:
-                        homogeneous = False
-                        hom_witness = (
-                            f"map {k} entry ({i + 1},{j + 1}) should have degree {need}"
-                        )
+        hit = _degree_violation(mp.entries, c.modules[k + 1].twists, c.modules[k].twists)
+        if hit is not None:
+            i, j, need = hit
+            hom_witness = f"map {k} entry ({i + 1},{j + 1}) should have degree {need}"
+            break
     pairs = []
     for k in range(len(c.maps) - 1):
         comp = c.maps[k] @ c.maps[k + 1]
@@ -235,7 +241,7 @@ def verify_complex(c: GradedComplex) -> ComplexReport:
     signed = sum(
         (-1) ** idx * module.rank for idx, module in enumerate(c.modules)
     )
-    return ComplexReport(tuple(pairs), homogeneous, hom_witness, signed == 0)
+    return ComplexReport(tuple(pairs), hom_witness is None, hom_witness, signed == 0)
 
 
 def colon_generators(

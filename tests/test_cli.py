@@ -57,6 +57,14 @@ def test_check_malformed_json(capsys):
     assert code == 2 and "error" in err
 
 
+def test_check_non_utf8_file(tmp_path, capsys):
+    path = tmp_path / "seq.json"
+    path.write_bytes(b"\xff\xfe{}")
+    code, out, err = run_cli(["check", str(path)], capsys=capsys)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot read JSON from {path}: 'utf-8' codec can't decode")
+
+
 def test_check_bad_shape(capsys):
     code, _, err = run_cli(["check", "-"], json.dumps({"D": [1, 2], "E": [], "F": []}), capsys)
     assert code == 2 and "error" in err
@@ -189,6 +197,24 @@ def test_pfaffian_exponents_are_ascii_digits(entry, shown, capsys):
     code, out, err = run_cli(["pfaffian", "-"], json.dumps([[0, entry], ["-x^3", 0]]), capsys)
     assert code == 2 and out == ""
     assert "must be ASCII digits" in err and shown in err and "invalid literal" not in err
+
+
+@pytest.mark.parametrize(
+    "entry, negated, printed",
+    [
+        ("\u0663*x", "-3*x", None),
+        ("3_0*x", "-30*x", None),
+        ("1/3*x", "-1/3*x", "1/3*x"),
+        ("1.5*x", "-3/2*x", "3/2*x"),
+    ],
+    ids=["unicode-digit", "underscore", "fraction", "decimal"],
+)
+def test_pfaffian_coefficients_are_ascii(entry, negated, printed, capsys):
+    code, out, err = run_cli(["pfaffian", "-"], json.dumps([[0, entry], [negated, 0]]), capsys)
+    if printed is None:
+        assert code == 2 and out == "" and "ASCII" in err
+    else:
+        assert code == 0 and json.loads(out)["pfaffian"] == printed
 
 
 def test_pfaffian_rejects_degrees_above_cap(capsys):
@@ -341,6 +367,20 @@ def test_matrix_size_is_capped(capsys):
     ):
         code, out, err = run_cli(argv, json.dumps(payload), capsys)
         assert code == 2 and out == "" and f"at most {cli.MAX_MATRIX_SIZE}" in err, argv
+
+
+def test_every_value_error_is_invalid_input_and_nothing_else_is(monkeypatch, capsys):
+    def invalid(_):
+        raise ValueError("boom")
+
+    def broken(_):
+        raise AssertionError("self-check failed")
+
+    monkeypatch.setattr(cli, "check_betti", invalid)
+    assert run_cli(["check", "-"], EX_ADMISSIBLE, capsys) == (2, "", "error: boom\n")
+    monkeypatch.setattr(cli, "check_betti", broken)
+    with pytest.raises(AssertionError, match="self-check failed"):
+        run_cli(["check", "-"], EX_ADMISSIBLE, capsys)
 
 
 def test_seed_option_is_gone(capsys):

@@ -192,6 +192,13 @@ def test_coefficient_boundary_rejects_float_and_bool():
     assert type(Poly.const(Fraction(4, 2)).constant_value()) is int
 
 
+@pytest.mark.parametrize("e", [2.5, True, "3"], ids=["float", "bool", "string"])
+def test_exponents_must_be_plain_ints(e):
+    with pytest.raises(ValueError, match="exponents must be ints"):
+        Poly(("x",), {(e,): 1})
+    assert Poly(("x",), {(3,): 1}) == parse_poly("x^3")
+
+
 def test_constant_hash_agrees_with_equality():
     assert Poly.const(3) == 3
     assert hash(Poly.const(3)) == hash(3)

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -7,6 +8,7 @@ from bettiforge.gorenstein import (
     HILBERT_MAX_LENGTH,
     HILBERT_MAX_WORK,
     GorensteinBetti,
+    GorensteinVerdict,
     cancel_duals,
     check_gorenstein_betti,
     ci_index_sets,
@@ -17,6 +19,7 @@ from bettiforge.gorenstein import (
     mci,
     mci_from_sorted,
     random_admissible,
+    theta_of,
 )
 from bettiforge.multiset import IntMultiset
 
@@ -31,6 +34,52 @@ def corpus(seed, size):
 # ----------------------------------------------------------------------
 # admissibility
 # ----------------------------------------------------------------------
+
+
+def test_theta_of_matches_the_formula():
+    rng = random.Random(8)
+    lists = [[], [4], [2, 3]]
+    lists += [[rng.randint(-3, 12) for _ in range(rng.randint(0, 9))] for _ in range(300)]
+    kinds = set()
+    for degrees in lists:
+        n = len(degrees)
+        expected = None
+        if n != 1:  # theta = 2*sum/(n - 1); no value for a single degree
+            q = Fraction(2 * sum(degrees), n - 1)
+            expected = q.numerator if q.denominator == 1 else None
+        assert theta_of(degrees) == expected, degrees
+        kinds.add((n % 2, expected is None))
+    assert kinds == {(0, False), (0, True), (1, False), (1, True)}
+
+
+@pytest.mark.parametrize(
+    "gens, reason",
+    [
+        ([0, 1, 1, 2], "|gens| = 4 must be odd and >= 3"),
+        ([0, 1, 1, 1, 2], "generator degrees must be positive"),
+        ([1, 1, 1, 1, 3], "2*norm/(card-1) = 14/4 is not an integer"),
+    ],
+)
+def test_gorenstein_check_reasons_in_order(gens, reason):
+    # count, then positivity, then integrality: each list fails every later check too
+    assert check_gorenstein_betti(ms(gens)) == GorensteinVerdict(False, None, reason)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: GorensteinBetti.from_gens(ms([1, 1, 1, 2])), "|gens| = 4 must be odd and >= 3"),
+        (lambda: GorensteinBetti.from_gens(ms([1, 1, 1, 1, 3])), "2*norm = 14 is not divisible by 4"),
+        (lambda: GorensteinBetti(ms([1, 1, 1, 2]), 5), "|gens| = 4 must be odd and >= 3"),
+        (lambda: GorensteinBetti(ms([1, 1, 1, 1, 3]), 4), "theta = 4 inconsistent with gens (2*norm = 14, card-1 = 4)"),
+        (lambda: GorensteinBetti(ms([2] * 5), 6), "theta = 6 inconsistent with gens (2*norm = 20, card-1 = 4)"),
+    ],
+    ids=["from-gens-count", "from-gens-integrality", "count", "non-integral", "wrong-theta"],
+)
+def test_gorenstein_betti_validation_messages(build, message):
+    with pytest.raises(ValueError) as exc:
+        build()
+    assert str(exc.value) == message
 
 
 def test_admissible_five_quadrics():

@@ -147,6 +147,19 @@ def test_fault_injection_twist():
     assert "degree" in report.homogeneity_witness
 
 
+def test_homogeneity_witness_is_the_first_failure_over_all_maps():
+    # both maps break the grading; the witness names the first bad entry in
+    # map order, then row-major order within the map
+    x = Poly.variable("x1", NAMES)
+    modules = (GradedFreeModule((0,)), GradedFreeModule((1, 1)), GradedFreeModule((2,)))
+    c = GradedComplex(modules, (PolyMatrix([[x, x * x]]), PolyMatrix([[x], [x * x * x]])))
+    report = verify_complex(c)
+    assert not report.homogeneous and not report.ok
+    assert report.homogeneity_witness == "map 0 entry (1,2) should have degree 1"
+    second_only = GradedComplex(modules, (PolyMatrix([[x, x]]), c.maps[1]))
+    assert verify_complex(second_only).homogeneity_witness == "map 1 entry (2,1) should have degree 1"
+
+
 def test_negative_required_degree_must_be_zero():
     # a slot whose required degree is negative may only hold the zero form
     mod_src = GradedFreeModule((1,))
