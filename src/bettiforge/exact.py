@@ -20,6 +20,13 @@ terms and the products refuse operands whose degrees add up past it, all
 with ValueError.  ``Poly.terms`` is the public view keyed by exponent
 tuples; it is decoded on each access.
 
+Text is read and written straight from packed keys.  ``parse_poly`` and
+``parse_matrix`` sum a term's key from a table, built once per variable
+tuple, that holds the key of each variable alone; ``Poly.__str__`` sorts
+the keys once and, when every exponent is 0 or 1 (as in a generic
+pfaffian), names a monomial by the low byte of each exponent field, so
+neither side loops over all variables in Python for each term.
+
 Matrices of polynomials are dense; everything here is desk scale (the
 CLI accepts at most 13 rows), so cofactor expansion with memoization is
 enough for symbolic determinants and fraction-free Bareiss elimination
@@ -39,12 +46,14 @@ import math
 import re
 import struct
 from fractions import Fraction
-from itertools import compress
-from typing import Callable, Iterator, Sequence, Union
+from itertools import compress, repeat
+from operator import itemgetter, or_
+from typing import Callable, Iterable, Iterator, Sequence, Union
 
 Scalar = Union[int, Fraction]
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _EXPONENT_RE = re.compile(r"[0-9]+")
+_SIGN_RE = re.compile(r"([+-])")
 
 # Bits per field of a packed monomial key, and the largest total degree a
 # term may have.  The fields are big-endian struct fields of code _FIELD,
@@ -73,6 +82,32 @@ def _layout(n: int) -> tuple[Callable[[Sequence[int]], int], Callable[[int], tup
         return exponents.unpack(key.to_bytes(size, "big"))
 
     return pack, unpack
+
+
+def _monomial_texts(names: tuple[str, ...], keys: list[int]) -> Iterable[str]:
+    """The text of each nonconstant key of the ring of ``names``, such as ``x1^2*x3``.
+
+    When every exponent of every key is 0 or 1, which a single OR of the
+    keys shows, a monomial is the names whose exponent fields have low
+    byte 1, joined by ``*``; this path runs in C.  Otherwise each key is
+    decoded and written factor by factor.
+    """
+    n = len(names)
+    exponent_bits = (1 << (_W * n)) - 1
+    low_bits = exponent_bits // _MAX_DEGREE  # the lowest bit of each exponent field
+    if not functools.reduce(or_, keys, 0) & (exponent_bits ^ low_bits):
+        width = _W // 8
+        raw = map(int.to_bytes, keys, repeat(width * (n + 1)), repeat("big"))
+        lows = map(itemgetter(slice(2 * width - 1, None, width)), raw)  # past the degree field
+        return map("*".join, map(compress, repeat(names), lows))
+    _, unpack = _layout(n)
+    texts = []
+    for exp in map(unpack, keys):
+        factors = []
+        for name, e in compress(zip(names, exp), exp):  # the nonzero exponents only
+            factors.append(name if e == 1 else f"{name}^{e}")
+        texts.append("*".join(factors))
+    return texts
 
 
 def _check_product_degree(a_terms: dict, b_terms: dict, shift: int) -> None:
@@ -356,30 +391,29 @@ class Poly:
         terms = self._terms
         return [(unpack(k), terms[k]) for k in sorted(terms, reverse=True)]
 
-    def _monomial_str(self, exp: tuple[int, ...]) -> str:
-        factors = []
-        for name, e in compress(zip(self.names, exp), exp):  # the nonzero exponents only
-            factors.append(name if e == 1 else f"{name}^{e}")
-        return "*".join(factors)
-
     def __str__(self) -> str:
-        if not self._terms:
+        terms = self._terms
+        if not terms:
             return "0"
-        parts: list[str] = []
-        for exp, coeff in self.sorted_terms():
-            mono = self._monomial_str(exp)
-            mag = abs(coeff)
-            if not mono:
-                body = str(mag)
-            elif mag == 1:
-                body = mono
+        keys = sorted(terms, reverse=True)
+        const = terms.get(0)  # key 0 sorts last
+        if const is not None:
+            keys.pop()
+        parts = []
+        append = parts.append
+        for c, mono in zip(map(terms.__getitem__, keys), _monomial_texts(self.names, keys)):
+            if c == 1:
+                append(" + " + mono)
+            elif c == -1:
+                append(" - " + mono)
+            elif c > 0:
+                append(f" + {c}*{mono}")
             else:
-                body = f"{mag}*{mono}"
-            if not parts:
-                parts.append(body if coeff > 0 else f"-{body}")
-            else:
-                parts.append(f" + {body}" if coeff > 0 else f" - {body}")
-        return "".join(parts)
+                append(f" - {-c}*{mono}")
+        if const is not None:
+            append(f" + {const}" if const > 0 else f" - {-const}")
+        text = "".join(parts)
+        return text[3:] if text[1] == "+" else "-" + text[3:]
 
     def __repr__(self) -> str:
         return f"Poly({self})"
@@ -464,6 +498,19 @@ def collect_names(text: str) -> set[str]:
     return set(_NAME_RE.findall(text))
 
 
+@functools.lru_cache(maxsize=64)
+def _steps(names: tuple[str, ...]) -> dict[str, int]:
+    """Name -> the key of that variable alone, for parsing in the ring of ``names``.
+
+    A factor ``v^k`` adds ``k * step[v]`` to a term's key, which puts k
+    into v's exponent field and into the degree field.  The dict is
+    shared by every caller and must not be changed.
+    """
+    n = len(names)
+    top = 1 << (_W * n)
+    return {name: top | 1 << (_W * (n - 1 - i)) for i, name in enumerate(names)}
+
+
 def parse_poly(text: str, names: Sequence[str] | None = None) -> Poly:
     """Parse a human-readable polynomial like ``3*x1^2*x2 - x3``.
 
@@ -475,36 +522,38 @@ def parse_poly(text: str, names: Sequence[str] | None = None) -> Poly:
     ValueError.
     """
     if names is None:
-        names = tuple(sorted(collect_names(text)))
+        names = sorted(collect_names(text))
     names = tuple(names)
-    index = {n: i for i, n in enumerate(names)}
+    return _parse(text, names, _steps(names))
+
+
+def _parse(text: str, names: tuple[str, ...], steps: dict[str, int]) -> Poly:
+    """``parse_poly`` with the variable table of ``names`` at hand; see there.
+
+    Each term's packed key is summed from ``steps`` as its factors are
+    read.  A term above the degree cap is reported only once the whole
+    text has parsed, so every other error in the text comes first.
+    """
     text = text.replace(" ", "")
     if not text:
         raise ValueError("empty polynomial text")
-
-    # split into signed terms
-    terms: dict[tuple[int, ...], Scalar] = {}
-    pos = 0
-    sign = 1
-    if text[0] in "+-":
-        sign = -1 if text[0] == "-" else 1
-        pos = 1
-    while pos <= len(text):
-        nxt = pos
-        while nxt < len(text) and text[nxt] not in "+-":
-            nxt += 1
-        chunk = text[pos:nxt]
+    # [sign, term, sign, term, ...], an implicit '+' before an unsigned first term
+    pieces = _SIGN_RE.split(text if text[0] in "+-" else "+" + text)
+    terms: dict[int, Scalar] = {}
+    over_cap = None  # the degree of the first term above the cap
+    for i in range(1, len(pieces), 2):
+        chunk = pieces[i + 1]
         if not chunk:
             raise ValueError(f"malformed polynomial: {text!r}")
-        coeff: Scalar = sign
-        exp = [0] * len(names)
+        coeff: Scalar = -1 if pieces[i] == "-" else 1
+        key = degree = 0
         for factor in chunk.split("*"):
             if not factor:
                 raise ValueError(f"malformed term {chunk!r}")
             if factor[0].isdigit():
                 if not factor.isascii() or "_" in factor:
                     raise ValueError(f"coefficient must be written in ASCII without '_', got {factor!r}")
-                coeff *= _coefficient(factor)
+                coeff *= int(factor) if factor.isdigit() else _coefficient(factor)
                 continue
             if "^" in factor:
                 base, _, power = factor.partition("^")
@@ -513,16 +562,22 @@ def parse_poly(text: str, names: Sequence[str] | None = None) -> Poly:
                 k = int(power)
             else:
                 base, k = factor, 1
-            if base not in index:
+            step = steps.get(base)
+            if step is None:
                 raise ValueError(f"unknown variable {base!r}")
-            exp[index[base]] += k
-        key = tuple(exp)
-        terms[key] = terms.get(key, 0) + coeff
-        if nxt >= len(text):
-            break
-        sign = -1 if text[nxt] == "-" else 1
-        pos = nxt + 1
-    return Poly(names, terms)
+            key += k * step
+            degree += k
+        if degree > _MAX_DEGREE:
+            if over_cap is None:
+                over_cap = degree
+        else:
+            terms[key] = terms.get(key, 0) + coeff
+    if over_cap is not None:
+        raise ValueError(f"term degree {over_cap} is above the cap {_MAX_DEGREE}")
+    terms = {key: c for key, c in terms.items() if c}
+    if _has_fraction(terms):
+        _int_first(terms)
+    return Poly._trusted(names, terms)
 
 
 # ----------------------------------------------------------------------
@@ -740,12 +795,13 @@ def parse_matrix(
                     found |= collect_names(cell)
         names = tuple(sorted(found))
     names = tuple(names)
+    steps = _steps(names)
     grid = []
     for row in rows:
         out = []
         for cell in row:
             if isinstance(cell, str):
-                out.append(parse_poly(cell, names))
+                out.append(_parse(cell, names, steps))
             else:
                 out.append(Poly.const(cell, names))
         grid.append(out)

@@ -91,6 +91,8 @@ class GorensteinBetti:
         n = len(h)
         if n < 3 or n % 2 == 0:
             raise ValueError(f"|gens| = {n} must be odd and >= 3")
+        if self.theta is not None and (isinstance(self.theta, bool) or not isinstance(self.theta, int)):
+            raise ValueError(f"theta must be an int, got {self.theta!r}")
         theta = theta_of(h)
         if theta is None and self.theta is None:  # see from_gens
             raise ValueError(f"2*norm = {2 * self.gens.norm()} is not divisible by {n - 1}")

@@ -108,6 +108,8 @@ class AlternatingPresentation:
             raise ValueError(f"presentation size must be odd and >= 5, got {m}")
         if len(self.twists) != m:
             raise ValueError(f"need {m} twists, got {len(self.twists)}")
+        if any(isinstance(t, bool) or not isinstance(t, int) for t in self.twists):
+            raise ValueError(f"twists must be ints, got {tuple(self.twists)}")
         g = tuple(self.g_indices)
         if len(set(g)) != 3 or any(not 1 <= i <= m for i in g):
             raise ValueError(f"g_indices must be 3 distinct rows in 1..{m}, got {g}")
@@ -146,19 +148,26 @@ def build_aci_complex(pres: AlternatingPresentation) -> GradedComplex:
     pf_vec = mat.submaximal_pfaffians()
     p123 = pf_vec[:3]
     sigma = pf_vec[3:]
-    # pf(beta) and its adjoint are read from mat's minors, which the
-    # submaximal pfaffians above have already expanded
+    # pf(beta) and the entries of lambda^T @ beta_adj are read from mat's
+    # minors, which the submaximal pfaffians above have mostly expanded:
+    # entry (g, f) is (-1)^(f-3) pf(g, F - f), the row-g expansion of that
+    # principal pfaffian
     f_rows = range(4, m + 1)
     p = mat.pfaffian(f_rows)
-    beta_adj = mat.adjoint(f_rows).to_poly_matrix()
+    top_right = []
+    for g in (1, 2, 3):
+        row = []
+        for f in f_rows:
+            value = mat.pfaffian([g] + [r for r in f_rows if r != f])
+            row.append(-value if f % 2 == 0 else value)
+        top_right.append(row)
     beta = mat.delete((1, 2, 3))
     # lambda is the F x G lower-left block; the upper-right block is -lambda^T
     lam_t = mat.to_poly_matrix().submatrix(tuple(range(3, m)), (0, 1, 2)).transpose()
 
     d1 = PolyMatrix([list(p123) + [p]])
-    top_right = lam_t @ beta_adj
     d2_rows = [
-        [p if i == j else Poly.zero() for j in range(3)] + list(top_right.row(i))
+        [p if i == j else Poly.zero() for j in range(3)] + top_right[i]
         for i in range(3)
     ]
     d2_rows.append([-q for q in p123] + [-q for q in sigma])

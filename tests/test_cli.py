@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import sys
@@ -226,6 +227,54 @@ def test_pfaffian_rejects_degrees_above_cap(capsys):
     rows.append(["-" + half, "-" + half, "-" + half, 0])
     code, out, err = run_cli(["pfaffian", "-"], json.dumps(rows), capsys)
     assert code == 2 and out == "" and "product degree" in err
+
+
+def _generic_matrix(size):
+    """Alternating matrix text with its own variable ``aIIJJ`` in each upper slot, signs fixed by position."""
+    grid = [[0] * size for _ in range(size)]
+    for i in range(size):
+        for j in range(i + 1, size):
+            name = f"a{i + 1:02d}{j + 1:02d}"
+            grid[i][j], grid[j][i] = (f"-{name}", name) if (i + j) % 3 == 0 else (name, f"-{name}")
+    return grid
+
+
+# upper entry -> its negation, written out; rational coefficients and exponents at and past 255
+_RATIONAL_UPPER = {
+    (1, 2): ("1/3*x^256 - y", "-1/3*x^256 + y"),
+    (1, 3): ("x^255*y + 7/2", "-x^255*y - 7/2"),
+    (1, 4): ("-2/5*z^257", "2/5*z^257"),
+    (1, 5): ("y^65536 - 3*x*z", "-y^65536 + 3*x*z"),
+    (2, 3): ("5*z^256*x", "-5*z^256*x"),
+    (2, 4): ("x - 1/7", "-x + 1/7"),
+    (2, 5): ("-y^2*z^300", "y^2*z^300"),
+    (3, 4): ("11/2*x^1000", "-11/2*x^1000"),
+    (3, 5): ("z + y", "-z - y"),
+    (4, 5): ("-x^256*y^256*z^256 + 2", "x^256*y^256*z^256 - 2"),
+}
+
+
+def _rational_matrix():
+    grid = [[0] * 5 for _ in range(5)]
+    for (i, j), (upper, lower) in _RATIONAL_UPPER.items():
+        grid[i - 1][j - 1], grid[j - 1][i - 1] = upper, lower
+    return grid
+
+
+@pytest.mark.parametrize(
+    "matrix, md5, size",
+    [
+        (_generic_matrix(11), "85e98704bf1b2b3b43c76f549bb81992", 332684),
+        (_generic_matrix(10), "569967e36037035cc2e958c0c70fbad2", 30255),
+        (_rational_matrix(), "f883aa09f04d27088ab59b41278fc877", 559),
+    ],
+    ids=["generic-11-submaximal", "generic-10", "rational-wide-exponents"],
+)
+def test_pfaffian_stdout_is_pinned(matrix, md5, size, capsys):
+    # recorded before polynomial text was read and written on packed keys
+    code, out, _ = run_cli(["pfaffian", "-"], json.dumps(matrix), capsys)
+    assert code == 0 and len(out) == size
+    assert hashlib.md5(out.encode()).hexdigest() == md5
 
 
 def test_link(capsys):

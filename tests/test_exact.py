@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from bettiforge.exact import (
     _W,
     Poly,
     PolyMatrix,
+    _coefficient,
     _layout,
     _sum_of_products,
     binomial,
@@ -379,6 +381,22 @@ def _reference_str(p):
     return "".join(parts)
 
 
+# exponents around the byte boundaries of a key field, and the cap
+_WIDE_EXPONENTS = (2, 255, 256, 257, 65536, _MAX_DEGREE)
+
+
+def _wide_exponents(rng, n):
+    """An exponent tuple that mixes 0, 1 and the values above, of total degree at most the cap."""
+    exp = [rng.choice((0, 0, 1)) for _ in range(n)]
+    if n and rng.random() < 0.5:
+        slot = rng.randrange(n)
+        exp[slot] = rng.choice(_WIDE_EXPONENTS)
+        if exp[slot] == _MAX_DEGREE:
+            exp = [0] * n
+            exp[slot] = _MAX_DEGREE
+    return tuple(exp)
+
+
 def test_str_matches_reference_formatter():
     rng = random.Random(79)
     for n in (1, 3, 45):
@@ -392,6 +410,121 @@ def test_str_matches_reference_formatter():
             assert str(p) == _reference_str(p)
             assert [e for e, _ in p.sorted_terms()] == sorted(p.terms, key=lambda e: (sum(e), e), reverse=True)
             assert str(p * p) == _reference_str(_reference_mul(p, p))
+    # wide exponents, square-free polynomials, every coefficient kind and 0 to 78 variables
+    coefficients = (1, -1, 7, -7, 10**20, -(10**20), Fraction(3, 2), Fraction(-1, 10**20))
+    for n in (0, 1, 3, 45, 78):
+        names = tuple(f"v{i}" for i in range(n))
+        for square_free in (True, False):
+            for _ in range(60):
+                terms = {}
+                for _ in range(rng.randint(0, 8)):
+                    exp = _random_exponents(rng, n, top=1) if square_free else _wide_exponents(rng, n)
+                    terms[exp] = rng.choice(coefficients)
+                if rng.random() < 0.3:  # a constant term
+                    terms[(0,) * n] = rng.choice(coefficients)
+                p = Poly(names, terms)
+                assert str(p) == _reference_str(p)
+    for value in (0, 1, -1, 10**20, Fraction(-5, 3)):
+        for n in (0, 2):
+            assert str(Poly.const(value, ("x", "y")[:n])) == _reference_str(Poly.const(value)) == str(value)
+
+
+def _reference_parse(text, names=None):
+    """The parser that builds an exponent list per term and validates through ``Poly.__init__``."""
+    if names is None:
+        names = tuple(sorted(set(re.findall(r"[A-Za-z_][A-Za-z0-9_]*", text))))
+    names = tuple(names)
+    index = {n: i for i, n in enumerate(names)}
+    text = text.replace(" ", "")
+    if not text:
+        raise ValueError("empty polynomial text")
+    terms = {}
+    pos = 0
+    sign = 1
+    if text[0] in "+-":
+        sign = -1 if text[0] == "-" else 1
+        pos = 1
+    while pos <= len(text):
+        nxt = pos
+        while nxt < len(text) and text[nxt] not in "+-":
+            nxt += 1
+        chunk = text[pos:nxt]
+        if not chunk:
+            raise ValueError(f"malformed polynomial: {text!r}")
+        coeff = sign
+        exp = [0] * len(names)
+        for factor in chunk.split("*"):
+            if not factor:
+                raise ValueError(f"malformed term {chunk!r}")
+            if factor[0].isdigit():
+                if not factor.isascii() or "_" in factor:
+                    raise ValueError(f"coefficient must be written in ASCII without '_', got {factor!r}")
+                coeff *= _coefficient(factor)
+                continue
+            if "^" in factor:
+                base, _, power = factor.partition("^")
+                if not re.fullmatch(r"[0-9]+", power):
+                    raise ValueError(f"exponent of {base!r} must be ASCII digits, got {power!r}")
+                k = int(power)
+            else:
+                base, k = factor, 1
+            if base not in index:
+                raise ValueError(f"unknown variable {base!r}")
+            exp[index[base]] += k
+        key = tuple(exp)
+        terms[key] = terms.get(key, 0) + coeff
+        if nxt >= len(text):
+            break
+        sign = -1 if text[nxt] == "-" else 1
+        pos = nxt + 1
+    return Poly(names, terms)
+
+
+def _parse_outcome(parse, text, names):
+    try:
+        p = parse(text, names)
+    except ValueError as exc:
+        return "error", str(exc)
+    return p.names, _typed_terms(p)
+
+
+_BIG = 2 ** (_W - 1)
+_PARSE_CASES = (
+    # the degree cap is checked after the whole text: a later error wins,
+    # a cancelling over-cap term still raises, and the first one is reported
+    f"x^{2 ** _W} + q",
+    f"x^{2 ** _W} - x^{2 ** _W}",
+    f"x^{_BIG}*x^{_BIG} + y^{2 ** 40}",
+    f"x^{_BIG}*y^{_BIG} + x^{_BIG}*y^{_BIG} + x +",
+    f"x^{_MAX_DEGREE}",
+    "0*x", "2/2*x", "007*x", "1.5*x", "1/3*x + 2/3*x", "1/2*x - 1/2*x + 3",
+    " - 3 * x ^ 2 * y + y ", "+x", "-x", "x - x", "0", "1/0*x", "1e5*x", "1e-5*x",
+    "x+", "+", "-", "", "  ", "x++y", "x**y", "*x", "x*", "x^", "x^-1", "x^1_0", "x^٣",
+    "٣*x", "3_0*x", "x2", "q", "x^2^3", "2x", "x*3*y*1/2", "y^0*x^0",
+)
+
+
+def test_parser_matches_reference():
+    names = ("x", "y", "z")
+    for text in _PARSE_CASES:
+        for ring in (names, None):
+            assert _parse_outcome(parse_poly, text, ring) == _parse_outcome(_reference_parse, text, ring), text
+    rng = random.Random(83)
+    tokens = (
+        "x", "y", "z", "q", "x", "y", "1", "0", "3", "007", "2/2", "1/3", "1.5", "10", "3_0", "٣",
+        "^2", "^0", "^1", "^256", f"^{2 ** _W}", f"^{_BIG}", "^", "^٣",
+        "*", "*", "*", "+", "-", "+", "-", " ",
+    )
+    for _ in range(3000):
+        text = "".join(rng.choice(tokens) for _ in range(rng.randint(1, 12)))
+        ring = names if rng.random() < 0.7 else None
+        assert _parse_outcome(parse_poly, text, ring) == _parse_outcome(_reference_parse, text, ring), text
+    # valid texts: printed polynomials read back through both parsers
+    for _ in range(300):
+        terms = {_wide_exponents(rng, 3): rng.choice((1, -1, 4, Fraction(-2, 7))) for _ in range(rng.randint(0, 6))}
+        text = str(Poly(names, terms))
+        assert _parse_outcome(parse_poly, text, names) == _parse_outcome(_reference_parse, text, names), text
+        assert parse_poly(text, names) == Poly(names, terms)
 
 
 def test_nameless_constant_equals_and_hashes_like_named():

@@ -73,8 +73,10 @@ def test_gorenstein_check_reasons_in_order(gens, reason):
         (lambda: GorensteinBetti(ms([1, 1, 1, 2]), 5), "|gens| = 4 must be odd and >= 3"),
         (lambda: GorensteinBetti(ms([1, 1, 1, 1, 3]), 4), "theta = 4 inconsistent with gens (2*norm = 14, card-1 = 4)"),
         (lambda: GorensteinBetti(ms([2] * 5), 6), "theta = 6 inconsistent with gens (2*norm = 20, card-1 = 4)"),
+        (lambda: GorensteinBetti(ms([2] * 5), 5.0), "theta must be an int, got 5.0"),
+        (lambda: GorensteinBetti(ms([1] * 3), True), "theta must be an int, got True"),
     ],
-    ids=["from-gens-count", "from-gens-integrality", "count", "non-integral", "wrong-theta"],
+    ids=["from-gens-count", "from-gens-integrality", "count", "non-integral", "wrong-theta", "float-theta", "bool-theta"],
 )
 def test_gorenstein_betti_validation_messages(build, message):
     with pytest.raises(ValueError) as exc:

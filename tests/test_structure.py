@@ -4,6 +4,7 @@ import pytest
 
 from bettiforge.aci import link_betti
 from bettiforge.exact import Poly, PolyMatrix, parse_matrix
+from bettiforge.gorenstein import theta_of
 from bettiforge.multiset import IntMultiset
 from bettiforge.pfaffian import AlternatingMatrix, random_graded_alternating
 from bettiforge.structure import (
@@ -47,6 +48,29 @@ def test_presentation_validation():
     with pytest.raises(ValueError, match="homogeneous"):
         # theta stays 5 but the per-slot required degrees shift
         AlternatingPresentation(m5, (1, 2, 3), (2, 2, 2, 1, 3))
+    # float twists gave a complex with float twists; bools and strings are no degrees either
+    for twists in ((2.0,) * 5, (2, 2, 2, 2, True), (2, 2, 2, 2, "2")):
+        with pytest.raises(ValueError, match="twists must be ints"):
+            AlternatingPresentation(m5, (1, 2, 3), twists)
+
+
+def test_top_right_block_is_lambda_t_times_beta_adjoint():
+    """The d2 block read from the pfaffian memo equals lambda^T @ adj(beta), computed afresh."""
+    rng = random.Random(97)
+    for size in (5, 7, 9, 11):
+        for _ in range(3):
+            while True:
+                twists = [rng.randint(1, 3) for _ in range(size)]
+                if theta_of(twists) is not None:
+                    break
+            g_rows = tuple(sorted(rng.sample(range(1, size + 1), 3)))
+            pres = AlternatingPresentation(random_graded_alternating(twists, rng), g_rows, tuple(twists))
+            mat, _ = pres.reordered()
+            lam_t = mat.to_poly_matrix().submatrix(tuple(range(3, size)), (0, 1, 2)).transpose()
+            beta_adj = mat.delete((1, 2, 3)).adjoint().to_poly_matrix()
+            want = lam_t @ beta_adj
+            d2 = build_aci_complex(pres).maps[1]
+            assert d2.submatrix((0, 1, 2), tuple(range(3, size))) == want
 
 
 def test_build_5x5_shape():
