@@ -261,19 +261,6 @@ def _stage3_violation(
     return None
 
 
-def _stage3_witness(
-    dvals: Sequence[int], e: Sequence[int], strict: IntMultiset
-) -> str | None:
-    """The failure of :func:`_stage3_violation` as witness text, or None."""
-    hit = _stage3_violation(dvals, e, strict)
-    if hit is None:
-        return None
-    i, s_val = hit
-    if s_val is None:
-        return "({},{},{}) ≱ ({},{},{})".format(*dvals, *e)
-    return f"s={s_val}, i={i}, d_{i}={dvals[i - 1]} not > e_{i}={e[i - 1]}"
-
-
 def check_betti(b: AciBetti) -> Verdict:
     """Decide whether (D, E, F) is admissible for a codimension-3 ACI."""
     dec = decompose(b)
@@ -285,10 +272,16 @@ def check_betti(b: AciBetti) -> Verdict:
     # induced_gorenstein has just admitted beta_g, so mci needs no re-check
     e = mci_from_sorted(beta_g.gens.values(), beta_g.theta)
     strict = dec.s.diff(dec.t) if dec.t else dec.s
-    witness = _stage3_witness(dec.dstar.values(), e, strict)
-    if witness is not None:
-        return Verdict(False, stage=3, witness=witness, beta_g=beta_g, mci=e)
-    return Verdict(True, beta_g=beta_g, mci=e)
+    dvals = dec.dstar.values()
+    hit = _stage3_violation(dvals, e, strict)
+    if hit is None:
+        return Verdict(True, beta_g=beta_g, mci=e)
+    i, s_val = hit
+    if s_val is None:
+        witness = "({},{},{}) ≱ ({},{},{})".format(*dvals, *e)
+    else:
+        witness = f"s={s_val}, i={i}, d_{i}={dvals[i - 1]} not > e_{i}={e[i - 1]}"
+    return Verdict(False, stage=3, witness=witness, beta_g=beta_g, mci=e)
 
 
 # ----------------------------------------------------------------------
@@ -398,29 +391,15 @@ def retained_overlap_cardinalities(s: IntMultiset, theta_g: int) -> frozenset[in
     * 3 via {theta_g/2, alpha, theta_g - alpha}.
     """
     permitted = {0}
-    half_ok = theta_g % 2 == 0 and (theta_g // 2) in s
-    if half_ok:
-        permitted.add(1)
-    pair_ok = False
-    for alpha in s.support():
-        partner = theta_g - alpha
-        if partner == alpha:
-            if s.multiplicity(alpha) >= 2:
-                pair_ok = True
-        elif partner in s:
-            pair_ok = True
-    if pair_ok:
+    pairs = [IntMultiset.from_values([alpha, theta_g - alpha]) for alpha in s.support()]
+    if any(pair.is_submultiset(s) for pair in pairs):
         permitted.add(2)
-    if half_ok and pair_ok:
-        half = theta_g // 2
-        for alpha in s.support():
-            partner = theta_g - alpha
-            need: dict[int, int] = {half: 1}
-            need[alpha] = need.get(alpha, 0) + 1
-            need[partner] = need.get(partner, 0) + 1
-            if all(s.multiplicity(v) >= m for v, m in need.items()):
+    if theta_g % 2 == 0:
+        half = IntMultiset.from_values([theta_g // 2])
+        if half.is_submultiset(s):
+            permitted.add(1)
+            if any(half.sum(pair).is_submultiset(s) for pair in pairs):
                 permitted.add(3)
-                break
     return frozenset(permitted)
 
 

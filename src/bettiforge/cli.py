@@ -13,6 +13,7 @@ order, and JSON keys are sorted.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Sequence
@@ -208,7 +209,9 @@ def cmd_verify_structure(args) -> int:
 # ----------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's argument parser, built once and shared by every later call; callers must not change it."""
     parser = argparse.ArgumentParser(
         prog="bettiforge",
         description="Exact pfaffian algebra and Betti-sequence tools for codimension-3 almost complete intersections.",

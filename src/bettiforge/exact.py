@@ -20,9 +20,13 @@ terms and the products refuse operands whose degrees add up past it, all
 with ValueError.  ``Poly.terms`` is the public view keyed by exponent
 tuples; it is decoded on each access.
 
+Keys are encoded from one table, ``_units(n)``, built once per n: the
+key of each variable alone.  A monomial's key is the sum of its exponents
+times these unit keys.
+
 Text is read and written straight from packed keys.  ``parse_poly`` and
-``parse_matrix`` sum a term's key from a table, built once per variable
-tuple, that holds the key of each variable alone; ``Poly.__str__`` sorts
+``parse_matrix`` sum a term's key from the unit keys, looked up by name
+in a dict built once per variable tuple; ``Poly.__str__`` sorts
 the keys once and, when every exponent is 0 or 1 (as in a generic
 pfaffian), names a monomial by the low byte of each exponent field, so
 neither side loops over all variables in Python for each term.
@@ -47,7 +51,7 @@ import re
 import struct
 from fractions import Fraction
 from itertools import compress, repeat
-from operator import itemgetter, or_
+from operator import itemgetter, mul, or_
 from typing import Callable, Iterable, Iterator, Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -64,19 +68,25 @@ _FIELD = "I"
 
 
 @functools.lru_cache(maxsize=None)
+def _units(n: int) -> tuple[int, ...]:
+    """The key of each variable alone in the n-variable ring: 1 in its field and in the degree field."""
+    top = 1 << (_W * n)
+    return tuple(top | 1 << (_W * (n - 1 - i)) for i in range(n))
+
+
+@functools.lru_cache(maxsize=None)
 def _layout(n: int) -> tuple[Callable[[Sequence[int]], int], Callable[[int], tuple[int, ...]]]:
     """(pack, unpack) between exponent tuples and keys of the n-variable ring.
 
     ``pack`` takes nonnegative exponents of total degree at most
     ``_MAX_DEGREE``; ``unpack`` returns the exponents without the degree.
     """
-    fields = struct.Struct(f">{n + 1}{_FIELD}")
+    units = _units(n)
     exponents = struct.Struct(f">{_W // 8}x{n}{_FIELD}")  # skips the degree field
-    size = fields.size
-    from_bytes = int.from_bytes
+    size = exponents.size
 
     def pack(exp: Sequence[int]) -> int:
-        return from_bytes(fields.pack(sum(exp), *exp), "big")
+        return sum(map(mul, exp, units))
 
     def unpack(key: int) -> tuple[int, ...]:
         return exponents.unpack(key.to_bytes(size, "big"))
@@ -135,7 +145,7 @@ def _coefficient(value) -> Scalar:
         return int(value)
     try:
         c = Fraction(value)
-    except (TypeError, ZeroDivisionError) as exc:
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"coefficient must be an integer or a rational, got {value!r}") from exc
     return c.numerator if c.denominator == 1 else c
 
@@ -226,10 +236,7 @@ class Poly:
     @classmethod
     def variable(cls, name: str, names: Sequence[str]) -> "Poly":
         names = tuple(names)
-        idx = names.index(name)
-        exp = [0] * len(names)
-        exp[idx] = 1
-        return cls(names, {tuple(exp): 1})
+        return cls._trusted(names, {_units(len(names))[names.index(name)]: 1})
 
     # ------------------------------------------------------------------
     # queries
@@ -506,9 +513,7 @@ def _steps(names: tuple[str, ...]) -> dict[str, int]:
     into v's exponent field and into the degree field.  The dict is
     shared by every caller and must not be changed.
     """
-    n = len(names)
-    top = 1 << (_W * n)
-    return {name: top | 1 << (_W * (n - 1 - i)) for i, name in enumerate(names)}
+    return dict(zip(names, _units(len(names))))
 
 
 def parse_poly(text: str, names: Sequence[str] | None = None) -> Poly:

@@ -284,7 +284,8 @@ def koszul_modules(degrees: Sequence[int]) -> list[IntMultiset]:
     """
     counts: list[dict[int, int]] = [{0: 1}]  # counts[k][s]: k-subsets summing to s
     for deg in degrees:
-        deg = int(deg)
+        if type(deg) is not int:
+            raise ValueError(f"degrees must be ints, got {deg!r}")
         counts.append({})
         for k in range(len(counts) - 1, 0, -1):
             row = counts[k]

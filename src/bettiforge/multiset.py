@@ -22,6 +22,8 @@ class IntMultiset:
     def __post_init__(self) -> None:
         prev = None
         for value, mult in self.entries:
+            if type(value) is not int:
+                raise ValueError(f"multiset values must be ints, got {value!r}")
             if mult < 1:
                 raise ValueError(f"multiplicity of {value} must be positive, got {mult}")
             if prev is not None and value <= prev:
@@ -34,8 +36,11 @@ class IntMultiset:
 
     @classmethod
     def from_values(cls, values: Iterable[int]) -> "IntMultiset":
-        """Run-length encoding of the sorted values."""
-        vals = sorted(map(int, values))
+        """Run-length encoding of the sorted values; each must be a non-bool ``int``, else ValueError."""
+        vals = list(values)
+        if not {int}.issuperset(map(type, vals)):
+            raise ValueError(f"multiset values must be ints, got {vals!r}")
+        vals.sort()
         if not vals:
             return cls(())
         runs = []

@@ -31,7 +31,7 @@ from __future__ import annotations
 import random
 from typing import Iterable, Sequence
 
-from .exact import Poly, PolyMatrix, Scalar, _sum_of_products, monomials
+from .exact import Poly, PolyMatrix, Scalar, _sum_of_products, monomials, variables
 from .gorenstein import theta_of
 
 
@@ -102,13 +102,9 @@ class AlternatingMatrix:
     @classmethod
     def generic(cls, size: int, prefix: str = "a") -> "AlternatingMatrix":
         """Fully symbolic matrix with a distinct variable per upper entry."""
-        names = tuple(f"{prefix}{i}{j}" for i in range(1, size + 1) for j in range(i + 1, size + 1))
-        upper = {
-            (i, j): Poly.variable(f"{prefix}{i}{j}", names)
-            for i in range(1, size + 1)
-            for j in range(i + 1, size + 1)
-        }
-        return cls.from_upper(size, upper)
+        slots = [(i, j) for i in range(1, size + 1) for j in range(i + 1, size + 1)]
+        names = [f"{prefix}{i}{j}" for i, j in slots]
+        return cls.from_upper(size, dict(zip(slots, variables(names))))
 
     @classmethod
     def random_integer(cls, size: int, rng: random.Random) -> "AlternatingMatrix":
@@ -397,9 +393,6 @@ def random_graded_alternating(
             d = theta - twists[i - 1] - twists[j - 1]
             if d < 0:
                 continue
-            acc = Poly.zero(names)
-            for mono in monomials(names, d):
-                c = rng.randint(1, 4) * rng.choice((1, -1))
-                acc = acc + c * mono
-            upper[(i, j)] = acc
+            pairs = [(Poly.const(rng.randint(1, 4) * rng.choice((1, -1))), mono) for mono in monomials(names, d)]
+            upper[(i, j)] = _sum_of_products(pairs, names)
     return AlternatingMatrix.from_upper(size, upper)

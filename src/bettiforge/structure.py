@@ -161,9 +161,6 @@ def build_aci_complex(pres: AlternatingPresentation) -> GradedComplex:
             value = mat.pfaffian([g] + [r for r in f_rows if r != f])
             row.append(-value if f % 2 == 0 else value)
         top_right.append(row)
-    beta = mat.delete((1, 2, 3))
-    # lambda is the F x G lower-left block; the upper-right block is -lambda^T
-    lam_t = mat.to_poly_matrix().submatrix(tuple(range(3, m)), (0, 1, 2)).transpose()
 
     d1 = PolyMatrix([list(p123) + [p]])
     d2_rows = [
@@ -172,9 +169,10 @@ def build_aci_complex(pres: AlternatingPresentation) -> GradedComplex:
     ]
     d2_rows.append([-q for q in p123] + [-q for q in sigma])
     d2 = PolyMatrix(d2_rows)
+    lower = mat.entries[3:]  # the F rows: lambda in the G columns, beta in the F columns
     d3 = PolyMatrix(
-        [list(lam_t.row(i)) for i in range(3)]
-        + [[-e for e in row] for row in beta.entries]
+        [[row[g] for row in lower] for g in range(3)]
+        + [[-e for e in row[3:]] for row in lower]
     )
 
     modules = (

@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import random
+from itertools import combinations
 
 import pytest
 
@@ -346,6 +347,21 @@ def test_overlap_even_theta():
     assert retained_overlap_cardinalities(ms([5, 5, 5]), 10) == frozenset({0, 1, 2, 3})
 
 
+def test_overlap_cardinalities_are_the_self_dual_submultisets():
+    """Brute force: the sizes k <= 3 of the submultisets R of S with theta_g - R = R."""
+    rng = random.Random(29)
+    for _ in range(3000):
+        s = ms([rng.randint(-2, 12) for _ in range(rng.randint(0, 6))])
+        theta_g = rng.randint(-2, 24)
+        expected = {
+            k
+            for k in range(4)
+            for r in combinations(s.values(), k)
+            if ms(r).affine(theta_g, -1) == ms(r)
+        }
+        assert retained_overlap_cardinalities(s, theta_g) == expected, (s, theta_g)
+
+
 # ----------------------------------------------------------------------
 # enumeration
 # ----------------------------------------------------------------------
@@ -586,7 +602,7 @@ def test_pruned_f_search_equals_filtered_full_search():
                 g0 = sorted([theta_z - x for x in f] + w.tail)
                 if gaeta_diesel_violation(g0, theta_g) is not None:
                     continue
-                if aci._stage3_witness(dstar, mci_from_sorted(g0, theta_g), w.strict) is None:
+                if aci._stage3_violation(dstar, mci_from_sorted(g0, theta_g), w.strict) is None:
                     expected.append(f)
             assert list(aci._admissible_f_tuples(dvals, w)) == expected, (dvals, w)
             windows += 1

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import io
 import json
@@ -216,6 +217,38 @@ def test_pfaffian_coefficients_are_ascii(entry, negated, printed, capsys):
         assert code == 2 and out == "" and "ASCII" in err
     else:
         assert code == 0 and json.loads(out)["pfaffian"] == printed
+
+
+def test_pfaffian_coefficient_text_error_exits_2(capsys):
+    code, out, err = run_cli(["pfaffian", "-"], json.dumps([[0, "1e-5*x"], ["-1e-5*x", 0]]), capsys)
+    assert code == 2 and out == ""
+    assert "coefficient must be an integer or a rational" in err and "Invalid literal" not in err
+
+
+def test_commands_in_one_process_share_one_parser(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    matrix = json.dumps([[0, "x", "y"], ["-x", 0, "z"], ["-y", "-z", 0]])
+    calls = [
+        (["check", "--explain", "-"], EX_REJECTED),
+        (["pfaffian", "-"], matrix),
+        (["check", "-"], EX_REJECTED),
+        (["pfaffian", "-"], matrix),
+    ]
+    results = [run_cli(calls[0][0], calls[0][1], capsys)]
+    after_first = len(built)
+    results += [run_cli(argv, stdin_text, capsys) for argv, stdin_text in calls[1:]]
+    assert len(built) == after_first  # no parser was built after the first call
+    assert [r[0] for r in results] == [1, 0, 1, 0]
+    assert results[0][1] == results[2][1] and results[1][1] == results[3][1]
+    # --explain does not carry over to the next call
+    assert "rejected at stage" in results[0][2] and results[2][2] == ""
 
 
 def test_pfaffian_rejects_degrees_above_cap(capsys):

@@ -11,6 +11,7 @@ from bettiforge.exact import (
     PolyMatrix,
     _coefficient,
     _layout,
+    _steps,
     _sum_of_products,
     binomial,
     monomials,
@@ -194,6 +195,15 @@ def test_coefficient_boundary_rejects_float_and_bool():
     assert type(Poly.const(Fraction(4, 2)).constant_value()) is int
 
 
+def test_coefficient_text_errors_name_the_grammar():
+    # the sign of a scientific exponent splits the term, so "1e" is read as a coefficient
+    for text in ("1e-5*x", "1e+5*x", "2e*x", "1/2/3*x"):
+        with pytest.raises(ValueError, match="coefficient must be an integer or a rational") as info:
+            parse_poly(text, ("x",))
+        assert "Invalid literal" not in str(info.value)
+    assert parse_poly("1e5*x", ("x",)) == 100000 * variables("x")[0]
+
+
 @pytest.mark.parametrize("e", [2.5, True, "3"], ids=["float", "bool", "string"])
 def test_exponents_must_be_plain_ints(e):
     with pytest.raises(ValueError, match="exponents must be ints"):
@@ -348,6 +358,13 @@ def test_packed_keys_round_trip():
                 want |= e << (_W * (n - 1 - i))
             assert key == want
         assert pack((0,) * n) == 0
+        # the parser's name table and Poly.variable give each variable alone the same layout
+        names = tuple(f"v{i}" for i in range(n))
+        for i, name in enumerate(names):
+            want = 1 << (_W * n) | 1 << (_W * (n - 1 - i))
+            assert _steps(names)[name] == want
+            assert Poly.variable(name, names)._terms == {want: 1}
+            assert Poly.variable(name, names) == Poly(names, {tuple(int(j == i) for j in range(n)): 1})
 
 
 def test_packed_key_order_is_graded_lex():

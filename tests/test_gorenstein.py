@@ -242,6 +242,9 @@ def test_koszul_modules_equal_subset_sums():
             ms(sum(c) for c in combinations(degrees, k)) for k in range(1, len(degrees) + 1)
         ]
         assert koszul_modules(degrees) == expected, degrees
+    for bad in (2.7, True, "3"):
+        with pytest.raises(ValueError, match="must be ints"):
+            koszul_modules([1, bad])
 
 
 def test_hilbert_rejects_non_artinian():

@@ -37,8 +37,12 @@ def test_from_values_matches_dict_count():
         m = ms(values)
         assert m.entries == tuple(sorted(counts.items()))
         assert type(m) is IntMultiset and m.card() == len(values)
-    # values pass through int()
-    assert ms((True, 2.0, -1)).entries == ((-1, 1), (1, 1), (2, 1))
+    # values must be non-bool ints: none is truncated or converted
+    for bad in ((True,), (2.0,), ("3",), (1, "3", 2.7), (1, True), (2, 2.0)):
+        with pytest.raises(ValueError, match="must be ints"):
+            ms(bad)
+    with pytest.raises(ValueError, match="must be ints"):
+        IntMultiset(((2.5, 1),))
 
 
 def test_algebra_results_are_valid_multisets():

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -449,3 +450,41 @@ def test_graded_random_generator():
             e = g.entry(i, j)
             if not e.is_zero:
                 assert e.homogeneous_degree() == theta - [2, 2, 2, 3, 3][i - 1] - [2, 2, 2, 3, 3][j - 1]
+
+
+# md5 of str() of each generic matrix, and of seeded graded matrices with the
+# next draw of their generator: a rewrite of either construction must keep
+# every entry, and draw the same random numbers in the same order
+GENERIC_MD5 = {
+    2: "db15c3e1ceb2f558353d0dad888c7e9b",
+    3: "df16cefe680e64c7f8344626bf5fbc14",
+    4: "d0992baf5b15a390f7921b22af62de2d",
+    5: "250779c4619d590009cbdffc798ace00",
+    6: "467f8ddcac1fb7449e430e36428a1924",
+    7: "31f4cbfcd98aba2f9b9a37813b0c3880",
+    8: "661ed38f1cbaa3db6d180737f5638c00",
+}
+
+
+def test_generic_matrices_are_pinned():
+    for size, md5 in GENERIC_MD5.items():
+        m = AlternatingMatrix.generic(size)
+        assert hashlib.md5(str(m).encode()).hexdigest() == md5, size
+        assert len(m.names) == size * (size - 1) // 2
+
+
+@pytest.mark.parametrize(
+    "seed, twists, md5, next_draw",
+    [
+        (0, (2, 2, 2, 2, 2), "f1ab4faf863cb7ee3b34faf36ec8ea98", 0.290329502402758),
+        (7, (2, 2, 2, 3, 3), "c1ac31980ae15bd9a1f0ed6df995cde3", 0.6970420678269282),
+        (11, (1, 1, 2, 2, 2, 2, 2), "6ee613f706b34be9d8fe60af5b83f8a2", 0.9958357204077907),
+    ],
+)
+def test_random_graded_alternating_is_pinned(seed, twists, md5, next_draw):
+    from bettiforge.pfaffian import random_graded_alternating
+
+    rng = random.Random(seed)
+    m = random_graded_alternating(twists, rng)
+    assert hashlib.md5(str(m).encode()).hexdigest() == md5
+    assert rng.random() == next_draw
