@@ -19,7 +19,7 @@ import sys
 from typing import Sequence
 
 from .aci import AciBetti, check_betti, enumerate_admissible, link_betti, worker_count
-from .exact import _NAME_RE, parse_matrix
+from .exact import _DIGITS_RE, _NAME_RE, parse_matrix
 from .gorenstein import (
     GorensteinBetti,
     check_gorenstein_betti,
@@ -190,10 +190,10 @@ def cmd_verify_structure(args) -> int:
         raise InputError('structure verification needs "twists" in the matrix file')
     if not _is_int_array(twists):
         raise InputError('"twists" must be a JSON array of integers')
-    try:
-        g_rows = tuple(int(x) for x in args.g_rows.split(","))
-    except ValueError as exc:
-        raise InputError(f"--g-rows must be comma-separated integers: {exc}") from exc
+    fields = [field.strip(" ") for field in args.g_rows.split(",")]  # ASCII spaces around a row may stay
+    if not all(map(_DIGITS_RE.fullmatch, fields)):
+        raise InputError(f"--g-rows must be comma-separated ASCII digits, got {args.g_rows!r}")
+    g_rows = tuple(map(int, fields))
     if len(g_rows) != 3:
         raise InputError("--g-rows needs exactly three row indices")
     complex_ = build_aci_complex(AlternatingPresentation(matrix, g_rows, tuple(twists)))

@@ -36,11 +36,11 @@ CLI accepts at most 13 rows), so cofactor expansion with memoization is
 enough for symbolic determinants and fraction-free Bareiss elimination
 covers the constant case.
 
-Expansions that add up many products (the cofactor determinant here and
-the pfaffian row expansion) go through one private kernel,
-``_sum_of_products``: it adds every term product of sum(a_k * b_k)
-straight into one dict instead of building a polynomial per product and
-per partial sum.  Matrix products still use the ``Poly`` operators.
+Sums of many products (each entry of a matrix product, the cofactor
+determinant here and the pfaffian row expansion) go through one private
+kernel, ``_sum_of_products``: it adds every term product of
+sum(a_k * b_k) straight into one dict instead of building a polynomial
+per product and per partial sum.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ from typing import Callable, Iterable, Iterator, Sequence, Union
 
 Scalar = Union[int, Fraction]
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_EXPONENT_RE = re.compile(r"[0-9]+")
+_DIGITS_RE = re.compile(r"[0-9]+")
 _SIGN_RE = re.compile(r"([+-])")
 
 # Bits per field of a packed monomial key, and the largest total degree a
@@ -430,28 +430,31 @@ def _sum_of_products(pairs: Sequence[tuple[Poly, Poly]], names: tuple[str, ...] 
     """``Poly.zero(names) + a1*b1 + a2*b2 + ...`` over the (a, b) pairs, in one dict.
 
     Every term product is added straight into the result, with no
-    intermediate polynomial per product or per partial sum.  Variable
-    tuples align as in ``Poly._aligned``: operands with variables must
-    all have the same tuple (or ``names``, when given), and nameless
-    operands are constants that take it on; otherwise ValueError.  A pair
-    whose degrees add up past ``_MAX_DEGREE`` raises ValueError, as in
-    ``Poly.__mul__``.  Coefficients stay int-first and zero coefficients
-    are dropped.
+    intermediate polynomial per product or per partial sum; the operand
+    with fewer terms runs in the outer loop.  Each pair gets the checks of
+    the operators, in their order and with their ValueError messages:
+    variable tuples agree (a nameless operand is a constant that takes on
+    any tuple), and degrees add up to at most ``_MAX_DEGREE``.
+    Coefficients stay int-first and zero coefficients are dropped.
     """
-    for a, b in pairs:
-        for p in (a, b):
-            if p.names != names and p.names:
-                if names:
-                    raise ValueError(f"variable sets differ: {names} vs {p.names}")
-                names = p.names
-    shift = _W * len(names)
     terms: dict[int, Scalar] = {}
     get = terms.get
     for a, b in pairs:
+        # operands of one ring share its tuple, so "is" settles most checks
+        ring = a.names or b.names
+        if b.names is not ring and b.names and b.names != ring:
+            raise ValueError(f"variable sets differ: {ring} vs {b.names}")
         a_terms, b_terms = a._terms, b._terms
+        if a_terms and b_terms:
+            _check_product_degree(a_terms, b_terms, _W * len(ring))
+        if ring is not names and ring and ring != names:
+            if names:
+                raise ValueError(f"variable sets differ: {names} vs {ring}")
+            names = ring
         if not a_terms or not b_terms:
             continue
-        _check_product_degree(a_terms, b_terms, shift)
+        if len(a_terms) > len(b_terms):
+            a_terms, b_terms = b_terms, a_terms
         b_items = b_terms.items()
         for ka, ca in a_terms.items():
             for kb, cb in b_items:
@@ -562,7 +565,7 @@ def _parse(text: str, names: tuple[str, ...], steps: dict[str, int]) -> Poly:
                 continue
             if "^" in factor:
                 base, _, power = factor.partition("^")
-                if not _EXPONENT_RE.fullmatch(power):
+                if not _DIGITS_RE.fullmatch(power):
                     raise ValueError(f"exponent of {base!r} must be ASCII digits, got {power!r}")
                 k = int(power)
             else:
@@ -672,20 +675,14 @@ class PolyMatrix:
             raise ValueError(
                 f"dimension mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}"
             )
-        out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc = Poly.zero()
-                for k in range(self.cols):
-                    a = self.entries[i][k]
-                    b = other.entries[k][j]
-                    if a.is_zero or b.is_zero:
-                        continue
-                    acc = acc + a * b
-                row.append(acc)
-            out.append(row)
-        return PolyMatrix(out)
+        # entry (i, j) sums over the k where row i and column j are both nonzero
+        columns = tuple(zip(*other.entries))
+        return PolyMatrix(
+            [
+                [_sum_of_products([(a, b) for a, b in zip(row, col) if a._terms and b._terms]) for col in columns]
+                for row in self.entries
+            ]
+        )
 
     def transpose(self) -> "PolyMatrix":
         return PolyMatrix(

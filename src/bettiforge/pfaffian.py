@@ -379,7 +379,9 @@ def random_graded_alternating(
     zero.  Coefficients are drawn from +-1..4, avoiding 0 so the matrix
     stays generic.
     """
-    twists = tuple(int(t) for t in twists)
+    twists = tuple(twists)
+    if any(isinstance(t, bool) or not isinstance(t, int) for t in twists):
+        raise ValueError(f"twists must be ints, got {twists}")
     size = len(twists)
     if size < 2:
         raise ValueError("need at least two rows")

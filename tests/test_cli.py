@@ -419,6 +419,24 @@ def test_verify_structure_rejects_non_integer_twists(twists, capsys):
 
 
 @pytest.mark.parametrize(
+    "g_rows",
+    ["\u0663,1,2", "0_3,1,2", "1_0,2,3", "\uff11,2,3", "1,2,+3", "1,2,\t3", "1,2,3\n"],
+    ids=["arabic-indic", "underscore", "underscore-ten", "fullwidth", "plus", "tab", "newline"],
+)
+def test_verify_structure_g_rows_are_ascii_digits(g_rows, capsys):
+    payload = json.dumps(_presentation_payload())
+    code, out, err = run_cli(["verify-structure", "--matrix", "-", "--g-rows", g_rows], payload, capsys)
+    assert code == 2 and out == "" and "--g-rows" in err
+
+
+def test_verify_structure_g_rows_may_have_spaces(capsys):
+    payload = json.dumps(_presentation_payload())
+    plain = run_cli(["verify-structure", "--matrix", "-", "--g-rows", "1,2,3"], payload, capsys)
+    spaced = run_cli(["verify-structure", "--matrix", "-", "--g-rows", " 1 ,2,  3"], payload, capsys)
+    assert plain[0] == 0 and spaced == plain
+
+
+@pytest.mark.parametrize(
     "variables",
     [5, "x", ["x", "x"], ["x", 1], ["x", "1y"], ["x", "a b"]],
     ids=["number", "string", "repeated", "non-string", "leading-digit", "space"],

@@ -10,6 +10,7 @@ from bettiforge.exact import (
     Poly,
     PolyMatrix,
     _coefficient,
+    _has_fraction,
     _layout,
     _steps,
     _sum_of_products,
@@ -284,6 +285,127 @@ def test_matmul_dimension_mismatch():
     a = PolyMatrix([[1, 2]])
     with pytest.raises(ValueError):
         a @ a
+
+
+def _operator_matmul(a, b):
+    """The matrix product folded through the Poly operators entry by entry; the reference for ``@``."""
+    if a.cols != b.rows:
+        raise ValueError(f"dimension mismatch: {a.rows}x{a.cols} @ {b.rows}x{b.cols}")
+    out = []
+    for i in range(a.rows):
+        row = []
+        for j in range(b.cols):
+            acc = Poly.zero()
+            for k in range(a.cols):
+                x, y = a.entries[i][k], b.entries[k][j]
+                if x.is_zero or y.is_zero:
+                    continue
+                acc = acc + x * y
+            row.append(acc)
+        out.append(row)
+    return PolyMatrix(out)
+
+
+def _matmul_outcome(product, a, b):
+    """The shape, then the names and typed packed terms of every entry; or the ValueError message."""
+    try:
+        m = product(a, b)
+    except ValueError as exc:
+        return "error", str(exc)
+    entries = [[(e.names, {k: (type(c), c) for k, c in e._terms.items()}) for e in row] for row in m.entries]
+    return (m.rows, m.cols), entries
+
+
+def test_matmul_matches_operator_fold():
+    rng = random.Random(71)
+    names = ("x", "y")
+
+    def entry():
+        kind = rng.randrange(6)
+        if kind == 0:
+            return Poly.zero(rng.choice(((), names)))
+        if kind == 1:  # a nameless constant
+            return Poly.const(rng.choice((rng.randint(-3, 3), Fraction(rng.randint(-3, 3), 2))))
+        terms = {}
+        for _ in range(rng.randint(1, 4)):
+            exp = (rng.randint(0, 2), rng.randint(0, 2))
+            # halves and thirds that often add up to integers
+            terms[exp] = rng.choice((rng.randint(-3, 3), Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3)))))
+        return Poly(names, terms)
+
+    def matrix(rows, cols):
+        return PolyMatrix([[entry() for _ in range(cols)] for _ in range(rows)])
+
+    zero = Poly.zero()
+    seen = {"zero entry": 0, "fraction": 0, "nameless": 0}
+    for _ in range(300):
+        n, k, m = rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 4)
+        a, b = matrix(n, k), matrix(k, m)
+        if rng.random() < 0.3:  # an all-zero row of a and column of b
+            i, j = rng.randrange(n), rng.randrange(m)
+            a = PolyMatrix([[zero] * k if r == i else row for r, row in enumerate(a.entries)])
+            b = PolyMatrix([[zero if c == j else e for c, e in enumerate(row)] for row in b.entries])
+        want = _matmul_outcome(_operator_matmul, a, b)
+        assert _matmul_outcome(PolyMatrix.__matmul__, a, b) == want
+        for row in (a @ b).entries:
+            for e in row:
+                _assert_int_first(e)
+                seen["zero entry"] += e.is_zero
+                seen["fraction"] += _has_fraction(e._terms)
+                seen["nameless"] += not e.names
+    assert all(seen.values()), seen
+
+    # empty products: no columns to sum over, or no rows at all
+    for a, b in ((PolyMatrix([[], []]), PolyMatrix([])), (PolyMatrix([]), PolyMatrix([]))):
+        assert _matmul_outcome(PolyMatrix.__matmul__, a, b) == _matmul_outcome(_operator_matmul, a, b)
+
+    # products that cancel to zero: the alternating matrix of (p, q, r) kills that column
+    x, y = variables(names)
+    p, q, r = Fraction(1, 2) * x, y + Fraction(1, 3), 3 * x * y
+    skew = PolyMatrix([[zero, r, -q], [-r, zero, p], [q, -p, zero]])
+    column = PolyMatrix([[p], [q], [r]])
+    assert _matmul_outcome(PolyMatrix.__matmul__, skew, column) == _matmul_outcome(_operator_matmul, skew, column)
+    got = skew @ column
+    assert all(e.is_zero and e.names == names for (e,) in got.entries)
+
+
+def test_matmul_errors_match_operator_fold():
+    rng = random.Random(73)
+    rings = ((), ("x", "y"), ("z",))
+    half = 2 ** (_W - 1)
+
+    def entry():
+        ring = rng.choice(rings)
+        kind = rng.randrange(5)
+        if kind == 0:
+            return Poly.zero(ring)
+        if kind == 1 and ring:  # half the degree cap: the square of it is above the cap
+            return Poly(ring, {(half,) + (0,) * (len(ring) - 1): 1})
+        return Poly(ring, {(rng.randint(0, 2),) * len(ring): rng.randint(1, 3)})
+
+    messages = {"variable sets differ": 0, "above the cap": 0, "dimension mismatch": 0, "ok": 0}
+    for _ in range(400):
+        n, k, m = rng.randint(1, 3), rng.randint(1, 3), rng.randint(1, 3)
+        k2 = k if rng.random() < 0.9 else k + 1
+        a = PolyMatrix([[entry() for _ in range(k)] for _ in range(n)])
+        b = PolyMatrix([[entry() for _ in range(m)] for _ in range(k2)])
+        want = _matmul_outcome(_operator_matmul, a, b)
+        assert _matmul_outcome(PolyMatrix.__matmul__, a, b) == want
+        kind = next((key for key in messages if key in want[1]), "ok") if want[0] == "error" else "ok"
+        messages[kind] += 1
+    assert all(messages.values()), messages
+
+    # a pair's degrees are checked before the sum's variable set, then the next pair
+    x = Poly.variable("x", ("x", "y"))
+    big = Poly(("z",), {(half,): 1})
+    cases = (
+        (PolyMatrix([[x, big]]), PolyMatrix([[x], [big]]), f"product degree {2 * half} is above the cap {_MAX_DEGREE}"),
+        (PolyMatrix([[big, x]]), PolyMatrix([[x], [x]]), "variable sets differ: ('z',) vs ('x', 'y')"),
+        (PolyMatrix([[x, big, big]]), PolyMatrix([[x], [x], [big]]), "variable sets differ: ('z',) vs ('x', 'y')"),
+    )
+    for a, b, message in cases:
+        assert _matmul_outcome(_operator_matmul, a, b) == ("error", message)
+        assert _matmul_outcome(PolyMatrix.__matmul__, a, b) == ("error", message)
 
 
 def test_bareiss_matches_cofactor():

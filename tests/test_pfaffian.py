@@ -488,3 +488,11 @@ def test_random_graded_alternating_is_pinned(seed, twists, md5, next_draw):
     m = random_graded_alternating(twists, rng)
     assert hashlib.md5(str(m).encode()).hexdigest() == md5
     assert rng.random() == next_draw
+
+
+@pytest.mark.parametrize("bad", [2.5, True, "3"], ids=["float", "bool", "string"])
+def test_random_graded_alternating_rejects_non_int_twists(bad):
+    from bettiforge.pfaffian import random_graded_alternating
+
+    with pytest.raises(ValueError, match="twists must be ints"):
+        random_graded_alternating((bad, 2, 2, 2, 2), random.Random(0))
