@@ -32,6 +32,7 @@ from .gorenstein import (
     gaeta_diesel_violation,
     mci,  # noqa: F401 -- unused here; kept in the namespace, where tracing tools look it up
     mci_from_sorted,
+    theta_of,
 )
 from .multiset import IntMultiset
 
@@ -106,10 +107,17 @@ class AciDecomposition:
     d: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AciTypeFailure:
     clause: int  # 2 or 3, matching the decomposition conditions
-    reason: str
+    runs: tuple  # (missing,) or (Ehat, expected) as sorted (value, multiplicity) runs; read by reason
+
+    @property
+    def reason(self) -> str:
+        runs = map(IntMultiset, self.runs)
+        if self.clause == 2:
+            return "(d - F) is not a submultiset of E: missing {}".format(*runs)
+        return "Ehat = {} differs from (d0 + Dbar) + (theta_z - S) = {}".format(*runs)
 
 
 def _t_values(theta_g: int, s: Container[int], f_card: int, dbar_card: int) -> list[int]:
@@ -133,8 +141,8 @@ def decompose(b: AciBetti) -> AciDecomposition | AciTypeFailure:
 
     The work runs on value -> multiplicity dicts taken from the sorted
     ``entries``; deleting keys keeps a dict's order, so each dict built
-    in ascending order stays sorted.  Multisets are built only for the
-    returned fields and the failure witnesses.
+    in ascending order stays sorted.  Multisets are built only for a
+    returned decomposition; a failure keeps the raw runs it reports.
     """
     d_norm = b.d.norm()
     ehat = dict(b.e.entries)  # E minus (d - F), once every d - f is removed
@@ -149,9 +157,7 @@ def decompose(b: AciBetti) -> AciDecomposition | AciTypeFailure:
         else:
             missing.append((w, -left))
     if missing:
-        return AciTypeFailure(
-            2, f"(d - F) is not a submultiset of E: missing {IntMultiset(tuple(missing))}"
-        )
+        return AciTypeFailure(2, (tuple(missing),))
     dstar = dict(b.d.entries)
     d0 = b.d.entries[0][0]
     if dstar[d0] == 1:
@@ -171,11 +177,7 @@ def decompose(b: AciBetti) -> AciDecomposition | AciTypeFailure:
     for v, m in s.items():
         expected[theta_z - v] = expected.get(theta_z - v, 0) + m
     if ehat != expected:
-        return AciTypeFailure(
-            3,
-            f"Ehat = {IntMultiset(tuple(ehat.items()))} differs from "
-            f"(d0 + Dbar) + (theta_z - S) = {IntMultiset(tuple(sorted(expected.items())))}",
-        )
+        return AciTypeFailure(3, (tuple(ehat.items()), tuple(sorted(expected.items()))))
     theta_g = theta_z - d0
     return AciDecomposition(
         d0=d0,
@@ -190,44 +192,63 @@ def decompose(b: AciBetti) -> AciDecomposition | AciTypeFailure:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GorensteinFailure:
     kind: str  # "parity" | "gaeta_diesel" | "socle"
-    reason: str
+    g0: tuple[int, ...]  # sorted; reason reruns the failed check on it
+    theta_g: int
+
+    @property
+    def reason(self) -> str:
+        g0 = IntMultiset.from_values(self.g0)
+        if self.kind == "parity":
+            return f"induced generator multiset {g0} has even cardinality {len(self.g0)}"
+        verdict = check_gorenstein_betti(g0)
+        if self.kind == "gaeta_diesel":
+            return f"G0 = {g0}: {verdict.reason}"
+        return f"G0 = {g0} has socle-syzygy degree {verdict.theta}, expected {self.theta_g}"
 
 
 def induced_gorenstein(
     dec: AciDecomposition, f: IntMultiset
 ) -> GorensteinBetti | GorensteinFailure:
     """Gorenstein generator data induced by linkage: G0 = (theta_z - F) + Dbar + T."""
-    values = [dec.theta_z - v for v in f.values()]
-    values += dec.dbar.values()
-    values += dec.t.values()
-    g0 = IntMultiset.from_values(values)
-    if len(values) % 2 == 0:
-        return GorensteinFailure(
-            "parity", f"induced generator multiset {g0} has even cardinality {len(values)}"
-        )
-    verdict = check_gorenstein_betti(g0)
-    if not verdict.admissible:
-        return GorensteinFailure("gaeta_diesel", f"G0 = {g0}: {verdict.reason}")
-    if verdict.theta != dec.theta_g:
-        return GorensteinFailure(
-            "socle",
-            f"G0 = {g0} has socle-syzygy degree {verdict.theta}, expected {dec.theta_g}",
-        )
-    return GorensteinBetti(g0, dec.theta_g)
+    h = [dec.theta_z - v for v in f.values()]
+    h += dec.dbar.values()
+    h += dec.t.values()
+    h.sort()
+    if len(h) % 2 == 0:
+        return GorensteinFailure("parity", tuple(h), dec.theta_g)
+    theta = theta_of(h)  # the checks of check_gorenstein_betti, which words the reason
+    if h[0] < 1 or theta is None or gaeta_diesel_violation(h, theta) is not None:
+        return GorensteinFailure("gaeta_diesel", tuple(h), dec.theta_g)
+    if theta != dec.theta_g:
+        return GorensteinFailure("socle", tuple(h), dec.theta_g)
+    return GorensteinBetti(IntMultiset.from_values(h), dec.theta_g)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Verdict:
-    """Outcome of the three-stage admissibility test."""
+    """Outcome of the three-stage admissibility test; ``witness`` is formatted when read."""
 
     admissible: bool
     stage: int | None = None
-    witness: str | None = None
+    failure: AciTypeFailure | GorensteinFailure | tuple | None = None  # stage 3: (i, s, (d_1, d_2, d_3))
     beta_g: GorensteinBetti | None = None
     mci: tuple[int, int, int] | None = None
+
+    @property
+    def witness(self) -> str | None:
+        if self.stage == 1:
+            return self.failure.reason
+        if self.stage == 2:
+            return f"{self.failure.kind}: {self.failure.reason}"
+        if self.stage is None:
+            return None
+        (i, s_val, dvals), e = self.failure, self.mci
+        if s_val is None:
+            return "({},{},{}) ≱ ({},{},{})".format(*dvals, *e)
+        return f"s={s_val}, i={i}, d_{i}={dvals[i - 1]} not > e_{i}={e[i - 1]}"
 
     def to_json(self) -> dict:
         return {
@@ -265,10 +286,10 @@ def check_betti(b: AciBetti) -> Verdict:
     """Decide whether (D, E, F) is admissible for a codimension-3 ACI."""
     dec = decompose(b)
     if isinstance(dec, AciTypeFailure):
-        return Verdict(False, stage=1, witness=dec.reason)
+        return Verdict(False, stage=1, failure=dec)
     beta_g = induced_gorenstein(dec, b.f)
     if isinstance(beta_g, GorensteinFailure):
-        return Verdict(False, stage=2, witness=f"{beta_g.kind}: {beta_g.reason}")
+        return Verdict(False, stage=2, failure=beta_g)
     # induced_gorenstein has just admitted beta_g, so mci needs no re-check
     e = mci_from_sorted(beta_g.gens.values(), beta_g.theta)
     strict = dec.s.diff(dec.t) if dec.t else dec.s
@@ -276,12 +297,7 @@ def check_betti(b: AciBetti) -> Verdict:
     hit = _stage3_violation(dvals, e, strict)
     if hit is None:
         return Verdict(True, beta_g=beta_g, mci=e)
-    i, s_val = hit
-    if s_val is None:
-        witness = "({},{},{}) ≱ ({},{},{})".format(*dvals, *e)
-    else:
-        witness = f"s={s_val}, i={i}, d_{i}={dvals[i - 1]} not > e_{i}={e[i - 1]}"
-    return Verdict(False, stage=3, witness=witness, beta_g=beta_g, mci=e)
+    return Verdict(False, stage=3, failure=(*hit, tuple(dvals)), beta_g=beta_g, mci=e)
 
 
 # ----------------------------------------------------------------------

@@ -68,6 +68,13 @@ def _parse_int_list(text: str) -> list[int]:
     return data
 
 
+def _int_option(text: str) -> int:
+    """The ``type`` of every integer option: ASCII digits after an optional '-', nothing else."""
+    if not _DIGITS_RE.fullmatch(text.removeprefix("-")):
+        raise argparse.ArgumentTypeError(f"expected an integer in ASCII digits, got {text!r}")
+    return int(text)
+
+
 def _emit(data) -> None:
     print(json.dumps(data, sort_keys=True))
 
@@ -234,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("hilbert", help="Hilbert function of a graded free resolution")
     p.add_argument("--resolution", help="JSON array of twist arrays [M1, M2, ...]")
     p.add_argument("--ci", help="JSON array of complete-intersection degrees")
-    p.add_argument("--nvars", type=int, default=3, help="number of variables (default 3)")
+    p.add_argument("--nvars", type=_int_option, default=3, help="number of variables (default 3)")
     p.set_defaults(func=cmd_hilbert)
 
     p = sub.add_parser("pfaffian", help="pfaffian (even size) or submaximal vector (odd size)")
@@ -243,15 +250,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("link", help="resolution bookkeeping for linkage in a complete intersection")
     p.add_argument("--gens", required=True, help="Gorenstein generator degrees, JSON array")
-    p.add_argument("--theta", required=True, type=int, help="socle-syzygy degree")
+    p.add_argument("--theta", required=True, type=_int_option, help="socle-syzygy degree")
     p.add_argument("--ci", required=True, help="regular-sequence type, JSON array of three degrees")
     p.add_argument("--extra", help="degrees added as bordered pairs, JSON array")
     p.set_defaults(func=cmd_link)
 
     p = sub.add_parser("enumerate", help="stream all admissible triples within bounds as NDJSON")
-    p.add_argument("--max-degree", required=True, type=int)
-    p.add_argument("--max-f", required=True, type=int)
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers, at most the CPU count (order-preserving)")
+    p.add_argument("--max-degree", required=True, type=_int_option)
+    p.add_argument("--max-f", required=True, type=_int_option)
+    p.add_argument("--jobs", type=_int_option, default=1, help="parallel workers, at most the CPU count (order-preserving)")
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("verify-structure", help="build and verify the four-term complex of a presentation")

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import pickle
 import random
 from itertools import combinations
 
@@ -510,11 +511,50 @@ def test_check_betti_verdicts_are_pinned():
     assert hashlib.md5("\n".join(lines).encode()).hexdigest() == VERDICT_MD5
 
 
+def test_decisions_format_no_multiset(monkeypatch):
+    """Deciding builds no witness text; reading the witnesses afterwards gives the pinned lines."""
+
+    def refuse(self):
+        raise AssertionError("a multiset was formatted while deciding")
+
+    corpus = [AciBetti.from_values(d, e, f) for d, e, f in _verdict_corpus()]
+    with monkeypatch.context() as patch:
+        patch.setattr(IntMultiset, "__str__", refuse)
+        verdicts = [check_betti(b) for b in corpus]
+    lines = [json.dumps(v.to_json(), sort_keys=True) for v in verdicts]
+    assert hashlib.md5("\n".join(lines).encode()).hexdigest() == VERDICT_MD5
+
+
+def _one_triple_per_verdict_kind():
+    seen = {}
+    for d, e, f in _verdict_corpus():
+        b = AciBetti.from_values(d, e, f)
+        seen.setdefault(_verdict_kind(check_betti(b)), b)
+    assert set(seen) == set(VERDICT_KINDS)
+    return list(seen.values())
+
+
+def test_verdicts_of_equal_decisions_are_equal():
+    for b in _one_triple_per_verdict_kind():
+        first, second = check_betti(b), check_betti(b)
+        assert first == second and hash(first) == hash(second), first
+
+
+def test_verdicts_pickle():
+    for b in _one_triple_per_verdict_kind():
+        v = check_betti(b)
+        back = pickle.loads(pickle.dumps(v))
+        assert back == v and back.witness == v.witness, v
+
+
 def _decompose_by_multiset_algebra(b):
-    """decompose spelled out with IntMultiset operations: the reference."""
+    """decompose spelled out with IntMultiset operations: the reference.
+
+    A failure is given as its (clause, reason) pair.
+    """
     shifted_f = b.f.affine(b.d.norm(), -1)
     if not shifted_f.is_submultiset(b.e):
-        return AciTypeFailure(2, f"(d - F) is not a submultiset of E: missing {shifted_f.diff(b.e)}")
+        return 2, f"(d - F) is not a submultiset of E: missing {shifted_f.diff(b.e)}"
     ehat = b.e.diff(shifted_f)
     d0 = b.d.min()
     dstar = b.d.diff(ms([d0]))
@@ -523,7 +563,7 @@ def _decompose_by_multiset_algebra(b):
     dbar = dstar.diff(s)
     expected = dbar.affine(d0, 1).sum(s.affine(theta_z, -1))
     if ehat != expected:
-        return AciTypeFailure(3, f"Ehat = {ehat} differs from (d0 + Dbar) + (theta_z - S) = {expected}")
+        return 3, f"Ehat = {ehat} differs from (d0 + Dbar) + (theta_z - S) = {expected}"
     t = aci._t_multiset(theta_z - d0, s, b.f.card(), dbar.card())
     return aci.AciDecomposition(d0, dstar, theta_z, ehat, s, dbar, t, theta_z - d0, b.d.norm())
 
@@ -533,8 +573,10 @@ def test_decompose_matches_multiset_algebra():
     for d, e, f in _verdict_corpus(seed=7, per_stratum=150):
         b = AciBetti.from_values(d, e, f)
         got = decompose(b)
-        assert got == _decompose_by_multiset_algebra(b), (d, e, f)
         outcomes.add(getattr(got, "clause", 0))
+        if isinstance(got, AciTypeFailure):
+            got = got.clause, got.reason
+        assert got == _decompose_by_multiset_algebra(b), (d, e, f)
     assert outcomes == {0, 2, 3}
 
 

@@ -329,6 +329,22 @@ def test_link_degenerate(capsys):
     assert code == 2 and "degenerate" in err
 
 
+@pytest.mark.parametrize("value", ["\u0666", "0_3", " 1_0 "], ids=["arabic-indic", "underscore", "spaced"])
+def test_integer_options_are_ascii_digits(value, capsys):
+    # int() reads each of these as a number; the integer options take ASCII digits only
+    for option, argv in (
+        ("--max-degree", ["enumerate", "--max-degree", value, "--max-f", "2"]),
+        ("--max-f", ["enumerate", "--max-degree", "6", "--max-f", value]),
+        ("--jobs", ["enumerate", "--max-degree", "6", "--max-f", "2", "--jobs", value]),
+        ("--nvars", ["hilbert", "--ci", "[1,1,1]", "--nvars", value]),
+        ("--theta", ["link", "--gens", "[2,2,2,2,2]", "--theta", value, "--ci", "[2,2,8]", "--extra", "[8]"]),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2 and out == "" and option in err, argv
+
+
 def test_enumerate_stream(capsys):
     code, out, _ = run_cli(["enumerate", "--max-degree", "6", "--max-f", "2"], capsys=capsys)
     assert code == 0
