@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Container, Iterable, Iterator, NamedTuple, Sequence
 
 from .gorenstein import (
@@ -36,6 +37,8 @@ from .gorenstein import (
 )
 from .multiset import IntMultiset
 
+_mult = itemgetter(1)  # the multiplicity of a (value, multiplicity) run
+
 
 @dataclass(frozen=True)
 class AciBetti:
@@ -46,15 +49,19 @@ class AciBetti:
     f: IntMultiset
 
     def __post_init__(self) -> None:
-        d_card, e_card, f_card = self.d.card(), self.e.card(), self.f.card()
+        # cardinalities and minimums straight from the sorted runs
+        d, e, f = self.d.entries, self.e.entries, self.f.entries
+        d_card = sum(map(_mult, d))
         if d_card != 4:
             raise ValueError(f"|D| must be 4, got {d_card}")
+        f_card = sum(map(_mult, f))
         if f_card < 2:
             raise ValueError(f"|F| must be >= 2, got {f_card}")
+        e_card = sum(map(_mult, e))
         if e_card != f_card + 3:
             raise ValueError(f"|E| must be |F| + 3 = {f_card + 3}, got {e_card}")
-        for name, m in (("D", self.d), ("E", self.e), ("F", self.f)):
-            if m.min() < 1:
+        for name, runs in (("D", d), ("E", e), ("F", f)):
+            if runs[0][0] < 1:
                 raise ValueError(f"{name} must contain positive degrees only")
 
     @classmethod
@@ -127,11 +134,6 @@ def _t_values(theta_g: int, s: Container[int], f_card: int, dbar_card: int) -> l
     return []
 
 
-def _t_multiset(theta_g: int, s: Container[int], f_card: int, dbar_card: int) -> IntMultiset:
-    """The slot of :func:`_t_values` as a multiset T."""
-    return IntMultiset.from_values(_t_values(theta_g, s, f_card, dbar_card))
-
-
 def decompose(b: AciBetti) -> AciDecomposition | AciTypeFailure:
     """Run the aci-type decomposition with d0 = min D.
 
@@ -142,7 +144,8 @@ def decompose(b: AciBetti) -> AciDecomposition | AciTypeFailure:
     The work runs on value -> multiplicity dicts taken from the sorted
     ``entries``; deleting keys keeps a dict's order, so each dict built
     in ascending order stays sorted.  Multisets are built only for a
-    returned decomposition; a failure keeps the raw runs it reports.
+    returned decomposition, as trusted wraps of those valid runs; a
+    failure keeps the raw runs it reports.
     """
     d_norm = b.d.norm()
     ehat = dict(b.e.entries)  # E minus (d - F), once every d - f is removed
@@ -179,14 +182,16 @@ def decompose(b: AciBetti) -> AciDecomposition | AciTypeFailure:
     if ehat != expected:
         return AciTypeFailure(3, (tuple(ehat.items()), tuple(sorted(expected.items()))))
     theta_g = theta_z - d0
+    t = _t_values(theta_g, s, b.f.card(), sum(dbar.values()))
+    trusted = IntMultiset._trusted
     return AciDecomposition(
         d0=d0,
-        dstar=IntMultiset(tuple(dstar.items())),
+        dstar=trusted(tuple(dstar.items())),
         theta_z=theta_z,
-        ehat=IntMultiset(tuple(ehat.items())),
-        s=IntMultiset(tuple(s.items())),
-        dbar=IntMultiset(tuple(dbar.items())),
-        t=_t_multiset(theta_g, s, b.f.card(), sum(dbar.values())),
+        ehat=trusted(tuple(ehat.items())),
+        s=trusted(tuple(s.items())),
+        dbar=trusted(tuple(dbar.items())),
+        t=trusted(tuple((v, 1) for v in t)),
         theta_g=theta_g,
         d=d_norm,
     )
@@ -517,40 +522,57 @@ def _admissible_f_tuples(
     m = n // 2
     if m > dstar[0]:
         return  # bound (a)
+    if w.total < w.k * w.lo:
+        return  # no k entries >= lo sum to total; bound (b) needs q >= 0
     pairs = [(i, n - i) for i in range(1, m + 1)]  # 0-based Gaeta-Diesel pairs
+    # stage 3 as caps on the mci triple: e_i <= d_i, and e_i <= d_i - 1 at
+    # the strict index of each s in S - T (see _stage3_violation)
+    caps = list(dstar)
+    for s_val, mult in strict.entries:
+        caps[dstar.index(s_val) + mult - 1] -= 1
+    cap1, cap2, cap3 = caps
+    top = theta_z - hi
 
-    def may_complete(prefix_g: list[int], v: int, r: int, rest: int) -> bool:
-        # bound (b): r entries >= v summing to rest are left, and the i-th
-        # largest of them is at most (rest - (r - i) * v) // i
-        h = [theta_z - min(hi, (rest - (r - i) * v) // i) for i in range(1, r + 1)]
-        h += prefix_g
-        h += tail
+    def may_complete(known: list[int], v: int, r: int, rest: int) -> bool:
+        # bound (b) in closed form: with q = rest - r * v >= 0, the i-th
+        # largest of the r entries left is at most min(hi, v + q // i),
+        # which is hi for i <= j and v + q // i after that
+        q = rest - r * v
+        j = r if v == hi else q // (hi - v)
+        if j >= r:
+            h = [top] * r
+        else:
+            h = [top] * j
+            low = theta_z - v
+            for i in range(j + 1, r + 1):
+                h.append(low - q // i)
+        h += known
         h.sort()
         for a, b in pairs:
             if h[a] + h[b] >= theta_g:
                 return False
-        # bound (c)
-        return _stage3_violation(dstar, mci_from_sorted(h, theta_g), strict) is None
+        e1, e2, e3 = mci_from_sorted(h, theta_g)  # bound (c)
+        return e1 <= cap1 and e2 <= cap2 and e3 <= cap3
 
     def grow(
         prefix: tuple[int, ...], prefix_g: list[int], v: int, r: int, rest: int
     ) -> Iterator[tuple[int, ...]]:
         r -= 1  # entries left after this one
+        known = prefix_g + tail  # the generators fixed above this level
         for x in range(max(v, rest - r * hi), min(hi, rest // (r + 1)) + 1):
-            g = prefix_g + [theta_z - x]
             left = rest - x
             if r == 1:  # the last entry is forced: a leaf
-                g0 = g + tail
-                g0.append(theta_z - left)
+                g0 = known + [theta_z - x, theta_z - left]
                 g0.sort()
                 if gaeta_diesel_violation(g0, theta_g) is not None:
                     continue
-                if _stage3_violation(dstar, mci_from_sorted(g0, theta_g), strict) is None:
+                e1, e2, e3 = mci_from_sorted(g0, theta_g)
+                if e1 <= cap1 and e2 <= cap2 and e3 <= cap3:
                     yield prefix + (x, left)
-            elif may_complete(g, x, r, left):
-                yield from grow(prefix + (x,), g, x, r, left)
+            elif may_complete(known + [theta_z - x], x, r, left):
+                yield from grow(prefix + (x,), prefix_g + [theta_z - x], x, r, left)
 
-    if may_complete([], w.lo, w.k, w.total):
+    if may_complete(tail, w.lo, w.k, w.total):
         yield from grow((), [], w.lo, w.k, w.total)
 
 
@@ -578,7 +600,13 @@ def _candidates_for_d(
         generator theta_z - f, so this bounds every remaining generator
         from below, and the sorted G0 dominates the sorted bounds entry by
         entry.  Pair sums only grow, so a bound pair >= theta_g rules out
-        every completion.
+        every completion.  In closed form, with q = rest - r * v, the
+        bound is min(hi, v + q // i), since (rest - (r - i) * v) // i =
+        v + q // i.  It is hi for the first min(r, q // (hi - v)) values
+        of i (all r when hi = v) and v + q // i for the others, so no
+        entry needs a min.  The closed form needs q >= 0, which the
+        choice of each entry keeps; a window with total < k * lo has
+        q < 0 at its root, holds no F, and is skipped before the bound.
     (c) Stage 3 on the bounds.  If h <= h' entrywise, both sorted, every
         pair sum of h is at most the same pair sum of h', so the B and C
         index sets of h (see ``ci_index_sets`` in the gorenstein module)
@@ -595,20 +623,26 @@ def _candidates_for_d(
         of h_1, h_2, h_3 with d_1, d_2, d_3, since e_1 = h_1, e_2 >= h_2
         and e_3 >= h_3.
 
-    The leaves left are decided by the exact Gaeta-Diesel, mci and
-    stage-3 tests, and each emitted triple is re-checked by
-    :func:`check_betti`.
+    Stage 3, on the bounds and at the leaves, reads as caps on the mci
+    triple: e_i <= d_i, and e_i <= d_i - 1 at the strict indices, the
+    same comparisons :func:`_stage3_violation` makes.  The leaves left
+    are decided by the exact Gaeta-Diesel, mci and stage-3 tests.  Each
+    emitted triple is built from its F tuple and Ehat, re-checked by
+    :func:`check_betti`, and sorted by (F, E), which within one D is
+    the order of :meth:`AciBetti.key`.
     """
     d = sum(dvals)
     d_level = IntMultiset.from_values(dvals)
     found: dict[tuple, AciBetti] = {}
     for w in _f_windows(dvals, max_degree, max_f):
+        ehat_values = w.ehat.values()
         for f_tuple in _admissible_f_tuples(dvals, w):
-            f = IntMultiset.from_values(f_tuple)
-            e = f.affine(d, -1).sum(w.ehat)
-            candidate = AciBetti(d_level, e, f)
+            e_tuple = tuple(sorted([d - x for x in f_tuple] + ehat_values))
+            candidate = AciBetti(
+                d_level, IntMultiset.from_values(e_tuple), IntMultiset.from_values(f_tuple)
+            )
             assert check_betti(candidate).admissible
-            found[candidate.key()] = candidate
+            found[f_tuple, e_tuple] = candidate  # AciBetti.key() order within one D
     return [found[k] for k in sorted(found)]
 
 

@@ -185,8 +185,9 @@ def cmd_enumerate(args) -> int:
         jobs = worker_count(args.jobs)
     except ValueError as exc:
         raise InputError(f"--jobs: {exc}") from exc
+    encode = json.JSONEncoder(sort_keys=True).encode  # the bytes of json.dumps(..., sort_keys=True)
     for betti in enumerate_admissible(args.max_degree, args.max_f, jobs=jobs):
-        print(json.dumps(betti.to_json(), sort_keys=True))
+        print(encode(betti.to_json()))
     return 0
 
 

@@ -24,6 +24,8 @@ class IntMultiset:
         for value, mult in self.entries:
             if type(value) is not int:
                 raise ValueError(f"multiset values must be ints, got {value!r}")
+            if type(mult) is not int:
+                raise ValueError(f"multiplicity of {value} must be an int, got {mult!r}")
             if mult < 1:
                 raise ValueError(f"multiplicity of {value} must be positive, got {mult}")
             if prev is not None and value <= prev:
@@ -53,6 +55,17 @@ class IntMultiset:
                 prev, count = v, 1
         runs.append((prev, count))
         return cls(tuple(runs))
+
+    @classmethod
+    def _trusted(cls, entries: tuple[tuple[int, int], ...]) -> "IntMultiset":
+        """Wrap runs this package produced, without validation.
+
+        The caller guarantees what ``__post_init__`` would check: int
+        values strictly increasing, each with a positive int multiplicity.
+        """
+        m = object.__new__(cls)
+        object.__setattr__(m, "entries", entries)
+        return m
 
     @classmethod
     def empty(cls) -> "IntMultiset":

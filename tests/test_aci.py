@@ -277,7 +277,6 @@ def test_link_output_passes_check_betti_on_corpus():
     domination pattern, and no designated-minimal member collides with the
     dual pairing (which would make the mapping cone cancel further).
     """
-    from bettiforge.aci import _t_multiset
     from bettiforge.gorenstein import mci
 
     rng = random.Random(2024)
@@ -311,7 +310,7 @@ def test_link_output_passes_check_betti_on_corpus():
         if canonical != extra:
             continue
         f_card = beta.gens.card() + 2 * len(extra_vals) - 3
-        t = _t_multiset(beta.theta, extra, f_card, dbar.card())
+        t = ms(aci._t_values(beta.theta, extra, f_card, dbar.card()))
         strict_ok = True
         for s_val, mult in extra.diff(t).entries:
             first = next(j for j in range(1, 4) if choice[j - 1] == s_val)
@@ -564,7 +563,7 @@ def _decompose_by_multiset_algebra(b):
     expected = dbar.affine(d0, 1).sum(s.affine(theta_z, -1))
     if ehat != expected:
         return 3, f"Ehat = {ehat} differs from (d0 + Dbar) + (theta_z - S) = {expected}"
-    t = aci._t_multiset(theta_z - d0, s, b.f.card(), dbar.card())
+    t = ms(aci._t_values(theta_z - d0, s, b.f.card(), dbar.card()))
     return aci.AciDecomposition(d0, dstar, theta_z, ehat, s, dbar, t, theta_z - d0, b.d.norm())
 
 
@@ -612,7 +611,7 @@ def test_f_windows_match_multiset_algebra():
             if ehat.max() > 12 or dstar.intersect(ehat.affine(theta_z, -1)) != s or lo > hi:
                 continue
             for k in range(2, 6):
-                t = aci._t_multiset(theta_g, s, k, dbar.card())
+                t = ms(aci._t_values(theta_g, s, k, dbar.card()))
                 if (k + dbar.card() + t.card()) % 2:
                     expected.append((ehat, k, lo, hi, dbar.values() + t.values(), s.diff(t)))
         got = [(w.ehat, w.k, w.lo, w.hi, w.tail, w.strict) for w in aci._f_windows(dvals, 12, 5)]
@@ -652,6 +651,16 @@ def test_pruned_f_search_equals_filtered_full_search():
             kept += len(expected)
     assert windows > whole_window_cuts > 0
     assert kept >= 1517
+
+
+def test_window_with_too_small_a_total_is_empty():
+    """No k entries >= lo sum to a total below k * lo; the search returns
+    before bound (b), whose closed form needs total >= k * lo."""
+    dvals = (3, 4, 5, 6)
+    for k, lo, hi in ((2, 5, 8), (3, 5, 8), (2, 6, 6), (3, 7, 10)):
+        for total in (k * lo - 1, k * lo - 3):
+            w = aci._FWindow(ms([7, 8, 9]), k, lo, hi, total, [], ms([]))
+            assert list(aci._admissible_f_tuples(dvals, w)) == [], (k, lo, hi, total)
 
 
 def test_enumerate_contains_worked_example():

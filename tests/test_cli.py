@@ -360,6 +360,13 @@ def test_enumerate_byte_stable(capsys):
     assert out1 == out2
 
 
+def test_enumerate_stdout_is_pinned(capsys):
+    # the md5 test_enumerate_ndjson_is_pinned records for the library stream
+    code, out, _ = run_cli(["enumerate", "--max-degree", "12", "--max-f", "5"], capsys=capsys)
+    assert code == 0 and out.count("\n") == 1517
+    assert hashlib.md5(out.encode()).hexdigest() == "06009033f4b7418ed137b4a717230732"
+
+
 def test_enumerate_jobs_preserve_order(capsys):
     _, seq, _ = run_cli(["enumerate", "--max-degree", "7", "--max-f", "2"], capsys=capsys)
     _, par, _ = run_cli(

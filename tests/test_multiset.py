@@ -45,6 +45,17 @@ def test_from_values_matches_dict_count():
         IntMultiset(((2.5, 1),))
 
 
+def test_multiplicities_must_be_non_bool_ints():
+    for mult in (True, 1.5, 2.0, "2", None):
+        with pytest.raises(ValueError, match="must be an int"):
+            IntMultiset(((1, mult),))
+    with pytest.raises(ValueError, match="must be an int"):
+        IntMultiset(((1, 2), (3, False)))
+    with pytest.raises(ValueError, match="must be positive"):
+        IntMultiset(((1, 0),))
+    assert IntMultiset(((1, 2), (3, 1))).values() == [1, 1, 3]
+
+
 def test_algebra_results_are_valid_multisets():
     rng = random.Random(17)
     for _ in range(200):
