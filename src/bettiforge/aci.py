@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Container, Iterable, Iterator, NamedTuple, Sequence
 
 from .gorenstein import (
@@ -99,19 +99,39 @@ class AciBetti:
         )
 
 
-@dataclass(frozen=True)
-class AciDecomposition:
-    """Canonical combinatorial decomposition of an aci-type triple."""
+Runs = tuple[tuple[int, int], ...]  # sorted (value, multiplicity) runs of a valid multiset
+
+
+def _multiset_on_read(field: str) -> property:
+    runs = attrgetter(field)
+    return property(lambda dec: IntMultiset._trusted(runs(dec)), doc=f"``{field}`` as an IntMultiset.")
+
+
+class AciDecomposition(NamedTuple):
+    """Canonical combinatorial decomposition of an aci-type triple.
+
+    The five multisets are kept as the sorted runs :func:`decompose`
+    built, which is all :func:`check_betti` reads.  ``dstar``, ``ehat``,
+    ``s``, ``dbar`` and ``t`` wrap those runs in an :class:`IntMultiset`
+    each time they are read.  Equality, hashing and pickling are those of
+    the tuple of fields.
+    """
 
     d0: int
-    dstar: IntMultiset
+    dstar_runs: Runs
     theta_z: int
-    ehat: IntMultiset
-    s: IntMultiset
-    dbar: IntMultiset
-    t: IntMultiset
+    ehat_runs: Runs
+    s_runs: Runs
+    dbar_runs: Runs
+    t_runs: Runs
     theta_g: int
     d: int
+
+    dstar = _multiset_on_read("dstar_runs")
+    ehat = _multiset_on_read("ehat_runs")
+    s = _multiset_on_read("s_runs")
+    dbar = _multiset_on_read("dbar_runs")
+    t = _multiset_on_read("t_runs")
 
 
 @dataclass(frozen=True, slots=True)
@@ -143,9 +163,10 @@ def decompose(b: AciBetti) -> AciDecomposition | AciTypeFailure:
 
     The work runs on value -> multiplicity dicts taken from the sorted
     ``entries``; deleting keys keeps a dict's order, so each dict built
-    in ascending order stays sorted.  Multisets are built only for a
-    returned decomposition, as trusted wraps of those valid runs; a
-    failure keeps the raw runs it reports.
+    in ascending order stays sorted, and every count kept is positive.
+    A returned decomposition keeps those runs as tuples and builds no
+    multiset (see :class:`AciDecomposition`); a failure keeps the raw
+    runs it reports.
     """
     d_norm = b.d.norm()
     ehat = dict(b.e.entries)  # E minus (d - F), once every d - f is removed
@@ -182,18 +203,17 @@ def decompose(b: AciBetti) -> AciDecomposition | AciTypeFailure:
     if ehat != expected:
         return AciTypeFailure(3, (tuple(ehat.items()), tuple(sorted(expected.items()))))
     theta_g = theta_z - d0
-    t = _t_values(theta_g, s, b.f.card(), sum(dbar.values()))
-    trusted = IntMultiset._trusted
+    t = _t_values(theta_g, s, sum(map(_mult, b.f.entries)), sum(dbar.values()))
     return AciDecomposition(
-        d0=d0,
-        dstar=trusted(tuple(dstar.items())),
-        theta_z=theta_z,
-        ehat=trusted(tuple(ehat.items())),
-        s=trusted(tuple(s.items())),
-        dbar=trusted(tuple(dbar.items())),
-        t=trusted(tuple((v, 1) for v in t)),
-        theta_g=theta_g,
-        d=d_norm,
+        d0,
+        tuple(dstar.items()),
+        theta_z,
+        tuple(ehat.items()),
+        tuple(s.items()),
+        tuple(dbar.items()),
+        ((t[0], 1),) if t else (),
+        theta_g,
+        d_norm,
     )
 
 
@@ -214,13 +234,20 @@ class GorensteinFailure:
         return f"G0 = {g0} has socle-syzygy degree {verdict.theta}, expected {self.theta_g}"
 
 
-def induced_gorenstein(
-    dec: AciDecomposition, f: IntMultiset
-) -> GorensteinBetti | GorensteinFailure:
-    """Gorenstein generator data induced by linkage: G0 = (theta_z - F) + Dbar + T."""
-    h = [dec.theta_z - v for v in f.values()]
-    h += dec.dbar.values()
-    h += dec.t.values()
+def _induced_g0(dec: AciDecomposition, f: Runs) -> list[int] | GorensteinFailure:
+    """The sorted G0 = (theta_z - F) + Dbar + T if it is admitted, else the failure.
+
+    An admitted G0 has odd size at least 3, and theta_of gives the int
+    theta_g for it: all that ``GorensteinBetti`` validates.
+    """
+    theta_z = dec.theta_z
+    h = []
+    for v, m in f:
+        h += [theta_z - v] * m
+    for v, m in dec.dbar_runs:
+        h += [v] * m
+    for v, _ in dec.t_runs:
+        h.append(v)
     h.sort()
     if len(h) % 2 == 0:
         return GorensteinFailure("parity", tuple(h), dec.theta_g)
@@ -229,7 +256,17 @@ def induced_gorenstein(
         return GorensteinFailure("gaeta_diesel", tuple(h), dec.theta_g)
     if theta != dec.theta_g:
         return GorensteinFailure("socle", tuple(h), dec.theta_g)
-    return GorensteinBetti(IntMultiset.from_values(h), dec.theta_g)
+    return h
+
+
+def induced_gorenstein(
+    dec: AciDecomposition, f: IntMultiset
+) -> GorensteinBetti | GorensteinFailure:
+    """Gorenstein generator data induced by linkage: G0 = (theta_z - F) + Dbar + T."""
+    h = _induced_g0(dec, f.entries)
+    if isinstance(h, GorensteinFailure):
+        return h
+    return GorensteinBetti._trusted(IntMultiset.from_values(h), dec.theta_g)
 
 
 @dataclass(frozen=True, slots=True)
@@ -266,13 +303,13 @@ class Verdict:
 
 
 def _stage3_violation(
-    dvals: Sequence[int], e: Sequence[int], strict: IntMultiset
+    dvals: Sequence[int], e: Sequence[int], strict: Runs
 ) -> tuple[int, int | None] | None:
     """First failed mci comparison, or None if the linkage type dominates.
 
     ``dvals`` is the sorted type d_1 <= d_2 <= d_3, ``e`` the mci triple,
-    ``strict`` the degrees whose chosen regular-sequence members are forced
-    non-minimal, so domination must be strict at the index
+    ``strict`` the runs of the degrees whose chosen regular-sequence
+    members are forced non-minimal, so domination must be strict at the index
     min{j | d_j = s} + multiplicity(s) - 1.  A violation is reported as
     (i, None) for the first 1-based i with d_i < e_i, or as (i, s) when
     d_i > e_i fails at the strict index of s.
@@ -280,7 +317,7 @@ def _stage3_violation(
     for i in range(3):
         if dvals[i] < e[i]:
             return i + 1, None
-    for s_val, mult in strict.entries:
+    for s_val, mult in strict:
         i = dvals.index(s_val) + mult  # strict ⊆ S ⊆ Dstar, so s is in dvals
         if dvals[i - 1] <= e[i - 1]:
             return i, s_val
@@ -288,17 +325,27 @@ def _stage3_violation(
 
 
 def check_betti(b: AciBetti) -> Verdict:
-    """Decide whether (D, E, F) is admissible for a codimension-3 ACI."""
+    """Decide whether (D, E, F) is admissible for a codimension-3 ACI.
+
+    Every stage reads the decomposition's runs and the sorted G0 list;
+    the only multiset built is the admitted G0 of ``beta_g``.
+    """
     dec = decompose(b)
     if isinstance(dec, AciTypeFailure):
         return Verdict(False, stage=1, failure=dec)
-    beta_g = induced_gorenstein(dec, b.f)
-    if isinstance(beta_g, GorensteinFailure):
-        return Verdict(False, stage=2, failure=beta_g)
-    # induced_gorenstein has just admitted beta_g, so mci needs no re-check
-    e = mci_from_sorted(beta_g.gens.values(), beta_g.theta)
-    strict = dec.s.diff(dec.t) if dec.t else dec.s
-    dvals = dec.dstar.values()
+    h = _induced_g0(dec, b.f.entries)
+    if isinstance(h, GorensteinFailure):
+        return Verdict(False, stage=2, failure=h)
+    theta_g = dec.theta_g
+    beta_g = GorensteinBetti._trusted(IntMultiset.from_values(h), theta_g)
+    e = mci_from_sorted(h, theta_g)  # h has just been admitted, so no re-check
+    strict = dec.s_runs  # S - T
+    if dec.t_runs:  # T = {theta_g / 2}, a value of S: drop one copy of it
+        half = theta_g // 2
+        strict = tuple((v, m - 1 if v == half else m) for v, m in strict if (v, m) != (half, 1))
+    dvals = []
+    for v, m in dec.dstar_runs:
+        dvals += [v] * m
     hit = _stage3_violation(dvals, e, strict)
     if hit is None:
         return Verdict(True, beta_g=beta_g, mci=e)

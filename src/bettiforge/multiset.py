@@ -38,13 +38,19 @@ class IntMultiset:
 
     @classmethod
     def from_values(cls, values: Iterable[int]) -> "IntMultiset":
-        """Run-length encoding of the sorted values; each must be a non-bool ``int``, else ValueError."""
+        """Run-length encoding of the sorted values; each must be a non-bool ``int``, else ValueError.
+
+        The one check runs on the values themselves.  The runs are then
+        valid by construction (int values, strictly increasing after the
+        sort, each counted at least once), so they are wrapped with
+        :meth:`_trusted` instead of being walked again by ``__post_init__``.
+        """
         vals = list(values)
         if not {int}.issuperset(map(type, vals)):
             raise ValueError(f"multiset values must be ints, got {vals!r}")
         vals.sort()
         if not vals:
-            return cls(())
+            return cls._trusted(())
         runs = []
         prev, count = vals[0], 0
         for v in vals:
@@ -54,14 +60,19 @@ class IntMultiset:
                 runs.append((prev, count))
                 prev, count = v, 1
         runs.append((prev, count))
-        return cls(tuple(runs))
+        return cls._trusted(tuple(runs))
 
     @classmethod
     def _trusted(cls, entries: tuple[tuple[int, int], ...]) -> "IntMultiset":
-        """Wrap runs this package produced, without validation.
+        """Wrap runs without validation.
 
-        The caller guarantees what ``__post_init__`` would check: int
-        values strictly increasing, each with a positive int multiplicity.
+        Only code that builds the runs itself may call it, and it must
+        guarantee what ``__post_init__`` would check: int values strictly
+        increasing, each with a positive int multiplicity.  That holds for
+        :meth:`from_values`, which has checked every value, and for runs
+        derived from other valid runs by steps that keep the order and
+        drop zero counts (as ``aci.decompose`` does).  Anything read from
+        outside the package goes through the validating constructor.
         """
         m = object.__new__(cls)
         object.__setattr__(m, "entries", entries)

@@ -1,9 +1,11 @@
 import hashlib
+import importlib.util
 import json
 import os
 import pickle
 import random
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -20,7 +22,13 @@ from bettiforge.aci import (
     retained_overlap_cardinalities,
     worker_count,
 )
-from bettiforge.gorenstein import gaeta_diesel_violation, mci_from_sorted, random_admissible
+from bettiforge.gorenstein import (
+    GorensteinBetti,
+    check_gorenstein_betti,
+    gaeta_diesel_violation,
+    mci_from_sorted,
+    random_admissible,
+)
 from bettiforge.multiset import IntMultiset
 
 ms = IntMultiset.from_values
@@ -564,7 +572,9 @@ def _decompose_by_multiset_algebra(b):
     if ehat != expected:
         return 3, f"Ehat = {ehat} differs from (d0 + Dbar) + (theta_z - S) = {expected}"
     t = ms(aci._t_values(theta_z - d0, s, b.f.card(), dbar.card()))
-    return aci.AciDecomposition(d0, dstar, theta_z, ehat, s, dbar, t, theta_z - d0, b.d.norm())
+    return aci.AciDecomposition(
+        d0, dstar.entries, theta_z, ehat.entries, s.entries, dbar.entries, t.entries, theta_z - d0, b.d.norm()
+    )
 
 
 def test_decompose_matches_multiset_algebra():
@@ -577,6 +587,75 @@ def test_decompose_matches_multiset_algebra():
             got = got.clause, got.reason
         assert got == _decompose_by_multiset_algebra(b), (d, e, f)
     assert outcomes == {0, 2, 3}
+
+
+_MULTISET_FIELDS = ("dstar", "ehat", "s", "dbar", "t")
+WORKED_CASES = (CASE_REJECT_DOMINATION, CASE_REJECT_STRICTNESS, CASE_ADMISSIBLE, CASE_ADMISSIBLE_GHOST)
+
+
+def _decomposable(triples):
+    out = []
+    for d, e, f in triples:
+        b = AciBetti.from_values(d, e, f)
+        if not isinstance(decompose(b), AciTypeFailure):
+            out.append(b)
+    return out
+
+
+def test_decomposition_contract():
+    """A decomposition keeps runs and builds its multisets when read; it
+    compares, hashes and pickles by value."""
+    cases = [betti(case) for case in WORKED_CASES]
+    corpus = _decomposable(_verdict_corpus())
+    assert len(corpus) > 500
+    seen = {}
+    for b in cases + corpus:
+        dec, again, ref = decompose(b), decompose(b), _decompose_by_multiset_algebra(b)
+        for name in _MULTISET_FIELDS:
+            got = getattr(dec, name)
+            assert type(got) is IntMultiset and IntMultiset(got.entries) == got, (b, name)
+            assert got == getattr(ref, name), (b, name)
+        assert dec == again == ref and hash(dec) == hash(again) == hash(ref), b
+        back = pickle.loads(pickle.dumps(dec))
+        assert back == dec and all(getattr(back, n) == getattr(dec, n) for n in _MULTISET_FIELDS), b
+        seen[dec] = b
+    distinct = list(seen)
+    assert len(distinct) > 100
+    for i, a in enumerate(distinct[:60]):
+        for other in distinct[i + 1 : 60]:
+            assert a != other and tuple(a) != tuple(other)
+    dec = decompose(cases[2])
+    assert dec._replace(theta_g=dec.theta_g + 1) != dec
+    for name in _MULTISET_FIELDS:
+        grown = IntMultiset.from_values(getattr(dec, name).values() + [99]).entries
+        assert dec._replace(**{name + "_runs": grown}) != dec, name
+
+
+def _check_mix_triples(seed):
+    """The check-mix stream of the benchmark for ``seed``, as (D, E, F) lists."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("bench_inputs", path)
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    return [(d, e, f) for _, d, e, f in inputs.check_mix(seed)]
+
+
+def test_admitted_gorenstein_betti_equals_validated_construction():
+    """An admitted G0 is wrapped without GorensteinBetti's checks; every
+    admitted one here passes them and equals the validated construction."""
+    admitted = 0
+    for d, e, f in _verdict_corpus() + _check_mix_triples(1):
+        b = AciBetti.from_values(d, e, f)
+        v = check_betti(b)
+        beta = v.beta_g
+        if beta is None:
+            continue
+        assert type(beta.theta) is int and IntMultiset(beta.gens.entries) == beta.gens, (d, e, f)
+        assert beta == GorensteinBetti(IntMultiset.from_values(beta.gens.values()), beta.theta), (d, e, f)
+        assert check_gorenstein_betti(beta.gens).admissible, (d, e, f)
+        assert induced_gorenstein(decompose(b), b.f) == beta, (d, e, f)
+        admitted += v.admissible
+    assert admitted >= VERDICT_KINDS["admissible"] + 1000
 
 
 def test_sorted_d_tuples_match_grouped_sort():
@@ -643,7 +722,7 @@ def test_pruned_f_search_equals_filtered_full_search():
                 g0 = sorted([theta_z - x for x in f] + w.tail)
                 if gaeta_diesel_violation(g0, theta_g) is not None:
                     continue
-                if aci._stage3_violation(dstar, mci_from_sorted(g0, theta_g), w.strict) is None:
+                if aci._stage3_violation(dstar, mci_from_sorted(g0, theta_g), w.strict.entries) is None:
                     expected.append(f)
             assert list(aci._admissible_f_tuples(dvals, w)) == expected, (dvals, w)
             windows += 1

@@ -45,6 +45,28 @@ def test_from_values_matches_dict_count():
         IntMultiset(((2.5, 1),))
 
 
+def test_trusted_from_values_equals_validated_construction():
+    """from_values skips the constructor's walk over its runs; the runs it
+    wraps must pass that walk and equal the counted reference."""
+    rng = random.Random(2024)
+    repeated = 0
+    for _ in range(2500):
+        values = [rng.randint(-5, 20) for _ in range(rng.randint(0, 15))]
+        counts: dict[int, int] = {}
+        for v in values:
+            counts[v] = counts.get(v, 0) + 1
+        runs = tuple(sorted(counts.items()))
+        m = ms(values)
+        assert m == IntMultiset(runs) and hash(m) == hash(IntMultiset(runs)), values
+        assert IntMultiset(m.entries) == m, values
+        repeated += len(runs) < len(values)
+    assert repeated > 1000
+    for bad in ([2.7, True], [1, True], [2, 2.0], [3, "4", 5]):
+        with pytest.raises(ValueError) as exc:
+            ms(bad)
+        assert str(exc.value) == f"multiset values must be ints, got {bad!r}"
+
+
 def test_multiplicities_must_be_non_bool_ints():
     for mult in (True, 1.5, 2.0, "2", None):
         with pytest.raises(ValueError, match="must be an int"):
