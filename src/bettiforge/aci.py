@@ -8,11 +8,11 @@ are exactly the triples passing the three-stage test implemented by
 :func:`check_betti`:
 
 1. the triple decomposes combinatorially (:func:`decompose`);
-2. the induced Gorenstein Betti data is admissible
-   (:func:`induced_gorenstein`);
+2. the induced Gorenstein generator degrees G0 are admissible
+   (``_induced_g0``, which :func:`induced_gorenstein` wraps);
 3. the linkage type dominates the minimal complete-intersection type of
    the induced Gorenstein sequence, strictly so in the degrees forced to
-   be non-minimal generators.
+   be non-minimal generators: the mci triple is within ``_stage3_caps``.
 
 :func:`link_betti` performs the reverse bookkeeping (Gorenstein data plus
 a chosen regular-sequence type to an ACI resolution), and
@@ -23,6 +23,7 @@ degree bounds in a canonical deterministic order.
 from __future__ import annotations
 
 import os
+from collections import Counter
 from dataclasses import dataclass
 from operator import attrgetter, itemgetter
 from typing import Container, Iterable, Iterator, NamedTuple, Sequence
@@ -275,7 +276,7 @@ class Verdict:
 
     admissible: bool
     stage: int | None = None
-    failure: AciTypeFailure | GorensteinFailure | tuple | None = None  # stage 3: (i, s, (d_1, d_2, d_3))
+    failure: AciTypeFailure | GorensteinFailure | tuple | None = None  # stage 3: (d_1, d_2, d_3), caps
     beta_g: GorensteinBetti | None = None
     mci: tuple[int, int, int] | None = None
 
@@ -287,10 +288,12 @@ class Verdict:
             return f"{self.failure.kind}: {self.failure.reason}"
         if self.stage is None:
             return None
-        (i, s_val, dvals), e = self.failure, self.mci
-        if s_val is None:
+        (dvals, caps), e = self.failure, self.mci
+        if any(d < x for d, x in zip(dvals, e)):
             return "({},{},{}) ≱ ({},{},{})".format(*dvals, *e)
-        return f"s={s_val}, i={i}, d_{i}={dvals[i - 1]} not > e_{i}={e[i - 1]}"
+        # strict indices rise with s, so the first one over its cap names the failing s
+        i = next(i for i in (1, 2, 3) if e[i - 1] > caps[i - 1])
+        return f"s={dvals[i - 1]}, i={i}, d_{i}={dvals[i - 1]} not > e_{i}={e[i - 1]}"
 
     def to_json(self) -> dict:
         return {
@@ -302,26 +305,23 @@ class Verdict:
         }
 
 
-def _stage3_violation(
-    dvals: Sequence[int], e: Sequence[int], strict: Runs
-) -> tuple[int, int | None] | None:
-    """First failed mci comparison, or None if the linkage type dominates.
+def _stage3_caps(dvals: Sequence[int], s_runs: Runs, t: Container[int]) -> tuple[int, int, int]:
+    """The largest mci triple (e_1, e_2, e_3) that stage 3 admits.
 
-    ``dvals`` is the sorted type d_1 <= d_2 <= d_3, ``e`` the mci triple,
-    ``strict`` the runs of the degrees whose chosen regular-sequence
-    members are forced non-minimal, so domination must be strict at the index
-    min{j | d_j = s} + multiplicity(s) - 1.  A violation is reported as
-    (i, None) for the first 1-based i with d_i < e_i, or as (i, s) when
-    d_i > e_i fails at the strict index of s.
+    ``dvals`` is the sorted linkage type d_1 <= d_2 <= d_3 (Dstar),
+    ``s_runs`` the (value, multiplicity) runs of S and ``t`` the values of
+    T, empty or one copy of theta_g / 2, a value of S.  Stage 3 asks
+    e_i <= d_i, strictly at the index min{j | d_j = s} + mult_{S-T}(s) - 1
+    of each s in S - T, whose chosen regular-sequence members are forced
+    non-minimal.  So the cap is d_i, and d_i - 1 at those indices.
     """
-    for i in range(3):
-        if dvals[i] < e[i]:
-            return i + 1, None
-    for s_val, mult in strict:
-        i = dvals.index(s_val) + mult  # strict ⊆ S ⊆ Dstar, so s is in dvals
-        if dvals[i - 1] <= e[i - 1]:
-            return i, s_val
-    return None
+    caps = list(dvals)
+    for v, m in s_runs:
+        if v in t:
+            m -= 1
+        if m:
+            caps[dvals.index(v) + m - 1] -= 1  # S is within Dstar, so v is in dvals
+    return tuple(caps)
 
 
 def check_betti(b: AciBetti) -> Verdict:
@@ -339,17 +339,13 @@ def check_betti(b: AciBetti) -> Verdict:
     theta_g = dec.theta_g
     beta_g = GorensteinBetti._trusted(IntMultiset.from_values(h), theta_g)
     e = mci_from_sorted(h, theta_g)  # h has just been admitted, so no re-check
-    strict = dec.s_runs  # S - T
-    if dec.t_runs:  # T = {theta_g / 2}, a value of S: drop one copy of it
-        half = theta_g // 2
-        strict = tuple((v, m - 1 if v == half else m) for v, m in strict if (v, m) != (half, 1))
     dvals = []
     for v, m in dec.dstar_runs:
         dvals += [v] * m
-    hit = _stage3_violation(dvals, e, strict)
-    if hit is None:
+    caps = _stage3_caps(dvals, dec.s_runs, [v for v, _ in dec.t_runs])
+    if e[0] <= caps[0] and e[1] <= caps[1] and e[2] <= caps[2]:
         return Verdict(True, beta_g=beta_g, mci=e)
-    return Verdict(False, stage=3, failure=(*hit, tuple(dvals)), beta_g=beta_g, mci=e)
+    return Verdict(False, stage=3, failure=(tuple(dvals), caps), beta_g=beta_g, mci=e)
 
 
 # ----------------------------------------------------------------------
@@ -490,13 +486,13 @@ class _FWindow(NamedTuple):
     ``total``, and its induced generators are G0 = (theta_z - F) + tail.
     """
 
-    ehat: IntMultiset
+    ehat: list[int]  # sorted
     k: int
     lo: int
     hi: int
     total: int
     tail: list[int]  # Dbar + T: the part of G0 that does not come from F
-    strict: IntMultiset  # S minus T: where stage 3 asks for strict domination
+    caps: tuple[int, int, int]  # the stage-3 caps on the mci triple
 
 
 def _f_windows(
@@ -509,8 +505,7 @@ def _f_windows(
     Dstar and keeping only the choices that reproduce themselves as the
     canonical overlap reaches every admissible triple exactly once.
 
-    Both tests run on the sorted value lists, and multisets are built
-    only for the choices that pass them.  With Ehat = (d0 + Dbar) +
+    Both tests run on the sorted value lists.  With Ehat = (d0 + Dbar) +
     (theta_z - S), theta_z - Ehat = (theta_g - Dbar) + S and Dstar =
     Dbar + S, so Dstar & (theta_z - Ehat) = S + (Dbar & (theta_g - Dbar)):
     S is canonical iff no x in Dbar has its partner theta_g - x in Dbar
@@ -536,20 +531,17 @@ def _f_windows(
             continue
         if any(theta_g - x in dbar_vals for x in dbar_vals):
             continue  # not the canonical overlap; the canonical choice covers it
-        ehat = IntMultiset.from_values(ehat_vals)
-        s = IntMultiset.from_values(s_tuple)
-        s_less_t = None  # S minus T when T = {theta_g / 2}
+        ehat_vals.sort()
+        s_runs = tuple(Counter(s_tuple).items())
         for k in range(2, max_f + 1):
             t = _t_values(theta_g, s_tuple, k, len(dbar_vals))
             tail = dbar_vals + t
             n = k + len(tail)
             if n % 2 == 0:
                 continue  # |G0| must be odd
-            if t and s_less_t is None:
-                s_less_t = s.diff(IntMultiset.from_values(t))
             # socle degree balance: norm(G0) = m * theta_g with |G0| = 2m + 1
             total = k * theta_z + sum(tail) - (n // 2) * theta_g
-            yield _FWindow(ehat, k, lo, hi, total, tail, s_less_t if t else s)
+            yield _FWindow(ehat_vals, k, lo, hi, total, tail, _stage3_caps(dstar_list, s_runs, t))
 
 
 def _admissible_f_tuples(
@@ -564,20 +556,12 @@ def _admissible_f_tuples(
     dstar = dvals[1:]
     theta_z = sum(dstar)
     theta_g = theta_z - dvals[0]
-    hi, tail, strict = w.hi, w.tail, w.strict
-    n = w.k + len(tail)
-    m = n // 2
-    if m > dstar[0]:
+    hi, tail = w.hi, w.tail
+    if (w.k + len(tail)) // 2 > dstar[0]:
         return  # bound (a)
     if w.total < w.k * w.lo:
         return  # no k entries >= lo sum to total; bound (b) needs q >= 0
-    pairs = [(i, n - i) for i in range(1, m + 1)]  # 0-based Gaeta-Diesel pairs
-    # stage 3 as caps on the mci triple: e_i <= d_i, and e_i <= d_i - 1 at
-    # the strict index of each s in S - T (see _stage3_violation)
-    caps = list(dstar)
-    for s_val, mult in strict.entries:
-        caps[dstar.index(s_val) + mult - 1] -= 1
-    cap1, cap2, cap3 = caps
+    cap1, cap2, cap3 = w.caps
     top = theta_z - hi
 
     def may_complete(known: list[int], v: int, r: int, rest: int) -> bool:
@@ -595,9 +579,8 @@ def _admissible_f_tuples(
                 h.append(low - q // i)
         h += known
         h.sort()
-        for a, b in pairs:
-            if h[a] + h[b] >= theta_g:
-                return False
+        if gaeta_diesel_violation(h, theta_g) is not None:
+            return False
         e1, e2, e3 = mci_from_sorted(h, theta_g)  # bound (c)
         return e1 <= cap1 and e2 <= cap2 and e3 <= cap3
 
@@ -670,10 +653,10 @@ def _candidates_for_d(
         of h_1, h_2, h_3 with d_1, d_2, d_3, since e_1 = h_1, e_2 >= h_2
         and e_3 >= h_3.
 
-    Stage 3, on the bounds and at the leaves, reads as caps on the mci
-    triple: e_i <= d_i, and e_i <= d_i - 1 at the strict indices, the
-    same comparisons :func:`_stage3_violation` makes.  The leaves left
-    are decided by the exact Gaeta-Diesel, mci and stage-3 tests.  Each
+    On the bounds and at the leaves, Gaeta-Diesel is
+    ``gaeta_diesel_violation`` and stage 3 is the window's caps from
+    ``_stage3_caps``, as in :func:`check_betti`.  The leaves left are
+    decided by the exact Gaeta-Diesel, mci and stage-3 tests.  Each
     emitted triple is built from its F tuple and Ehat, re-checked by
     :func:`check_betti`, and sorted by (F, E), which within one D is
     the order of :meth:`AciBetti.key`.
@@ -682,9 +665,8 @@ def _candidates_for_d(
     d_level = IntMultiset.from_values(dvals)
     found: dict[tuple, AciBetti] = {}
     for w in _f_windows(dvals, max_degree, max_f):
-        ehat_values = w.ehat.values()
         for f_tuple in _admissible_f_tuples(dvals, w):
-            e_tuple = tuple(sorted([d - x for x in f_tuple] + ehat_values))
+            e_tuple = tuple(sorted([d - x for x in f_tuple] + w.ehat))
             candidate = AciBetti(
                 d_level, IntMultiset.from_values(e_tuple), IntMultiset.from_values(f_tuple)
             )

@@ -24,6 +24,7 @@ from .gorenstein import (
     GorensteinBetti,
     check_gorenstein_betti,
     hilbert_from_resolution,
+    hilbert_limit,
     koszul_modules,
     mci,
 )
@@ -34,8 +35,9 @@ from .structure import AlternatingPresentation, build_aci_complex, verify_comple
 
 # Largest matrix `pfaffian` and `verify-structure` accept.  The worst case
 # admitted, the submaximal vector of a generic 13x13 matrix (one variable
-# per entry), takes about 2 s and 120 MB; each +2 in size multiplies the
-# terms of a generic pfaffian by about 13.
+# per entry), takes 0.8 to 1.3 s and 116 MB through the CLI on a shared
+# 2-CPU Xeon with Python 3.11; each +2 in size multiplies the terms of a
+# generic pfaffian by about 13.
 MAX_MATRIX_SIZE = 13
 
 
@@ -147,6 +149,8 @@ def cmd_hilbert(args) -> int:
         raise InputError("provide exactly one of --resolution or --ci")
     if args.ci is not None:
         degrees = _parse_int_list(args.ci)
+        # the length cap on the largest Koszul twist, before koszul_modules builds its table
+        hilbert_limit(sum(d for d in degrees if d > 0), args.nvars)
         modules = koszul_modules(degrees)
     else:
         try:

@@ -236,29 +236,41 @@ HILBERT_MAX_LENGTH = 10_000
 HILBERT_MAX_WORK = 10_000_000
 
 
-def hilbert_from_resolution(modules: Sequence[IntMultiset], nvars: int) -> HilbertFn:
-    """Alternating binomial sum over a free resolution's twist multisets.
+def hilbert_limit(top: int, nvars: int) -> int:
+    """The last degree, ``top`` + ``nvars``, at which H is evaluated when the
+    largest twist of the resolution is ``top`` (0 if none is positive).
 
-    ``modules`` lists [M_1, ..., M_p]; the leading free module R (twist 0)
-    is implied.  H(n) = C(n+nvars-1, nvars-1) + sum_i (-1)^i sum_{h in M_i}
-    C(n-h+nvars-1, nvars-1).  Raises if the result is not eventually zero.
-    H is evaluated at n = 0 .. max twist + nvars.  More than
-    ``HILBERT_MAX_LENGTH`` points, or more than ``HILBERT_MAX_WORK``
-    binomials (points times one plus the number of runs over all
-    modules), are rejected before any value is computed.
+    Raises if nvars < 1 or if the points 0 .. limit exceed
+    ``HILBERT_MAX_LENGTH``.
     """
     if nvars < 1:
         raise ValueError("nvars must be positive")
-    top = 0
-    for m in modules:
-        if m:
-            top = max(top, m.max())
     limit = top + nvars
     if limit + 1 > HILBERT_MAX_LENGTH:
         raise ValueError(
             f"largest twist {top} plus nvars {nvars} needs {limit + 1} Hilbert values, "
             f"above the cap of {HILBERT_MAX_LENGTH}"
         )
+    return limit
+
+
+def hilbert_from_resolution(modules: Sequence[IntMultiset], nvars: int) -> HilbertFn:
+    """Alternating binomial sum over a free resolution's twist multisets.
+
+    ``modules`` lists [M_1, ..., M_p]; the leading free module R (twist 0)
+    is implied.  H(n) = C(n+nvars-1, nvars-1) + sum_i (-1)^i sum_{h in M_i}
+    C(n-h+nvars-1, nvars-1).  Raises if the result is not eventually zero,
+    or if some H(n) is negative: then the modules resolve no quotient.
+    H is evaluated at n = 0 .. :func:`hilbert_limit`.  More than
+    ``HILBERT_MAX_LENGTH`` points, or more than ``HILBERT_MAX_WORK``
+    binomials (points times one plus the number of runs over all
+    modules), are rejected before any value is computed.
+    """
+    top = 0
+    for m in modules:
+        if m:
+            top = max(top, m.max())
+    limit = hilbert_limit(top, nvars)
     work = (limit + 1) * (1 + sum(len(m.entries) for m in modules))
     if work > HILBERT_MAX_WORK:
         raise ValueError(
@@ -281,6 +293,9 @@ def hilbert_from_resolution(modules: Sequence[IntMultiset], nvars: int) -> Hilbe
     # so vanishing at nvars consecutive points means vanishing identically
     if any(v != 0 for v in values[-nvars:]):
         raise ValueError("resolution does not define an Artinian quotient")
+    for n, v in enumerate(values):
+        if v < 0:
+            raise ValueError(f"negative Hilbert value H({n}) = {v}: the resolution resolves no quotient")
     while len(values) > 1 and values[-1] == 0:
         values.pop()
     return HilbertFn(tuple(values))

@@ -26,6 +26,7 @@ from bettiforge.gorenstein import (
     GorensteinBetti,
     check_gorenstein_betti,
     gaeta_diesel_violation,
+    mci,
     mci_from_sorted,
     random_admissible,
 )
@@ -577,6 +578,38 @@ def _decompose_by_multiset_algebra(b):
     )
 
 
+def _stage3_violation(dvals, e, strict):
+    """First failed mci comparison, or None if the linkage type dominates: the
+    reference for stage 3 as the paper states it.
+
+    ``dvals`` is the sorted type d_1 <= d_2 <= d_3, ``e`` the mci triple,
+    ``strict`` the runs of S - T, the degrees whose chosen regular-sequence
+    members are forced non-minimal, so domination must be strict at the index
+    min{j | d_j = s} + multiplicity(s) - 1.  A violation is reported as
+    (i, None) for the first 1-based i with d_i < e_i, or as (i, s) when
+    d_i > e_i fails at the strict index of s.
+    """
+    for i in range(3):
+        if dvals[i] < e[i]:
+            return i + 1, None
+    for s_val, mult in strict:
+        i = dvals.index(s_val) + mult  # strict ⊆ S ⊆ Dstar, so s is in dvals
+        if dvals[i - 1] <= e[i - 1]:
+            return i, s_val
+    return None
+
+
+def _caps_by_reference(dvals, strict):
+    """The largest mci triple the reference admits.  Each of its comparisons
+    reads one index, so cap i is the largest e_i that passes with the other
+    two entries at 0 (every d_j is positive)."""
+    caps = []
+    for i in range(3):
+        probes = ([x if j == i else 0 for j in range(3)] for x in range(dvals[i] + 1))
+        caps.append(max(e[i] for e in probes if _stage3_violation(dvals, e, strict) is None))
+    return tuple(caps)
+
+
 def test_decompose_matches_multiset_algebra():
     outcomes = set()
     for d, e, f in _verdict_corpus(seed=7, per_stratum=150):
@@ -658,6 +691,36 @@ def test_admitted_gorenstein_betti_equals_validated_construction():
     assert admitted >= VERDICT_KINDS["admissible"] + 1000
 
 
+def test_stage3_matches_reference():
+    """On every decomposable triple whose G0 is admitted, check_betti's
+    stage-3 decision and witness are those of the reference, run on the
+    multiset-algebra decomposition with S - T built by IntMultiset.diff.
+    Neither the corpus nor check-mix fails a strict index, so every F of
+    the (D, S, |F|) windows at (7, 4), unpruned, is checked too."""
+    outcomes = {"admitted": 0, "dominance": 0, "strict": 0, "strict with T": 0}
+    triples = _verdict_corpus() + _check_mix_triples(1) + _unpruned_window_triples(7, 4)
+    for b in _decomposable(triples):
+        v = check_betti(b)
+        if v.stage == 2:
+            continue
+        dec = _decompose_by_multiset_algebra(b)
+        dvals, e = dec.dstar.values(), mci(induced_gorenstein(dec, b.f))
+        hit = _stage3_violation(dvals, e, dec.s.diff(dec.t).entries)
+        if hit is None:
+            assert v.admissible and v.mci == e, b
+            outcomes["admitted"] += 1
+            continue
+        i, s_val = hit
+        if s_val is None:
+            expected = "({},{},{}) ≱ ({},{},{})".format(*dvals, *e)
+            outcomes["dominance"] += 1
+        else:
+            expected = f"s={s_val}, i={i}, d_{i}={dvals[i - 1]} not > e_{i}={e[i - 1]}"
+            outcomes["strict with T" if dec.t else "strict"] += 1
+        assert (v.admissible, v.stage, v.witness) == (False, 3, expected), b
+    assert min(outcomes.values()) > 0, outcomes
+
+
 def test_sorted_d_tuples_match_grouped_sort():
     """The lazy D tuples come in the order of the whole list grouped by
     total and sorted within each total."""
@@ -692,8 +755,9 @@ def test_f_windows_match_multiset_algebra():
             for k in range(2, 6):
                 t = ms(aci._t_values(theta_g, s, k, dbar.card()))
                 if (k + dbar.card() + t.card()) % 2:
-                    expected.append((ehat, k, lo, hi, dbar.values() + t.values(), s.diff(t)))
-        got = [(w.ehat, w.k, w.lo, w.hi, w.tail, w.strict) for w in aci._f_windows(dvals, 12, 5)]
+                    caps = _caps_by_reference(dstar_list, s.diff(t).entries)
+                    expected.append((ehat.values(), k, lo, hi, dbar.values() + t.values(), caps))
+        got = [(w.ehat, w.k, w.lo, w.hi, w.tail, w.caps) for w in aci._f_windows(dvals, 12, 5)]
         assert got == expected, dvals
 
 
@@ -706,6 +770,16 @@ def _fixed_sum_tuples(lo, hi, k, total):
     for v in range(max(lo, total - (k - 1) * hi), min(hi, total // k) + 1):
         for rest in _fixed_sum_tuples(v, hi, k - 1, total - v):
             yield (v,) + rest
+
+
+def _unpruned_window_triples(max_degree, max_f):
+    """(D, E, F) for every F of every window of the F search, as lists."""
+    out = []
+    for dvals in aci._sorted_d_tuples(max_degree):
+        for w in aci._f_windows(dvals, max_degree, max_f):
+            for f in _fixed_sum_tuples(w.lo, w.hi, w.k, w.total):
+                out.append((list(dvals), sorted([sum(dvals) - x for x in f] + w.ehat), list(f)))
+    return out
 
 
 def test_pruned_f_search_equals_filtered_full_search():
@@ -722,7 +796,7 @@ def test_pruned_f_search_equals_filtered_full_search():
                 g0 = sorted([theta_z - x for x in f] + w.tail)
                 if gaeta_diesel_violation(g0, theta_g) is not None:
                     continue
-                if aci._stage3_violation(dstar, mci_from_sorted(g0, theta_g), w.strict.entries) is None:
+                if all(x <= cap for x, cap in zip(mci_from_sorted(g0, theta_g), w.caps)):
                     expected.append(f)
             assert list(aci._admissible_f_tuples(dvals, w)) == expected, (dvals, w)
             windows += 1
@@ -738,7 +812,7 @@ def test_window_with_too_small_a_total_is_empty():
     dvals = (3, 4, 5, 6)
     for k, lo, hi in ((2, 5, 8), (3, 5, 8), (2, 6, 6), (3, 7, 10)):
         for total in (k * lo - 1, k * lo - 3):
-            w = aci._FWindow(ms([7, 8, 9]), k, lo, hi, total, [], ms([]))
+            w = aci._FWindow([7, 8, 9], k, lo, hi, total, [], dvals[1:])
             assert list(aci._admissible_f_tuples(dvals, w)) == [], (k, lo, hi, total)
 
 

@@ -153,6 +153,36 @@ def test_hilbert_rejects_work_above_cap(capsys):
     assert code == 2 and out == "" and "binomials, above the cap" in err
 
 
+def test_hilbert_ci_length_cap_comes_before_the_koszul_table(capsys, monkeypatch):
+    # the powers of two 2^0 .. 2^19 have 2^20 distinct subset sums, a
+    # Koszul table of about 161 MB
+    def no_table(degrees):
+        raise AssertionError("koszul_modules was called")
+
+    monkeypatch.setattr(cli, "koszul_modules", no_table)
+    degrees = json.dumps([2**i for i in range(20)])
+    code, out, err = run_cli(["hilbert", "--ci", degrees], capsys=capsys)
+    assert code == 2 and out == ""
+    assert err == f"error: largest twist {2**20 - 1} plus nvars 3 needs {2**20 + 3} Hilbert values, above the cap of 10000\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["hilbert", "--ci", "[1,1,1,1]"],
+        ["hilbert", "--ci", "[2,2,2,2]"],
+        ["hilbert", "--resolution", "[[1,1,1,1],[2,2,2,2,2,2],[3,3,3,3],[4]]"],
+        ["hilbert", "--resolution", "[[2,2,2,2],[4,4,4,4,4,4],[6,6,6,6],[8]]"],
+    ],
+    ids=["ci-1111", "ci-2222", "resolution-1111", "resolution-2222"],
+)
+def test_hilbert_rejects_negative_values(argv, capsys):
+    # four forms in three variables: the Koszul complex resolves nothing,
+    # and its alternating sum goes negative
+    code, out, err = run_cli(argv, capsys=capsys)
+    assert code == 2 and out == "" and "negative Hilbert value" in err
+
+
 def test_hilbert_needs_one_source(capsys):
     code, _, err = run_cli(["hilbert"], capsys=capsys)
     assert code == 2
