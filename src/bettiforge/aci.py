@@ -272,13 +272,26 @@ def induced_gorenstein(
 
 @dataclass(frozen=True, slots=True)
 class Verdict:
-    """Outcome of the three-stage admissibility test; ``witness`` is formatted when read."""
+    """Outcome of the three-stage admissibility test.
+
+    An admitted G0 is kept as its sorted values and theta_g: ``beta_g``
+    builds the :class:`GorensteinBetti` each time it is read, and
+    ``witness`` is formatted when read.  Equality, hashing and pickling
+    compare those values.
+    """
 
     admissible: bool
     stage: int | None = None
     failure: AciTypeFailure | GorensteinFailure | tuple | None = None  # stage 3: (d_1, d_2, d_3), caps
-    beta_g: GorensteinBetti | None = None
+    g0: tuple[int, ...] | None = None  # the admitted G0, sorted
+    theta_g: int | None = None
     mci: tuple[int, int, int] | None = None
+
+    @property
+    def beta_g(self) -> GorensteinBetti | None:
+        if self.g0 is None:
+            return None
+        return GorensteinBetti._trusted(IntMultiset.from_values(self.g0), self.theta_g)
 
     @property
     def witness(self) -> str | None:
@@ -299,7 +312,7 @@ class Verdict:
         return {
             "admissible": self.admissible,
             "stage": self.stage,
-            "beta_G": self.beta_g.to_json() if self.beta_g else None,
+            "beta_G": self.beta_g.to_json() if self.g0 is not None else None,
             "mci": list(self.mci) if self.mci else None,
             "witness": self.witness,
         }
@@ -327,8 +340,8 @@ def _stage3_caps(dvals: Sequence[int], s_runs: Runs, t: Container[int]) -> tuple
 def check_betti(b: AciBetti) -> Verdict:
     """Decide whether (D, E, F) is admissible for a codimension-3 ACI.
 
-    Every stage reads the decomposition's runs and the sorted G0 list;
-    the only multiset built is the admitted G0 of ``beta_g``.
+    Every stage reads the decomposition's runs and the sorted G0 list,
+    and no multiset is built: the verdict keeps an admitted G0 as a tuple.
     """
     dec = decompose(b)
     if isinstance(dec, AciTypeFailure):
@@ -337,15 +350,14 @@ def check_betti(b: AciBetti) -> Verdict:
     if isinstance(h, GorensteinFailure):
         return Verdict(False, stage=2, failure=h)
     theta_g = dec.theta_g
-    beta_g = GorensteinBetti._trusted(IntMultiset.from_values(h), theta_g)
     e = mci_from_sorted(h, theta_g)  # h has just been admitted, so no re-check
     dvals = []
     for v, m in dec.dstar_runs:
         dvals += [v] * m
     caps = _stage3_caps(dvals, dec.s_runs, [v for v, _ in dec.t_runs])
     if e[0] <= caps[0] and e[1] <= caps[1] and e[2] <= caps[2]:
-        return Verdict(True, beta_g=beta_g, mci=e)
-    return Verdict(False, stage=3, failure=(tuple(dvals), caps), beta_g=beta_g, mci=e)
+        return Verdict(True, g0=tuple(h), theta_g=theta_g, mci=e)
+    return Verdict(False, stage=3, failure=(tuple(dvals), caps), g0=tuple(h), theta_g=theta_g, mci=e)
 
 
 # ----------------------------------------------------------------------
@@ -544,10 +556,8 @@ def _f_windows(
             yield _FWindow(ehat_vals, k, lo, hi, total, tail, _stage3_caps(dstar_list, s_runs, t))
 
 
-def _admissible_f_tuples(
-    dvals: tuple[int, int, int, int], w: _FWindow
-) -> Iterator[tuple[int, ...]]:
-    """The F of window ``w`` whose G0 passes Gaeta-Diesel and stage 3, in lex order.
+def _admissible_f_tuples(dvals: tuple[int, int, int, int], w: _FWindow) -> list[tuple[int, ...]]:
+    """The F of window ``w`` whose G0 passes stage 3 and Gaeta-Diesel, in lex order.
 
     F is built smallest-first, and a branch is cut by the bounds that
     :func:`_candidates_for_d` describes.  Every leaf left is decided by
@@ -557,10 +567,11 @@ def _admissible_f_tuples(
     theta_z = sum(dstar)
     theta_g = theta_z - dvals[0]
     hi, tail = w.hi, w.tail
+    found: list[tuple[int, ...]] = []
     if (w.k + len(tail)) // 2 > dstar[0]:
-        return  # bound (a)
+        return found  # bound (a)
     if w.total < w.k * w.lo:
-        return  # no k entries >= lo sum to total; bound (b) needs q >= 0
+        return found  # no k entries >= lo sum to total; bound (b) needs q >= 0
     cap1, cap2, cap3 = w.caps
     top = theta_z - hi
 
@@ -579,31 +590,28 @@ def _admissible_f_tuples(
                 h.append(low - q // i)
         h += known
         h.sort()
-        if gaeta_diesel_violation(h, theta_g) is not None:
-            return False
-        e1, e2, e3 = mci_from_sorted(h, theta_g)  # bound (c)
-        return e1 <= cap1 and e2 <= cap2 and e3 <= cap3
+        e1, e2, e3 = mci_from_sorted(h, theta_g)  # bound (c), before Gaeta-Diesel
+        return e1 <= cap1 and e2 <= cap2 and e3 <= cap3 and gaeta_diesel_violation(h, theta_g) is None
 
-    def grow(
-        prefix: tuple[int, ...], prefix_g: list[int], v: int, r: int, rest: int
-    ) -> Iterator[tuple[int, ...]]:
+    def grow(prefix: tuple[int, ...], known: list[int], v: int, r: int, rest: int) -> None:
+        # ``known`` holds the generators fixed above this level, tail included
         r -= 1  # entries left after this one
-        known = prefix_g + tail  # the generators fixed above this level
         for x in range(max(v, rest - r * hi), min(hi, rest // (r + 1)) + 1):
             left = rest - x
             if r == 1:  # the last entry is forced: a leaf
                 g0 = known + [theta_z - x, theta_z - left]
                 g0.sort()
-                if gaeta_diesel_violation(g0, theta_g) is not None:
-                    continue
                 e1, e2, e3 = mci_from_sorted(g0, theta_g)
-                if e1 <= cap1 and e2 <= cap2 and e3 <= cap3:
-                    yield prefix + (x, left)
-            elif may_complete(known + [theta_z - x], x, r, left):
-                yield from grow(prefix + (x,), prefix_g + [theta_z - x], x, r, left)
+                if e1 <= cap1 and e2 <= cap2 and e3 <= cap3 and gaeta_diesel_violation(g0, theta_g) is None:
+                    found.append(prefix + (x, left))
+            else:
+                child = known + [theta_z - x]
+                if may_complete(child, x, r, left):
+                    grow(prefix + (x,), child, x, r, left)
 
     if may_complete(tail, w.lo, w.k, w.total):
-        yield from grow((), [], w.lo, w.k, w.total)
+        grow((), tail, w.lo, w.k, w.total)
+    return found
 
 
 def _candidates_for_d(
@@ -656,10 +664,15 @@ def _candidates_for_d(
     On the bounds and at the leaves, Gaeta-Diesel is
     ``gaeta_diesel_violation`` and stage 3 is the window's caps from
     ``_stage3_caps``, as in :func:`check_betti`.  The leaves left are
-    decided by the exact Gaeta-Diesel, mci and stage-3 tests.  Each
-    emitted triple is built from its F tuple and Ehat, re-checked by
-    :func:`check_betti`, and sorted by (F, E), which within one D is
-    the order of :meth:`AciBetti.key`.
+    decided by the exact Gaeta-Diesel, mci and stage-3 tests.  At every
+    inner node and leaf the mci triple is compared with the caps first,
+    and Gaeta-Diesel runs only where it passes: stage 3 cuts more nodes,
+    ``mci_from_sorted`` is defined on any sorted list of odd length, and
+    the argument for (c) does not use Gaeta-Diesel.  A node is cut iff
+    one of the two fails, whichever runs first.  Each emitted triple is
+    built from its F tuple and Ehat, re-checked by :func:`check_betti`,
+    and sorted by (F, E), which within one D is the order of
+    :meth:`AciBetti.key`.
     """
     d = sum(dvals)
     d_level = IntMultiset.from_values(dvals)

@@ -25,7 +25,9 @@ from .gorenstein import (
     check_gorenstein_betti,
     hilbert_from_resolution,
     hilbert_limit,
+    hilbert_work,
     koszul_modules,
+    koszul_run_bounds,
     mci,
 )
 from .multiset import IntMultiset
@@ -79,6 +81,13 @@ def _int_option(text: str) -> int:
 
 def _emit(data) -> None:
     print(json.dumps(data, sort_keys=True))
+
+
+def _ndjson_line(betti: AciBetti) -> str:
+    """The line ``enumerate`` writes for a triple: the bytes of
+    ``json.dumps(betti.to_json(), sort_keys=True)`` and a newline, since a
+    list of ints prints as its JSON array."""
+    return '{"D": %s, "E": %s, "F": %s}\n' % (betti.d.to_list(), betti.e.to_list(), betti.f.to_list())
 
 
 def _is_name_array(data) -> bool:
@@ -149,8 +158,10 @@ def cmd_hilbert(args) -> int:
         raise InputError("provide exactly one of --resolution or --ci")
     if args.ci is not None:
         degrees = _parse_int_list(args.ci)
-        # the length cap on the largest Koszul twist, before koszul_modules builds its table
-        hilbert_limit(sum(d for d in degrees if d > 0), args.nvars)
+        # both caps before koszul_modules builds its table: the length cap
+        # on the largest Koszul twist, the work cap on a lower bound of the runs
+        limit = hilbert_limit(sum(d for d in degrees if d > 0), args.nvars)
+        hilbert_work(limit + 1, len(degrees), sum(koszul_run_bounds(degrees)))
         modules = koszul_modules(degrees)
     else:
         try:
@@ -189,9 +200,9 @@ def cmd_enumerate(args) -> int:
         jobs = worker_count(args.jobs)
     except ValueError as exc:
         raise InputError(f"--jobs: {exc}") from exc
-    encode = json.JSONEncoder(sort_keys=True).encode  # the bytes of json.dumps(..., sort_keys=True)
+    write = sys.stdout.write
     for betti in enumerate_admissible(args.max_degree, args.max_f, jobs=jobs):
-        print(encode(betti.to_json()))
+        write(_ndjson_line(betti))
     return 0
 
 

@@ -172,6 +172,10 @@ def mci_from_sorted(d: Sequence[int], theta: int) -> tuple[int, int, int]:
     The loops run over 0-based indices: d[i] is d_{i+1} in the 1-based
     notation of :func:`ci_index_sets`, so B is {2 <= i <= n | theta <=
     d[i] + d[2n+2-i]} and C is {3 <= i <= n+1 | theta <= d[i] + d[2n+3-i]}.
+    Every index read is at most 2n, so the triple is defined on any
+    sorted list of odd length 2n+1 >= 3, admissible or not: the F search
+    in the ``aci`` module reads it on lists that Gaeta-Diesel has not
+    yet passed.
     """
     n = (len(d) - 1) // 2
     b_min = b_max = 0  # 0 while B is empty: B holds no index below 2
@@ -254,6 +258,19 @@ def hilbert_limit(top: int, nvars: int) -> int:
     return limit
 
 
+def hilbert_work(points: int, nmodules: int, runs: int) -> None:
+    """Raise if ``points`` Hilbert values over ``nmodules`` modules with
+    ``runs`` runs in all need more than ``HILBERT_MAX_WORK`` binomials,
+    ``points`` times one plus ``runs``.
+    """
+    work = points * (1 + runs)
+    if work > HILBERT_MAX_WORK:
+        raise ValueError(
+            f"{points} Hilbert values over {nmodules} modules need {work} binomials, "
+            f"above the cap of {HILBERT_MAX_WORK}"
+        )
+
+
 def hilbert_from_resolution(modules: Sequence[IntMultiset], nvars: int) -> HilbertFn:
     """Alternating binomial sum over a free resolution's twist multisets.
 
@@ -271,12 +288,7 @@ def hilbert_from_resolution(modules: Sequence[IntMultiset], nvars: int) -> Hilbe
         if m:
             top = max(top, m.max())
     limit = hilbert_limit(top, nvars)
-    work = (limit + 1) * (1 + sum(len(m.entries) for m in modules))
-    if work > HILBERT_MAX_WORK:
-        raise ValueError(
-            f"{limit + 1} Hilbert values over {len(modules)} modules need {work} binomials, "
-            f"above the cap of {HILBERT_MAX_WORK}"
-        )
+    hilbert_work(limit + 1, len(modules), sum(len(m.entries) for m in modules))
 
     def h_at(n: int) -> int:
         acc = binomial(n + nvars - 1, nvars - 1)
@@ -320,6 +332,30 @@ def koszul_modules(degrees: Sequence[int]) -> list[IntMultiset]:
             for total, mult in counts[k - 1].items():
                 row[total + deg] = row.get(total + deg, 0) + mult
     return [IntMultiset(tuple(sorted(row.items()))) for row in counts[1:]]
+
+
+def koszul_run_bounds(degrees: Sequence[int]) -> list[int]:
+    """A lower bound on the runs of each module of :func:`koszul_modules`,
+    found without its table.
+
+    With a < b the smallest and largest degrees, n_a and n_b their
+    copies and m_0 = max(0, k - n_a - n_b), take the k-subsets made of
+    one fixed set of m_0 other degrees, j copies of a and k - m_0 - j of
+    b.  Their sums are distinct, one for each j in
+    max(0, k - m_0 - n_b) .. min(n_a, k - m_0), so module k has at least
+    that many runs.  Equal degrees give one run per module.
+    """
+    if not degrees:
+        return []
+    a, b = min(degrees), max(degrees)
+    if a == b:
+        return [1] * len(degrees)
+    n_a, n_b = degrees.count(a), degrees.count(b)
+    bounds = []
+    for k in range(1, len(degrees) + 1):
+        m0 = max(0, k - n_a - n_b)
+        bounds.append(min(n_a, k - m0) - max(0, k - m0 - n_b) + 1)
+    return bounds
 
 
 def initial_degree(h: HilbertFn, nvars: int = 3) -> int:

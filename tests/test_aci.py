@@ -423,6 +423,29 @@ def test_worker_count_validates_and_clamps():
         next(enumerate_admissible(6, 2, jobs=0))
 
 
+def test_enumerate_self_check_is_live(monkeypatch):
+    """Every emitted triple is re-checked by check_betti, which here rejects it."""
+    monkeypatch.setattr(aci, "check_betti", lambda b: aci.Verdict(False, stage=1))
+    with pytest.raises(AssertionError):
+        list(enumerate_admissible(6, 3, jobs=1))
+
+
+def test_enumerate_search_tree_is_pinned(monkeypatch):
+    """mci_from_sorted runs once per inner node and leaf of the F search and once
+    per self-check: 20,524 calls at (12, 5), as many as Gaeta-Diesel made
+    when it ran first at every node."""
+    calls = 0
+
+    def counted(h, theta):
+        nonlocal calls
+        calls += 1
+        return mci_from_sorted(h, theta)
+
+    monkeypatch.setattr(aci, "mci_from_sorted", counted)
+    assert len(list(enumerate_admissible(12, 5))) == 1517
+    assert calls == 20524
+
+
 # NDJSON of the stream as the CLI prints it, recorded before the F search
 # was pruned; (14, 5) recorded before the stage-3 cut at inner nodes
 @pytest.mark.parametrize(
@@ -553,6 +576,26 @@ def test_verdicts_pickle():
         v = check_betti(b)
         back = pickle.loads(pickle.dumps(v))
         assert back == v and back.witness == v.witness, v
+
+
+def test_check_betti_builds_beta_g_when_read(monkeypatch):
+    """Deciding builds no multiset; beta_g, built on each read, is the induced G0."""
+
+    def refuse(*args):
+        raise AssertionError("a multiset was built while deciding")
+
+    corpus = _one_triple_per_verdict_kind()
+    with monkeypatch.context() as patch:
+        patch.setattr(IntMultiset, "_trusted", refuse)
+        patch.setattr(IntMultiset, "__post_init__", refuse)
+        verdicts = [check_betti(b) for b in corpus]
+    for b, v in zip(corpus, verdicts):
+        if v.stage in (1, 2):
+            assert v.beta_g is None and v.g0 is None, v
+            continue
+        expected = induced_gorenstein(decompose(b), b.f)
+        assert v.beta_g == expected and v.beta_g is not v.beta_g, v
+        assert v.g0 == tuple(expected.gens.values()) and v.theta_g == expected.theta
 
 
 def _decompose_by_multiset_algebra(b):

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from bettiforge import cli
+from bettiforge.aci import AciBetti, enumerate_admissible
 from bettiforge.cli import main
 from bettiforge.exact import _W
 
@@ -164,6 +165,22 @@ def test_hilbert_ci_length_cap_comes_before_the_koszul_table(capsys, monkeypatch
     code, out, err = run_cli(["hilbert", "--ci", degrees], capsys=capsys)
     assert code == 2 and out == ""
     assert err == f"error: largest twist {2**20 - 1} plus nvars 3 needs {2**20 + 3} Hilbert values, above the cap of 10000\n"
+
+
+def test_hilbert_ci_work_cap_comes_before_the_koszul_table(capsys, monkeypatch):
+    # 800 degrees alternating 1 and 2 are within the length cap; their
+    # Koszul table took 15.8 s and 55 MB before the work cap stopped it.
+    # With two values the lower bound on the runs is their count.
+    def no_table(degrees):
+        raise AssertionError("koszul_modules was called")
+
+    monkeypatch.setattr(cli, "koszul_modules", no_table)
+    code, out, err = run_cli(["hilbert", "--ci", json.dumps([1, 2] * 400)], capsys=capsys)
+    assert code == 2 and out == ""
+    assert err == (
+        "error: 1204 Hilbert values over 800 modules need 193604404 binomials, "
+        "above the cap of 10000000\n"
+    )
 
 
 @pytest.mark.parametrize(
@@ -395,6 +412,24 @@ def test_enumerate_stdout_is_pinned(capsys):
     code, out, _ = run_cli(["enumerate", "--max-degree", "12", "--max-f", "5"], capsys=capsys)
     assert code == 0 and out.count("\n") == 1517
     assert hashlib.md5(out.encode()).hexdigest() == "06009033f4b7418ed137b4a717230732"
+
+
+def test_enumerate_lines_are_sorted_key_json():
+    """Each line enumerate writes is json.dumps of the triple with sorted keys."""
+    triples = list(enumerate_admissible(10, 4))
+    triples.append(AciBetti.from_values([9, 10, 10, 13], [11, 12, 12, 14, 15], [16, 17]))
+    for b in triples:
+        assert cli._ndjson_line(b) == json.dumps(b.to_json(), sort_keys=True) + "\n", b
+
+
+def test_enumerate_writes_each_line_once(capsys, monkeypatch):
+    writes = []
+    monkeypatch.setattr(sys.stdout, "write", writes.append)
+    assert main(["enumerate", "--max-degree", "8", "--max-f", "3"]) == 0
+    assert writes and all(w.count("\n") == 1 and w.endswith("\n") for w in writes)
+    monkeypatch.undo()
+    _, out, _ = run_cli(["enumerate", "--max-degree", "8", "--max-f", "3"], capsys=capsys)
+    assert "".join(writes) == out
 
 
 def test_enumerate_jobs_preserve_order(capsys):

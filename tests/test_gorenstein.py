@@ -15,6 +15,7 @@ from bettiforge.gorenstein import (
     hilbert_from_resolution,
     initial_degree,
     koszul_modules,
+    koszul_run_bounds,
     max_new_generators,
     mci,
     mci_from_sorted,
@@ -245,6 +246,20 @@ def test_koszul_modules_equal_subset_sums():
     for bad in (2.7, True, "3"):
         with pytest.raises(ValueError, match="must be ints"):
             koszul_modules([1, bad])
+
+
+def test_koszul_run_bounds_are_at_most_the_runs():
+    rng = random.Random(12)
+    for _ in range(300):
+        hi = rng.randint(0, 9)
+        degrees = [rng.randint(-3, hi) for _ in range(rng.randint(0, 9))]
+        bounds = koszul_run_bounds(degrees)
+        runs = [len(m.entries) for m in koszul_modules(degrees)]
+        assert len(bounds) == len(runs), degrees
+        assert all(1 <= b <= r for b, r in zip(bounds, runs)), (degrees, bounds, runs)
+    # with at most two distinct values the bound is the run count
+    for degrees in ([1, 2] * 6 + [1], [3, 3, 3, 7], [5] * 4):
+        assert koszul_run_bounds(degrees) == [len(m.entries) for m in koszul_modules(degrees)]
 
 
 def test_hilbert_rejects_non_artinian():
