@@ -15,6 +15,7 @@ from .gorenstein import (
     check_gorenstein_betti,
     ci_index_sets,
     hilbert_from_resolution,
+    hilbert_of_ci,
     mci,
 )
 from .aci import (
@@ -53,6 +54,7 @@ __all__ = [
     "check_gorenstein_betti",
     "ci_index_sets",
     "hilbert_from_resolution",
+    "hilbert_of_ci",
     "mci",
     "AciBetti",
     "AciDecomposition",

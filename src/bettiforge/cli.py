@@ -24,10 +24,7 @@ from .gorenstein import (
     GorensteinBetti,
     check_gorenstein_betti,
     hilbert_from_resolution,
-    hilbert_limit,
-    hilbert_work,
-    koszul_modules,
-    koszul_run_bounds,
+    hilbert_of_ci,
     mci,
 )
 from .multiset import IntMultiset
@@ -157,12 +154,7 @@ def cmd_hilbert(args) -> int:
     if (args.resolution is None) == (args.ci is None):
         raise InputError("provide exactly one of --resolution or --ci")
     if args.ci is not None:
-        degrees = _parse_int_list(args.ci)
-        # both caps before koszul_modules builds its table: the length cap
-        # on the largest Koszul twist, the work cap on a lower bound of the runs
-        limit = hilbert_limit(sum(d for d in degrees if d > 0), args.nvars)
-        hilbert_work(limit + 1, len(degrees), sum(koszul_run_bounds(degrees)))
-        modules = koszul_modules(degrees)
+        h = hilbert_of_ci(_parse_int_list(args.ci), args.nvars)
     else:
         try:
             data = json.loads(args.resolution)
@@ -170,8 +162,7 @@ def cmd_hilbert(args) -> int:
             raise InputError(f"--resolution is not valid JSON: {exc}") from exc
         if not isinstance(data, list) or not all(_is_int_array(m) for m in data):
             raise InputError("--resolution must be a JSON array of integer arrays")
-        modules = [IntMultiset.from_values(m) for m in data]
-    h = hilbert_from_resolution(modules, args.nvars)
+        h = hilbert_from_resolution([IntMultiset.from_values(m) for m in data], args.nvars)
     _emit({"values": list(h.values), "socle_degree": h.socle_degree(), "length": h.length()})
     return 0
 

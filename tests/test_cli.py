@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import sys
+import time
 
 import pytest
 
@@ -148,56 +149,78 @@ def test_hilbert_rejects_length_above_cap(capsys):
 
 
 def test_hilbert_rejects_work_above_cap(capsys):
-    # 20 degrees in 1..1000 (seed 3): within the length cap, not the work cap
-    degrees = "[244,607,558,134,379,938,619,486,641,595,68,621,14,931,858,481,266,565,240,197]"
-    code, out, err = run_cli(["hilbert", "--ci", degrees], capsys=capsys)
-    assert code == 2 and out == "" and "binomials, above the cap" in err
+    # 3,333 twos in 3,333 variables: within the length cap, not the work cap
+    code, out, err = run_cli(["hilbert", "--ci", json.dumps([2] * 3333), "--nvars", "3333"], capsys=capsys)
+    assert code == 2 and out == "" and "additions, above the cap" in err
 
 
-def test_hilbert_ci_length_cap_comes_before_the_koszul_table(capsys, monkeypatch):
-    # the powers of two 2^0 .. 2^19 have 2^20 distinct subset sums, a
-    # Koszul table of about 161 MB
-    def no_table(degrees):
-        raise AssertionError("koszul_modules was called")
-
-    monkeypatch.setattr(cli, "koszul_modules", no_table)
+def test_hilbert_ci_length_cap_comes_before_the_koszul_table(capsys):
+    # the powers of two 2^0 .. 2^19 have 2^20 distinct subset sums; the
+    # length cap is checked on their sum before anything else
     degrees = json.dumps([2**i for i in range(20)])
     code, out, err = run_cli(["hilbert", "--ci", degrees], capsys=capsys)
     assert code == 2 and out == ""
     assert err == f"error: largest twist {2**20 - 1} plus nvars 3 needs {2**20 + 3} Hilbert values, above the cap of 10000\n"
 
 
-def test_hilbert_ci_work_cap_comes_before_the_koszul_table(capsys, monkeypatch):
-    # 800 degrees alternating 1 and 2 are within the length cap; their
-    # Koszul table took 15.8 s and 55 MB before the work cap stopped it.
-    # With two values the lower bound on the runs is their count.
-    def no_table(degrees):
-        raise AssertionError("koszul_modules was called")
-
-    monkeypatch.setattr(cli, "koszul_modules", no_table)
+def test_hilbert_ci_work_cap_comes_before_the_koszul_table(capsys):
+    # 800 degrees alternating 1 and 2 are within both caps, and a complete
+    # intersection in 3 variables has 3 degrees
     code, out, err = run_cli(["hilbert", "--ci", json.dumps([1, 2] * 400)], capsys=capsys)
     assert code == 2 and out == ""
-    assert err == (
-        "error: 1204 Hilbert values over 800 modules need 193604404 binomials, "
-        "above the cap of 10000000\n"
-    )
+    assert err == "error: 800 degrees in 3 variables: a complete intersection needs exactly one degree per variable\n"
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, message",
     [
-        ["hilbert", "--ci", "[1,1,1,1]"],
-        ["hilbert", "--ci", "[2,2,2,2]"],
-        ["hilbert", "--resolution", "[[1,1,1,1],[2,2,2,2,2,2],[3,3,3,3],[4]]"],
-        ["hilbert", "--resolution", "[[2,2,2,2],[4,4,4,4,4,4],[6,6,6,6],[8]]"],
+        (["hilbert", "--ci", "[1,1,1,1]"], "4 degrees in 3 variables"),
+        (["hilbert", "--ci", "[2,2,2,2]"], "4 degrees in 3 variables"),
+        (["hilbert", "--resolution", "[[1,1,1,1],[2,2,2,2,2,2],[3,3,3,3],[4]]"], "negative Hilbert value"),
+        (["hilbert", "--resolution", "[[2,2,2,2],[4,4,4,4,4,4],[6,6,6,6],[8]]"], "negative Hilbert value"),
     ],
     ids=["ci-1111", "ci-2222", "resolution-1111", "resolution-2222"],
 )
-def test_hilbert_rejects_negative_values(argv, capsys):
+def test_hilbert_rejects_negative_values(argv, message, capsys):
     # four forms in three variables: the Koszul complex resolves nothing,
-    # and its alternating sum goes negative
+    # and its alternating sum goes negative; --ci refuses the count first
     code, out, err = run_cli(argv, capsys=capsys)
-    assert code == 2 and out == "" and "negative Hilbert value" in err
+    assert code == 2 and out == "" and message in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--ci", json.dumps(list(range(1, 141)))], "140 degrees in 3 variables"),
+        (["--ci", json.dumps(list(range(-150, 0)))], "must be positive"),
+        (["--ci", json.dumps(list(range(-300, 0)))], "must be positive"),
+        (["--resolution", "[[-1000000000000]]", "--nvars", "5000"], "resolves no quotient"),
+        (["--ci", "[1]", "--nvars", "9998"], "1 degrees in 9998 variables"),
+        (["--resolution", "[]", "--nvars", "9999"], "Artinian"),
+        (["--ci", "[1,1,1,1,1]", "--nvars", "4000"], "5 degrees in 4000 variables"),
+        (["--ci", json.dumps([1] * 3000), "--nvars", "3"], "3000 degrees in 3 variables"),
+        (["--ci", "[-4,4]", "--nvars", "1"], "must be positive, got -4"),
+        (["--resolution", "[[-2,2],[0]]", "--nvars", "1"], "resolves no quotient"),
+    ],
+    ids=[
+        "ci-1-to-140",
+        "ci-minus-150",
+        "ci-minus-300",
+        "resolution-huge-negative-twist",
+        "ci-one-degree-9998-vars",
+        "resolution-empty-9999-vars",
+        "ci-five-ones-4000-vars",
+        "ci-3000-ones",
+        "ci-negative-degree",
+        "resolution-surviving-negative-twist",
+    ],
+)
+def test_hilbert_invalid_input_exits_2_at_once(argv, message, capsys):
+    # each of these once took seconds to minutes, and the last two printed values
+    start = time.perf_counter()
+    code, out, err = run_cli(["hilbert", *argv], capsys=capsys)
+    assert time.perf_counter() - start < 2.0
+    assert code == 2 and out == "" and message in err
 
 
 def test_hilbert_needs_one_source(capsys):

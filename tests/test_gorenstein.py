@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -13,9 +15,8 @@ from bettiforge.gorenstein import (
     check_gorenstein_betti,
     ci_index_sets,
     hilbert_from_resolution,
+    hilbert_of_ci,
     initial_degree,
-    koszul_modules,
-    koszul_run_bounds,
     max_new_generators,
     mci,
     mci_from_sorted,
@@ -219,8 +220,45 @@ def test_bvuoto_on_corpus():
 # ----------------------------------------------------------------------
 
 
+def koszul(degrees):
+    """Twist multisets of the Koszul resolution: module k holds every k-subset sum."""
+    return [ms(sum(c) for c in combinations(degrees, k)) for k in range(1, len(degrees) + 1)]
+
+
+def ci_corpus():
+    rng = random.Random(17)
+    lists = [[rng.randint(1, 9) for _ in range(rng.randint(0, 7))] for _ in range(300)]
+    return [(d, n) for d in lists for n in range(1, 6)]
+
+
+def padded_gorenstein_corpus():
+    # Gorenstein resolutions with up to three ghost pairs: one twist in
+    # -6..20 added to two adjacent modules
+    rng = random.Random(19)
+    cases = []
+    for _ in range(150):
+        modules = [m.values() for m in random_admissible(rng).modules()]
+        for _ in range(rng.randint(0, 3)):
+            i, v = rng.randint(0, 1), rng.randint(-6, 20)
+            modules[i].append(v)
+            modules[i + 1].append(v)
+        cases += [(modules, n) for n in (2, 3, 4)]
+    return cases
+
+
+def answered_md5(cases, hilbert):
+    """Count and md5 of the JSON list of the [input, values] pairs answered."""
+    pairs = []
+    for args in cases:
+        try:
+            pairs.append([args, list(hilbert(*args).values)])
+        except ValueError:
+            pass
+    return len(pairs), hashlib.md5(json.dumps(pairs).encode()).hexdigest()
+
+
 def test_hilbert_residue_field():
-    h = hilbert_from_resolution(koszul_modules([1, 1, 1]), 3)
+    h = hilbert_from_resolution(koszul([1, 1, 1]), 3)
     assert h.values == (1,)
 
 
@@ -231,35 +269,38 @@ def test_hilbert_five_quadrics():
 
 
 def test_hilbert_ci_length_is_product():
-    h = hilbert_from_resolution(koszul_modules([2, 2, 8]), 3)
+    h = hilbert_from_resolution(koszul([2, 2, 8]), 3)
     assert h.length() == 2 * 2 * 8
 
 
-def test_koszul_modules_equal_subset_sums():
-    rng = random.Random(11)
-    for _ in range(200):
-        degrees = [rng.randint(-3, 9) for _ in range(rng.randint(0, 8))]
-        expected = [
-            ms(sum(c) for c in combinations(degrees, k)) for k in range(1, len(degrees) + 1)
-        ]
-        assert koszul_modules(degrees) == expected, degrees
+def test_hilbert_of_ci_matches_the_koszul_oracle():
+    for degrees, nvars in ci_corpus():
+        try:
+            want = hilbert_from_resolution(koszul(degrees), nvars)
+        except ValueError:
+            with pytest.raises(ValueError):
+                hilbert_of_ci(degrees, nvars)
+        else:
+            assert hilbert_of_ci(degrees, nvars) == want, (degrees, nvars)
+    # the answered pairs of both corpora, as the earlier binomial-sum
+    # evaluation gave them
+    assert answered_md5(ci_corpus(), hilbert_of_ci) == (191, "a5e1e30ba079c0ac6107ea4dae303789")
+    padded = answered_md5(padded_gorenstein_corpus(), lambda m, n: hilbert_from_resolution(list(map(ms, m)), n))
+    assert padded == (150, "a5f66f76d54aeae56b29e802be89cd5e")
     for bad in (2.7, True, "3"):
         with pytest.raises(ValueError, match="must be ints"):
-            koszul_modules([1, bad])
+            hilbert_of_ci([1, bad, 1], 3)
 
 
-def test_koszul_run_bounds_are_at_most_the_runs():
-    rng = random.Random(12)
-    for _ in range(300):
-        hi = rng.randint(0, 9)
-        degrees = [rng.randint(-3, hi) for _ in range(rng.randint(0, 9))]
-        bounds = koszul_run_bounds(degrees)
-        runs = [len(m.entries) for m in koszul_modules(degrees)]
-        assert len(bounds) == len(runs), degrees
-        assert all(1 <= b <= r for b, r in zip(bounds, runs)), (degrees, bounds, runs)
-    # with at most two distinct values the bound is the run count
-    for degrees in ([1, 2] * 6 + [1], [3, 3, 3, 7], [5] * 4):
-        assert koszul_run_bounds(degrees) == [len(m.entries) for m in koszul_modules(degrees)]
+def test_hilbert_of_ci_needs_positive_degrees_one_per_variable():
+    for degrees, nvars, message in (
+        ([-4, 4], 1, "must be positive, got -4"),
+        ([0, 2, 2], 3, "must be positive, got 0"),
+        ([2, 2], 3, "2 degrees in 3 variables"),
+        ([1, 1, 1, 1], 3, "4 degrees in 3 variables"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            hilbert_of_ci(degrees, nvars)
 
 
 def test_hilbert_rejects_non_artinian():
@@ -271,9 +312,9 @@ def test_hilbert_length_is_capped():
     # H is evaluated at 0 .. largest twist + nvars; the Koszul resolution
     # of type (1, 1, c) has largest twist c + 2 and length c
     c = HILBERT_MAX_LENGTH - 6
-    assert hilbert_from_resolution(koszul_modules([1, 1, c]), 3).length() == c
+    assert hilbert_from_resolution(koszul([1, 1, c]), 3).length() == c
     for modules, nvars in (
-        (koszul_modules([1, 1, c + 1]), 3),
+        (koszul([1, 1, c + 1]), 3),
         ([ms([10**12])], 3),
         ([ms([2])], 10**9),
     ):
@@ -282,16 +323,16 @@ def test_hilbert_length_is_capped():
 
 
 def test_hilbert_work_is_capped():
-    # 20 seeded degrees in 1..1000 stay under the length cap but give
-    # about 4 * 10^8 binomials; the cap rejects them before any is computed
-    rng = random.Random(3)
-    degrees = [rng.randint(1, 1000) for _ in range(20)]
-    modules = koszul_modules(degrees)
-    points = sum(degrees) + 3 + 1
-    assert points <= HILBERT_MAX_LENGTH
-    assert points * (1 + sum(len(m.entries) for m in modules)) > HILBERT_MAX_WORK
-    with pytest.raises(ValueError, match="binomials, above the cap"):
-        hilbert_from_resolution(modules, 3)
+    # 3,333 twos in 3,333 variables reach degree 9,999, within the length
+    # cap, but the 3,333 divisions by (1 - t) need 3,333 * 6,667 additions
+    assert 6666 + 3333 + 1 <= HILBERT_MAX_LENGTH
+    assert 3333 * 6667 > HILBERT_MAX_WORK
+    for call in (
+        lambda: hilbert_of_ci([2] * 3333, 3333),
+        lambda: hilbert_from_resolution([ms([6666])], 3333),
+    ):
+        with pytest.raises(ValueError, match="additions, above the cap"):
+            call()
 
 
 def test_hilbert_handles_negative_twists():
