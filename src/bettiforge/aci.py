@@ -451,35 +451,6 @@ def link_betti(
 
 
 # ----------------------------------------------------------------------
-# retained-overlap shapes
-# ----------------------------------------------------------------------
-
-
-def retained_overlap_cardinalities(s: IntMultiset, theta_g: int) -> frozenset[int]:
-    """Possible sizes of the overlap submultiset retained by a minimal linkage.
-
-    The retained part of S pairs off under x -> theta_g - x, possibly with
-    one fixed point theta_g/2, so its cardinality is limited to:
-
-    * 0 always;
-    * 1 via {theta_g/2};
-    * 2 via {alpha, theta_g - alpha};
-    * 3 via {theta_g/2, alpha, theta_g - alpha}.
-    """
-    permitted = {0}
-    pairs = [IntMultiset.from_values([alpha, theta_g - alpha]) for alpha in s.support()]
-    if any(pair.is_submultiset(s) for pair in pairs):
-        permitted.add(2)
-    if theta_g % 2 == 0:
-        half = IntMultiset.from_values([theta_g // 2])
-        if half.is_submultiset(s):
-            permitted.add(1)
-            if any(half.sum(pair).is_submultiset(s) for pair in pairs):
-                permitted.add(3)
-    return frozenset(permitted)
-
-
-# ----------------------------------------------------------------------
 # bounded enumeration
 # ----------------------------------------------------------------------
 
@@ -677,7 +648,8 @@ def _candidates_for_d(
     d = sum(dvals)
     d_level = IntMultiset.from_values(dvals)
     found: dict[tuple, AciBetti] = {}
-    for w in _f_windows(dvals, max_degree, max_f):
+    # bound (a) gives m <= d_1, so |F| <= |G0| = 2m + 1 <= 2 * d_1 + 1
+    for w in _f_windows(dvals, max_degree, min(max_f, 2 * dvals[1] + 1)):
         for f_tuple in _admissible_f_tuples(dvals, w):
             e_tuple = tuple(sorted([d - x for x in f_tuple] + w.ehat))
             candidate = AciBetti(

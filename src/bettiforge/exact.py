@@ -46,7 +46,6 @@ per product and per partial sum.
 from __future__ import annotations
 
 import functools
-import math
 import re
 import struct
 from fractions import Fraction
@@ -809,9 +808,3 @@ def parse_matrix(
         grid.append(out)
     return PolyMatrix(grid)
 
-
-def binomial(n: int, k: int) -> int:
-    """C(n, k), zero when n < k or either argument is negative."""
-    if k < 0 or n < 0 or n < k:
-        return 0
-    return math.comb(n, k)

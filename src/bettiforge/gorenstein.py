@@ -8,21 +8,18 @@ for i = 1..m on the sorted degrees.
 
 This module also computes the minimal complete-intersection type mci(beta)
 contained in any ideal with the given Betti sequence, the index sets B, C,
-Bbar driving that computation, Hilbert functions of graded free
+Bbar driving that computation, and Hilbert functions of graded free
 resolutions and of complete intersections (a numerator polynomial divided
-by (1 - t)^nvars), and the dual-pair cancellation step for non-minimal
-Gorenstein resolutions.
+by (1 - t)^nvars).
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import sub
 from typing import Sequence
 
-from .exact import binomial
 from .multiset import IntMultiset
 
 
@@ -232,9 +229,6 @@ class HilbertFn:
     def length(self) -> int:
         return sum(self.values)
 
-    def delta2(self, n: int) -> int:
-        return self.value(n) - 2 * self.value(n - 1) + self.value(n - 2)
-
 
 HILBERT_MAX_LENGTH = 10_000
 # Dividing the numerator of degree top by (1 - t) takes top + 1 additions,
@@ -333,79 +327,3 @@ def hilbert_of_ci(degrees: Sequence[int], nvars: int) -> HilbertFn:
         values = list(map(sub, sums[d:], sums))
     return HilbertFn(tuple(values))
 
-
-def initial_degree(h: HilbertFn, nvars: int = 3) -> int:
-    """Least degree in which the defining ideal is nonzero."""
-    n = 0
-    while h.value(n) == binomial(n + nvars - 1, nvars - 1):
-        n += 1
-    return n
-
-
-def max_new_generators(h: HilbertFn, d: int) -> int:
-    """Largest minimal-generator count in degree d compatible with H: -delta^2 H(d).
-
-    Valid (and only defined) strictly above the initial degree of the
-    ideal; the raw second difference is returned even when negative.
-    """
-    d1 = initial_degree(h)
-    if d <= d1:
-        raise ValueError(f"mng undefined at initial degree (d = {d} <= {d1})")
-    return -h.delta2(d)
-
-
-# ----------------------------------------------------------------------
-# dual-pair cancellation
-# ----------------------------------------------------------------------
-
-
-def cancel_duals(m0: IntMultiset, m1: IntMultiset, theta: int) -> tuple[IntMultiset, IntMultiset]:
-    """Remove excess repetitions between generator and syzygy levels.
-
-    For a (possibly non-minimal) Gorenstein resolution with levels
-    (m0, m1, {theta}), a repetition value s can be cancelled only in the
-    excess of its multiplicity in m0 & m1 over that of its dual theta - s;
-    dual-protected pairs (equal excess on both sides) are retained.  The
-    fixed point satisfies mu(s) = mu(theta - s) on the intersection.
-    """
-    if m0.card() != m1.card():
-        raise ValueError(f"level ranks differ: |m0| = {m0.card()}, |m1| = {m1.card()}")
-    while True:
-        inter = m0.intersect(m1)
-        for value, mult in inter.entries:
-            excess = mult - inter.multiplicity(theta - value)
-            if excess > 0:
-                drop = IntMultiset(((value, excess),))
-                m0 = m0.diff(drop)
-                m1 = m1.diff(drop)
-                break
-        else:
-            return m0, m1
-
-
-# ----------------------------------------------------------------------
-# random admissible sequences for property corpora
-# ----------------------------------------------------------------------
-
-
-def random_admissible(rng: random.Random) -> GorensteinBetti:
-    """Sample an admissible Gorenstein Betti sequence by seeded rejection.
-
-    The sequence has 2n + 1 generators with n in 1..5.  Degrees are drawn
-    near a common base (wide spreads almost never pass the Gaeta-Diesel
-    inequalities for larger n), then the largest degree is adjusted so
-    that theta is integral.  Gives up after 10,000 draws.
-    """
-    for _ in range(10_000):
-        n = rng.randint(1, 5)
-        count = 2 * n + 1
-        base = rng.randint(2, 9)
-        width = rng.choice((1, 1, 2, 3))
-        degs = sorted(base + rng.randint(0, width) for _ in range(count))
-        rem = sum(degs) % n
-        if rem:
-            degs[-1] += n - rem
-        gens = IntMultiset.from_values(degs)
-        if check_gorenstein_betti(gens).admissible:
-            return GorensteinBetti.from_gens(gens)
-    raise RuntimeError("failed to sample an admissible sequence")

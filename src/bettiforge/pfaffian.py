@@ -107,16 +107,6 @@ class AlternatingMatrix:
         return cls.from_upper(size, dict(zip(slots, variables(names))))
 
     @classmethod
-    def random_integer(cls, size: int, rng: random.Random) -> "AlternatingMatrix":
-        """Seeded integer matrix with upper entries drawn from -9..9."""
-        upper = {
-            (i, j): rng.randint(-9, 9)
-            for i in range(1, size + 1)
-            for j in range(i + 1, size + 1)
-        }
-        return cls.from_upper(size, upper)
-
-    @classmethod
     def from_poly_matrix(cls, m: PolyMatrix) -> "AlternatingMatrix":
         return cls(m.entries)
 
@@ -313,24 +303,6 @@ def block_pfaffian(a: Poly | Scalar, top: PolyMatrix, c: AlternatingMatrix) -> P
     small = top @ c.adjoint().to_poly_matrix() @ top.transpose()
     # small is 2x2 alternating; its pfaffian is the (1,2) entry
     return a * c.pfaffian() + small.entry(0, 1)
-
-
-def assemble_block(a: Poly | Scalar, top: PolyMatrix, c: AlternatingMatrix) -> AlternatingMatrix:
-    """Build the m x m alternating matrix with corner a, top block and core C."""
-    m = c.size + 2
-    a = Poly._coerce(a)
-    grid: list[list[Poly]] = [[Poly.zero()] * m for _ in range(m)]
-    grid[0][1] = a
-    grid[1][0] = -a
-    for j in range(c.size):
-        grid[0][2 + j] = top.entry(0, j)
-        grid[1][2 + j] = top.entry(1, j)
-        grid[2 + j][0] = -top.entry(0, j)
-        grid[2 + j][1] = -top.entry(1, j)
-    for i in range(c.size):
-        for j in range(c.size):
-            grid[2 + i][2 + j] = c.entries[i][j]
-    return AlternatingMatrix(grid)
 
 
 def congruence(a: PolyMatrix, m: AlternatingMatrix) -> AlternatingMatrix:

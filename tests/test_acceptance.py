@@ -17,11 +17,11 @@ from bettiforge.gorenstein import (
     ci_index_sets,
     hilbert_from_resolution,
     mci,
-    random_admissible,
 )
 from bettiforge.multiset import IntMultiset
 from bettiforge.pfaffian import AlternatingMatrix, block_pfaffian, congruence, random_graded_alternating
 from bettiforge.structure import AlternatingPresentation, build_aci_complex, verify_complex
+from support import delta2, random_admissible, random_integer_matrix
 
 ms = IntMultiset.from_values
 
@@ -115,7 +115,7 @@ def test_criterion_06_pfaffian_oracle_equivalence():
         rng = random.Random(606)
         for size in (2, 4, 6, 8):
             for _ in range(200):
-                m = AlternatingMatrix.random_integer(size, rng)
+                m = random_integer_matrix(size, rng)
                 assert m.pfaffian() == m.pfaffian_oracle()
         for size in (4, 6):
             m = AlternatingMatrix.generic(size)
@@ -149,7 +149,7 @@ def test_criterion_08_augmentation_property():
         for size in (3, 5):
             for _ in range(50):
                 trials += 1
-                m = AlternatingMatrix.random_integer(size, rng)
+                m = random_integer_matrix(size, rng)
                 coeffs = [rng.randint(-5, 5) for _ in range(size)]
                 pv = m.submaximal_pfaffians()
                 combo = Poly.zero()
@@ -274,7 +274,7 @@ def test_criterion_12_property_corpus():
             d = beta.gens.values()
             n = (beta.gens.card() - 1) // 2
             for i in b_bar:  # generator count equals -delta^2 H at Bbar degrees
-                if beta.gens.multiplicity(d[i - 1]) != -h.delta2(d[i - 1]):
+                if beta.gens.multiplicity(d[i - 1]) != -delta2(h, d[i - 1]):
                     violations += 1
             for i in b_bar:  # Bbar degrees are pairwise distinct
                 for j in b_bar:

@@ -4,7 +4,6 @@ import json
 import os
 import pickle
 import random
-from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -19,7 +18,6 @@ from bettiforge.aci import (
     enumerate_admissible,
     induced_gorenstein,
     link_betti,
-    retained_overlap_cardinalities,
     worker_count,
 )
 from bettiforge.gorenstein import (
@@ -28,9 +26,9 @@ from bettiforge.gorenstein import (
     gaeta_diesel_violation,
     mci,
     mci_from_sorted,
-    random_admissible,
 )
 from bettiforge.multiset import IntMultiset
+from support import random_admissible
 
 ms = IntMultiset.from_values
 
@@ -332,43 +330,6 @@ def test_link_output_passes_check_betti_on_corpus():
         produced += 1
         assert check_betti(res.minimal).admissible, (beta, choice, res.minimal)
     assert produced == 60
-
-
-# ----------------------------------------------------------------------
-# retained-overlap shapes
-# ----------------------------------------------------------------------
-
-
-def test_overlap_odd_theta():
-    # odd theta_g rules out the fixed point theta_g/2
-    assert retained_overlap_cardinalities(ms([7, 8]), 15) == frozenset({0, 2})
-    assert retained_overlap_cardinalities(ms([7]), 15) == frozenset({0})
-
-
-def test_overlap_empty():
-    assert retained_overlap_cardinalities(ms([]), 10) == frozenset({0})
-
-
-def test_overlap_even_theta():
-    assert retained_overlap_cardinalities(ms([5]), 10) == frozenset({0, 1})
-    assert retained_overlap_cardinalities(ms([5, 5]), 10) == frozenset({0, 1, 2})
-    assert retained_overlap_cardinalities(ms([3, 5, 7]), 10) == frozenset({0, 1, 2, 3})
-    assert retained_overlap_cardinalities(ms([5, 5, 5]), 10) == frozenset({0, 1, 2, 3})
-
-
-def test_overlap_cardinalities_are_the_self_dual_submultisets():
-    """Brute force: the sizes k <= 3 of the submultisets R of S with theta_g - R = R."""
-    rng = random.Random(29)
-    for _ in range(3000):
-        s = ms([rng.randint(-2, 12) for _ in range(rng.randint(0, 6))])
-        theta_g = rng.randint(-2, 24)
-        expected = {
-            k
-            for k in range(4)
-            for r in combinations(s.values(), k)
-            if ms(r).affine(theta_g, -1) == ms(r)
-        }
-        assert retained_overlap_cardinalities(s, theta_g) == expected, (s, theta_g)
 
 
 # ----------------------------------------------------------------------

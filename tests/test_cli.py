@@ -463,6 +463,15 @@ def test_enumerate_jobs_preserve_order(capsys):
     assert seq == par
 
 
+def test_enumerate_max_f_beyond_bound_a_adds_no_work(capsys):
+    # bound (a) caps |F| at 2 * d_1 + 1 <= 13 for degrees up to 6
+    _, expected, _ = run_cli(["enumerate", "--max-degree", "6", "--max-f", "13"], capsys=capsys)
+    start = time.perf_counter()
+    code, out, _ = run_cli(["enumerate", "--max-degree", "6", "--max-f", "1000000000"], capsys=capsys)
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and out == expected and out.count("\n") == 17
+
+
 def test_enumerate_bad_bounds(capsys):
     code, _, _ = run_cli(["enumerate", "--max-degree", "6", "--max-f", "1"], capsys=capsys)
     assert code == 2

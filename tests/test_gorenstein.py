@@ -11,19 +11,16 @@ from bettiforge.gorenstein import (
     HILBERT_MAX_WORK,
     GorensteinBetti,
     GorensteinVerdict,
-    cancel_duals,
     check_gorenstein_betti,
     ci_index_sets,
     hilbert_from_resolution,
     hilbert_of_ci,
-    initial_degree,
-    max_new_generators,
     mci,
     mci_from_sorted,
-    random_admissible,
     theta_of,
 )
 from bettiforge.multiset import IntMultiset
+from support import delta2, random_admissible
 
 ms = IntMultiset.from_values
 
@@ -355,19 +352,6 @@ def test_hilbert_symmetry_on_corpus():
             assert h.value(k) == h.value(socle - k)
 
 
-def test_mng_examples():
-    b = GorensteinBetti.from_gens(ms([2, 2, 2, 2, 2]))
-    h = hilbert_from_resolution(b.modules(), 3)
-    assert initial_degree(h) == 2
-    assert max_new_generators(h, 3) == -1
-    from bettiforge.gorenstein import HilbertFn
-
-    sym = HilbertFn((1, 3, 6, 6, 3, 1))
-    assert max_new_generators(sym, 4) == -(3 - 2 * 6 + 6)
-    with pytest.raises(ValueError, match="mng undefined"):
-        max_new_generators(h, 2)
-
-
 def test_bc_clauses_on_corpus():
     # mu_D(d_i) against -delta^2 H(d_i) under the B-bar / C index conditions
     for b in corpus(41, 150):
@@ -375,66 +359,27 @@ def test_bc_clauses_on_corpus():
         d = b.gens.values()
         _, big_c, b_bar = ci_index_sets(b)
         for i in b_bar:  # clause (a)
-            assert b.gens.multiplicity(d[i - 1]) == -h.delta2(d[i - 1])
+            assert b.gens.multiplicity(d[i - 1]) == -delta2(h, d[i - 1])
         for i in b_bar:  # clause (c)
             for j in b_bar:
                 if d[i - 1] == d[j - 1]:
                     assert i == j
         for i in big_c:  # clause (b), only under its stated preconditions
             if i not in b_bar and (i - 1) not in b_bar:
-                assert b.gens.multiplicity(d[i - 1]) == -h.delta2(d[i - 1]) - 1
+                assert b.gens.multiplicity(d[i - 1]) == -delta2(h, d[i - 1]) - 1
         n = (b.gens.card() - 1) // 2
         # clauses (d) and (e); their syzygy-counting arguments index
         # d_{2n+4-k} resp. d_{2n+5-k}, so they only speak for k inside the
         # Bbar resp. C index ranges
         for i in range(1, 2 * n + 2):
             k = next(j for j in range(1, 2 * n + 2) if d[j - 1] == d[i - 1])
-            if b.gens.multiplicity(d[i - 1]) == -h.delta2(d[i - 1]) and k >= 3:
+            if b.gens.multiplicity(d[i - 1]) == -delta2(h, d[i - 1]) and k >= 3:
                 assert k in b_bar
             if (
-                b.gens.multiplicity(d[i - 1]) == -h.delta2(d[i - 1]) - 1
+                b.gens.multiplicity(d[i - 1]) == -delta2(h, d[i - 1]) - 1
                 and 4 <= k <= n + 2
             ):
                 assert k in big_c
-
-
-# ----------------------------------------------------------------------
-# dual-pair cancellation
-# ----------------------------------------------------------------------
-
-
-def test_cancel_duals_minimal_fixed_point():
-    b = GorensteinBetti.from_gens(ms([2, 2, 2, 2, 2]))
-    assert cancel_duals(b.gens, b.syzygies(), 5) == (b.gens, b.syzygies())
-
-
-def test_cancel_duals_protected_pair_retained():
-    # bordered presentation of the five-points quotient: the (8, -3) pair
-    # sits at dual degrees, so the excess criterion cannot remove it
-    gens = ms([-3, 2, 2, 2, 2, 2, 8])
-    syz = ms([-3, 3, 3, 3, 3, 3, 8])
-    assert cancel_duals(gens, syz, 5) == (gens, syz)
-
-
-def test_cancel_duals_removes_asymmetric_ghost():
-    gens = ms([2, 2, 2, 2, 2, 3])
-    syz = ms([3, 3, 3, 3, 3, 3])
-    out = cancel_duals(gens, syz, 5)
-    assert out == (ms([2, 2, 2, 2, 2]), ms([3, 3, 3, 3, 3]))
-
-
-def test_cancel_duals_iterates():
-    gens = ms([2, 2, 2, 2, 2, 3, 3, 4])
-    syz = ms([3, 3, 3, 3, 3, 3, 3, 4])
-    out0, out1 = cancel_duals(gens, syz, 5)
-    inter = out0.intersect(out1)
-    for v in inter.support():
-        assert inter.multiplicity(v) == inter.multiplicity(5 - v)
-
-
-def test_cancel_duals_rank_mismatch():
-    with pytest.raises(ValueError):
-        cancel_duals(ms([2, 2]), ms([3]), 5)
 
 
 # ----------------------------------------------------------------------

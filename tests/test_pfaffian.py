@@ -8,12 +8,12 @@ from bettiforge import exact, pfaffian
 from bettiforge.exact import Poly, PolyMatrix, parse_matrix, parse_poly
 from bettiforge.pfaffian import (
     AlternatingMatrix,
-    assemble_block,
     block_pfaffian,
     congruence,
     sign_bracket,
     three_generator_embedding,
 )
+from support import assemble_block, random_integer_matrix
 
 
 def signless(p):
@@ -78,7 +78,7 @@ def test_oracle_equivalence_random_integers():
     rng = random.Random(101)
     for n in (2, 4, 6, 8):
         for _ in range(20):
-            m = AlternatingMatrix.random_integer(n, rng)
+            m = random_integer_matrix(n, rng)
             assert m.pfaffian() == m.pfaffian_oracle()
 
 
@@ -86,7 +86,7 @@ def test_pfaffian_squared_is_determinant():
     rng = random.Random(55)
     for n in (2, 4, 6, 8):
         for _ in range(5):
-            m = AlternatingMatrix.random_integer(n, rng)
+            m = random_integer_matrix(n, rng)
             pf = m.pfaffian()
             assert pf * pf == m.to_poly_matrix().determinant()
     for n in (2, 4):
@@ -119,7 +119,7 @@ def _principal_cases(rng):
     Each matrix has already expanded its own pfaffian or submaximal
     vector, so the principal minors are partly read from its memo.
     """
-    mats = [AlternatingMatrix.random_integer(n, rng) for n in (6, 7, 8, 9)]
+    mats = [random_integer_matrix(n, rng) for n in (6, 7, 8, 9)]
     # halves mixed with integers, so many minors are integral sums of Fractions
     values = (Fraction(1, 2), Fraction(-1, 2), Fraction(3, 2), 1, -1, 2)
     for n in (4, 5, 6, 7, 8):
@@ -127,7 +127,7 @@ def _principal_cases(rng):
         mats.append(AlternatingMatrix.from_upper(n, upper))
     mats += [AlternatingMatrix.generic(n) for n in (6, 7)]
     mats.append(AlternatingMatrix.generic(5).augment([rng.randint(-2, 2) for _ in range(5)]))
-    mats.append(AlternatingMatrix.random_integer(7, rng).augment([rng.randint(-3, 3) for _ in range(7)]))
+    mats.append(random_integer_matrix(7, rng).augment([rng.randint(-3, 3) for _ in range(7)]))
     for m in mats:
         if m.size % 2:
             m.submaximal_pfaffians()
@@ -195,7 +195,7 @@ def test_oracle_does_not_use_the_kernel(monkeypatch):
         raise AssertionError("sum-of-products kernel called")
 
     rng = random.Random(12)
-    for m in (AlternatingMatrix.generic(6), AlternatingMatrix.random_integer(8, rng)):
+    for m in (AlternatingMatrix.generic(6), random_integer_matrix(8, rng)):
         expected = m.pfaffian()
         monkeypatch.setattr(exact, "_sum_of_products", broken)
         monkeypatch.setattr(pfaffian, "_sum_of_products", broken)
@@ -318,7 +318,7 @@ def test_augment_property_random():
     rng = random.Random(77)
     for size in (3, 5):
         for _ in range(20):
-            m = AlternatingMatrix.random_integer(size, rng)
+            m = random_integer_matrix(size, rng)
             coeffs = [rng.randint(-5, 5) for _ in range(size)]
             pv = m.submaximal_pfaffians()
             target = Poly.zero()
@@ -439,7 +439,7 @@ def test_lifting_identity():
 
 def test_graded_random_generator():
     rng = random.Random(3)
-    m = AlternatingMatrix.random_integer(5, rng)
+    m = random_integer_matrix(5, rng)
     assert m.size == 5
     from bettiforge.pfaffian import random_graded_alternating
 
