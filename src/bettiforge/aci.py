@@ -24,10 +24,10 @@ from __future__ import annotations
 
 import os
 from collections import Counter
-from dataclasses import dataclass
 from operator import attrgetter, itemgetter
 from typing import Container, Iterable, Iterator, NamedTuple, Sequence
 
+from ._frozen import Frozen
 from .gorenstein import (
     GorensteinBetti,
     check_gorenstein_betti,
@@ -41,17 +41,20 @@ from .multiset import IntMultiset
 _mult = itemgetter(1)  # the multiplicity of a (value, multiplicity) run
 
 
-@dataclass(frozen=True)
-class AciBetti:
+class AciBetti(Frozen):
     """Resolution twist multisets (D, E, F) of a candidate ACI quotient."""
 
+    __slots__ = _fields = ("d", "e", "f")
     d: IntMultiset
     e: IntMultiset
     f: IntMultiset
 
-    def __post_init__(self) -> None:
+    def __init__(self, d: IntMultiset, e: IntMultiset, f: IntMultiset) -> None:
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "e", e)
+        object.__setattr__(self, "f", f)
         # cardinalities and minimums straight from the sorted runs
-        d, e, f = self.d.entries, self.e.entries, self.f.entries
+        d, e, f = d.entries, e.entries, f.entries
         d_card = sum(map(_mult, d))
         if d_card != 4:
             raise ValueError(f"|D| must be 4, got {d_card}")
@@ -135,10 +138,14 @@ class AciDecomposition(NamedTuple):
     t = _multiset_on_read("t_runs")
 
 
-@dataclass(frozen=True, slots=True)
-class AciTypeFailure:
+class AciTypeFailure(Frozen):
+    __slots__ = _fields = ("clause", "runs")
     clause: int  # 2 or 3, matching the decomposition conditions
     runs: tuple  # (missing,) or (Ehat, expected) as sorted (value, multiplicity) runs; read by reason
+
+    def __init__(self, clause: int, runs: tuple) -> None:
+        object.__setattr__(self, "clause", clause)
+        object.__setattr__(self, "runs", runs)
 
     @property
     def reason(self) -> str:
@@ -218,11 +225,16 @@ def decompose(b: AciBetti) -> AciDecomposition | AciTypeFailure:
     )
 
 
-@dataclass(frozen=True, slots=True)
-class GorensteinFailure:
+class GorensteinFailure(Frozen):
+    __slots__ = _fields = ("kind", "g0", "theta_g")
     kind: str  # "parity" | "gaeta_diesel" | "socle"
     g0: tuple[int, ...]  # sorted; reason reruns the failed check on it
     theta_g: int
+
+    def __init__(self, kind: str, g0: tuple[int, ...], theta_g: int) -> None:
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "g0", g0)
+        object.__setattr__(self, "theta_g", theta_g)
 
     @property
     def reason(self) -> str:
@@ -270,8 +282,7 @@ def induced_gorenstein(
     return GorensteinBetti._trusted(IntMultiset.from_values(h), dec.theta_g)
 
 
-@dataclass(frozen=True, slots=True)
-class Verdict:
+class Verdict(Frozen):
     """Outcome of the three-stage admissibility test.
 
     An admitted G0 is kept as its sorted values and theta_g: ``beta_g``
@@ -280,12 +291,29 @@ class Verdict:
     compare those values.
     """
 
+    __slots__ = _fields = ("admissible", "stage", "failure", "g0", "theta_g", "mci")
     admissible: bool
-    stage: int | None = None
-    failure: AciTypeFailure | GorensteinFailure | tuple | None = None  # stage 3: (d_1, d_2, d_3), caps
-    g0: tuple[int, ...] | None = None  # the admitted G0, sorted
-    theta_g: int | None = None
-    mci: tuple[int, int, int] | None = None
+    stage: int | None
+    failure: AciTypeFailure | GorensteinFailure | tuple | None  # stage 3: (d_1, d_2, d_3), caps
+    g0: tuple[int, ...] | None  # the admitted G0, sorted
+    theta_g: int | None
+    mci: tuple[int, int, int] | None
+
+    def __init__(
+        self,
+        admissible: bool,
+        stage: int | None = None,
+        failure: AciTypeFailure | GorensteinFailure | tuple | None = None,
+        g0: tuple[int, ...] | None = None,
+        theta_g: int | None = None,
+        mci: tuple[int, int, int] | None = None,
+    ) -> None:
+        object.__setattr__(self, "admissible", admissible)
+        object.__setattr__(self, "stage", stage)
+        object.__setattr__(self, "failure", failure)
+        object.__setattr__(self, "g0", g0)
+        object.__setattr__(self, "theta_g", theta_g)
+        object.__setattr__(self, "mci", mci)
 
     @property
     def beta_g(self) -> GorensteinBetti | None:
@@ -365,16 +393,32 @@ def check_betti(b: AciBetti) -> Verdict:
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LinkResult:
+class LinkResult(Frozen):
     """Four-term ACI resolution obtained by linking a Gorenstein quotient."""
 
+    _fields = ("d0", "d", "d_level", "e_level", "f_level", "minimal")
     d0: int
     d: int
     d_level: IntMultiset
     e_level: IntMultiset
     f_level: IntMultiset
     minimal: AciBetti
+
+    def __init__(
+        self,
+        d0: int,
+        d: int,
+        d_level: IntMultiset,
+        e_level: IntMultiset,
+        f_level: IntMultiset,
+        minimal: AciBetti,
+    ) -> None:
+        object.__setattr__(self, "d0", d0)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "d_level", d_level)
+        object.__setattr__(self, "e_level", e_level)
+        object.__setattr__(self, "f_level", f_level)
+        object.__setattr__(self, "minimal", minimal)
 
     def resolution(self) -> list[IntMultiset]:
         return [self.d_level, self.e_level, self.f_level]

@@ -44,12 +44,25 @@ class InputError(ValueError):
     """Invalid user input found by the CLI itself; mapped to exit code 2 like any ValueError."""
 
 
+def _loads(text: str):
+    """``json.loads``, with arrays or objects nested too deep to decode raised as a JSONDecodeError.
+
+    The decoder raises RecursionError, which is not a ValueError, once the
+    nesting passes the interpreter's recursion limit.  As a JSONDecodeError
+    it gets each caller's message for malformed JSON and exit code 2.
+    """
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise json.JSONDecodeError("arrays or objects nested too deeply", text, 0) from None
+
+
 def _read_json(path: str):
     try:
         if path == "-":
-            return json.load(sys.stdin)
+            return _loads(sys.stdin.read())
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return _loads(fh.read())
     except (OSError, ValueError) as exc:  # ValueError: bad JSON or bad UTF-8
         raise InputError(f"cannot read JSON from {path}: {exc}") from exc
 
@@ -61,7 +74,7 @@ def _is_int_array(data) -> bool:
 
 def _parse_int_list(text: str) -> list[int]:
     try:
-        data = json.loads(text)
+        data = _loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"expected a JSON integer array, got {text!r}: {exc}") from exc
     if not _is_int_array(data):
@@ -157,7 +170,7 @@ def cmd_hilbert(args) -> int:
         h = hilbert_of_ci(_parse_int_list(args.ci), args.nvars)
     else:
         try:
-            data = json.loads(args.resolution)
+            data = _loads(args.resolution)
         except json.JSONDecodeError as exc:
             raise InputError(f"--resolution is not valid JSON: {exc}") from exc
         if not isinstance(data, list) or not all(_is_int_array(m) for m in data):

@@ -213,6 +213,9 @@ class Poly:
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
 
+    def __reduce__(self):
+        return Poly._trusted, (self.names, self._terms)
+
     @property
     def terms(self) -> dict[tuple[int, ...], Scalar]:
         """The terms keyed by exponent tuple, decoded on each access."""
@@ -609,6 +612,9 @@ class PolyMatrix:
 
     def __setattr__(self, name, value):
         raise AttributeError("PolyMatrix is immutable")
+
+    def __reduce__(self):
+        return PolyMatrix, (self.entries,)
 
     @classmethod
     def identity(cls, n: int, names: Sequence[str] = ()) -> "PolyMatrix":

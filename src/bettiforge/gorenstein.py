@@ -15,19 +15,24 @@ by (1 - t)^nvars).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
 from operator import sub
 from typing import Sequence
 
+from ._frozen import Frozen
 from .multiset import IntMultiset
 
 
-@dataclass(frozen=True)
-class GorensteinVerdict:
+class GorensteinVerdict(Frozen):
+    _fields = ("admissible", "theta", "reason")
     admissible: bool
-    theta: int | None = None
-    reason: str | None = None
+    theta: int | None
+    reason: str | None
+
+    def __init__(self, admissible: bool, theta: int | None = None, reason: str | None = None) -> None:
+        object.__setattr__(self, "admissible", admissible)
+        object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "reason", reason)
 
 
 def theta_of(degrees: Sequence[int]) -> int | None:
@@ -79,15 +84,17 @@ def check_gorenstein_betti(gens: IntMultiset) -> GorensteinVerdict:
     return GorensteinVerdict(True, theta, None)
 
 
-@dataclass(frozen=True)
-class GorensteinBetti:
+class GorensteinBetti(Frozen):
     """Betti data (gens, theta) of a codimension-3 Gorenstein quotient."""
 
+    _fields = ("gens", "theta")
     gens: IntMultiset
     theta: int
 
-    def __post_init__(self) -> None:
-        h = self.gens.values()
+    def __init__(self, gens: IntMultiset, theta: int) -> None:
+        object.__setattr__(self, "gens", gens)
+        object.__setattr__(self, "theta", theta)
+        h = gens.values()
         n = len(h)
         if n < 3 or n % 2 == 0:
             raise ValueError(f"|gens| = {n} must be odd and >= 3")
@@ -105,14 +112,14 @@ class GorensteinBetti:
     def from_gens(cls, gens: IntMultiset) -> "GorensteinBetti":
         """Betti data with theta worked out from ``gens``.
 
-        A non-integral theta is passed on as None, which ``__post_init__``
+        A non-integral theta is passed on as None, which ``__init__``
         reports after its count check.
         """
         return cls(gens, theta_of(gens.values()))
 
     @classmethod
     def _trusted(cls, gens: IntMultiset, theta: int) -> "GorensteinBetti":
-        """Wrap data the caller has just admitted, without rerunning ``__post_init__``.
+        """Wrap data the caller has just admitted, without rerunning ``__init__``'s checks.
 
         The caller guarantees that ``gens`` is odd-sized with at least
         three degrees and that ``theta`` is the int ``theta_of`` gives for
@@ -206,16 +213,17 @@ def mci(b: GorensteinBetti) -> tuple[int, int, int]:
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HilbertFn:
+class HilbertFn(Frozen):
     """Hilbert function of an Artinian graded quotient, H(0), H(1), ..."""
 
+    _fields = ("values",)
     values: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if not self.values or self.values[0] != 1:
+    def __init__(self, values: tuple[int, ...]) -> None:
+        object.__setattr__(self, "values", values)
+        if not values or values[0] != 1:
             raise ValueError("H(0) must be 1")
-        if self.values[-1] == 0 and len(self.values) > 1:
+        if values[-1] == 0 and len(values) > 1:
             raise ValueError("trailing zeros must be trimmed")
 
     def value(self, n: int) -> int:

@@ -9,19 +9,20 @@ is structural and JSON round-trips are canonical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
+from ._frozen import Frozen
 
-@dataclass(frozen=True)
-class IntMultiset:
+
+class IntMultiset(Frozen):
     """A multiset of integers stored as sorted ``(value, multiplicity)`` runs."""
 
-    entries: tuple[tuple[int, int], ...] = ()
+    __slots__ = _fields = ("entries",)
+    entries: tuple[tuple[int, int], ...]
 
-    def __post_init__(self) -> None:
+    def __init__(self, entries: tuple[tuple[int, int], ...] = ()) -> None:
         prev = None
-        for value, mult in self.entries:
+        for value, mult in entries:
             if type(value) is not int:
                 raise ValueError(f"multiset values must be ints, got {value!r}")
             if type(mult) is not int:
@@ -31,6 +32,17 @@ class IntMultiset:
             if prev is not None and value <= prev:
                 raise ValueError("entries must be strictly increasing by value")
             prev = value
+        object.__setattr__(self, "entries", entries)
+
+    # Frozen's equality and hash spelled out for the one field: they are
+    # the hot pair, and bench/spans.py patches ``__eq__`` on this class.
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.entries == other.entries
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.entries,))
 
     # ------------------------------------------------------------------
     # construction
@@ -43,7 +55,7 @@ class IntMultiset:
         The one check runs on the values themselves.  The runs are then
         valid by construction (int values, strictly increasing after the
         sort, each counted at least once), so they are wrapped with
-        :meth:`_trusted` instead of being walked again by ``__post_init__``.
+        :meth:`_trusted` instead of being walked again by ``__init__``.
         """
         vals = list(values)
         if not {int}.issuperset(map(type, vals)):
@@ -67,7 +79,7 @@ class IntMultiset:
         """Wrap runs without validation.
 
         Only code that builds the runs itself may call it, and it must
-        guarantee what ``__post_init__`` would check: int values strictly
+        guarantee what ``__init__`` would check: int values strictly
         increasing, each with a positive int multiplicity.  That holds for
         :meth:`from_values`, which has checked every value, and for runs
         derived from other valid runs by steps that keep the order and

@@ -83,6 +83,9 @@ class AlternatingMatrix:
     def __setattr__(self, name, value):
         raise AttributeError("AlternatingMatrix is immutable")
 
+    def __reduce__(self):
+        return AlternatingMatrix, (self.entries,)
+
     # ------------------------------------------------------------------
     # construction helpers
     # ------------------------------------------------------------------

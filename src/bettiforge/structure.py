@@ -26,20 +26,23 @@ agree with the multiset-level linkage.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Sequence
 
+from ._frozen import Frozen
 from .exact import Poly, PolyMatrix
 from .gorenstein import theta_of
 from .multiset import IntMultiset
 from .pfaffian import AlternatingMatrix
 
 
-@dataclass(frozen=True)
-class GradedFreeModule:
+class GradedFreeModule(Frozen):
     """Free module with ordered twist slots (order matters for map grading)."""
 
+    _fields = ("twists",)
     twists: tuple[int, ...]
+
+    def __init__(self, twists: tuple[int, ...]) -> None:
+        object.__setattr__(self, "twists", twists)
 
     @property
     def rank(self) -> int:
@@ -49,21 +52,23 @@ class GradedFreeModule:
         return IntMultiset.from_values(self.twists)
 
 
-@dataclass(frozen=True)
-class GradedComplex:
+class GradedComplex(Frozen):
     """Chain of free modules; maps[k] goes from modules[k+1] into modules[k]."""
 
+    _fields = ("modules", "maps")
     modules: tuple[GradedFreeModule, ...]
     maps: tuple[PolyMatrix, ...]
 
-    def __post_init__(self) -> None:
-        if len(self.maps) != len(self.modules) - 1:
+    def __init__(self, modules: tuple[GradedFreeModule, ...], maps: tuple[PolyMatrix, ...]) -> None:
+        object.__setattr__(self, "modules", modules)
+        object.__setattr__(self, "maps", maps)
+        if len(maps) != len(modules) - 1:
             raise ValueError("need one map per consecutive module pair")
-        for k, m in enumerate(self.maps):
-            if m.rows != self.modules[k].rank or m.cols != self.modules[k + 1].rank:
+        for k, m in enumerate(maps):
+            if m.rows != modules[k].rank or m.cols != modules[k + 1].rank:
                 raise ValueError(
                     f"map {k} is {m.rows}x{m.cols}, expected "
-                    f"{self.modules[k].rank}x{self.modules[k + 1].rank}"
+                    f"{modules[k].rank}x{modules[k + 1].rank}"
                 )
 
     def twist_multisets(self) -> list[IntMultiset]:
@@ -88,8 +93,7 @@ def _degree_violation(
     return None
 
 
-@dataclass(frozen=True)
-class AlternatingPresentation:
+class AlternatingPresentation(Frozen):
     """Odd graded alternating matrix with a marked G block of three rows.
 
     ``twists`` assigns each row its generator degree; entry (i, j) must be
@@ -97,32 +101,38 @@ class AlternatingPresentation:
     grading (theta = 2 * sum(twists) / (size - 1)).
     """
 
+    _fields = ("matrix", "g_indices", "twists", "theta")
     matrix: AlternatingMatrix
     g_indices: tuple[int, int, int]  # 1-based rows forming the G block
     twists: tuple[int, ...]
-    theta: int = field(init=False)
+    theta: int  # worked out from the twists
 
-    def __post_init__(self) -> None:
-        m = self.matrix.size
+    def __init__(
+        self, matrix: AlternatingMatrix, g_indices: tuple[int, int, int], twists: tuple[int, ...]
+    ) -> None:
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "g_indices", g_indices)
+        object.__setattr__(self, "twists", twists)
+        m = matrix.size
         if m < 5 or m % 2 == 0:
             raise ValueError(f"presentation size must be odd and >= 5, got {m}")
-        if len(self.twists) != m:
-            raise ValueError(f"need {m} twists, got {len(self.twists)}")
-        if any(isinstance(t, bool) or not isinstance(t, int) for t in self.twists):
-            raise ValueError(f"twists must be ints, got {tuple(self.twists)}")
-        g = tuple(self.g_indices)
+        if len(twists) != m:
+            raise ValueError(f"need {m} twists, got {len(twists)}")
+        if any(isinstance(t, bool) or not isinstance(t, int) for t in twists):
+            raise ValueError(f"twists must be ints, got {tuple(twists)}")
+        g = tuple(g_indices)
         if len(set(g)) != 3 or any(not 1 <= i <= m for i in g):
             raise ValueError(f"g_indices must be 3 distinct rows in 1..{m}, got {g}")
-        theta = theta_of(self.twists)
+        theta = theta_of(twists)
         if theta is None:
             raise ValueError("twists do not admit an integral matrix degree")
         object.__setattr__(self, "theta", theta)
-        hit = _degree_violation(self.matrix.entries, [theta - t for t in self.twists], self.twists)
+        hit = _degree_violation(matrix.entries, [theta - t for t in twists], twists)
         if hit is not None:
             i, j, need = hit
             raise ValueError(
                 f"entry ({i + 1},{j + 1}) must be homogeneous of degree {need}, "
-                f"got {self.matrix.entries[i][j]}"
+                f"got {matrix.entries[i][j]}"
             )
 
     def reordered(self) -> tuple[AlternatingMatrix, tuple[int, ...]]:
@@ -184,18 +194,34 @@ def build_aci_complex(pres: AlternatingPresentation) -> GradedComplex:
     return GradedComplex(modules, (d1, d2, d3))
 
 
-@dataclass(frozen=True)
-class PairReport:
+class PairReport(Frozen):
+    _fields = ("composition_zero", "composition_witness")
     composition_zero: bool
     composition_witness: str | None
 
+    def __init__(self, composition_zero: bool, composition_witness: str | None) -> None:
+        object.__setattr__(self, "composition_zero", composition_zero)
+        object.__setattr__(self, "composition_witness", composition_witness)
 
-@dataclass(frozen=True)
-class ComplexReport:
+
+class ComplexReport(Frozen):
+    _fields = ("pairs", "homogeneous", "homogeneity_witness", "rank_ok")
     pairs: tuple[PairReport, ...]
     homogeneous: bool
     homogeneity_witness: str | None
     rank_ok: bool
+
+    def __init__(
+        self,
+        pairs: tuple[PairReport, ...],
+        homogeneous: bool,
+        homogeneity_witness: str | None,
+        rank_ok: bool,
+    ) -> None:
+        object.__setattr__(self, "pairs", pairs)
+        object.__setattr__(self, "homogeneous", homogeneous)
+        object.__setattr__(self, "homogeneity_witness", homogeneity_witness)
+        object.__setattr__(self, "rank_ok", rank_ok)
 
     @property
     def ok(self) -> bool:

@@ -548,7 +548,7 @@ def test_check_betti_builds_beta_g_when_read(monkeypatch):
     corpus = _one_triple_per_verdict_kind()
     with monkeypatch.context() as patch:
         patch.setattr(IntMultiset, "_trusted", refuse)
-        patch.setattr(IntMultiset, "__post_init__", refuse)
+        patch.setattr(IntMultiset, "__init__", refuse)
         verdicts = [check_betti(b) for b in corpus]
     for b, v in zip(corpus, verdicts):
         if v.stage in (1, 2):

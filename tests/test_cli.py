@@ -2,8 +2,11 @@ import argparse
 import hashlib
 import io
 import json
+import os
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -67,6 +70,45 @@ def test_check_non_utf8_file(tmp_path, capsys):
     code, out, err = run_cli(["check", str(path)], capsys=capsys)
     assert code == 2 and out == ""
     assert err.startswith(f"error: cannot read JSON from {path}: 'utf-8' codec can't decode")
+
+
+_NESTED_5000 = "[" * 5000 + "]" * 5000
+_NESTED_100000 = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize(
+    "argv, stdin_text",
+    [
+        (["check", "-"], _NESTED_100000),
+        (["check", "FILE"], None),
+        (["pfaffian", "-"], _NESTED_100000),
+        (["verify-structure", "--matrix", "FILE", "--g-rows", "1,2,3"], None),
+        (["mci", "--gens", _NESTED_5000], None),
+        (["gorenstein-check", "--gens", _NESTED_5000], None),
+        (["link", "--gens", _NESTED_5000, "--theta", "5", "--ci", "[2,2,2]"], None),
+        (["hilbert", "--ci", _NESTED_5000], None),
+        (["hilbert", "--resolution", _NESTED_5000], None),
+    ],
+    ids=[
+        "check-stdin",
+        "check-file",
+        "pfaffian",
+        "verify-structure",
+        "mci",
+        "gorenstein-check",
+        "link",
+        "hilbert-ci",
+        "hilbert-resolution",
+    ],
+)
+def test_json_nested_too_deeply_is_invalid_input(argv, stdin_text, tmp_path, capsys):
+    """Nesting past the decoder's recursion limit exits 2, never with a traceback or a verdict."""
+    path = tmp_path / "nested.json"
+    path.write_text(_NESTED_100000, encoding="utf-8")
+    argv = [str(path) if arg == "FILE" else arg for arg in argv]
+    code, out, err = run_cli(argv, stdin_text, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "arrays or objects nested too deeply" in err
 
 
 def test_check_bad_shape(capsys):
@@ -319,6 +361,20 @@ def test_commands_in_one_process_share_one_parser(capsys, monkeypatch):
     assert results[0][1] == results[2][1] and results[1][1] == results[3][1]
     # --explain does not carry over to the next call
     assert "rejected at stage" in results[0][2] and results[2][2] == ""
+
+
+def test_import_and_parser_load_no_dataclasses_or_inspect():
+    """Start-up stays cheap: ``dataclasses`` pulls in ``inspect``, ``ast``, ``dis`` and ``tokenize``."""
+    code = (
+        "import sys, bettiforge, bettiforge.cli\n"
+        "bettiforge.cli.build_parser()\n"
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+    )
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_pfaffian_rejects_degrees_above_cap(capsys):
