@@ -12,19 +12,20 @@ the package's result and data classes need:
 * pickling and deep copies set the fields directly, so an unpickled
   object does not rerun its class's validation.
 
-A subclass lists its fields in order in ``_fields``, and its own
-``__init__`` checks the arguments and sets each field with
-``object.__setattr__``.
+A subclass lists its fields in order in ``_fields``, the order of its
+annotations.  :class:`Frozen`'s own ``__init__`` takes one positional
+argument per field and stores them unchecked; a class whose values need
+checking, or that is built once per decision on a hot path, defines its
+own ``__init__``, which sets each field with ``object.__setattr__``.
 """
 
 from __future__ import annotations
 
 
 def _rebuild(cls: type, values: tuple) -> "Frozen":
-    """The object of class ``cls`` with these field values, built without ``__init__``."""
+    """The object of class ``cls`` with these field values, built without ``cls.__init__``."""
     obj = object.__new__(cls)
-    for name, value in zip(cls._fields, values):
-        object.__setattr__(obj, name, value)
+    Frozen.__init__(obj, *values)
     return obj
 
 
@@ -33,6 +34,12 @@ class Frozen:
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+
+    def __init__(self, *values: object) -> None:
+        if len(values) != len(self._fields):
+            raise TypeError(f"{self.__class__.__qualname__}() takes {len(self._fields)} arguments, got {len(values)}")
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
 
     def _astuple(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import os
 from collections import Counter
+from functools import partial
 from operator import attrgetter, itemgetter
 from typing import Container, Iterable, Iterator, NamedTuple, Sequence
 
@@ -404,22 +405,6 @@ class LinkResult(Frozen):
     f_level: IntMultiset
     minimal: AciBetti
 
-    def __init__(
-        self,
-        d0: int,
-        d: int,
-        d_level: IntMultiset,
-        e_level: IntMultiset,
-        f_level: IntMultiset,
-        minimal: AciBetti,
-    ) -> None:
-        object.__setattr__(self, "d0", d0)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "d_level", d_level)
-        object.__setattr__(self, "e_level", e_level)
-        object.__setattr__(self, "f_level", f_level)
-        object.__setattr__(self, "minimal", minimal)
-
     def resolution(self) -> list[IntMultiset]:
         return [self.d_level, self.e_level, self.f_level]
 
@@ -704,11 +689,6 @@ def _candidates_for_d(
     return [found[k] for k in sorted(found)]
 
 
-def _worker(args: tuple[tuple[int, int, int, int], int, int]) -> list[AciBetti]:
-    dvals, max_degree, max_f = args
-    return _candidates_for_d(dvals, max_degree, max_f)
-
-
 def _sorted_d_tuples(max_degree: int) -> Iterator[tuple[int, int, int, int]]:
     """All sorted 4-tuples over [1, max_degree], by total and then in lex order.
 
@@ -748,16 +728,13 @@ def enumerate_admissible(
     if max_degree < 1 or max_f < 2:
         return
     d_tuples = _sorted_d_tuples(max_degree)
+    candidates = partial(_candidates_for_d, max_degree=max_degree, max_f=max_f)
     if jobs > 1:
         import multiprocessing
 
         with multiprocessing.Pool(jobs) as pool:
-            for batch in pool.imap(
-                _worker,
-                ((dv, max_degree, max_f) for dv in d_tuples),
-                chunksize=16,
-            ):
+            for batch in pool.imap(candidates, d_tuples, chunksize=16):
                 yield from batch
     else:
-        for dv in d_tuples:
-            yield from _candidates_for_d(dv, max_degree, max_f)
+        for batch in map(candidates, d_tuples):
+            yield from batch

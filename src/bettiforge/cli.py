@@ -13,6 +13,7 @@ order, and JSON keys are sorted.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
@@ -42,6 +43,35 @@ MAX_MATRIX_SIZE = 13
 
 class InputError(ValueError):
     """Invalid user input found by the CLI itself; mapped to exit code 2 like any ValueError."""
+
+
+def _clip(text: str) -> str:
+    """The repr of user text for an error message, cut to its first 100 characters if longer."""
+    if len(text) <= 100:
+        return repr(text)
+    return f"{text[:100]!r}... ({len(text)} characters)"
+
+
+@contextlib.contextmanager
+def _unlimited_digits():
+    """Lift Python's cap on the digits of an int converted to or from text, for the ``with`` block.
+
+    The cap (4,300 digits by default) keeps a huge literal from taking
+    quadratic time to parse, so it stays on while the input is read: JSON,
+    integer options and polynomial coefficients.  An answer, or a message
+    that names a computed bound, may have more digits than any input (a
+    pfaffian multiplies entries, a norm adds them), so each command lifts
+    the cap once its input is read, while it computes and prints.
+    """
+    if not hasattr(sys, "get_int_max_str_digits"):  # no cap before Python 3.10.7
+        yield
+        return
+    cap = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(cap)
 
 
 def _loads(text: str):
@@ -76,17 +106,20 @@ def _parse_int_list(text: str) -> list[int]:
     try:
         data = _loads(text)
     except json.JSONDecodeError as exc:
-        raise InputError(f"expected a JSON integer array, got {text!r}: {exc}") from exc
+        raise InputError(f"expected a JSON integer array, got {_clip(text)}: {exc}") from exc
     if not _is_int_array(data):
-        raise InputError(f"expected a JSON integer array, got {text!r}")
+        raise InputError(f"expected a JSON integer array, got {_clip(text)}")
     return data
 
 
 def _int_option(text: str) -> int:
     """The ``type`` of every integer option: ASCII digits after an optional '-', nothing else."""
     if not _DIGITS_RE.fullmatch(text.removeprefix("-")):
-        raise argparse.ArgumentTypeError(f"expected an integer in ASCII digits, got {text!r}")
-    return int(text)
+        raise argparse.ArgumentTypeError(f"expected an integer in ASCII digits, got {_clip(text)}")
+    try:
+        return int(text)
+    except ValueError as exc:  # more digits than Python's cap on int literals
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def _emit(data) -> None:
@@ -140,26 +173,31 @@ def _load_alternating(data) -> tuple[AlternatingMatrix, list[int] | None]:
 
 
 def cmd_check(args) -> int:
-    verdict = check_betti(AciBetti.from_json(_read_json(args.input)))
-    _emit(verdict.to_json())
-    if args.explain:
-        if verdict.admissible:
-            print("admissible: every stage of the decision procedure passed", file=sys.stderr)
-        else:
-            print(f"rejected at stage {verdict.stage}: {verdict.witness}", file=sys.stderr)
+    betti = AciBetti.from_json(_read_json(args.input))
+    with _unlimited_digits():
+        verdict = check_betti(betti)
+        _emit(verdict.to_json())
+        if args.explain:
+            if verdict.admissible:
+                print("admissible: every stage of the decision procedure passed", file=sys.stderr)
+            else:
+                print(f"rejected at stage {verdict.stage}: {verdict.witness}", file=sys.stderr)
     return 0 if verdict.admissible else 1
 
 
 def cmd_mci(args) -> int:
-    beta = GorensteinBetti.from_gens(IntMultiset.from_values(_parse_int_list(args.gens)))
-    _emit({"mci": list(mci(beta)), "theta": beta.theta})
+    gens = IntMultiset.from_values(_parse_int_list(args.gens))
+    with _unlimited_digits():
+        beta = GorensteinBetti.from_gens(gens)
+        _emit({"mci": list(mci(beta)), "theta": beta.theta})
     return 0
 
 
 def cmd_gorenstein_check(args) -> int:
     gens = IntMultiset.from_values(_parse_int_list(args.gens))
-    verdict = check_gorenstein_betti(gens)
-    _emit({"admissible": verdict.admissible, "theta": verdict.theta, "reason": verdict.reason})
+    with _unlimited_digits():
+        verdict = check_gorenstein_betti(gens)
+        _emit({"admissible": verdict.admissible, "theta": verdict.theta, "reason": verdict.reason})
     return 0 if verdict.admissible else 1
 
 
@@ -167,7 +205,7 @@ def cmd_hilbert(args) -> int:
     if (args.resolution is None) == (args.ci is None):
         raise InputError("provide exactly one of --resolution or --ci")
     if args.ci is not None:
-        h = hilbert_of_ci(_parse_int_list(args.ci), args.nvars)
+        hilbert = functools.partial(hilbert_of_ci, _parse_int_list(args.ci))
     else:
         try:
             data = _loads(args.resolution)
@@ -175,17 +213,20 @@ def cmd_hilbert(args) -> int:
             raise InputError(f"--resolution is not valid JSON: {exc}") from exc
         if not isinstance(data, list) or not all(_is_int_array(m) for m in data):
             raise InputError("--resolution must be a JSON array of integer arrays")
-        h = hilbert_from_resolution([IntMultiset.from_values(m) for m in data], args.nvars)
-    _emit({"values": list(h.values), "socle_degree": h.socle_degree(), "length": h.length()})
+        hilbert = functools.partial(hilbert_from_resolution, [IntMultiset.from_values(m) for m in data])
+    with _unlimited_digits():
+        h = hilbert(args.nvars)
+        _emit({"values": list(h.values), "socle_degree": h.socle_degree(), "length": h.length()})
     return 0
 
 
 def cmd_pfaffian(args) -> int:
     matrix, _ = _load_alternating(_read_json(args.input))
-    if matrix.size % 2 == 0:
-        _emit({"pfaffian": str(matrix.pfaffian())})
-    else:
-        _emit({"submaximal_pfaffians": [str(p) for p in matrix.submaximal_pfaffians()]})
+    with _unlimited_digits():
+        if matrix.size % 2 == 0:
+            _emit({"pfaffian": str(matrix.pfaffian())})
+        else:
+            _emit({"submaximal_pfaffians": [str(p) for p in matrix.submaximal_pfaffians()]})
     return 0
 
 
@@ -193,7 +234,8 @@ def cmd_link(args) -> int:
     gens = IntMultiset.from_values(_parse_int_list(args.gens))
     ci_type = _parse_int_list(args.ci)
     extra = IntMultiset.from_values(_parse_int_list(args.extra)) if args.extra else None
-    _emit(link_betti(gens, args.theta, ci_type, extra).to_json())
+    with _unlimited_digits():
+        _emit(link_betti(gens, args.theta, ci_type, extra).to_json())
     return 0
 
 
@@ -219,15 +261,16 @@ def cmd_verify_structure(args) -> int:
         raise InputError('"twists" must be a JSON array of integers')
     fields = [field.strip(" ") for field in args.g_rows.split(",")]  # ASCII spaces around a row may stay
     if not all(map(_DIGITS_RE.fullmatch, fields)):
-        raise InputError(f"--g-rows must be comma-separated ASCII digits, got {args.g_rows!r}")
+        raise InputError(f"--g-rows must be comma-separated ASCII digits, got {_clip(args.g_rows)}")
     g_rows = tuple(map(int, fields))
     if len(g_rows) != 3:
         raise InputError("--g-rows needs exactly three row indices")
-    complex_ = build_aci_complex(AlternatingPresentation(matrix, g_rows, tuple(twists)))
-    report = verify_complex(complex_)
-    payload = report.to_json()
-    payload["twist_multisets"] = [m.to_list() for m in complex_.twist_multisets()]
-    _emit(payload)
+    with _unlimited_digits():
+        complex_ = build_aci_complex(AlternatingPresentation(matrix, g_rows, tuple(twists)))
+        report = verify_complex(complex_)
+        payload = report.to_json()
+        payload["twist_multisets"] = [m.to_list() for m in complex_.twist_multisets()]
+        _emit(payload)
     return 0 if report.ok else 1
 
 

@@ -57,6 +57,12 @@ Scalar = Union[int, Fraction]
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _DIGITS_RE = re.compile(r"[0-9]+")
 _SIGN_RE = re.compile(r"([+-])")
+# The exponent of a rational literal such as "2.5e-3", in the grammar
+# ``Fraction`` reads.  Fraction builds 10**k exactly, so "1e10000000" alone
+# would take half a minute.  The cap on k matches the 4,300 digits Python
+# allows an int literal by default.
+_EXPONENT_RE = re.compile(r"e[-+]?(\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
+_MAX_EXPONENT = 4300
 
 # Bits per field of a packed monomial key, and the largest total degree a
 # term may have.  The fields are big-endian struct fields of code _FIELD,
@@ -64,6 +70,10 @@ _SIGN_RE = re.compile(r"([+-])")
 _W = 32
 _MAX_DEGREE = (1 << _W) - 1
 _FIELD = "I"
+# The most variables text may name.  A key takes _W * (n + 1) bits, so a
+# polynomial with n terms in n variables holds about 4 * n**2 bytes.  A
+# generic 13x13 alternating matrix has 78 variables.
+_MAX_VARIABLES = 100
 
 
 @functools.lru_cache(maxsize=None)
@@ -136,12 +146,19 @@ def _coefficient(value) -> Scalar:
 
     Floats and bools are rejected with ValueError: a binary float is not
     the rational its decimal text suggests, and ``True`` is not a number
-    a user meant.  Rational strings such as ``"1/3"`` are accepted.
+    a user meant.  Rational strings such as ``"1/3"`` are accepted, and
+    an exponent such as the 3 of ``"2.5e3"`` may be at most
+    ``_MAX_EXPONENT`` in size.
     """
     if isinstance(value, (bool, float)):
         raise ValueError(f"coefficient must be an integer or a rational, got {value!r}")
     if isinstance(value, int):
         return int(value)
+    exponent = _EXPONENT_RE.search(value) if isinstance(value, str) else None
+    if exponent is not None:
+        digits = exponent[1].replace("_", "").lstrip("0")
+        if len(digits) > len(str(_MAX_EXPONENT)) or int(digits or "0") > _MAX_EXPONENT:
+            raise ValueError(f"coefficient exponent is above the cap {_MAX_EXPONENT}, got {value!r}")
     try:
         c = Fraction(value)
     except (TypeError, ValueError, ZeroDivisionError) as exc:
@@ -516,8 +533,11 @@ def _steps(names: tuple[str, ...]) -> dict[str, int]:
 
     A factor ``v^k`` adds ``k * step[v]`` to a term's key, which puts k
     into v's exponent field and into the degree field.  The dict is
-    shared by every caller and must not be changed.
+    shared by every caller and must not be changed.  More than
+    ``_MAX_VARIABLES`` names raise ValueError before any key is built.
     """
+    if len(names) > _MAX_VARIABLES:
+        raise ValueError(f"{len(names)} variables; at most {_MAX_VARIABLES} are supported")
     return dict(zip(names, _units(len(names))))
 
 
@@ -635,15 +655,7 @@ class PolyMatrix:
     def __eq__(self, other) -> bool:
         if not isinstance(other, PolyMatrix):
             return NotImplemented
-        return (
-            self.rows == other.rows
-            and self.cols == other.cols
-            and all(
-                self.entries[i][j] == other.entries[i][j]
-                for i in range(self.rows)
-                for j in range(self.cols)
-            )
-        )
+        return self.entries == other.entries
 
     def __hash__(self):
         raise TypeError("PolyMatrix is unhashable")

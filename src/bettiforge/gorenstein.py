@@ -29,11 +29,6 @@ class GorensteinVerdict(Frozen):
     theta: int | None
     reason: str | None
 
-    def __init__(self, admissible: bool, theta: int | None = None, reason: str | None = None) -> None:
-        object.__setattr__(self, "admissible", admissible)
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "reason", reason)
-
 
 def theta_of(degrees: Sequence[int]) -> int | None:
     """theta = 2*sum(degrees)/(len(degrees) - 1), or None when it is not an integer.

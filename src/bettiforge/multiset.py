@@ -9,7 +9,9 @@ is structural and JSON round-trips are canonical.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from collections import Counter
+from operator import add, and_, or_, sub
+from typing import Callable, Iterable, Iterator
 
 from ._frozen import Frozen
 
@@ -150,40 +152,34 @@ class IntMultiset(Frozen):
     # multiset algebra
     # ------------------------------------------------------------------
 
+    def _combine(self, other: "IntMultiset", op: Callable[[Counter, Counter], Counter]) -> "IntMultiset":
+        """``op`` on the two multisets as Counters.
+
+        Counter's ``&``, ``|``, ``+`` and ``-`` keep only positive counts,
+        so the sorted result is valid by construction and is wrapped with
+        :meth:`_trusted`.
+        """
+        counts = op(Counter(dict(self.entries)), Counter(dict(other.entries)))
+        return IntMultiset._trusted(tuple(sorted(counts.items())))
+
     def intersect(self, other: "IntMultiset") -> "IntMultiset":
         """Value-wise minimum of multiplicities."""
-        out = []
-        for v, m in self.entries:
-            k = min(m, other.multiplicity(v))
-            if k > 0:
-                out.append((v, k))
-        return IntMultiset(tuple(out))
+        return self._combine(other, and_)
 
     def union(self, other: "IntMultiset") -> "IntMultiset":
         """Value-wise maximum of multiplicities."""
-        counts = dict(self.entries)
-        for v, m in other.entries:
-            counts[v] = max(counts.get(v, 0), m)
-        return IntMultiset(tuple((v, counts[v]) for v in sorted(counts)))
+        return self._combine(other, or_)
 
     def sum(self, other: "IntMultiset") -> "IntMultiset":
         """Disjoint union: multiplicities add."""
-        counts = dict(self.entries)
-        for v, m in other.entries:
-            counts[v] = counts.get(v, 0) + m
-        return IntMultiset(tuple((v, counts[v]) for v in sorted(counts)))
+        return self._combine(other, add)
 
     def diff(self, other: "IntMultiset") -> "IntMultiset":
         """Truncated difference: keeps value v with multiplicity max(0, m_self - m_other)."""
-        out = []
-        for v, m in self.entries:
-            k = m - other.multiplicity(v)
-            if k > 0:
-                out.append((v, k))
-        return IntMultiset(tuple(out))
+        return self._combine(other, sub)
 
     def is_submultiset(self, other: "IntMultiset") -> bool:
-        return all(m <= other.multiplicity(v) for v, m in self.entries)
+        return Counter(dict(self.entries)) <= Counter(dict(other.entries))
 
     def affine(self, n: int, sign: int) -> "IntMultiset":
         """Map every value y to n + sign*y, preserving multiplicities.

@@ -123,11 +123,7 @@ class AlternatingMatrix:
     def __eq__(self, other) -> bool:
         if not isinstance(other, AlternatingMatrix):
             return NotImplemented
-        return self.size == other.size and all(
-            self.entries[i][j] == other.entries[i][j]
-            for i in range(self.size)
-            for j in range(self.size)
-        )
+        return self.entries == other.entries
 
     def __hash__(self):
         raise TypeError("AlternatingMatrix is unhashable")

@@ -41,9 +41,6 @@ class GradedFreeModule(Frozen):
     _fields = ("twists",)
     twists: tuple[int, ...]
 
-    def __init__(self, twists: tuple[int, ...]) -> None:
-        object.__setattr__(self, "twists", twists)
-
     @property
     def rank(self) -> int:
         return len(self.twists)
@@ -199,10 +196,6 @@ class PairReport(Frozen):
     composition_zero: bool
     composition_witness: str | None
 
-    def __init__(self, composition_zero: bool, composition_witness: str | None) -> None:
-        object.__setattr__(self, "composition_zero", composition_zero)
-        object.__setattr__(self, "composition_witness", composition_witness)
-
 
 class ComplexReport(Frozen):
     _fields = ("pairs", "homogeneous", "homogeneity_witness", "rank_ok")
@@ -210,18 +203,6 @@ class ComplexReport(Frozen):
     homogeneous: bool
     homogeneity_witness: str | None
     rank_ok: bool
-
-    def __init__(
-        self,
-        pairs: tuple[PairReport, ...],
-        homogeneous: bool,
-        homogeneity_witness: str | None,
-        rank_ok: bool,
-    ) -> None:
-        object.__setattr__(self, "pairs", pairs)
-        object.__setattr__(self, "homogeneous", homogeneous)
-        object.__setattr__(self, "homogeneity_witness", homogeneity_witness)
-        object.__setattr__(self, "rank_ok", rank_ok)
 
     @property
     def ok(self) -> bool:

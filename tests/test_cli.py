@@ -667,3 +667,110 @@ def test_seed_option_is_gone(capsys):
             main(argv)
         out, err = capsys.readouterr()
         assert exc.value.code == 2 and out == "" and "error" in err
+
+
+def test_check_answer_past_the_digit_cap_prints(capsys):
+    # each degree has 4,300 digits, which JSON reads; the witness names their sums, which have more
+    big = 9 * 10**4299
+    payload = json.dumps({"D": [big] * 4, "E": [1] * 5, "F": [1, 1]})
+    cap = sys.get_int_max_str_digits()
+    code, out, err = run_cli(["check", "-", "--explain"], payload, capsys)
+    assert code == 1 and json.loads(out)["stage"] == 1
+    assert err.startswith("rejected at stage 1: ")
+    assert sys.get_int_max_str_digits() == cap
+
+
+def test_pfaffian_answer_past_the_digit_cap_prints(capsys):
+    n = "1" + "0" * 3000
+    rows = [[0, n, 0, 0], ["-" + n, 0, 0, 0], [0, 0, 0, n], [0, 0, "-" + n, 0]]
+    cap = sys.get_int_max_str_digits()
+    code, out, err = run_cli(["pfaffian", "-"], json.dumps(rows), capsys)
+    assert code == 0 and err == ""
+    assert json.loads(out)["pfaffian"] == "1" + "0" * 6000
+    assert sys.get_int_max_str_digits() == cap
+
+
+_BIG = str(9 * 10**4299)  # 4,300 digits, the most an integer literal may have
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["hilbert", "--ci", f"[{_BIG},{_BIG}]", "--nvars", "2"], "largest twist 18"),
+        (["link", "--gens", f"[{_BIG},{_BIG},{_BIG},{_BIG},{_BIG}]", "--theta", "5", "--ci", "[2,2,8]"], "2*norm = 9"),
+    ],
+    ids=["hilbert", "link"],
+)
+def test_messages_past_the_digit_cap_print(argv, message, capsys):
+    # the message names a bound computed from the input, with more digits than any input
+    code, out, err = run_cli(argv, capsys=capsys)
+    assert code == 2 and out == "" and message in err and "4300" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, stdin_text",
+    [
+        (["check", "-"], '{"D": [' + "1" * 5000 + ', 1, 1, 1], "E": [1, 1, 1, 1, 1], "F": [1, 1]}'),
+        (["pfaffian", "-"], json.dumps([[0, "1" * 5000], ["-" + "1" * 5000, 0]])),
+        (["mci", "--gens", "[" + "1" * 5000 + "]"], None),
+        (["link", "--gens", "[2,2,2,2,2]", "--theta", "1" * 5000, "--ci", "[2,2,8]"], None),
+    ],
+    ids=["json", "coefficient", "int-array", "int-option"],
+)
+def test_input_literals_keep_the_digit_cap(argv, stdin_text, capsys):
+    try:
+        code, out, err = run_cli(argv, stdin_text, capsys)
+    except SystemExit as exc:  # argparse rejects an integer option itself
+        code, (out, err) = exc.code, capsys.readouterr()
+    assert code == 2 and out == "" and "4300 digits" in err
+    assert len(err) < 400
+
+
+def test_coefficient_exponent_is_refused_at_once(capsys):
+    # building 10**10000000 took over 20 s (shared 2-vCPU Xeon) before the exponent was capped
+    start = time.perf_counter()
+    code, out, err = run_cli(["pfaffian", "-"], json.dumps([[0, "1e10000000*x"], ["-1e10000000*x", 0]]), capsys)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == "" and "exponent is above the cap 4300" in err
+
+
+def test_variable_count_is_capped(capsys):
+    from bettiforge.exact import _MAX_VARIABLES
+
+    names = [f"v{i}" for i in range(_MAX_VARIABLES + 1)]
+    text = "+".join(names)
+    for payload in (
+        [[0, text], ["-" + "-".join(names), 0]],
+        {"entries": [[0, "v0"], ["-v0", 0]], "variables": names},
+    ):
+        start = time.perf_counter()
+        code, out, err = run_cli(["pfaffian", "-"], json.dumps(payload), capsys)
+        assert time.perf_counter() - start < 0.5
+        assert code == 2 and out == "" and f"at most {_MAX_VARIABLES} are supported" in err
+    # a generic 13x13 matrix, the largest the CLI takes, names 78 variables
+    matrix, _ = cli._load_alternating(_generic_matrix(13))
+    assert len(matrix.names) == 78 <= _MAX_VARIABLES
+    at_cap = {"entries": [[0, "v0"], ["-v0", 0]], "variables": names[:-1]}
+    code, out, _ = run_cli(["pfaffian", "-"], json.dumps(at_cap), capsys)
+    assert code == 0 and json.loads(out) == {"pfaffian": "v0"}
+
+
+@pytest.mark.parametrize(
+    "argv, problem",
+    [
+        (["mci", "--gens", "[" + "1," * 5000 + "x]"], "expected a JSON integer array"),
+        (["mci", "--gens", json.dumps(["1"] * 2000)], "expected a JSON integer array"),
+        (["gorenstein-check", "--gens", "y" * 10_000], "expected a JSON integer array"),
+        (["verify-structure", "--matrix", "-", "--g-rows", "1,2," + "x" * 10_000], "--g-rows"),
+        (["hilbert", "--ci", "[1,1,1]", "--nvars", "x" * 10_000], "expected an integer in ASCII digits"),
+    ],
+    ids=["gens-malformed", "gens-not-ints", "gens-10000-chars", "g-rows", "int-option"],
+)
+def test_error_messages_clip_echoed_arguments(argv, problem, capsys):
+    assert max(map(len, argv)) >= 10_000
+    try:
+        code, out, err = run_cli(argv, json.dumps(_presentation_payload()), capsys)
+    except SystemExit as exc:  # argparse rejects an integer option itself
+        code, (out, err) = exc.code, capsys.readouterr()
+    assert code == 2 and out == "" and problem in err
+    assert len(err.encode()) < 400 and "characters)" in err

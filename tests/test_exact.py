@@ -205,6 +205,15 @@ def test_coefficient_text_errors_name_the_grammar():
     assert parse_poly("1e5*x", ("x",)) == 100000 * variables("x")[0]
 
 
+def test_coefficient_exponent_is_capped():
+    # Fraction builds 10**k exactly, so the size of k is refused before the value is built
+    for text in ("1e4301", "1E-4301", "2.5e00004301", "1e1_0000_000", " 1e99999 ", "1e" + "9" * 5000):
+        with pytest.raises(ValueError, match="exponent is above the cap 4300"):
+            _coefficient(text)
+    assert _coefficient("1e4300") == _coefficient("1e0_004_300") == 10**4300
+    assert _coefficient("2.5E-4300") == Fraction(5, 2 * 10**4300)
+
+
 @pytest.mark.parametrize("e", [2.5, True, "3"], ids=["float", "bool", "string"])
 def test_exponents_must_be_plain_ints(e):
     with pytest.raises(ValueError, match="exponents must be ints"):

@@ -88,6 +88,33 @@ def test_algebra_results_are_valid_multisets():
             assert IntMultiset(r.entries) == r
 
 
+def _oracle(op, a, b):
+    """op on the counts of each value of two plain lists, as a sorted list."""
+    return sorted(v for v in set(a) | set(b) for _ in range(op(a.count(v), b.count(v))))
+
+
+def test_algebra_matches_a_sorted_list_oracle():
+    rng = random.Random(20)
+    cases = [([], []), ([], [4, 4]), ([-3, -3, 0], []), ([1, 1, 2], [5, 7, 7]), ([-4, -1, -1], [-1, 3])]
+    for _ in range(300):
+        a = [rng.randint(-6, 6) for _ in range(rng.randint(0, 9))]
+        b = [rng.randint(-6, 6) + rng.choice((0, 20)) for _ in range(rng.randint(0, 9))]  # sometimes disjoint
+        cases.append((a, b))
+    for a, b in cases:
+        ma, mb = ms(a), ms(b)
+        for got, want in (
+            ((ma.intersect(mb), ma & mb), _oracle(min, a, b)),
+            ((ma.union(mb), ma | mb), _oracle(max, a, b)),
+            ((ma.sum(mb), ma + mb), _oracle(lambda x, y: x + y, a, b)),
+            ((ma.diff(mb), ma - mb), _oracle(lambda x, y: max(0, x - y), a, b)),
+        ):
+            for r in got:
+                assert type(r) is IntMultiset and r.values() == want, (a, b)
+                assert IntMultiset(r.entries) == r
+        subset = all(a.count(v) <= b.count(v) for v in a)
+        assert ma.is_submultiset(mb) is subset and (ma <= mb) is subset, (a, b)
+
+
 def test_intersect():
     assert ms([6, 6, 6]).intersect(ms([6, 10, 10])) == ms([6])
     assert ms([5, 5, 9]).intersect(ms([6, 10, 10])) == ms([])

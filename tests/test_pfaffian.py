@@ -496,3 +496,26 @@ def test_random_graded_alternating_rejects_non_int_twists(bad):
 
     with pytest.raises(ValueError, match="twists must be ints"):
         random_graded_alternating((bad, 2, 2, 2, 2), random.Random(0))
+
+
+def test_matrix_equality_compares_shapes_rings_and_classes():
+    assert PolyMatrix([]) == PolyMatrix([]) and AlternatingMatrix([]) == AlternatingMatrix([])
+    assert PolyMatrix([[], []]) == PolyMatrix([[], []])
+    assert PolyMatrix([]) != PolyMatrix([[], [], []])
+    assert PolyMatrix([[], []]) != PolyMatrix([[], [], []])
+    rows = [[0, "x"], ["-x", 0]]
+    a = parse_matrix(rows, ("x",))
+    assert a == parse_matrix(rows, ("x",)) and a != parse_matrix([[0, "x"], ["-x", 1]], ("x",))
+    alt = AlternatingMatrix.from_poly_matrix(a)
+    assert alt == AlternatingMatrix.from_poly_matrix(parse_matrix(rows, ("x",)))
+    assert alt != AlternatingMatrix.from_poly_matrix(parse_matrix([[0, "2*x"], ["-2*x", 0]], ("x",)))
+    assert alt != ci_matrix_3x3()
+    # the same text in another ring is another polynomial; a constant is the same in every ring
+    assert a != parse_matrix(rows, ("x", "y"))
+    assert alt != AlternatingMatrix.from_poly_matrix(parse_matrix(rows, ("x", "y")))
+    assert PolyMatrix([[1, 2]]) == parse_matrix([["1", "2"]], ("x",))
+    assert AlternatingMatrix([[0, 3], [-3, 0]]) == AlternatingMatrix.from_poly_matrix(
+        parse_matrix([[0, "3"], ["-3", 0]], ("y",))
+    )
+    # a PolyMatrix never equals an AlternatingMatrix, even with the same entries
+    assert alt != a and a != alt and alt.to_poly_matrix() == a

@@ -187,3 +187,34 @@ def test_unpickling_skips_validation(monkeypatch):
     monkeypatch.setattr(IntMultiset, "__init__", refuse)
     assert pickle.loads(data) == b
     assert copy.deepcopy(b) == b
+
+
+def _frozen_subclasses():
+    found, todo = [], [Frozen]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            found.append(sub)
+            todo.append(sub)
+    return [cls for cls in found if cls.__module__.startswith("bettiforge.")]
+
+
+def test_fields_are_the_annotated_names_in_order():
+    # Frozen's positional __init__ and the repr read the fields in the order of _fields
+    classes = _frozen_subclasses()
+    assert set(classes) == set(VALUES)
+    for cls in classes:
+        assert cls._fields == tuple(cls.__dict__["__annotations__"]), cls.__name__
+
+
+# the records whose __init__ only stores its arguments
+RECORDS = [GorensteinVerdict, LinkResult, GradedFreeModule, PairReport, ComplexReport]
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+def test_records_take_one_argument_per_field(cls):
+    a = _build(cls)
+    values = [getattr(a, name) for name in cls._fields]
+    assert cls(*values) == a
+    for wrong in ([], values + [None]):
+        with pytest.raises(TypeError):
+            cls(*wrong)
