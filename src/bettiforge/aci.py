@@ -251,8 +251,8 @@ class GorensteinFailure(Frozen):
 def _induced_g0(dec: AciDecomposition, f: Runs) -> list[int] | GorensteinFailure:
     """The sorted G0 = (theta_z - F) + Dbar + T if it is admitted, else the failure.
 
-    An admitted G0 has odd size at least 3, and theta_of gives the int
-    theta_g for it: all that ``GorensteinBetti`` validates.
+    An admitted G0 passes ``check_gorenstein_betti`` with theta_g as its
+    theta: all that ``GorensteinBetti`` validates.
     """
     theta_z = dec.theta_z
     h = []
@@ -444,7 +444,7 @@ def link_betti(
     ci = IntMultiset.from_values(ci_type)
     if ci.card() != 3:
         raise ValueError("ci_type must have exactly three degrees")
-    beta = GorensteinBetti(gor_gens, gor_theta)  # validates theta against gens
+    GorensteinBetti(gor_gens, gor_theta)  # raises unless (gens, theta) is admissible
     slots = gor_gens.sum(extra_gens).sum(extra_gens.affine(gor_theta, -1))
     if gor_gens.card() + extra_gens.card() < 5:
         # a 4-generator codimension-3 quotient cannot be Gorenstein, so a

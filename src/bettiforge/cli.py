@@ -20,7 +20,7 @@ import sys
 from typing import Sequence
 
 from .aci import AciBetti, check_betti, enumerate_admissible, link_betti, worker_count
-from .exact import _DIGITS_RE, _NAME_RE, parse_matrix
+from .exact import _DIGITS_RE, _NAME_RE, _clip, parse_matrix
 from .gorenstein import (
     GorensteinBetti,
     check_gorenstein_betti,
@@ -43,13 +43,6 @@ MAX_MATRIX_SIZE = 13
 
 class InputError(ValueError):
     """Invalid user input found by the CLI itself; mapped to exit code 2 like any ValueError."""
-
-
-def _clip(text: str) -> str:
-    """The repr of user text for an error message, cut to its first 100 characters if longer."""
-    if len(text) <= 100:
-        return repr(text)
-    return f"{text[:100]!r}... ({len(text)} characters)"
 
 
 @contextlib.contextmanager

@@ -151,19 +151,27 @@ def _coefficient(value) -> Scalar:
     ``_MAX_EXPONENT`` in size.
     """
     if isinstance(value, (bool, float)):
-        raise ValueError(f"coefficient must be an integer or a rational, got {value!r}")
+        raise ValueError(f"coefficient must be an integer or a rational, got {_clip(value)}")
     if isinstance(value, int):
         return int(value)
     exponent = _EXPONENT_RE.search(value) if isinstance(value, str) else None
     if exponent is not None:
         digits = exponent[1].replace("_", "").lstrip("0")
         if len(digits) > len(str(_MAX_EXPONENT)) or int(digits or "0") > _MAX_EXPONENT:
-            raise ValueError(f"coefficient exponent is above the cap {_MAX_EXPONENT}, got {value!r}")
+            raise ValueError(f"coefficient exponent is above the cap {_MAX_EXPONENT}, got {_clip(value)}")
     try:
         c = Fraction(value)
     except (TypeError, ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"coefficient must be an integer or a rational, got {value!r}") from exc
+        raise ValueError(f"coefficient must be an integer or a rational, got {_clip(value)}") from exc
     return c.numerator if c.denominator == 1 else c
+
+
+def _clip(value) -> str:
+    """The repr of user input for an error message, cut to the first 100 characters of a string or of another repr."""
+    text = value if isinstance(value, str) else repr(value)
+    if len(text) <= 100:
+        return repr(value)
+    return f"{text[:100]!r}... ({len(text)} characters)"
 
 
 def _has_fraction(terms: dict) -> bool:
@@ -411,12 +419,6 @@ class Poly:
     # display
     # ------------------------------------------------------------------
 
-    def sorted_terms(self) -> list[tuple[tuple[int, ...], Scalar]]:
-        """Terms keyed by exponent tuple, in descending graded lexicographic order."""
-        _, unpack = _layout(len(self.names))
-        terms = self._terms
-        return [(unpack(k), terms[k]) for k in sorted(terms, reverse=True)]
-
     def __str__(self) -> str:
         terms = self._terms
         if not terms:
@@ -443,6 +445,20 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({self})"
+
+
+def _checked_poly(value) -> Poly:
+    """A matrix entry or coefficient from a caller as a Poly: a Poly as is, a number as a constant.
+
+    Anything else raises ValueError; ``Poly._coerce`` returns NotImplemented
+    for it instead, as the operator protocol needs.
+    """
+    if isinstance(value, Poly):
+        return value
+    p = Poly._coerce(value)
+    if p is NotImplemented:
+        raise ValueError(f"entry must be a polynomial or a number, got {type(value).__name__}")
+    return p
 
 
 def _sum_of_products(pairs: Sequence[tuple[Poly, Poly]], names: tuple[str, ...] = ()) -> Poly:
@@ -574,27 +590,27 @@ def _parse(text: str, names: tuple[str, ...], steps: dict[str, int]) -> Poly:
     for i in range(1, len(pieces), 2):
         chunk = pieces[i + 1]
         if not chunk:
-            raise ValueError(f"malformed polynomial: {text!r}")
+            raise ValueError(f"malformed polynomial: {_clip(text)}")
         coeff: Scalar = -1 if pieces[i] == "-" else 1
         key = degree = 0
         for factor in chunk.split("*"):
             if not factor:
-                raise ValueError(f"malformed term {chunk!r}")
+                raise ValueError(f"malformed term {_clip(chunk)}")
             if factor[0].isdigit():
                 if not factor.isascii() or "_" in factor:
-                    raise ValueError(f"coefficient must be written in ASCII without '_', got {factor!r}")
+                    raise ValueError(f"coefficient must be written in ASCII without '_', got {_clip(factor)}")
                 coeff *= int(factor) if factor.isdigit() else _coefficient(factor)
                 continue
             if "^" in factor:
                 base, _, power = factor.partition("^")
                 if not _DIGITS_RE.fullmatch(power):
-                    raise ValueError(f"exponent of {base!r} must be ASCII digits, got {power!r}")
+                    raise ValueError(f"exponent of {_clip(base)} must be ASCII digits, got {_clip(power)}")
                 k = int(power)
             else:
                 base, k = factor, 1
             step = steps.get(base)
             if step is None:
-                raise ValueError(f"unknown variable {base!r}")
+                raise ValueError(f"unknown variable {_clip(base)}")
             key += k * step
             degree += k
         if degree > _MAX_DEGREE:
@@ -622,7 +638,7 @@ class PolyMatrix:
 
     def __init__(self, entries: Sequence[Sequence[Poly | Scalar]]):
         grid = tuple(
-            tuple(Poly._coerce(e) for e in row) for row in entries
+            tuple(_checked_poly(e) for e in row) for row in entries
         )
         if grid and any(len(row) != len(grid[0]) for row in grid):
             raise ValueError("rows have inconsistent lengths")
@@ -791,9 +807,6 @@ class PolyMatrix:
         return PolyMatrix(out)
 
     # -- display / encoding ----------------------------------------------
-
-    def to_lists(self) -> list[list[str]]:
-        return [[str(e) for e in row] for row in self.entries]
 
     def __str__(self) -> str:
         return "\n".join("[" + ", ".join(str(e) for e in row) + "]" for row in self.entries)

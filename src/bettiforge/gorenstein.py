@@ -80,7 +80,7 @@ def check_gorenstein_betti(gens: IntMultiset) -> GorensteinVerdict:
 
 
 class GorensteinBetti(Frozen):
-    """Betti data (gens, theta) of a codimension-3 Gorenstein quotient."""
+    """Betti data (gens, theta) of a codimension-3 Gorenstein quotient, admissible by construction."""
 
     _fields = ("gens", "theta")
     gens: IntMultiset
@@ -102,6 +102,9 @@ class GorensteinBetti(Frozen):
             raise ValueError(
                 f"theta = {self.theta} inconsistent with gens (2*norm = {2 * self.gens.norm()}, card-1 = {n - 1})"
             )
+        verdict = check_gorenstein_betti(gens)
+        if not verdict.admissible:
+            raise ValueError(f"inadmissible Gorenstein Betti sequence: {verdict.reason}")
 
     @classmethod
     def from_gens(cls, gens: IntMultiset) -> "GorensteinBetti":
@@ -116,9 +119,9 @@ class GorensteinBetti(Frozen):
     def _trusted(cls, gens: IntMultiset, theta: int) -> "GorensteinBetti":
         """Wrap data the caller has just admitted, without rerunning ``__init__``'s checks.
 
-        The caller guarantees that ``gens`` is odd-sized with at least
-        three degrees and that ``theta`` is the int ``theta_of`` gives for
-        them, as the ``aci`` module has decided for G0 before it wraps it.
+        The caller guarantees that ``gens`` passes ``check_gorenstein_betti``
+        and that ``theta`` is the int ``theta_of`` gives for them, as the
+        ``aci`` module has decided for G0 before it wraps it.
         """
         b = object.__new__(cls)
         object.__setattr__(b, "gens", gens)
@@ -132,17 +135,8 @@ class GorensteinBetti(Frozen):
         """Resolution twist multisets [gens, syzygies, {theta}]."""
         return [self.gens, self.syzygies(), IntMultiset.from_values([self.theta])]
 
-    def is_admissible(self) -> bool:
-        return check_gorenstein_betti(self.gens).admissible
-
     def to_json(self) -> dict:
         return {"gens": self.gens.to_list(), "theta": self.theta}
-
-
-def _require_admissible(b: GorensteinBetti) -> None:
-    verdict = check_gorenstein_betti(b.gens)
-    if not verdict.admissible:
-        raise ValueError(f"inadmissible Gorenstein Betti sequence: {verdict.reason}")
 
 
 def ci_index_sets(b: GorensteinBetti) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
@@ -154,7 +148,6 @@ def ci_index_sets(b: GorensteinBetti) -> tuple[tuple[int, ...], tuple[int, ...],
     * C    = {4 <= i <= n+2   | theta <= d_i + d_{2n+5-i}}
     * Bbar = {3 <= i <= 2n+1  | theta <= d_i + d_{2n+4-i}}
     """
-    _require_admissible(b)
     d = b.gens.values()
     theta = b.theta
     n = (b.gens.card() - 1) // 2
@@ -199,7 +192,6 @@ def mci_from_sorted(d: Sequence[int], theta: int) -> tuple[int, int, int]:
 
 def mci(b: GorensteinBetti) -> tuple[int, int, int]:
     """Minimal type of a regular sequence inside an ideal with this Betti sequence."""
-    _require_admissible(b)
     return mci_from_sorted(b.gens.values(), b.theta)
 
 

@@ -108,9 +108,6 @@ class IntMultiset(Frozen):
                 break
         return 0
 
-    def support(self) -> tuple[int, ...]:
-        return tuple(v for v, _ in self.entries)
-
     def card(self) -> int:
         """Total element count |M|."""
         return sum(m for _, m in self.entries)

@@ -31,7 +31,7 @@ from __future__ import annotations
 import random
 from typing import Iterable, Sequence
 
-from .exact import Poly, PolyMatrix, Scalar, _sum_of_products, monomials, variables
+from .exact import Poly, PolyMatrix, Scalar, _checked_poly, _sum_of_products, monomials, variables
 from .gorenstein import theta_of
 
 
@@ -57,7 +57,7 @@ class AlternatingMatrix:
     __slots__ = ("entries", "size", "names", "_row_masks", "_pf_memo")
 
     def __init__(self, entries: Sequence[Sequence[Poly | Scalar]]):
-        grid = tuple(tuple(Poly._coerce(e) for e in row) for row in entries)
+        grid = tuple(tuple(_checked_poly(e) for e in row) for row in entries)
         n = len(grid)
         for row in grid:
             if len(row) != n:
@@ -97,16 +97,16 @@ class AlternatingMatrix:
         for (i, j), value in upper.items():
             if not (1 <= i < j <= size):
                 raise ValueError(f"bad upper-triangle key ({i},{j})")
-            v = Poly._coerce(value)
+            v = _checked_poly(value)
             grid[i - 1][j - 1] = v
             grid[j - 1][i - 1] = -v
         return cls(grid)
 
     @classmethod
-    def generic(cls, size: int, prefix: str = "a") -> "AlternatingMatrix":
-        """Fully symbolic matrix with a distinct variable per upper entry."""
+    def generic(cls, size: int) -> "AlternatingMatrix":
+        """Fully symbolic matrix with a distinct variable ``a<i><j>`` per upper entry."""
         slots = [(i, j) for i in range(1, size + 1) for j in range(i + 1, size + 1)]
-        names = [f"{prefix}{i}{j}" for i, j in slots]
+        names = [f"a{i}{j}" for i, j in slots]
         return cls.from_upper(size, dict(zip(slots, variables(names))))
 
     @classmethod
@@ -259,7 +259,7 @@ class AlternatingMatrix:
         """
         if self.size % 2 == 0:
             raise ValueError("augment requires odd size")
-        coeffs = [Poly._coerce(c) for c in coeffs]
+        coeffs = [_checked_poly(c) for c in coeffs]
         if len(coeffs) != self.size:
             raise ValueError(f"need {self.size} coefficients, got {len(coeffs)}")
         m = self.size
@@ -298,7 +298,7 @@ def block_pfaffian(a: Poly | Scalar, top: PolyMatrix, c: AlternatingMatrix) -> P
     """
     if top.rows != 2 or top.cols != c.size:
         raise ValueError(f"top block must be 2x{c.size}, got {top.rows}x{top.cols}")
-    a = Poly._coerce(a)
+    a = _checked_poly(a)
     small = top @ c.adjoint().to_poly_matrix() @ top.transpose()
     # small is 2x2 alternating; its pfaffian is the (1,2) entry
     return a * c.pfaffian() + small.entry(0, 1)
@@ -328,7 +328,7 @@ def three_generator_embedding(
     """
     if len(coeff_vectors) != 3:
         raise ValueError("exactly three coefficient vectors required")
-    u, v, w = (tuple(Poly._coerce(c) for c in vec) for vec in coeff_vectors)
+    u, v, w = (tuple(_checked_poly(c) for c in vec) for vec in coeff_vectors)
     n = psi.size
     if any(len(vec) != n for vec in (u, v, w)):
         raise ValueError(f"coefficient vectors must have length {n}")
@@ -338,12 +338,8 @@ def three_generator_embedding(
     return m2.augment(w + (zero, zero, zero, zero))
 
 
-def random_graded_alternating(
-    twists: Sequence[int],
-    rng: random.Random,
-    names: Sequence[str] = ("x1", "x2", "x3"),
-) -> AlternatingMatrix:
-    """Random homogeneous alternating matrix for the given row twists.
+def random_graded_alternating(twists: Sequence[int], rng: random.Random) -> AlternatingMatrix:
+    """Random homogeneous alternating matrix in x1, x2, x3 for the given row twists.
 
     Entry (i, j) gets a random form of degree theta - t_i - t_j where
     theta = 2 * sum(twists) / (size - 1); slots of negative degree are
@@ -359,7 +355,7 @@ def random_graded_alternating(
     theta = theta_of(twists)
     if theta is None:
         raise ValueError("twists do not admit an integral matrix degree")
-    names = tuple(names)
+    names = ("x1", "x2", "x3")
     upper: dict[tuple[int, int], Poly] = {}
     for i in range(1, size + 1):
         for j in range(i + 1, size + 1):

@@ -45,9 +45,6 @@ class GradedFreeModule(Frozen):
     def rank(self) -> int:
         return len(self.twists)
 
-    def twist_multiset(self) -> IntMultiset:
-        return IntMultiset.from_values(self.twists)
-
 
 class GradedComplex(Frozen):
     """Chain of free modules; maps[k] goes from modules[k+1] into modules[k]."""
@@ -69,7 +66,7 @@ class GradedComplex(Frozen):
                 )
 
     def twist_multisets(self) -> list[IntMultiset]:
-        return [m.twist_multiset() for m in self.modules]
+        return [IntMultiset.from_values(m.twists) for m in self.modules]
 
 
 def _degree_violation(
@@ -273,9 +270,9 @@ def colon_generators(
     a, b, c = abc
     if len({a, b, c}) != 3:
         raise ValueError("indices must be distinct")
-    pf_vec = m.submaximal_pfaffians()
     for i in (a, b, c):
         if not 1 <= i <= m.size:
             raise ValueError(f"index {i} out of range 1..{m.size}")
+    pf_vec = m.submaximal_pfaffians()
     rest = [i for i in range(1, m.size + 1) if i not in (a, b, c)]
     return pf_vec[a - 1], pf_vec[b - 1], pf_vec[c - 1], m.pfaffian(rest)

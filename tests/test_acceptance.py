@@ -39,7 +39,8 @@ def criterion(number, description):
 def signless(p):
     if p.is_zero:
         return p
-    return p if p.sorted_terms()[0][1] > 0 else -p
+    terms = p.terms
+    return p if terms[max(terms, key=lambda e: (sum(e), e))] > 0 else -p  # graded-lex leading term
 
 
 def test_criterion_01_first_rejection_case():
@@ -286,7 +287,7 @@ def test_criterion_12_property_corpus():
             m = ms([rng.randint(-10, 15) for _ in range(rng.randint(0, 12))])
             nshift = rng.randint(-8, 20)
             h = m.intersect(m.affine(nshift, -1))
-            for x in h.support():
+            for x, _ in h.entries:
                 if h.multiplicity(x) != h.multiplicity(nshift - x):
                     violations += 1
         assert violations == 0

@@ -24,11 +24,12 @@ from bettiforge.gorenstein import (
     GorensteinBetti,
     check_gorenstein_betti,
     gaeta_diesel_violation,
+    hilbert_from_resolution,
     mci,
     mci_from_sorted,
 )
 from bettiforge.multiset import IntMultiset
-from support import random_admissible
+from support import is_o_sequence, is_si_sequence, random_admissible
 
 ms = IntMultiset.from_values
 
@@ -252,9 +253,9 @@ def test_link_straight_mapping_cone():
 
 
 def test_link_degenerate_d0():
-    # choice of type (1,1,2) gives theta_z = 4 = theta, so d0 = 0
+    # type (1,2,2), with 1 added as a bordered pair, gives theta_z = 5 = theta, so d0 = 0
     with pytest.raises(ValueError, match="degenerate"):
-        link_betti(ms([1, 1, 2, 2, 2]), 4, (1, 1, 2))
+        link_betti(ms([2, 2, 2, 2, 2]), 5, (1, 2, 2), ms([1]))
 
 
 def test_link_residual_too_small():
@@ -274,6 +275,14 @@ def test_link_slot_mismatch():
 def test_link_theta_validated():
     with pytest.raises(ValueError):
         link_betti(ms([2, 2, 2, 2, 2]), 6, (2, 2, 2))
+
+
+def test_link_refuses_inadmissible_gens():
+    # theta = 5 is consistent with the degrees, which fail Gaeta-Diesel
+    message = "inadmissible Gorenstein Betti sequence: theta = 5 <= h_2 + h_5 = 6"
+    with pytest.raises(ValueError) as exc:
+        link_betti(ms([1, 1, 1, 2, 5]), 5, (1, 2, 5))
+    assert str(exc.value) == message
 
 
 def test_link_output_passes_check_betti_on_corpus():
@@ -421,6 +430,33 @@ def test_enumerate_ndjson_is_pinned(max_degree, max_f, lines, md5):
     out = [json.dumps(b.to_json(), sort_keys=True) + "\n" for b in enumerate_admissible(max_degree, max_f)]
     assert len(out) == lines
     assert hashlib.md5("".join(out).encode()).hexdigest() == md5
+
+
+@pytest.fixture(scope="module")
+def admissible_14_5():
+    return list(enumerate_admissible(14, 5))
+
+
+def test_enumerated_hilbert_functions_are_o_sequences(admissible_14_5):
+    """Macaulay's bound on the Hilbert function of every emitted triple;
+    hilbert_from_resolution shares no code with check_betti."""
+    assert len(admissible_14_5) == 4222
+    for b in admissible_14_5:
+        assert is_o_sequence(hilbert_from_resolution([b.d, b.e, b.f], 3).values), b
+
+
+def test_induced_gorenstein_h_vectors_are_si_sequences(admissible_14_5):
+    """Every admitted G0 gives a symmetric SI h-vector with socle degree theta_G - 3."""
+    g0s = {check_betti(b).beta_g for b in admissible_14_5}
+    assert len(g0s) == 921
+    for g in g0s:
+        h = hilbert_from_resolution(g.modules(), 3)
+        assert h.socle_degree() == g.theta - 3 and is_si_sequence(h.values), g
+
+
+def test_hilbert_oracles_can_fail():
+    assert not is_o_sequence((1, 3, 7))  # 3^<1> = 6
+    assert is_o_sequence((1, 3, 3, 4, 3, 3, 1)) and not is_si_sequence((1, 3, 3, 4, 3, 3, 1))
 
 
 # verdict counts and md5 of the verdict lines of _verdict_corpus(),

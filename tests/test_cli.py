@@ -450,9 +450,15 @@ def test_link(capsys):
 
 def test_link_degenerate(capsys):
     code, _, err = run_cli(
-        ["link", "--gens", "[1,1,2,2,2]", "--theta", "4", "--ci", "[1,1,2]"], capsys=capsys
+        ["link", "--gens", "[2,2,2,2,2]", "--theta", "5", "--ci", "[1,2,2]", "--extra", "[1]"], capsys=capsys
     )
     assert code == 2 and "degenerate" in err
+
+
+def test_link_refuses_inadmissible_gens(capsys):
+    code, out, err = run_cli(["link", "--gens", "[1,1,1,2,5]", "--theta", "5", "--ci", "[1,2,5]"], capsys=capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: inadmissible Gorenstein Betti sequence: theta = 5 <= h_2 + h_5 = 6\n"
 
 
 @pytest.mark.parametrize("value", ["\u0666", "0_3", " 1_0 "], ids=["arabic-indic", "underscore", "spaced"])
@@ -548,7 +554,7 @@ def test_verify_structure(tmp_path, capsys):
 
     m = random_graded_alternating([2] * 5, random.Random(3))
     payload = {
-        "entries": m.to_poly_matrix().to_lists(),
+        "entries": [[str(e) for e in row] for row in m.entries],
         "twists": [2] * 5,
         "variables": ["x1", "x2", "x3"],
     }
@@ -578,7 +584,7 @@ def _presentation_payload():
     from bettiforge.pfaffian import random_graded_alternating
 
     m = random_graded_alternating([2] * 5, random.Random(3))
-    return {"entries": m.to_poly_matrix().to_lists(), "twists": [2] * 5, "variables": ["x1", "x2", "x3"]}
+    return {"entries": [[str(e) for e in row] for row in m.entries], "twists": [2] * 5, "variables": ["x1", "x2", "x3"]}
 
 
 @pytest.mark.parametrize(
@@ -772,5 +778,34 @@ def test_error_messages_clip_echoed_arguments(argv, problem, capsys):
         code, out, err = run_cli(argv, json.dumps(_presentation_payload()), capsys)
     except SystemExit as exc:  # argparse rejects an integer option itself
         code, (out, err) = exc.code, capsys.readouterr()
+    assert code == 2 and out == "" and problem in err
+    assert len(err.encode()) < 400 and "characters)" in err
+
+
+@pytest.mark.parametrize(
+    "entry, problem",
+    [
+        ("x+" + "y" * 10_000 + "$", "unknown variable"),
+        ("x*" + "y" * 10_000 + "**z", "malformed term"),
+        ("x" + "y" * 10_000 + "+-z", "malformed polynomial"),
+        ("1_" + "2" * 10_000 + "*x", "coefficient must be written in ASCII"),
+        ("x^" + "a" * 10_000, "exponent of 'x' must be ASCII digits"),
+        ("3/" + "x" * 10_000, "coefficient must be an integer or a rational"),
+        ("1e" + "9" * 10_000 + "*x", "coefficient exponent is above the cap"),
+        ([1] * 5_000, "coefficient must be an integer or a rational"),
+    ],
+    ids=[
+        "unknown-variable",
+        "malformed-term",
+        "malformed-polynomial",
+        "coefficient-ascii",
+        "exponent-digits",
+        "coefficient-rational",
+        "coefficient-exponent",
+        "array-entry",
+    ],
+)
+def test_parser_messages_clip_echoed_entries(entry, problem, capsys):
+    code, out, err = run_cli(["pfaffian", "-"], json.dumps([[0, entry], [0, 0]]), capsys)
     assert code == 2 and out == "" and problem in err
     assert len(err.encode()) < 400 and "characters)" in err

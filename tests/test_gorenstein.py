@@ -74,13 +74,54 @@ def test_gorenstein_check_reasons_in_order(gens, reason):
         (lambda: GorensteinBetti(ms([2] * 5), 6), "theta = 6 inconsistent with gens (2*norm = 20, card-1 = 4)"),
         (lambda: GorensteinBetti(ms([2] * 5), 5.0), "theta must be an int, got 5.0"),
         (lambda: GorensteinBetti(ms([1] * 3), True), "theta must be an int, got True"),
+        (
+            lambda: GorensteinBetti(ms([0, 2, 4]), 6),
+            "inadmissible Gorenstein Betti sequence: generator degrees must be positive",
+        ),
+        (
+            lambda: GorensteinBetti.from_gens(ms([1, 1, 1, 2, 5])),
+            "inadmissible Gorenstein Betti sequence: theta = 5 <= h_2 + h_5 = 6",
+        ),
     ],
-    ids=["from-gens-count", "from-gens-integrality", "count", "non-integral", "wrong-theta", "float-theta", "bool-theta"],
+    ids=[
+        "from-gens-count",
+        "from-gens-integrality",
+        "count",
+        "non-integral",
+        "wrong-theta",
+        "float-theta",
+        "bool-theta",
+        "nonpositive",
+        "gaeta-diesel",
+    ],
 )
 def test_gorenstein_betti_validation_messages(build, message):
     with pytest.raises(ValueError) as exc:
         build()
     assert str(exc.value) == message
+
+
+def test_construction_admits_exactly_what_check_gorenstein_betti_admits():
+    # odd-size lists near a common base, half of them shifted to an integral theta
+    rng = random.Random(29)
+    admitted = refused = 0
+    for _ in range(4000):
+        n = rng.randint(1, 5)
+        base = rng.randint(0, 6)
+        degs = sorted(base + rng.randint(0, rng.choice((1, 2, 4))) for _ in range(2 * n + 1))
+        if rng.random() < 0.5:
+            degs[-1] += -sum(degs) % n
+        gens = ms(degs)
+        verdict = check_gorenstein_betti(gens)
+        try:
+            b = GorensteinBetti.from_gens(gens)
+        except ValueError:
+            assert not verdict.admissible, degs
+            refused += 1
+        else:
+            assert verdict.admissible and b.theta == verdict.theta, degs
+            admitted += 1
+    assert admitted > 500 and refused > 500
 
 
 def test_admissible_five_quadrics():
@@ -167,7 +208,6 @@ def test_mci_monotone_under_dual_pair_deletion():
     # deleting a generator pair (s, theta-s) never increases mci
     b = GorensteinBetti.from_gens(ms([2, 4, 5, 7, 8]))
     reduced = GorensteinBetti(ms([2, 4, 7]), b.theta)
-    assert reduced.is_admissible()
     assert all(x <= y for x, y in zip(mci(reduced), mci(b)))
 
 
@@ -393,5 +433,3 @@ def test_random_admissible_is_deterministic_and_varied():
     assert [x.gens for x in a] == [y.gens for y in b]
     sizes = {x.gens.card() for x in a}
     assert len(sizes) >= 3
-    for x in a:
-        assert x.is_admissible()

@@ -20,7 +20,8 @@ def signless(p):
     """Canonical representative of {p, -p}: positive leading coefficient."""
     if p.is_zero:
         return p
-    return p if p.sorted_terms()[0][1] > 0 else -p
+    terms = p.terms
+    return p if terms[max(terms, key=lambda e: (sum(e), e))] > 0 else -p  # graded-lex leading term
 
 
 def ci_matrix_3x3():
@@ -333,6 +334,21 @@ def test_augment_property_random():
 def test_augment_length_mismatch():
     with pytest.raises(ValueError):
         ci_matrix_3x3().augment([1, 2])
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: AlternatingMatrix([[0, "x"], ["-x", 0]]),
+        lambda: AlternatingMatrix.from_upper(2, {(1, 2): "x"}),
+        lambda: ci_matrix_3x3().augment(["x", 1, 1]),
+        lambda: AlternatingMatrix([[0, None], [None, 0]]),
+    ],
+    ids=["init", "from-upper", "augment", "none"],
+)
+def test_entries_that_are_not_numbers_are_refused(build):
+    with pytest.raises(ValueError, match="entry must be a polynomial or a number"):
+        build()
 
 
 def test_congruence_identity_permutation():

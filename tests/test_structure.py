@@ -249,6 +249,13 @@ def test_colon_generators_validation():
         colon_generators(AlternatingMatrix.generic(4), (1, 2, 3))
 
 
+def test_colon_generators_checks_the_rows_before_expanding():
+    m = AlternatingMatrix.generic(7)
+    with pytest.raises(ValueError, match="index 99 out of range 1..7"):
+        colon_generators(m, (1, 2, 99))
+    assert not m._pf_memo  # no pfaffian was expanded
+
+
 def test_bordered_presentation_builds():
     # augmenting the linear 3x3 presentation adds slots of twist e and
     # theta - e; sigma then carries the null pfaffian
