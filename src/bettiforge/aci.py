@@ -559,58 +559,79 @@ def _f_windows(
 def _admissible_f_tuples(dvals: tuple[int, int, int, int], w: _FWindow) -> list[tuple[int, ...]]:
     """The F of window ``w`` whose G0 passes stage 3 and Gaeta-Diesel, in lex order.
 
-    F is built smallest-first, and a branch is cut by the bounds that
-    :func:`_candidates_for_d` describes.  Every leaf left is decided by
-    the exact tests.
+    G0 is built pair by pair from the outside in, as
+    :func:`_candidates_for_d` describes, and every complete G0 is decided
+    by the exact tests.
     """
-    dstar = dvals[1:]
-    theta_z = sum(dstar)
+    theta_z = sum(dvals[1:])
     theta_g = theta_z - dvals[0]
-    hi, tail = w.hi, w.tail
-    found: list[tuple[int, ...]] = []
-    if (w.k + len(tail)) // 2 > dstar[0]:
-        return found  # bound (a)
-    if w.total < w.k * w.lo:
-        return found  # no k entries >= lo sum to total; bound (b) needs q >= 0
+    tail = sorted(w.tail)
+    m = (w.k + len(tail)) // 2
     cap1, cap2, cap3 = w.caps
-    top = theta_z - hi
+    g_lo, g_hi = theta_z - w.hi, theta_z - w.lo  # the generators theta_z - f of F entries
+    g0 = [0] * (2 * m + 1)
+    found: list[tuple[int, ...]] = []
 
-    def may_complete(known: list[int], v: int, r: int, rest: int) -> bool:
-        # bound (b) in closed form: with q = rest - r * v >= 0, the i-th
-        # largest of the r entries left is at most min(hi, v + q // i),
-        # which is hi for i <= j and v + q // i after that
-        q = rest - r * v
-        j = r if v == hi else q // (hi - v)
-        if j >= r:
-            h = [top] * r
+    def place(i: int, budget: int, tl: int, tr: int) -> None:
+        # g0[:i] and g0[2m + 2 - i:] are placed, tail[tl:tr + 1] is not,
+        # and the pairs i..m share the budget of their deltas
+        a_prev = g0[i - 1]
+        if i == 1:
+            u_prev, top = theta_g, cap2  # no pair bounds u yet; e_2 >= h_1
         else:
-            h = [top] * j
-            low = theta_z - v
-            for i in range(j + 1, r + 1):
-                h.append(low - q // i)
-        h += known
-        h.sort()
-        e1, e2, e3 = mci_from_sorted(h, theta_g)  # bound (c), before Gaeta-Diesel
-        return e1 <= cap1 and e2 <= cap2 and e3 <= cap3 and gaeta_diesel_violation(h, theta_g) is None
+            u_prev = g0[2 * m + 2 - i]
+            top = theta_g - 1 - u_prev  # the largest h_i that keeps i out of B
+            if u_prev <= cap3 and top < cap2:
+                top = cap2  # i in B needs h_i <= e_2 and h_{2m+2-i} <= e_3
+        u_lo = g_lo
+        if tl <= tr:  # the tail left must lie in [a, u]
+            top = min(top, tail[tl])
+            u_lo = tail[tr]
+        # plain comparisons in place of min and max: this loop is the hot path
+        for delta in range(budget + 1) if i < m else (budget,):
+            s = theta_g - 1 - delta
+            a_hi = s // 2
+            if a_hi > s - u_lo:
+                a_hi = s - u_lo
+            if a_hi > top:
+                a_hi = top
+            if a_hi < a_prev:
+                break  # a_hi falls as delta grows
+            a_lo = s - u_prev
+            for a in range(a_prev if a_lo < a_prev else a_lo, a_hi + 1):
+                u = s - a
+                ntl, ntr = tl, tr
+                if ntl <= ntr and a == tail[ntl]:
+                    ntl += 1
+                elif not g_lo <= a <= g_hi:
+                    continue
+                if ntl <= ntr and u == tail[ntr]:
+                    ntr -= 1
+                elif not g_lo <= u <= g_hi:
+                    continue
+                g0[i], g0[2 * m + 1 - i] = a, u
+                if i < m:
+                    if ntr - ntl < 2 * (m - i):  # the tail left fits in the slots left
+                        place(i + 1, budget - delta, ntl, ntr)
+                elif ntl > ntr:
+                    e1, e2, e3 = mci_from_sorted(g0, theta_g)
+                    if e1 <= cap1 and e2 <= cap2 and e3 <= cap3 and gaeta_diesel_violation(g0, theta_g) is None:
+                        rest = list(g0)
+                        for t in tail:
+                            rest.remove(t)
+                        # from a list: tuple() of a generator grows and shrinks its
+                        # tuple, and that raised enumerate's peak RSS by 0.4 MB
+                        found.append(tuple([theta_z - x for x in reversed(rest)]))
 
-    def grow(prefix: tuple[int, ...], known: list[int], v: int, r: int, rest: int) -> None:
-        # ``known`` holds the generators fixed above this level, tail included
-        r -= 1  # entries left after this one
-        for x in range(max(v, rest - r * hi), min(hi, rest // (r + 1)) + 1):
-            left = rest - x
-            if r == 1:  # the last entry is forced: a leaf
-                g0 = known + [theta_z - x, theta_z - left]
-                g0.sort()
-                e1, e2, e3 = mci_from_sorted(g0, theta_g)
-                if e1 <= cap1 and e2 <= cap2 and e3 <= cap3 and gaeta_diesel_violation(g0, theta_g) is None:
-                    found.append(prefix + (x, left))
-            else:
-                child = known + [theta_z - x]
-                if may_complete(child, x, r, left):
-                    grow(prefix + (x,), child, x, r, left)
-
-    if may_complete(tail, w.lo, w.k, w.total):
-        grow((), tail, w.lo, w.k, w.total)
+    # |tail| <= 2m - 1, since |F| >= 2, so the tail always fits after h_0
+    for h0 in range(m, min(cap1, tail[0] if tail else cap1) + 1):
+        g0[0] = h0
+        if tail and h0 == tail[0]:
+            place(1, h0 - m, 1, len(tail) - 1)
+        elif g_lo <= h0 <= g_hi:
+            place(1, h0 - m, 0, len(tail) - 1)
+    del place  # it refers to itself, so each window would leave a cycle for the collector
+    found.sort()
     return found
 
 
@@ -621,63 +642,52 @@ def _candidates_for_d(
 
     The search runs over the windows of :func:`_f_windows`.  Within a
     window |G0| = k + |Dbar| + |T| = 2m + 1 is fixed, and the socle degree
-    balance pins norm(F), hence norm(G0) = m * theta_g.  F is built
-    smallest-first, and a branch is cut only where no completion can
-    pass Gaeta-Diesel (theta_g > h_{i+1} + h_{2m+2-i} for i = 1..m on the
-    sorted G0) together with stage 3 (d_j >= e_j, where (e_1, e_2, e_3)
-    is the mci triple, strictly at the indices forced by S - T):
+    balance pins norm(F), hence norm(G0) = m * theta_g.  The search builds
+    the sorted G0 = h_0 <= ... <= h_2m and reads F = theta_z - (G0 - tail)
+    off it, where the tail Dbar + T is the part of G0 that does not come
+    from F.
 
-    (a) Whole windows.  The m Gaeta-Diesel pairs use every element of G0
-        but h_1, so their sums add up to m * theta_g - h_1; each being at
-        most theta_g - 1 forces h_1 >= m.  The mci triple has e_1 = h_1,
-        and stage 3 needs e_1 <= d_1, so a window with m > d_1 is empty.
-    (b) Prefixes.  With f_1 <= ... <= f_j fixed, the r entries left are
-        each >= v = f_j (or lo) and sum to the rest, so the i-th largest
-        of them is at most min(hi, (rest - (r - i) * v) // i): the i
-        largest sum to at most rest - (r - i) * v.  Each entry f gives the
-        generator theta_z - f, so this bounds every remaining generator
-        from below, and the sorted G0 dominates the sorted bounds entry by
-        entry.  Pair sums only grow, so a bound pair >= theta_g rules out
-        every completion.  In closed form, with q = rest - r * v, the
-        bound is min(hi, v + q // i), since (rest - (r - i) * v) // i =
-        v + q // i.  It is hi for the first min(r, q // (hi - v)) values
-        of i (all r when hi = v) and v + q // i for the others, so no
-        entry needs a min.  The closed form needs q >= 0, which the
-        choice of each entry keeps; a window with total < k * lo has
-        q < 0 at its root, holds no F, and is skipped before the bound.
-    (c) Stage 3 on the bounds.  If h <= h' entrywise, both sorted, every
-        pair sum of h is at most the same pair sum of h', so the B and C
-        index sets of h (see ``ci_index_sets`` in the gorenstein module)
-        are contained in those of h'.  The mci triple of h' therefore
-        reads h' at 1-based indices no smaller than those the triple of
-        h reads in h: with B(h) nonempty, B(h') has a larger or equal
-        maximum and a smaller or equal minimum; with only B(h') nonempty,
-        h' is read at 1, >= 3 and >= n + 3 where h is read at 1, 2 and
-        <= n + 2 (|G0| = 2n + 1); with both empty, the maximum of C only
-        grows.  As h' is sorted and dominates h, mci(h) <= mci(h')
-        componentwise.  The strict indices depend on D and S only, so a
-        comparison d_i >= e_i, or d_i > e_i, that fails on the sorted
-        bounds fails for every completion.  This covers the comparison
-        of h_1, h_2, h_3 with d_1, d_2, d_3, since e_1 = h_1, e_2 >= h_2
-        and e_3 >= h_3.
+    Gaeta-Diesel asks theta_g > h_i + h_{2m+1-i} for i = 1..m.  These m
+    pairs use every entry but h_0, so their sums add up to
+    m * theta_g - h_0.  With the i-th pair sum written theta_g - 1 -
+    delta_i, G0 passes exactly when every delta_i >= 0, and then the
+    deltas sum to h_0 - m.  The mci triple has e_1 = h_0, and stage 3
+    needs e_1 <= cap_1 <= d_1, so h_0 lies in [m, cap_1] and the budget
+    h_0 - m is small.  A window with m > d_1 holds no F.
 
-    On the bounds and at the leaves, Gaeta-Diesel is
-    ``gaeta_diesel_violation`` and stage 3 is the window's caps from
-    ``_stage3_caps``, as in :func:`check_betti`.  The leaves left are
-    decided by the exact Gaeta-Diesel, mci and stage-3 tests.  At every
-    inner node and leaf the mci triple is compared with the caps first,
-    and Gaeta-Diesel runs only where it passes: stage 3 cuts more nodes,
-    ``mci_from_sorted`` is defined on any sorted list of odd length, and
-    the argument for (c) does not use Gaeta-Diesel.  A node is cut iff
-    one of the two fails, whichever runs first.  Each emitted triple is
-    built from its F tuple and Ehat, re-checked by :func:`check_betti`,
-    and sorted by (F, E), which within one D is the order of
-    :meth:`AciBetti.key`.
+    So G0 is built from the outside in.  It picks h_0, then each pair
+    (a, u) = (h_i, h_{2m+1-i}) with a + u = theta_g - 1 - delta_i, a at
+    least the previous a, u at most the previous u, and a <= u; the last
+    pair takes the rest of the budget.  The sorted tail is matched
+    greedily: an a equal to the smallest tail value left is that value, a
+    u equal to the largest one left is that one, and every other entry
+    must be a generator theta_z - f with f in [lo, hi].  The tail values
+    left must lie in [a, u] and fit in the slots left.  As G0 is sorted,
+    this accepts exactly the G0 that contain the tail and whose other
+    entries come from F, and each of them once.
+
+    Three cuts follow from the mci triple.  ``mci_from_sorted`` in the
+    gorenstein module reads B = {2 <= i <= m | theta_g <= h_i +
+    h_{2m+2-i}}; when B is not empty, e_2 = h_{max B} and e_3 =
+    h_{2m+2-min B}.
+    - e_2 >= h_1 in every case, so h_1 <= cap_2.
+    - An index i >= 2 with h_i + h_{2m+2-i} >= theta_g is in B, so
+      h_i <= e_2 <= cap_2.
+    - The first index b in B gives e_3 = h_{2m+2-b}, so h_{2m+2-b} <=
+      cap_3.  The entries h_{2m+2-i} fall as i grows, so the search checks
+      h_{2m+2-i} at every index i in B.
+
+    A complete G0 is kept only if its mci triple from ``mci_from_sorted``
+    is within the window's caps from ``_stage3_caps`` and
+    ``gaeta_diesel_violation`` returns None, the two tests of
+    :func:`check_betti`.  Each emitted triple is built from its F tuple
+    and Ehat, re-checked by :func:`check_betti`, and sorted by (F, E),
+    which within one D is the order of :meth:`AciBetti.key`.
     """
     d = sum(dvals)
     d_level = IntMultiset.from_values(dvals)
     found: dict[tuple, AciBetti] = {}
-    # bound (a) gives m <= d_1, so |F| <= |G0| = 2m + 1 <= 2 * d_1 + 1
+    # m <= h_0 <= d_1, so |F| <= |G0| = 2m + 1 <= 2 * d_1 + 1
     for w in _f_windows(dvals, max_degree, min(max_f, 2 * dvals[1] + 1)):
         for f_tuple in _admissible_f_tuples(dvals, w):
             e_tuple = tuple(sorted([d - x for x in f_tuple] + w.ehat))

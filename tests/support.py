@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from math import comb
 from typing import Sequence
 
@@ -105,3 +106,51 @@ def is_si_sequence(h: Sequence[int]) -> bool:
         return False
     t = (len(h) - 1) // 2
     return is_o_sequence([h[0]] + [h[i] - h[i - 1] for i in range(1, t + 1)])
+
+
+def lex_betti(h: Sequence[int]) -> Counter:
+    """Graded Betti numbers {(i, j): beta_ij} of R/L, i = 1, 2, 3, for the lex
+    ideal L of k[x1, x2, x3] with the Artinian Hilbert function h, an O-sequence.
+
+    L_j is spanned by the dim R_j - h_j largest monomials of degree j in
+    lex order, x1 > x2 > x3.  L is stable, so by the Eliahou-Kervaire
+    formula (J. Algebra 129, 1990) a minimal generator u of degree j whose
+    largest variable is x_k gives C(k - 1, i - 1) to beta_{i, j + i - 1}.
+    """
+    betti: Counter = Counter()
+    below: set = set()  # L_{j-1}
+    for j in range(1, len(h) + 1):
+        lex_order = [(a, b, j - a - b) for a in range(j, -1, -1) for b in range(j - a, -1, -1)]
+        span = set(lex_order[: len(lex_order) - (h[j] if j < len(h) else 0)])
+        for a, b, c in span:
+            if (a and (a - 1, b, c) in below) or (b and (a, b - 1, c) in below) or (c and (a, b, c - 1) in below):
+                continue  # u is x_k times a monomial of L_{j-1}
+            k = 3 if c else 2 if b else 1
+            for i in (1, 2, 3):
+                betti[i, j + i - 1] += comb(k - 1, i - 1)
+        below = span
+    return betti
+
+
+def cancels_from_lex(h: Sequence[int], d: Sequence[int], e: Sequence[int], f: Sequence[int]) -> bool:
+    """Whether the Betti table (D, E, F) of R/I comes from the lex table of h by
+    consecutive cancellations.
+
+    Bigatti, Hulett and Pardue: the lex ideal has the largest graded Betti
+    numbers for its Hilbert function; Peeva (Proc. AMS 132, 2004): every
+    other Betti table with that Hilbert function comes from it by
+    cancelling beta_{i,j} against beta_{i+1,j}.  With c_{i,j} such
+    cancellations, c_{i,j} = L_{i,j} - B_{i,j} - c_{i-1,j} >= 0 for
+    i = 1, 2, 3 with c_{0,j} = 0, and c_{3,j} = 0 in three variables.
+    """
+    lex = lex_betti(h)
+    table = Counter({(i, j): n for i, twists in ((1, d), (2, e), (3, f)) for j, n in Counter(twists).items()})
+    for j in {j for _, j in lex} | {j for _, j in table}:
+        c = 0
+        for i in (1, 2, 3):
+            c = lex[i, j] - table[i, j] - c
+            if c < 0:
+                return False
+        if c:
+            return False
+    return True

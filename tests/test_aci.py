@@ -29,7 +29,7 @@ from bettiforge.gorenstein import (
     mci_from_sorted,
 )
 from bettiforge.multiset import IntMultiset
-from support import is_o_sequence, is_si_sequence, random_admissible
+from support import cancels_from_lex, is_o_sequence, is_si_sequence, lex_betti, random_admissible
 
 ms = IntMultiset.from_values
 
@@ -401,9 +401,9 @@ def test_enumerate_self_check_is_live(monkeypatch):
 
 
 def test_enumerate_search_tree_is_pinned(monkeypatch):
-    """mci_from_sorted runs once per inner node and leaf of the F search and once
-    per self-check: 20,524 calls at (12, 5), as many as Gaeta-Diesel made
-    when it ran first at every node."""
+    """mci_from_sorted runs once per complete G0 of the F search and once per
+    self-check: 4,956 calls at (12, 5), for 3,439 complete G0 and 1,517
+    emitted triples."""
     calls = 0
 
     def counted(h, theta):
@@ -413,7 +413,7 @@ def test_enumerate_search_tree_is_pinned(monkeypatch):
 
     monkeypatch.setattr(aci, "mci_from_sorted", counted)
     assert len(list(enumerate_admissible(12, 5))) == 1517
-    assert calls == 20524
+    assert calls == 4956
 
 
 # NDJSON of the stream as the CLI prints it, recorded before the F search
@@ -457,6 +457,36 @@ def test_induced_gorenstein_h_vectors_are_si_sequences(admissible_14_5):
 def test_hilbert_oracles_can_fail():
     assert not is_o_sequence((1, 3, 7))  # 3^<1> = 6
     assert is_o_sequence((1, 3, 3, 4, 3, 3, 1)) and not is_si_sequence((1, 3, 3, 4, 3, 3, 1))
+
+
+def test_enumerated_betti_tables_cancel_from_lex(admissible_14_5):
+    """Every emitted triple comes from the lex table of its Hilbert function
+    by consecutive cancellations; lex_betti and cancels_from_lex share no
+    code with check_betti or the F search."""
+    for b in admissible_14_5:
+        h = hilbert_from_resolution([b.d, b.e, b.f], 3).values
+        assert cancels_from_lex(h, b.d.values(), b.e.values(), b.f.values()), b
+
+
+@pytest.mark.parametrize(
+    "d, e, f, stage",
+    [
+        ([1, 2, 2, 4], [3, 3, 3, 4, 4], [3, 5], 1),
+        ([1, 2, 2, 2], [2, 3, 3, 3, 4], [3, 5], 2),
+        ([1, 1, 2, 3], [2, 3, 3, 3, 4, 5], [4, 4, 5], 3),
+    ],
+)
+def test_lex_cancellation_oracle_can_fail(d, e, f, stage):
+    """Rejected triples whose Hilbert functions are O-sequences, and which no
+    cancellation of the lex table reaches."""
+    b = AciBetti.from_values(d, e, f)
+    h = hilbert_from_resolution([b.d, b.e, b.f], 3).values
+    assert check_betti(b).stage == stage and is_o_sequence(h)
+    assert not cancels_from_lex(h, d, e, f)
+
+
+def test_lex_betti_of_the_square_of_the_maximal_ideal():
+    assert lex_betti((1, 3)) == {(1, 2): 6, (2, 3): 8, (3, 4): 3}
 
 
 # verdict counts and md5 of the verdict lines of _verdict_corpus(),
@@ -822,15 +852,16 @@ def _unpruned_window_triples(max_degree, max_f):
     return out
 
 
-def test_pruned_f_search_equals_filtered_full_search():
-    """Over every (D, S, |F|) window at (12, 5), pruning loses no F that passes
+@pytest.mark.parametrize("max_degree, max_f, lines", [(12, 5, 1517), (10, 6, 473)])
+def test_pruned_f_search_equals_filtered_full_search(max_degree, max_f, lines):
+    """Over every (D, S, |F|) window, the F search loses no F that passes
     Gaeta-Diesel and stage 3, and keeps none that fails them."""
     windows = whole_window_cuts = kept = 0
-    for dvals in aci._sorted_d_tuples(12):
+    for dvals in aci._sorted_d_tuples(max_degree):
         dstar = dvals[1:]
         theta_z = sum(dstar)
         theta_g = theta_z - dvals[0]
-        for w in aci._f_windows(dvals, 12, 5):
+        for w in aci._f_windows(dvals, max_degree, max_f):
             expected = []
             for f in _fixed_sum_tuples(w.lo, w.hi, w.k, w.total):
                 g0 = sorted([theta_z - x for x in f] + w.tail)
@@ -843,12 +874,11 @@ def test_pruned_f_search_equals_filtered_full_search():
             whole_window_cuts += (w.k + len(w.tail)) // 2 > dstar[0]
             kept += len(expected)
     assert windows > whole_window_cuts > 0
-    assert kept >= 1517
+    assert kept >= lines
 
 
 def test_window_with_too_small_a_total_is_empty():
-    """No k entries >= lo sum to a total below k * lo; the search returns
-    before bound (b), whose closed form needs total >= k * lo."""
+    """No k entries >= lo sum to a total below k * lo."""
     dvals = (3, 4, 5, 6)
     for k, lo, hi in ((2, 5, 8), (3, 5, 8), (2, 6, 6), (3, 7, 10)):
         for total in (k * lo - 1, k * lo - 3):

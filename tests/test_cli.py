@@ -526,7 +526,7 @@ def test_enumerate_jobs_preserve_order(capsys):
 
 
 def test_enumerate_max_f_beyond_bound_a_adds_no_work(capsys):
-    # bound (a) caps |F| at 2 * d_1 + 1 <= 13 for degrees up to 6
+    # m <= h_0 <= d_1 caps |F| at |G0| = 2m + 1 <= 2 * d_1 + 1 <= 13 for degrees up to 6
     _, expected, _ = run_cli(["enumerate", "--max-degree", "6", "--max-f", "13"], capsys=capsys)
     start = time.perf_counter()
     code, out, _ = run_cli(["enumerate", "--max-degree", "6", "--max-f", "1000000000"], capsys=capsys)
