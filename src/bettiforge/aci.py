@@ -23,7 +23,6 @@ degree bounds in a canonical deterministic order.
 from __future__ import annotations
 
 import os
-from collections import Counter
 from functools import partial
 from operator import attrgetter, itemgetter
 from typing import Container, Iterable, Iterator, NamedTuple, Sequence
@@ -156,10 +155,13 @@ class AciTypeFailure(Frozen):
         return "Ehat = {} differs from (d0 + Dbar) + (theta_z - S) = {}".format(*runs)
 
 
-def _t_values(theta_g: int, s: Container[int], f_card: int, dbar_card: int) -> list[int]:
+def _t_values(theta_g: int, s_runs: Runs, f_card: int, dbar_card: int) -> list[int]:
     """Socle-halving slot: [theta_g/2] only when it lies in Supp S and |F|+|Dbar| is even."""
-    if theta_g % 2 == 0 and (theta_g // 2) in s and (f_card + dbar_card) % 2 == 0:
-        return [theta_g // 2]
+    if theta_g % 2 == 0 and (f_card + dbar_card) % 2 == 0:
+        half = theta_g // 2
+        for v, _ in s_runs:
+            if v == half:
+                return [half]
     return []
 
 
@@ -170,17 +172,24 @@ def decompose(b: AciBetti) -> AciDecomposition | AciTypeFailure:
     Ehat = E \\ (d - F) splits exactly as (d0 + Dbar) + (theta_z - S) with
     S = Dstar & (theta_z - Ehat).
 
-    The work runs on value -> multiplicity dicts taken from the sorted
-    ``entries``; deleting keys keeps a dict's order, so each dict built
-    in ascending order stays sorted, and every count kept is positive.
-    A returned decomposition keeps those runs as tuples and builds no
-    multiset (see :class:`AciDecomposition`); a failure keeps the raw
-    runs it reports.
+    One pass over the sorted ``entries``.  Ehat is a value -> multiplicity
+    dict taken from E's runs; deleting keys keeps a dict's order, so it
+    stays sorted, and every count kept is positive.  Dstar is a slice of
+    D's runs with d0's count lowered.  One loop over it builds the runs of
+    S and Dbar and the counts of (d0 + Dbar) + (theta_z - S), and the
+    norm of D, |F| and |Dbar| are summed on the way.  A returned
+    decomposition keeps those runs as tuples and builds no multiset (see
+    :class:`AciDecomposition`); a failure keeps the raw runs it reports.
     """
-    d_norm = b.d.norm()
+    d_runs = b.d.entries
+    d_norm = 0
+    for v, m in d_runs:
+        d_norm += v * m
     ehat = dict(b.e.entries)  # E minus (d - F), once every d - f is removed
     missing = []
+    f_card = 0
     for v, m in reversed(b.f.entries):  # d - f ascending
+        f_card += m
         w = d_norm - v
         left = ehat.get(w, 0) - m
         if left > 0:
@@ -191,38 +200,31 @@ def decompose(b: AciBetti) -> AciDecomposition | AciTypeFailure:
             missing.append((w, -left))
     if missing:
         return AciTypeFailure(2, (tuple(missing),))
-    dstar = dict(b.d.entries)
-    d0 = b.d.entries[0][0]
-    if dstar[d0] == 1:
-        del dstar[d0]
-    else:
-        dstar[d0] -= 1
+    d0, c0 = d_runs[0]
+    dstar = ((d0, c0 - 1),) + d_runs[1:] if c0 > 1 else d_runs[1:]
     theta_z = d_norm - d0
-    s: dict[int, int] = {}
-    dbar: dict[int, int] = {}
-    for v, m in dstar.items():
-        k = min(m, ehat.get(theta_z - v, 0))
+    s = []
+    dbar = []
+    dbar_card = 0
+    expected: dict[int, int] = {}  # (d0 + Dbar) + (theta_z - S); a d0 + x may equal a theta_z - y
+    for v, m in dstar:
+        w = theta_z - v
+        k = ehat.get(w, 0)
         if k:
-            s[v] = k
+            if k > m:
+                k = m
+            s.append((v, k))
+            expected[w] = expected.get(w, 0) + k
         if m > k:
-            dbar[v] = m - k
-    expected = {d0 + v: m for v, m in dbar.items()}
-    for v, m in s.items():
-        expected[theta_z - v] = expected.get(theta_z - v, 0) + m
+            dbar.append((v, m - k))
+            dbar_card += m - k
+            expected[d0 + v] = expected.get(d0 + v, 0) + m - k
     if ehat != expected:
         return AciTypeFailure(3, (tuple(ehat.items()), tuple(sorted(expected.items()))))
     theta_g = theta_z - d0
-    t = _t_values(theta_g, s, sum(map(_mult, b.f.entries)), sum(dbar.values()))
-    return AciDecomposition(
-        d0,
-        tuple(dstar.items()),
-        theta_z,
-        tuple(ehat.items()),
-        tuple(s.items()),
-        tuple(dbar.items()),
-        ((t[0], 1),) if t else (),
-        theta_g,
-        d_norm,
+    t = _t_values(theta_g, s, f_card, dbar_card)
+    return AciDecomposition._make(
+        (d0, dstar, theta_z, tuple(ehat.items()), tuple(s), tuple(dbar), ((t[0], 1),) if t else (), theta_g, d_norm)
     )
 
 
@@ -544,9 +546,9 @@ def _f_windows(
         if any(theta_g - x in dbar_vals for x in dbar_vals):
             continue  # not the canonical overlap; the canonical choice covers it
         ehat_vals.sort()
-        s_runs = tuple(Counter(s_tuple).items())
+        s_runs = IntMultiset._from_sorted(s_tuple).entries  # s_tuple is sorted
         for k in range(2, max_f + 1):
-            t = _t_values(theta_g, s_tuple, k, len(dbar_vals))
+            t = _t_values(theta_g, s_runs, k, len(dbar_vals))
             tail = dbar_vals + t
             n = k + len(tail)
             if n % 2 == 0:
@@ -563,11 +565,13 @@ def _admissible_f_tuples(dvals: tuple[int, int, int, int], w: _FWindow) -> list[
     :func:`_candidates_for_d` describes, and every complete G0 is decided
     by the exact tests.
     """
+    m = (w.k + len(w.tail)) // 2
+    cap1, cap2, cap3 = w.caps
+    if m > cap1:
+        return []  # h_0 lies in [m, cap_1]
     theta_z = sum(dvals[1:])
     theta_g = theta_z - dvals[0]
     tail = sorted(w.tail)
-    m = (w.k + len(tail)) // 2
-    cap1, cap2, cap3 = w.caps
     g_lo, g_hi = theta_z - w.hi, theta_z - w.lo  # the generators theta_z - f of F entries
     g0 = [0] * (2 * m + 1)
     found: list[tuple[int, ...]] = []
@@ -653,7 +657,8 @@ def _candidates_for_d(
     delta_i, G0 passes exactly when every delta_i >= 0, and then the
     deltas sum to h_0 - m.  The mci triple has e_1 = h_0, and stage 3
     needs e_1 <= cap_1 <= d_1, so h_0 lies in [m, cap_1] and the budget
-    h_0 - m is small.  A window with m > d_1 holds no F.
+    h_0 - m is small.  A window with m > cap_1 holds no F, so
+    :func:`_admissible_f_tuples` returns [] for it before any set-up.
 
     So G0 is built from the outside in.  It picks h_0, then each pair
     (a, u) = (h_i, h_{2m+1-i}) with a + u = theta_g - 1 - delta_i, a at
@@ -681,19 +686,22 @@ def _candidates_for_d(
     is within the window's caps from ``_stage3_caps`` and
     ``gaeta_diesel_violation`` returns None, the two tests of
     :func:`check_betti`.  Each emitted triple is built from its F tuple
-    and Ehat, re-checked by :func:`check_betti`, and sorted by (F, E),
-    which within one D is the order of :meth:`AciBetti.key`.
+    and Ehat: E is sorted once, and E and F, both sorted ints of this
+    search, are wrapped by ``IntMultiset._from_sorted``.  It is re-checked
+    by :func:`check_betti` and sorted by (F, E), which within one D is the
+    order of :meth:`AciBetti.key`.
     """
     d = sum(dvals)
-    d_level = IntMultiset.from_values(dvals)
+    d_level = IntMultiset._from_sorted(dvals)
     found: dict[tuple, AciBetti] = {}
     # m <= h_0 <= d_1, so |F| <= |G0| = 2m + 1 <= 2 * d_1 + 1
     for w in _f_windows(dvals, max_degree, min(max_f, 2 * dvals[1] + 1)):
         for f_tuple in _admissible_f_tuples(dvals, w):
-            e_tuple = tuple(sorted([d - x for x in f_tuple] + w.ehat))
-            candidate = AciBetti(
-                d_level, IntMultiset.from_values(e_tuple), IntMultiset.from_values(f_tuple)
-            )
+            e_list = [d - x for x in f_tuple] + w.ehat
+            e_list.sort()
+            e_tuple = tuple(e_list)
+            # AciBetti still checks the cardinalities
+            candidate = AciBetti(d_level, IntMultiset._from_sorted(e_tuple), IntMultiset._from_sorted(f_tuple))
             assert check_betti(candidate).admissible
             found[f_tuple, e_tuple] = candidate  # AciBetti.key() order within one D
     return [found[k] for k in sorted(found)]

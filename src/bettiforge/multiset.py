@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import Counter
 from operator import add, and_, or_, sub
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 from ._frozen import Frozen
 
@@ -56,13 +56,23 @@ class IntMultiset(Frozen):
 
         The one check runs on the values themselves.  The runs are then
         valid by construction (int values, strictly increasing after the
-        sort, each counted at least once), so they are wrapped with
-        :meth:`_trusted` instead of being walked again by ``__init__``.
+        sort, each counted at least once), so :meth:`_from_sorted` encodes
+        them instead of ``__init__`` walking them again.
         """
         vals = list(values)
         if not {int}.issuperset(map(type, vals)):
             raise ValueError(f"multiset values must be ints, got {vals!r}")
         vals.sort()
+        return cls._from_sorted(vals)
+
+    @classmethod
+    def _from_sorted(cls, vals: Sequence[int]) -> "IntMultiset":
+        """Run-length encoding of a sorted sequence of ints, without any check.
+
+        The :meth:`_trusted` contract holds: only for ints the package
+        computed itself and has already sorted.  Outside values go through
+        :meth:`from_values`.
+        """
         if not vals:
             return cls._trusted(())
         runs = []
@@ -83,10 +93,11 @@ class IntMultiset(Frozen):
         Only code that builds the runs itself may call it, and it must
         guarantee what ``__init__`` would check: int values strictly
         increasing, each with a positive int multiplicity.  That holds for
-        :meth:`from_values`, which has checked every value, and for runs
-        derived from other valid runs by steps that keep the order and
-        drop zero counts (as ``aci.decompose`` does).  Anything read from
-        outside the package goes through the validating constructor.
+        :meth:`_from_sorted` on values :meth:`from_values` has checked or
+        the package computed itself, and for runs derived from other valid
+        runs by steps that keep the order and drop zero counts (as
+        ``aci.decompose`` does).  Anything read from outside the package
+        goes through the validating constructor.
         """
         m = object.__new__(cls)
         object.__setattr__(m, "entries", entries)
@@ -120,7 +131,10 @@ class IntMultiset(Frozen):
         """Expanded sorted list with repetitions, e.g. [3, 6, 6, 6]."""
         out: list[int] = []
         for v, m in self.entries:
-            out.extend([v] * m)
+            if m == 1:
+                out.append(v)
+            else:
+                out.extend([v] * m)
         return out
 
     def min(self) -> int:

@@ -326,7 +326,7 @@ def test_link_output_passes_check_betti_on_corpus():
         if canonical != extra:
             continue
         f_card = beta.gens.card() + 2 * len(extra_vals) - 3
-        t = ms(aci._t_values(beta.theta, extra, f_card, dbar.card()))
+        t = ms(aci._t_values(beta.theta, extra.entries, f_card, dbar.card()))
         strict_ok = True
         for s_val, mult in extra.diff(t).entries:
             first = next(j for j in range(1, 4) if choice[j - 1] == s_val)
@@ -642,7 +642,7 @@ def _decompose_by_multiset_algebra(b):
     expected = dbar.affine(d0, 1).sum(s.affine(theta_z, -1))
     if ehat != expected:
         return 3, f"Ehat = {ehat} differs from (d0 + Dbar) + (theta_z - S) = {expected}"
-    t = ms(aci._t_values(theta_z - d0, s, b.f.card(), dbar.card()))
+    t = ms(aci._t_values(theta_z - d0, s.entries, b.f.card(), dbar.card()))
     return aci.AciDecomposition(
         d0, dstar.entries, theta_z, ehat.entries, s.entries, dbar.entries, t.entries, theta_z - d0, b.d.norm()
     )
@@ -690,6 +690,25 @@ def test_decompose_matches_multiset_algebra():
             got = got.clause, got.reason
         assert got == _decompose_by_multiset_algebra(b), (d, e, f)
     assert outcomes == {0, 2, 3}
+
+
+def test_decompose_matches_multiset_algebra_on_streams():
+    """decompose equals the reference and hashes as it does on the admitted
+    (12, 5) stream and on the check-mix strata, clause-2 and clause-3
+    failures included."""
+    outcomes = {0: 0, 2: 0, 3: 0}
+    triples = list(enumerate_admissible(12, 5))
+    triples += [AciBetti.from_values(d, e, f) for d, e, f in _check_mix_triples(1)]
+    for b in triples:
+        got = decompose(b)
+        ref = _decompose_by_multiset_algebra(b)
+        if isinstance(got, AciTypeFailure):
+            assert (got.clause, got.reason) == ref, b
+            outcomes[got.clause] += 1
+        else:
+            assert got == ref and hash(got) == hash(ref), b
+            outcomes[0] += 1
+    assert outcomes[0] > 4000 and outcomes[2] >= 1000 and outcomes[3] >= 1000, outcomes
 
 
 _MULTISET_FIELDS = ("dstar", "ehat", "s", "dbar", "t")
@@ -823,7 +842,7 @@ def test_f_windows_match_multiset_algebra():
             if ehat.max() > 12 or dstar.intersect(ehat.affine(theta_z, -1)) != s or lo > hi:
                 continue
             for k in range(2, 6):
-                t = ms(aci._t_values(theta_g, s, k, dbar.card()))
+                t = ms(aci._t_values(theta_g, s.entries, k, dbar.card()))
                 if (k + dbar.card() + t.card()) % 2:
                     caps = _caps_by_reference(dstar_list, s.diff(t).entries)
                     expected.append((ehat.values(), k, lo, hi, dbar.values() + t.values(), caps))
@@ -877,13 +896,45 @@ def test_pruned_f_search_equals_filtered_full_search(max_degree, max_f, lines):
     assert kept >= lines
 
 
-def test_window_with_too_small_a_total_is_empty():
-    """No k entries >= lo sum to a total below k * lo."""
-    dvals = (3, 4, 5, 6)
-    for k, lo, hi in ((2, 5, 8), (3, 5, 8), (2, 6, 6), (3, 7, 10)):
-        for total in (k * lo - 1, k * lo - 3):
-            w = aci._FWindow([7, 8, 9], k, lo, hi, total, [], dvals[1:])
-            assert list(aci._admissible_f_tuples(dvals, w)) == [], (k, lo, hi, total)
+def test_f_search_keeps_the_socle_balance_whatever_the_total():
+    """Every F the search returns has norm(G0) = m * theta_G, which is what
+    a window's total records.  The search builds G0 from its pair sums and
+    does not read the total, so a wrong total changes nothing."""
+    dvals = (2, 3, 3, 5)
+    w = aci._FWindow([5, 5, 6], 3, 4, 9, 21, [3, 3], (3, 3, 4))
+    assert w in list(aci._f_windows(dvals, 9, 4))
+    assert aci._admissible_f_tuples(dvals, w) == [(6, 7, 8), (7, 7, 7)]
+    windows_with_f = 0
+    for dvals in aci._sorted_d_tuples(10):
+        theta_z = sum(dvals[1:])
+        theta_g = theta_z - dvals[0]
+        for w in aci._f_windows(dvals, 10, 5):
+            found = aci._admissible_f_tuples(dvals, w)
+            m = (w.k + len(w.tail)) // 2
+            for f in found:
+                assert sum(theta_z - x for x in f) + sum(w.tail) == m * theta_g, (dvals, w, f)
+                assert sum(f) == w.total, (dvals, w, f)
+            for wrong in (w.total - 7, w.total - 1, w.total + 1, w.total + 7):
+                assert aci._admissible_f_tuples(dvals, w._replace(total=wrong)) == found, (dvals, w)
+            windows_with_f += bool(found)
+    assert windows_with_f > 100
+
+
+def test_window_with_m_above_cap_1_is_empty():
+    """h_0 lies in [m, cap_1], so a window with m > cap_1 holds no F and
+    the search returns before it sorts the tail."""
+    dvals = (2, 3, 3, 5)
+    w = aci._FWindow([5, 5, 6], 3, 4, 9, 21, [3, 3], (3, 3, 4))  # m = 2
+    assert aci._admissible_f_tuples(dvals, w) != []
+    assert aci._admissible_f_tuples(dvals, w._replace(caps=(1, 3, 4))) == []
+    assert aci._admissible_f_tuples(dvals, w._replace(caps=(1, 3, 4), tail=[3, None])) == []
+    above = 0
+    for dvals in aci._sorted_d_tuples(12):
+        for w in aci._f_windows(dvals, 12, 5):
+            if (w.k + len(w.tail)) // 2 > w.caps[0]:
+                assert aci._admissible_f_tuples(dvals, w) == [], (dvals, w)
+                above += 1
+    assert above > 100
 
 
 def test_enumerate_contains_worked_example():

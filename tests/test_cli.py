@@ -499,6 +499,17 @@ def test_enumerate_stdout_is_pinned(capsys):
     assert hashlib.md5(out.encode()).hexdigest() == "06009033f4b7418ed137b4a717230732"
 
 
+def test_enumerate_16_6_ndjson_is_pinned():
+    """The benchmark's guard: enumerate (16, 6) as enumerate writes it."""
+    h = hashlib.md5()
+    lines = 0
+    for b in enumerate_admissible(16, 6):
+        h.update(cli._ndjson_line(b).encode())
+        lines += 1
+    assert lines == 11958
+    assert h.hexdigest() == "da51a30bee9965899d1782b669aebb2f"
+
+
 def test_enumerate_lines_are_sorted_key_json():
     """Each line enumerate writes is json.dumps of the triple with sorted keys."""
     triples = list(enumerate_admissible(10, 4))

@@ -67,6 +67,25 @@ def test_trusted_from_values_equals_validated_construction():
         assert str(exc.value) == f"multiset values must be ints, got {bad!r}"
 
 
+def test_from_sorted_equals_from_values():
+    """_from_sorted is from_values' encoding loop on already sorted ints:
+    same runs, valid for the constructor, and values() gives the list back."""
+    rng = random.Random(23)
+    cases = [[], [0], [-3, -3], [5, 5, 5, 5]]
+    cases += [sorted(rng.randint(-8, 8) for _ in range(rng.randint(0, 14))) for _ in range(1500)]
+    repeated = negative = 0
+    for vals in cases:
+        m = IntMultiset._from_sorted(vals)
+        assert m == ms(vals) and hash(m) == hash(ms(vals)), vals
+        assert type(m) is IntMultiset and IntMultiset(m.entries) == m, vals
+        assert IntMultiset._from_sorted(tuple(vals)) == m, vals
+        assert m.values() == vals and m.to_list() == vals, vals
+        repeated += any(k > 1 for _, k in m.entries)
+        negative += bool(vals) and vals[0] < 0
+    assert repeated > 500 and negative > 500
+    assert IntMultiset._from_sorted([]) == IntMultiset.empty()
+
+
 def test_multiplicities_must_be_non_bool_ints():
     for mult in (True, 1.5, 2.0, "2", None):
         with pytest.raises(ValueError, match="must be an int"):
