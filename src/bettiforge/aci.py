@@ -496,23 +496,22 @@ def _submultisets(values: list[int]) -> list[tuple[int, ...]]:
 class _FWindow(NamedTuple):
     """One (S, |F|) slice of the F search for a fixed D.
 
-    Every F in the window is a sorted k-tuple over [lo, hi] with sum
-    ``total``, and its induced generators are G0 = (theta_z - F) + tail.
+    Every F in the window is a sorted k-tuple over [lo, hi], and its
+    induced generators G0 = (theta_z - F) + tail number 2m + 1, m <= cap_1.
     """
 
     ehat: list[int]  # sorted
     k: int
     lo: int
     hi: int
-    total: int
-    tail: list[int]  # Dbar + T: the part of G0 that does not come from F
+    tail: list[int]  # sorted Dbar + T: the part of G0 that does not come from F
     caps: tuple[int, int, int]  # the stage-3 caps on the mci triple
 
 
 def _f_windows(
     dvals: tuple[int, int, int, int], max_degree: int, max_f: int
 ) -> Iterator[_FWindow]:
-    """Every (S, |F|) window of a sorted D in which |G0| is odd.
+    """Every (S, |F|) window of a sorted D that can hold an admissible F.
 
     Each admissible triple determines a canonical overlap
     S = Dstar & (theta_z - Ehat), so iterating over the submultisets of
@@ -524,6 +523,10 @@ def _f_windows(
     Dbar + S, so Dstar & (theta_z - Ehat) = S + (Dbar & (theta_g - Dbar)):
     S is canonical iff no x in Dbar has its partner theta_g - x in Dbar
     (x itself counts as its partner when x = theta_g / 2).
+
+    T is empty when |F| + |Dbar| is odd, and [theta_g / 2] when it is even
+    and theta_g / 2 is in S (else |G0| is even).  Then k = |F| runs where
+    |G0| = 2m + 1 is odd and m <= cap_1, as :func:`_candidates_for_d` needs.
     """
     d0 = dvals[0]
     dstar_list = list(dvals[1:])
@@ -547,31 +550,27 @@ def _f_windows(
             continue  # not the canonical overlap; the canonical choice covers it
         ehat_vals.sort()
         s_runs = IntMultiset._from_sorted(s_tuple).entries  # s_tuple is sorted
-        for k in range(2, max_f + 1):
-            t = _t_values(theta_g, s_runs, k, len(dbar_vals))
-            tail = dbar_vals + t
-            n = k + len(tail)
-            if n % 2 == 0:
-                continue  # |G0| must be odd
-            # socle degree balance: norm(G0) = m * theta_g with |G0| = 2m + 1
-            total = k * theta_z + sum(tail) - (n // 2) * theta_g
-            yield _FWindow(ehat_vals, k, lo, hi, total, tail, _stage3_caps(dstar_list, s_runs, t))
+        t_even = _t_values(theta_g, s_runs, 0, 0)  # T when |F| + |Dbar| is even
+        for t in ([], t_even) if t_even else ([],):
+            tail = sorted(dbar_vals + t)
+            caps = _stage3_caps(dstar_list, s_runs, t)
+            # k + |tail| = 2m + 1 is odd and m <= h_0 <= cap_1
+            for k in range(3 - len(tail) % 2, min(max_f, 2 * caps[0] + 1 - len(tail)) + 1, 2):
+                yield _FWindow(ehat_vals, k, lo, hi, tail, caps)
 
 
 def _admissible_f_tuples(dvals: tuple[int, int, int, int], w: _FWindow) -> list[tuple[int, ...]]:
-    """The F of window ``w`` whose G0 passes stage 3 and Gaeta-Diesel, in lex order.
+    """The F of window ``w`` whose G0 passes stage 3, in lex order.
 
     G0 is built pair by pair from the outside in, as
-    :func:`_candidates_for_d` describes, and every complete G0 is decided
-    by the exact tests.
+    :func:`_candidates_for_d` describes, so it passes Gaeta-Diesel and
+    only its mci triple is tested.
     """
     m = (w.k + len(w.tail)) // 2
     cap1, cap2, cap3 = w.caps
-    if m > cap1:
-        return []  # h_0 lies in [m, cap_1]
     theta_z = sum(dvals[1:])
     theta_g = theta_z - dvals[0]
-    tail = sorted(w.tail)
+    tail = w.tail
     g_lo, g_hi = theta_z - w.hi, theta_z - w.lo  # the generators theta_z - f of F entries
     g0 = [0] * (2 * m + 1)
     found: list[tuple[int, ...]] = []
@@ -619,7 +618,7 @@ def _admissible_f_tuples(dvals: tuple[int, int, int, int], w: _FWindow) -> list[
                         place(i + 1, budget - delta, ntl, ntr)
                 elif ntl > ntr:
                     e1, e2, e3 = mci_from_sorted(g0, theta_g)
-                    if e1 <= cap1 and e2 <= cap2 and e3 <= cap3 and gaeta_diesel_violation(g0, theta_g) is None:
+                    if e1 <= cap1 and e2 <= cap2 and e3 <= cap3:
                         rest = list(g0)
                         for t in tail:
                             rest.remove(t)
@@ -658,7 +657,7 @@ def _candidates_for_d(
     deltas sum to h_0 - m.  The mci triple has e_1 = h_0, and stage 3
     needs e_1 <= cap_1 <= d_1, so h_0 lies in [m, cap_1] and the budget
     h_0 - m is small.  A window with m > cap_1 holds no F, so
-    :func:`_admissible_f_tuples` returns [] for it before any set-up.
+    :func:`_f_windows` yields none.
 
     So G0 is built from the outside in.  It picks h_0, then each pair
     (a, u) = (h_i, h_{2m+1-i}) with a + u = theta_g - 1 - delta_i, a at
@@ -682,20 +681,18 @@ def _candidates_for_d(
       cap_3.  The entries h_{2m+2-i} fall as i grows, so the search checks
       h_{2m+2-i} at every index i in B.
 
-    A complete G0 is kept only if its mci triple from ``mci_from_sorted``
-    is within the window's caps from ``_stage3_caps`` and
-    ``gaeta_diesel_violation`` returns None, the two tests of
-    :func:`check_betti`.  Each emitted triple is built from its F tuple
-    and Ehat: E is sorted once, and E and F, both sorted ints of this
-    search, are wrapped by ``IntMultiset._from_sorted``.  It is re-checked
-    by :func:`check_betti` and sorted by (F, E), which within one D is the
-    order of :meth:`AciBetti.key`.
+    So every complete G0 passes Gaeta-Diesel, with norm(G0) = m * theta_g,
+    and it is kept when its mci triple from ``mci_from_sorted`` is within
+    the window's caps from ``_stage3_caps``.  Each emitted triple is built
+    from its F tuple and Ehat: E is sorted once, and E and F, both sorted
+    ints of this search, are wrapped by ``IntMultiset._from_sorted``.  It
+    is re-checked by :func:`check_betti` and sorted by (F, E), which
+    within one D is the order of :meth:`AciBetti.key`.
     """
     d = sum(dvals)
     d_level = IntMultiset._from_sorted(dvals)
     found: dict[tuple, AciBetti] = {}
-    # m <= h_0 <= d_1, so |F| <= |G0| = 2m + 1 <= 2 * d_1 + 1
-    for w in _f_windows(dvals, max_degree, min(max_f, 2 * dvals[1] + 1)):
+    for w in _f_windows(dvals, max_degree, max_f):
         for f_tuple in _admissible_f_tuples(dvals, w):
             e_list = [d - x for x in f_tuple] + w.ehat
             e_list.sort()
@@ -740,9 +737,11 @@ def enumerate_admissible(
 
     Output is deduplicated and globally sorted by (norm(D), D, F, E); the
     stream is identical for any job count.  ``jobs`` goes through
-    :func:`worker_count`.
+    :func:`worker_count`, and the bounds must be ints.
     """
     jobs = worker_count(jobs)
+    if type(max_degree) is not int or type(max_f) is not int:
+        raise ValueError(f"max_degree and max_f must be integers, got {max_degree!r}, {max_f!r}")
     if max_degree < 1 or max_f < 2:
         return
     d_tuples = _sorted_d_tuples(max_degree)

@@ -393,6 +393,12 @@ def test_worker_count_validates_and_clamps():
         next(enumerate_admissible(6, 2, jobs=0))
 
 
+@pytest.mark.parametrize("max_degree, max_f", [(8, 3.0), (8.5, 3), (8, True), (True, 3), ("8", 3), (8, None)])
+def test_enumerate_refuses_bounds_that_are_not_ints(max_degree, max_f):
+    with pytest.raises(ValueError, match="max_degree and max_f must be integers"):
+        next(enumerate_admissible(max_degree, max_f))
+
+
 def test_enumerate_self_check_is_live(monkeypatch):
     """Every emitted triple is re-checked by check_betti, which here rejects it."""
     monkeypatch.setattr(aci, "check_betti", lambda b: aci.Verdict(False, stage=1))
@@ -403,17 +409,21 @@ def test_enumerate_self_check_is_live(monkeypatch):
 def test_enumerate_search_tree_is_pinned(monkeypatch):
     """mci_from_sorted runs once per complete G0 of the F search and once per
     self-check: 4,956 calls at (12, 5), for 3,439 complete G0 and 1,517
-    emitted triples."""
-    calls = 0
+    emitted triples.  The search builds G0 from its Gaeta-Diesel pair sums,
+    so gaeta_diesel_violation runs only in the self-check, once per triple."""
+    calls = {"mci_from_sorted": 0, "gaeta_diesel_violation": 0}
 
-    def counted(h, theta):
-        nonlocal calls
-        calls += 1
-        return mci_from_sorted(h, theta)
+    def counted(name, fn):
+        def wrapper(h, theta):
+            calls[name] += 1
+            return fn(h, theta)
 
-    monkeypatch.setattr(aci, "mci_from_sorted", counted)
+        return wrapper
+
+    monkeypatch.setattr(aci, "mci_from_sorted", counted("mci_from_sorted", mci_from_sorted))
+    monkeypatch.setattr(aci, "gaeta_diesel_violation", counted("gaeta_diesel_violation", gaeta_diesel_violation))
     assert len(list(enumerate_admissible(12, 5))) == 1517
-    assert calls == 4956
+    assert calls == {"mci_from_sorted": 4956, "gaeta_diesel_violation": 1517}
 
 
 # NDJSON of the stream as the CLI prints it, recorded before the F search
@@ -785,7 +795,8 @@ def test_stage3_matches_reference():
     stage-3 decision and witness are those of the reference, run on the
     multiset-algebra decomposition with S - T built by IntMultiset.diff.
     Neither the corpus nor check-mix fails a strict index, so every F of
-    the (D, S, |F|) windows at (7, 4), unpruned, is checked too."""
+    the reference windows at (7, 4), unpruned and with m > cap_1, is
+    checked too."""
     outcomes = {"admitted": 0, "dominance": 0, "strict": 0, "strict with T": 0}
     triples = _verdict_corpus() + _check_mix_triples(1) + _unpruned_window_triples(7, 4)
     for b in _decomposable(triples):
@@ -807,7 +818,7 @@ def test_stage3_matches_reference():
             expected = f"s={s_val}, i={i}, d_{i}={dvals[i - 1]} not > e_{i}={e[i - 1]}"
             outcomes["strict with T" if dec.t else "strict"] += 1
         assert (v.admissible, v.stage, v.witness) == (False, 3, expected), b
-    assert min(outcomes.values()) > 0, outcomes
+    assert outcomes == {"admitted": 1722, "dominance": 239, "strict": 154, "strict with T": 13}
 
 
 def test_sorted_d_tuples_match_grouped_sort():
@@ -824,30 +835,50 @@ def test_sorted_d_tuples_match_grouped_sort():
         assert list(aci._sorted_d_tuples(max_degree)) == expected, max_degree
 
 
+def _reference_windows(dvals, max_degree, max_f):
+    """Every (S, |F|) window of D with odd |G0| by the multiset algebra, m >
+    cap_1 included, as (window, total) with the tail sorted.  The total is
+    the sum(F) that the socle degree balance norm(G0) = m * theta_g pins."""
+    d0, dstar_list = dvals[0], list(dvals[1:])
+    dstar = ms(dstar_list)
+    theta_z = sum(dstar_list)
+    theta_g = theta_z - d0
+    lo = max(1, d0 + theta_z - max_degree, d0 + 1)
+    hi = min(max_degree, d0 + theta_z - 1, theta_z - 1)
+    out = []
+    for s_tuple in aci._submultisets(dstar_list):
+        s = ms(s_tuple)
+        dbar = dstar.diff(s)
+        ehat = dbar.affine(d0, 1).sum(s.affine(theta_z, -1))
+        if ehat.max() > max_degree or dstar.intersect(ehat.affine(theta_z, -1)) != s or lo > hi:
+            continue
+        for k in range(2, max_f + 1):
+            t = ms(aci._t_values(theta_g, s.entries, k, dbar.card()))
+            tail = dbar.sum(t)
+            n = k + tail.card()
+            if n % 2:
+                caps = _caps_by_reference(dstar_list, s.diff(t).entries)
+                total = k * theta_z + tail.norm() - (n // 2) * theta_g
+                out.append((aci._FWindow(ehat.values(), k, lo, hi, tail.values(), caps), total))
+    return out
+
+
+def _searched(w):
+    """Whether a window can hold a G0 with m <= h_0 <= cap_1."""
+    return (w.k + len(w.tail)) // 2 <= w.caps[0]
+
+
 def test_f_windows_match_multiset_algebra():
-    """The int-level Ehat bound and canonical-overlap test keep exactly the
-    windows that the multiset formulation keeps."""
-    for dvals in aci._sorted_d_tuples(12):
-        d0, dstar_list = dvals[0], list(dvals[1:])
-        dstar = ms(dstar_list)
-        theta_z = sum(dstar_list)
-        theta_g = theta_z - d0
-        lo = max(1, d0 + theta_z - 12, d0 + 1)
-        hi = min(12, d0 + theta_z - 1, theta_z - 1)
-        expected = []
-        for s_tuple in aci._submultisets(dstar_list):
-            s = ms(s_tuple)
-            dbar = dstar.diff(s)
-            ehat = dbar.affine(d0, 1).sum(s.affine(theta_z, -1))
-            if ehat.max() > 12 or dstar.intersect(ehat.affine(theta_z, -1)) != s or lo > hi:
-                continue
-            for k in range(2, 6):
-                t = ms(aci._t_values(theta_g, s.entries, k, dbar.card()))
-                if (k + dbar.card() + t.card()) % 2:
-                    caps = _caps_by_reference(dstar_list, s.diff(t).entries)
-                    expected.append((ehat.values(), k, lo, hi, dbar.values() + t.values(), caps))
-        got = [(w.ehat, w.k, w.lo, w.hi, w.tail, w.caps) for w in aci._f_windows(dvals, 12, 5)]
-        assert got == expected, dvals
+    """The int-level Ehat bound, canonical-overlap test and |F| range keep
+    exactly the reference windows with m <= cap_1, in any order within D."""
+    dropped = 0
+    for max_degree, max_f in ((12, 5), (10, 9)):
+        for dvals in aci._sorted_d_tuples(max_degree):
+            ref = [w for w, _ in _reference_windows(dvals, max_degree, max_f)]
+            expected = [w for w in ref if _searched(w)]
+            dropped += len(ref) - len(expected)
+            assert sorted(aci._f_windows(dvals, max_degree, max_f)) == sorted(expected), dvals
+    assert dropped > 100
 
 
 def _fixed_sum_tuples(lo, hi, k, total):
@@ -862,77 +893,84 @@ def _fixed_sum_tuples(lo, hi, k, total):
 
 
 def _unpruned_window_triples(max_degree, max_f):
-    """(D, E, F) for every F of every window of the F search, as lists."""
+    """(D, E, F) for every F of every reference window, as lists."""
     out = []
     for dvals in aci._sorted_d_tuples(max_degree):
-        for w in aci._f_windows(dvals, max_degree, max_f):
-            for f in _fixed_sum_tuples(w.lo, w.hi, w.k, w.total):
+        for w, total in _reference_windows(dvals, max_degree, max_f):
+            for f in _fixed_sum_tuples(w.lo, w.hi, w.k, total):
                 out.append((list(dvals), sorted([sum(dvals) - x for x in f] + w.ehat), list(f)))
     return out
 
 
 @pytest.mark.parametrize("max_degree, max_f, lines", [(12, 5, 1517), (10, 6, 473)])
 def test_pruned_f_search_equals_filtered_full_search(max_degree, max_f, lines):
-    """Over every (D, S, |F|) window, the F search loses no F that passes
-    Gaeta-Diesel and stage 3, and keeps none that fails them."""
+    """Over every reference window, the F search loses no F that passes
+    Gaeta-Diesel and stage 3, and keeps none that fails them; a window with
+    m > cap_1 holds none, and the search leaves it out."""
     windows = whole_window_cuts = kept = 0
     for dvals in aci._sorted_d_tuples(max_degree):
-        dstar = dvals[1:]
-        theta_z = sum(dstar)
+        theta_z = sum(dvals[1:])
         theta_g = theta_z - dvals[0]
-        for w in aci._f_windows(dvals, max_degree, max_f):
+        searched = []
+        for w, total in _reference_windows(dvals, max_degree, max_f):
             expected = []
-            for f in _fixed_sum_tuples(w.lo, w.hi, w.k, w.total):
+            for f in _fixed_sum_tuples(w.lo, w.hi, w.k, total):
                 g0 = sorted([theta_z - x for x in f] + w.tail)
                 if gaeta_diesel_violation(g0, theta_g) is not None:
                     continue
                 if all(x <= cap for x, cap in zip(mci_from_sorted(g0, theta_g), w.caps)):
                     expected.append(f)
-            assert list(aci._admissible_f_tuples(dvals, w)) == expected, (dvals, w)
+            if _searched(w):
+                assert aci._admissible_f_tuples(dvals, w) == expected, (dvals, w)
+                searched.append(w)
+            else:
+                assert expected == [], (dvals, w)
+                whole_window_cuts += 1
             windows += 1
-            whole_window_cuts += (w.k + len(w.tail)) // 2 > dstar[0]
             kept += len(expected)
+        assert sorted(aci._f_windows(dvals, max_degree, max_f)) == sorted(searched), dvals
     assert windows > whole_window_cuts > 0
     assert kept >= lines
 
 
 def test_f_search_keeps_the_socle_balance_whatever_the_total():
-    """Every F the search returns has norm(G0) = m * theta_G, which is what
-    a window's total records.  The search builds G0 from its pair sums and
-    does not read the total, so a wrong total changes nothing."""
+    """Every F the search returns has norm(G0) = m * theta_G, so its sum is
+    the total the reference computes for its window.  The search builds G0
+    from its pair sums and takes no total."""
     dvals = (2, 3, 3, 5)
-    w = aci._FWindow([5, 5, 6], 3, 4, 9, 21, [3, 3], (3, 3, 4))
+    w = aci._FWindow([5, 5, 6], 3, 4, 9, [3, 3], (3, 3, 4))
     assert w in list(aci._f_windows(dvals, 9, 4))
+    assert (w, 21) in _reference_windows(dvals, 9, 4)
     assert aci._admissible_f_tuples(dvals, w) == [(6, 7, 8), (7, 7, 7)]
     windows_with_f = 0
     for dvals in aci._sorted_d_tuples(10):
         theta_z = sum(dvals[1:])
         theta_g = theta_z - dvals[0]
-        for w in aci._f_windows(dvals, 10, 5):
+        for w, total in _reference_windows(dvals, 10, 5):
+            if not _searched(w):
+                continue
             found = aci._admissible_f_tuples(dvals, w)
             m = (w.k + len(w.tail)) // 2
             for f in found:
                 assert sum(theta_z - x for x in f) + sum(w.tail) == m * theta_g, (dvals, w, f)
-                assert sum(f) == w.total, (dvals, w, f)
-            for wrong in (w.total - 7, w.total - 1, w.total + 1, w.total + 7):
-                assert aci._admissible_f_tuples(dvals, w._replace(total=wrong)) == found, (dvals, w)
+                assert sum(f) == total, (dvals, w, f)
             windows_with_f += bool(found)
     assert windows_with_f > 100
 
 
 def test_window_with_m_above_cap_1_is_empty():
-    """h_0 lies in [m, cap_1], so a window with m > cap_1 holds no F and
-    the search returns before it sorts the tail."""
+    """h_0 lies in [m, cap_1], so a window with m > cap_1 holds no F: the
+    search finds none in it, and _f_windows does not yield it."""
     dvals = (2, 3, 3, 5)
-    w = aci._FWindow([5, 5, 6], 3, 4, 9, 21, [3, 3], (3, 3, 4))  # m = 2
+    w = aci._FWindow([5, 5, 6], 3, 4, 9, [3, 3], (3, 3, 4))  # m = 2
     assert aci._admissible_f_tuples(dvals, w) != []
     assert aci._admissible_f_tuples(dvals, w._replace(caps=(1, 3, 4))) == []
-    assert aci._admissible_f_tuples(dvals, w._replace(caps=(1, 3, 4), tail=[3, None])) == []
     above = 0
     for dvals in aci._sorted_d_tuples(12):
-        for w in aci._f_windows(dvals, 12, 5):
-            if (w.k + len(w.tail)) // 2 > w.caps[0]:
-                assert aci._admissible_f_tuples(dvals, w) == [], (dvals, w)
+        searched = list(aci._f_windows(dvals, 12, 5))
+        for w, _ in _reference_windows(dvals, 12, 5):
+            if not _searched(w):
+                assert w not in searched and aci._admissible_f_tuples(dvals, w) == [], (dvals, w)
                 above += 1
     assert above > 100
 
