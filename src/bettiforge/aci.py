@@ -64,9 +64,9 @@ class AciBetti(Frozen):
         e_card = sum(map(_mult, e))
         if e_card != f_card + 3:
             raise ValueError(f"|E| must be |F| + 3 = {f_card + 3}, got {e_card}")
-        for name, runs in (("D", d), ("E", e), ("F", f)):
-            if runs[0][0] < 1:
-                raise ValueError(f"{name} must contain positive degrees only")
+        if d[0][0] < 1 or e[0][0] < 1 or f[0][0] < 1:  # each is sorted and, by its cardinality, not empty
+            name = "D" if d[0][0] < 1 else "E" if e[0][0] < 1 else "F"
+            raise ValueError(f"{name} must contain positive degrees only")
 
     @classmethod
     def from_values(
@@ -373,22 +373,23 @@ def check_betti(b: AciBetti) -> Verdict:
 
     Every stage reads the decomposition's runs and the sorted G0 list,
     and no multiset is built: the verdict keeps an admitted G0 as a tuple.
+    It runs once for every triple ``enumerate`` emits, so each
+    :class:`Verdict` is built with its six fields in order.
     """
     dec = decompose(b)
-    if isinstance(dec, AciTypeFailure):
-        return Verdict(False, stage=1, failure=dec)
+    if dec.__class__ is AciTypeFailure:
+        return Verdict(False, 1, dec, None, None, None)
     h = _induced_g0(dec, b.f.entries)
-    if isinstance(h, GorensteinFailure):
-        return Verdict(False, stage=2, failure=h)
+    if h.__class__ is GorensteinFailure:
+        return Verdict(False, 2, h, None, None, None)
     theta_g = dec.theta_g
     e = mci_from_sorted(h, theta_g)  # h has just been admitted, so no re-check
-    dvals = []
-    for v, m in dec.dstar_runs:
-        dvals += [v] * m
-    caps = _stage3_caps(dvals, dec.s_runs, [v for v, _ in dec.t_runs])
+    dvals = b.d.values()[1:]  # Dstar: D is sorted and d0 = min D
+    t = dec.t_runs
+    caps = _stage3_caps(dvals, dec.s_runs, (t[0][0],) if t else ())
     if e[0] <= caps[0] and e[1] <= caps[1] and e[2] <= caps[2]:
-        return Verdict(True, g0=tuple(h), theta_g=theta_g, mci=e)
-    return Verdict(False, stage=3, failure=(tuple(dvals), caps), g0=tuple(h), theta_g=theta_g, mci=e)
+        return Verdict(True, None, None, tuple(h), theta_g, e)
+    return Verdict(False, 3, (tuple(dvals), caps), tuple(h), theta_g, e)
 
 
 # ----------------------------------------------------------------------
@@ -683,25 +684,34 @@ def _candidates_for_d(
 
     So every complete G0 passes Gaeta-Diesel, with norm(G0) = m * theta_g,
     and it is kept when its mci triple from ``mci_from_sorted`` is within
-    the window's caps from ``_stage3_caps``.  Each emitted triple is built
-    from its F tuple and Ehat: E is sorted once, and E and F, both sorted
-    ints of this search, are wrapped by ``IntMultiset._from_sorted``.  It
-    is re-checked by :func:`check_betti` and sorted by (F, E), which
-    within one D is the order of :meth:`AciBetti.key`.
+    the window's caps from ``_stage3_caps``.  Each F tuple is paired with
+    its E, sorted once from (d - F) + Ehat, and the pairs are sorted once
+    by (F, E), which within one D is the order of :meth:`AciBetti.key`.
+    No pair repeats: S is read off Ehat, so windows of one D with the same
+    |F| differ in Ehat.  Each triple is then built in that order, with E
+    and F, both sorted ints of this search, wrapped by
+    ``IntMultiset._from_sorted``, and re-checked by :func:`check_betti`.
+    A D with no pair builds nothing.
     """
     d = sum(dvals)
-    d_level = IntMultiset._from_sorted(dvals)
-    found: dict[tuple, AciBetti] = {}
+    pairs = []
     for w in _f_windows(dvals, max_degree, max_f):
+        ehat = w.ehat
         for f_tuple in _admissible_f_tuples(dvals, w):
-            e_list = [d - x for x in f_tuple] + w.ehat
+            e_list = [d - x for x in f_tuple] + ehat
             e_list.sort()
-            e_tuple = tuple(e_list)
-            # AciBetti still checks the cardinalities
-            candidate = AciBetti(d_level, IntMultiset._from_sorted(e_tuple), IntMultiset._from_sorted(f_tuple))
-            assert check_betti(candidate).admissible
-            found[f_tuple, e_tuple] = candidate  # AciBetti.key() order within one D
-    return [found[k] for k in sorted(found)]
+            pairs.append((f_tuple, tuple(e_list)))
+    if not pairs:
+        return []
+    pairs.sort()
+    d_level = IntMultiset._from_sorted(dvals)
+    out = []
+    for f_tuple, e_tuple in pairs:
+        # AciBetti still checks the cardinalities
+        candidate = AciBetti(d_level, IntMultiset._from_sorted(e_tuple), IntMultiset._from_sorted(f_tuple))
+        assert check_betti(candidate).admissible
+        out.append(candidate)
+    return out
 
 
 def _sorted_d_tuples(max_degree: int) -> Iterator[tuple[int, int, int, int]]:
@@ -720,14 +730,20 @@ def _sorted_d_tuples(max_degree: int) -> Iterator[tuple[int, int, int, int]]:
 
 
 def worker_count(jobs: int) -> int:
-    """Validated process count: at least 1, clamped at the CPU count.
+    """Validated process count: at least 1, clamped at the CPUs this process may run on.
 
-    The output does not depend on it, so clamping changes nothing but the
-    number of processes started.
+    Those are the CPUs of its affinity mask, which a cgroup's cpuset also
+    narrows, where the platform reports one; elsewhere all the CPUs of the
+    machine.  The output does not depend on the count, so clamping changes
+    nothing but the number of processes started.
     """
     if type(jobs) is not int or jobs < 1:
         raise ValueError(f"jobs must be an integer >= 1, got {jobs!r}")
-    return min(jobs, os.cpu_count() or 1)
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return min(jobs, cpus)
 
 
 def enumerate_admissible(

@@ -119,11 +119,21 @@ def _emit(data) -> None:
     print(json.dumps(data, sort_keys=True))
 
 
+def _json_items(runs) -> str:
+    """The items of the JSON array of a multiset's sorted runs, as ``json.dumps`` separates them."""
+    text = ""
+    for v, m in runs:
+        text += f"{v}, " * m
+    return text[:-2]
+
+
 def _ndjson_line(betti: AciBetti) -> str:
     """The line ``enumerate`` writes for a triple: the bytes of
-    ``json.dumps(betti.to_json(), sort_keys=True)`` and a newline, since a
-    list of ints prints as its JSON array."""
-    return '{"D": %s, "E": %s, "F": %s}\n' % (betti.d.to_list(), betti.e.to_list(), betti.f.to_list())
+    ``json.dumps(betti.to_json(), sort_keys=True)`` and a newline, formatted
+    straight from the runs of D, E and F without expanding their values."""
+    return '{"D": [%s], "E": [%s], "F": [%s]}\n' % (
+        _json_items(betti.d.entries), _json_items(betti.e.entries), _json_items(betti.f.entries)
+    )
 
 
 def _is_name_array(data) -> bool:
@@ -314,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="stream all admissible triples within bounds as NDJSON")
     p.add_argument("--max-degree", required=True, type=_int_option)
     p.add_argument("--max-f", required=True, type=_int_option)
-    p.add_argument("--jobs", type=_int_option, default=1, help="parallel workers, at most the CPU count (order-preserving)")
+    p.add_argument("--jobs", type=_int_option, default=1, help="parallel workers, at most the CPUs available (order-preserving)")
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("verify-structure", help="build and verify the four-term complex of a presentation")

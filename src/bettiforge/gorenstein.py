@@ -169,8 +169,9 @@ def mci_from_sorted(d: Sequence[int], theta: int) -> tuple[int, int, int]:
     d[i] + d[2n+2-i]} and C is {3 <= i <= n+1 | theta <= d[i] + d[2n+3-i]}.
     Every index read is at most 2n, so the triple is defined on any
     sorted list of odd length 2n+1 >= 3, admissible or not.  The F search
-    in the ``aci`` module reads it on each G0 it completes, before
-    Gaeta-Diesel confirms that G0.
+    in the ``aci`` module reads it on each G0 it completes.  It builds
+    each G0 from pair sums below theta, so that G0 passes Gaeta-Diesel by
+    construction and is not tested again there.
     """
     n = (len(d) - 1) // 2
     b_min = b_max = 0  # 0 while B is empty: B holds no index below 2

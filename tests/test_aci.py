@@ -62,8 +62,14 @@ def test_cardinality_validation():
         AciBetti.from_values([1, 2, 3, 4], [4, 4, 4, 4], [5, 5])
     with pytest.raises(ValueError, match=r"\|F\|"):
         AciBetti.from_values([1, 2, 3, 4], [4, 4, 4, 4], [5])
-    with pytest.raises(ValueError, match="positive"):
-        AciBetti.from_values([0, 2, 3, 4], [4, 4, 4, 4, 4], [5, 5])
+    for d, e, f, name in (
+        ([0, 2, 3, 4], [4, 4, 4, 4, 4], [5, 5], "D"),
+        ([1, 2, 3, 4], [-4, 4, 4, 4, 4], [5, 5], "E"),
+        ([1, 2, 3, 4], [4, 4, 4, 4, 4], [0, 5], "F"),
+        ([1, 2, 3, 4], [0, 4, 4, 4, 4], [-5, 5], "E"),  # the first of D, E, F at fault is named
+    ):
+        with pytest.raises(ValueError, match=f"^{name} must contain positive degrees only$"):
+            AciBetti.from_values(d, e, f)
 
 
 def test_json_round_trip():
@@ -383,9 +389,16 @@ def test_enumerate_jobs_identical():
     assert seq == par
 
 
-def test_worker_count_validates_and_clamps():
+def test_worker_count_validates_and_clamps(monkeypatch):
+    """The clamp is the CPUs of the affinity mask where os reports one, else os.cpu_count()."""
     assert worker_count(1) == 1
-    assert worker_count(10**6) == (os.cpu_count() or 1)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5}, raising=False)
+    assert [worker_count(j) for j in (1, 2, 3, 64, 10**6)] == [1, 2, 2, 2, 2]
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert [worker_count(j) for j in (1, 2, 3, 64, 10**6)] == [1, 2, 3, 64, 64]
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert worker_count(10**6) == 1
     for bad in (0, -3, True, 2.0):
         with pytest.raises(ValueError, match="jobs"):
             worker_count(bad)
@@ -900,6 +913,39 @@ def _unpruned_window_triples(max_degree, max_f):
             for f in _fixed_sum_tuples(w.lo, w.hi, w.k, total):
                 out.append((list(dvals), sorted([sum(dvals) - x for x in f] + w.ehat), list(f)))
     return out
+
+
+def _verdict_by_keywords(b):
+    """The three stages with every Verdict built by keyword: failures found
+    by isinstance, Dstar and T expanded from the decomposition's multisets."""
+    dec = decompose(b)
+    if isinstance(dec, AciTypeFailure):
+        return aci.Verdict(False, stage=1, failure=dec)
+    h = aci._induced_g0(dec, b.f.entries)
+    if isinstance(h, GorensteinFailure):
+        return aci.Verdict(False, stage=2, failure=h)
+    e = mci_from_sorted(h, dec.theta_g)
+    dvals = dec.dstar.values()
+    caps = aci._stage3_caps(dvals, dec.s_runs, dec.t.values())
+    if all(x <= cap for x, cap in zip(e, caps)):
+        return aci.Verdict(True, g0=tuple(h), theta_g=dec.theta_g, mci=e)
+    return aci.Verdict(False, stage=3, failure=(tuple(dvals), caps), g0=tuple(h), theta_g=dec.theta_g, mci=e)
+
+
+def test_check_betti_verdicts_equal_keyword_built_ones():
+    """check_betti builds its verdicts positionally and reads Dstar off the
+    sorted D; on every F of the reference windows at (7, 4), and on the
+    corpus for stages 1 and 2, each verdict equals the keyword-built one,
+    and a stage-3 failure names Dstar as the decomposition has it."""
+    stages = {None: 0, 1: 0, 2: 0, 3: 0}
+    for d, e, f in _unpruned_window_triples(7, 4) + _verdict_corpus():
+        b = AciBetti.from_values(d, e, f)
+        v = check_betti(b)
+        assert v == _verdict_by_keywords(b), b
+        if v.stage == 3:
+            assert v.failure[0] == tuple(decompose(b).dstar.values()), b
+        stages[v.stage] += 1
+    assert stages == {None: 326, 1: 599, 2: 812, 3: 302}
 
 
 @pytest.mark.parametrize("max_degree, max_f, lines", [(12, 5, 1517), (10, 6, 473)])

@@ -511,9 +511,18 @@ def test_enumerate_16_6_ndjson_is_pinned():
 
 
 def test_enumerate_lines_are_sorted_key_json():
-    """Each line enumerate writes is json.dumps of the triple with sorted keys."""
-    triples = list(enumerate_admissible(10, 4))
-    triples.append(AciBetti.from_values([9, 10, 10, 13], [11, 12, 12, 14, 15], [16, 17]))
+    """Each line enumerate writes is json.dumps of the triple with sorted
+    keys: over the (12, 5) stream, and on triples with repeated degrees in
+    each of D, E and F, and degrees of many digits."""
+    triples = list(enumerate_admissible(12, 5))
+    assert len(triples) == 1517
+    triples += [
+        AciBetti.from_values([9, 10, 10, 13], [11, 12, 12, 14, 15], [16, 17]),
+        AciBetti.from_values([2, 2, 2, 5], [3, 4, 4, 4, 6], [7, 7]),
+        AciBetti.from_values([3, 6, 6, 6], [8, 8, 8, 10, 10, 10, 12, 12, 12, 12], [9, 11, 11, 11, 13, 13, 13]),
+        AciBetti.from_values([1, 1, 1, 1], [5, 5, 5, 5, 5, 5], [9, 9, 9]),
+        AciBetti.from_values([7, 10**20, 10**20, 10**20 + 1], [1, 10**30, 10**30, 10**30, 2 * 10**30], [10**25, 10**25]),
+    ]
     for b in triples:
         assert cli._ndjson_line(b) == json.dumps(b.to_json(), sort_keys=True) + "\n", b
 
