@@ -41,6 +41,19 @@ determinant here and the pfaffian row expansion) go through one private
 kernel, ``_sum_of_products``: it adds every term product of
 sum(a_k * b_k) straight into one dict instead of building a polynomial
 per product and per partial sum.
+
+Matrix products and pfaffians of forms in few variables skip that
+dict.  ``_Dense`` maps a homogeneous int polynomial of degree d in n
+variables to one int, phi(P) = sum c * 2**(64 * idx), with
+idx = e1*b**(n-2) + ... + e(n-1) for a degree bound D and b = D + 1; the
+last exponent follows from d.  phi is the evaluation
+x_i -> 2**(64 * b**(n-1-i)), x_n -> 1, a ring homomorphism, so sums and
+products of encoded values are exact at any size.  Decoding needs every
+exponent at most D and every coefficient below 2**63 in size: then
+adding 2**63 to every 64-bit slot leaves one coefficient per slot.
+Callers bound both from their operands' degrees and L1 norms (the L1
+norm of a product is at most the product of the norms) and keep to
+``_sum_of_products`` when a bound does not fit.
 """
 
 from __future__ import annotations
@@ -49,7 +62,7 @@ import functools
 import re
 import struct
 from fractions import Fraction
-from itertools import compress, repeat
+from itertools import chain, compress, product, repeat
 from operator import itemgetter, mul, or_
 from typing import Callable, Iterable, Iterator, Sequence, Union
 
@@ -74,6 +87,10 @@ _FIELD = "I"
 # polynomial with n terms in n variables holds about 4 * n**2 bytes.  A
 # generic 13x13 alternating matrix has 78 variables.
 _MAX_VARIABLES = 100
+# Bits per coefficient slot of a dense form, and the most slots (monomials
+# in the first n - 1 variables) one may span; see _Dense.
+_SLOT = 64
+_MAX_SLOTS = 4096
 
 
 @functools.lru_cache(maxsize=None)
@@ -295,13 +312,15 @@ class Poly:
 
         None means either "not homogeneous" or "zero polynomial"; the zero
         polynomial is homogeneous of every degree (see is_homogeneous), so
-        it cannot report a single value here.
+        it cannot report a single value here.  Keys order by degree first,
+        so the smallest and the largest key tell.
         """
+        terms = self._terms
+        if not terms:
+            return None
         shift = _W * len(self.names)
-        degrees = {k >> shift for k in self._terms}
-        if len(degrees) == 1:
-            return degrees.pop()
-        return None
+        degree = max(terms) >> shift
+        return degree if min(terms) >> shift == degree else None
 
     def is_homogeneous(self) -> bool:
         return self.is_zero or self.homogeneous_degree() is not None
@@ -503,6 +522,99 @@ def _sum_of_products(pairs: Sequence[tuple[Poly, Poly]], names: tuple[str, ...] 
     if _has_fraction(terms):
         _int_first(terms)
     return Poly._trusted(names, terms)
+
+
+def _int_forms(polys: Iterable[Poly]) -> tuple[tuple[str, ...], int, int] | None:
+    """(ring, largest degree, largest L1 norm) of the nonzero ``polys``, when each is an int-only form of one ring.
+
+    A nameless constant is a form of degree 0 in any ring, and the ring is
+    ``()`` when every nonzero poly is nameless.
+    """
+    ring: tuple[str, ...] = ()
+    degree = norm = 0
+    for p in polys:
+        terms = p._terms
+        if not terms:
+            continue
+        if p.names is not ring and p.names:
+            if ring and p.names != ring:
+                return None
+            ring = p.names
+        d = p.homogeneous_degree()
+        if d is None or _has_fraction(terms):
+            return None
+        degree, norm = max(degree, d), max(norm, sum(map(abs, terms.values())))
+    return ring, degree, norm
+
+
+class _Dense(dict):
+    """The codec phi of one ring and degree bound D; see the module docstring.
+
+    A dense form is (phi(P), degree of P), and (0, None) for zero.  As a
+    dict it maps each packed key met so far to its weight 2**(64 * idx).
+    """
+
+    __slots__ = ("names", "_shifts", "_base", "_offset", "_slots", "_keys", "_unit")
+
+    @classmethod
+    def fit(cls, names: tuple[str, ...], degree: int, bound: int) -> "_Dense | None":
+        """The codec for decoded forms of degree at most ``degree`` with coefficients at most ``bound``, if one fits."""
+        n = len(names)
+        if not n or degree > _MAX_DEGREE or bound >> (_SLOT - 1) or (degree + 1) ** (n - 1) > _MAX_SLOTS:
+            return None
+        return cls(names, degree)
+
+    def __init__(self, names: tuple[str, ...], degree: int):
+        n, base = len(names), degree + 1
+        self.names, self._base, self._unit = names, base, _units(n)[-1]
+        self._shifts = tuple(_W * i for i in range(n - 1, 0, -1))  # the fields of x1 .. x(n-1)
+        count = base ** (n - 1)
+        self._offset = ((1 << _SLOT * count) - 1) // ((1 << _SLOT) - 1) << (_SLOT - 1)  # 2**63 per slot
+        self._slots = struct.Struct(f"<{count}Q")  # Q: one unsigned slot of _SLOT bits
+        # the key of each slot's monomial in degree 0; degree d adds d * _unit
+        steps = [(1 << shift) - 1 for shift in self._shifts]
+        self._keys = [sum(map(mul, digits, steps)) for digits in product(range(base), repeat=n - 1)]
+
+    def __missing__(self, key: int) -> int:
+        idx = 0
+        for shift in self._shifts:
+            idx = idx * self._base + (key >> shift & _MAX_DEGREE)
+        weight = self[key] = 1 << _SLOT * idx
+        return weight
+
+    def encode(self, p: Poly) -> tuple[int, int | None]:
+        terms = p._terms
+        return sum(map(mul, terms.values(), map(self.__getitem__, terms))), p.homogeneous_degree()
+
+    def decode(self, form: tuple[int, int | None], names: tuple[str, ...]) -> Poly:
+        value, degree = form
+        if not value:
+            return Poly._trusted(names, {})
+        half, start = 1 << (_SLOT - 1), degree * self._unit
+        slots = self._slots.unpack((value + self._offset).to_bytes(self._slots.size, "little"))
+        return Poly._trusted(names, {start + key: c - half for key, c in zip(self._keys, slots) if c != half})
+
+
+def _dense_sum(pairs: Iterable[tuple[tuple, tuple]]) -> tuple[int, int | None] | None:
+    """The dense form of sum(x * y) over pairs of dense forms; None when two nonzero products differ in degree."""
+    total, degree = 0, None
+    for (x, dx), (y, dy) in pairs:
+        if x and y:
+            if degree is None:
+                degree = dx + dy
+            elif dx + dy != degree:
+                return None
+            total += x * y
+    return total, degree
+
+
+def _product_codec(rows: Sequence[Sequence[Poly]], columns: Sequence[Sequence[Poly]]) -> _Dense | None:
+    """The codec for every product row @ column, or None: k products bound a coefficient by k * L_rows * L_columns."""
+    left, right = _int_forms(chain.from_iterable(rows)), _int_forms(chain.from_iterable(columns))
+    if left is None or right is None or left[0] and right[0] and left[0] != right[0]:
+        return None
+    k = len(rows[0]) if rows else 0
+    return _Dense.fit(left[0] or right[0], left[1] + right[1], k * left[2] * right[2])
 
 
 def variables(names: str | Sequence[str]) -> tuple[Poly, ...]:
@@ -708,14 +820,22 @@ class PolyMatrix:
             raise ValueError(
                 f"dimension mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}"
             )
-        # entry (i, j) sums over the k where row i and column j are both nonzero
         columns = tuple(zip(*other.entries))
-        return PolyMatrix(
-            [
-                [_sum_of_products([(a, b) for a, b in zip(row, col) if a._terms and b._terms]) for col in columns]
-                for row in self.entries
-            ]
-        )
+        codec = _product_codec(self.entries, columns)
+        if codec is not None:  # each entry is encoded once
+            dense_rows = [list(map(codec.encode, row)) for row in self.entries]
+            dense_cols = [list(map(codec.encode, col)) for col in columns]
+
+        def entry(i: int, j: int) -> Poly:
+            # entry (i, j) sums over the k where row i and column j are both nonzero
+            pairs = [(a, b) for a, b in zip(self.entries[i], columns[j]) if a._terms and b._terms]
+            form = None if codec is None else _dense_sum(zip(dense_rows[i], dense_cols[j]))
+            if form is None:
+                return _sum_of_products(pairs)
+            # in the ring of the first named operand, as _sum_of_products names it
+            return codec.decode(form, codec.names if any(a.names or b.names for a, b in pairs) else ())
+
+        return PolyMatrix([[entry(i, j) for j in range(len(columns))] for i in range(self.rows)])
 
     def transpose(self) -> "PolyMatrix":
         return PolyMatrix(

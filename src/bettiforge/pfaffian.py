@@ -6,12 +6,17 @@ oracle, submaximal pfaffian vectors, the pfaffian adjoint, the two-row
 block expansion, bordered augmentation and congruence transforms.
 
 Each matrix fixes its variable tuple once, and memoizes the pfaffians of
-its principal submatrices by row bitmask; the expansion sums each row
-through ``exact._sum_of_products``.  ``pfaffian(rows)`` and
-``adjoint(rows)`` evaluate a principal submatrix from that memo, so
-pf(beta) and its adjoint on the rows left after the submaximal vector
-cost no new expansion.  The perfect-matching oracle stays on the ``Poly``
-operators and shares no code with the expansion.
+its principal submatrices by row bitmask.  The representation is picked
+once per matrix, at the first expansion: when every nonzero entry is an
+int-only form of the matrix's ring and the degree and coefficient bounds
+of its pfaffians fit ``exact._Dense``, the memo holds dense forms and
+each row sum is a few big-int products; otherwise, or once two products
+of one expansion differ in degree, it holds Polys summed by
+``exact._sum_of_products``.  ``pfaffian(rows)`` and ``adjoint(rows)``
+evaluate a principal submatrix from that memo, so pf(beta) and its
+adjoint on the rows left after the submaximal vector cost no new
+expansion.  The perfect-matching oracle stays on the ``Poly`` operators
+and shares no code with the expansion.
 
 Sign conventions (fixed by contract, verified in the test suite):
 
@@ -31,7 +36,8 @@ from __future__ import annotations
 import random
 from typing import Iterable, Sequence
 
-from .exact import Poly, PolyMatrix, Scalar, _checked_poly, _sum_of_products, monomials, variables
+from .exact import Poly, PolyMatrix, Scalar, _checked_poly, _Dense, _dense_sum, _int_forms, _sum_of_products
+from .exact import monomials, variables
 from .gorenstein import theta_of
 
 
@@ -40,6 +46,10 @@ def sign_bracket(i: int, j: int) -> int:
     if i == j:
         raise ValueError("bracket is undefined for i == j")
     return i + j + 1 if i < j else i + j
+
+
+class _MixedDegrees(Exception):
+    """Two products of one expansion differ in degree: the dense form would not decode."""
 
 
 def _perm_sign(seq: Sequence[int]) -> int:
@@ -54,7 +64,7 @@ def _perm_sign(seq: Sequence[int]) -> int:
 class AlternatingMatrix:
     """Square skew matrix with zero diagonal over exact polynomials."""
 
-    __slots__ = ("entries", "size", "names", "_row_masks", "_pf_memo")
+    __slots__ = ("entries", "size", "names", "_row_masks", "_pf_memo", "_codec", "_grid")
 
     def __init__(self, entries: Sequence[Sequence[Poly | Scalar]]):
         grid = tuple(tuple(_checked_poly(e) for e in row) for row in entries)
@@ -77,8 +87,11 @@ class AlternatingMatrix:
             "_row_masks",
             tuple(sum(1 << j for j, e in enumerate(row) if not e.is_zero) for row in grid),
         )
-        # pfaffians of principal submatrices, keyed by their row bitmask
+        # pfaffians of principal submatrices by row bitmask: dense forms of
+        # _codec over the encoded entries _grid, or Polys when _codec is None
         object.__setattr__(self, "_pf_memo", {})
+        object.__setattr__(self, "_codec", None)
+        object.__setattr__(self, "_grid", grid)
 
     def __setattr__(self, name, value):
         raise AttributeError("AlternatingMatrix is immutable")
@@ -175,26 +188,68 @@ class AlternatingMatrix:
         return self._pf(mask)
 
     def _pf(self, mask: int) -> Poly:
-        """Row expansion over the principal submatrix on the rows set in ``mask``."""
-        if not mask:
-            return Poly.const(1, self.names)
-        cached = self._pf_memo.get(mask)
-        if cached is not None:
-            return cached
-        rows = [i for i in range(self.size) if mask >> i & 1]
-        nonzero = self._row_masks
-        # expand along the row with fewest nonzero entries, the first such row on ties
-        a = min(rows, key=lambda i: (nonzero[i] & mask).bit_count())
-        pos_a = rows.index(a)
-        row = self.entries[a]
-        rest = mask & ~(1 << a)
-        pairs = []
-        for pos_b, b in enumerate(rows):
-            if nonzero[a] >> b & 1:
-                e = -row[b] if sign_bracket(pos_a + 1, pos_b + 1) % 2 else row[b]
-                pairs.append((e, self._pf(rest & ~(1 << b))))
-        value = _sum_of_products(pairs, self.names)
-        self._pf_memo[mask] = value
+        """pf of the principal submatrix on the rows set in ``mask``, through the memo."""
+        if not self._pf_memo:
+            self._represent(dense=True)
+        try:
+            value = self._expand(mask)
+        except _MixedDegrees:
+            self._represent(dense=False)
+            value = self._expand(mask)
+        return value if self._codec is None else self._codec.decode(value, self.names)
+
+    def _represent(self, dense: bool) -> None:
+        """Start the memo on dense forms when ``dense`` and the codec fits, else on Polys.
+
+        A 2h-pfaffian sums (2h - 1)!! products of h entries, so its degree is
+        at most h times the largest entry degree, and its coefficients at
+        most (2h - 1)!! * L**h, L the largest L1 norm of an entry.
+        """
+        codec = None
+        forms = _int_forms(e for row in self.entries for e in row) if dense else None
+        if forms is not None and forms[0] in ((), self.names):
+            h = self.size // 2
+            bound = forms[2] ** h
+            for k in range(3, 2 * h, 2):
+                bound *= k
+            codec = _Dense.fit(self.names, h * forms[1], bound)
+        grid = self.entries if codec is None else tuple(tuple(map(codec.encode, row)) for row in self.entries)
+        object.__setattr__(self, "_codec", codec)
+        object.__setattr__(self, "_grid", grid)
+        self._pf_memo.clear()
+        self._pf_memo[0] = Poly.const(1, self.names) if codec is None else (1, 0)
+
+    def _expand(self, mask: int):
+        """The memo's value at ``mask``, expanded along the row a with fewest nonzero entries, the first on ties.
+
+        The term of row b is M[a][b] * pf(rows but a, b), negated when the
+        rows of ``mask`` below a and those but a below b differ in parity;
+        the negated entry is read as M[b][a].
+        """
+        memo = self._pf_memo
+        value = memo.get(mask)
+        if value is not None:
+            return value
+        nonzero, grid = self._row_masks, self._grid
+        a, fewest, rows = 0, self.size, mask
+        while rows:
+            i = (rows & -rows).bit_length() - 1
+            rows ^= 1 << i
+            count = (nonzero[i] & mask).bit_count()
+            if count < fewest:
+                a, fewest = i, count
+        rest, parity, pairs = mask ^ (1 << a), (mask & ((1 << a) - 1)).bit_count(), []
+        columns = nonzero[a] & mask
+        while columns:
+            b = (columns & -columns).bit_length() - 1
+            columns ^= 1 << b
+            entry = grid[b][a] if (parity + (rest & ((1 << b) - 1)).bit_count()) & 1 else grid[a][b]
+            pairs.append((entry, self._expand(rest ^ (1 << b))))
+        if self._codec is None:
+            value = _sum_of_products(pairs, self.names)
+        elif (value := _dense_sum(pairs)) is None:
+            raise _MixedDegrees
+        memo[mask] = value
         return value
 
     def pfaffian_oracle(self) -> Poly:

@@ -64,6 +64,25 @@ def assemble_block(a: Poly | Scalar, top: PolyMatrix, c: AlternatingMatrix) -> A
     return AlternatingMatrix(grid)
 
 
+def operator_matmul(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
+    """The matrix product folded through the Poly operators entry by entry; the reference for ``@``."""
+    if a.cols != b.rows:
+        raise ValueError(f"dimension mismatch: {a.rows}x{a.cols} @ {b.rows}x{b.cols}")
+    out = []
+    for i in range(a.rows):
+        row = []
+        for j in range(b.cols):
+            acc = Poly.zero()
+            for k in range(a.cols):
+                x, y = a.entries[i][k], b.entries[k][j]
+                if x.is_zero or y.is_zero:
+                    continue
+                acc = acc + x * y
+            row.append(acc)
+        out.append(row)
+    return PolyMatrix(out)
+
+
 def delta2(h: HilbertFn, n: int) -> int:
     """Second difference H(n) - 2 H(n - 1) + H(n - 2)."""
     return h.value(n) - 2 * h.value(n - 1) + h.value(n - 2)

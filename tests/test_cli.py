@@ -436,6 +436,28 @@ def test_pfaffian_stdout_is_pinned(matrix, md5, size, capsys):
     assert hashlib.md5(out.encode()).hexdigest() == md5
 
 
+STRUCTURE_11 = Path(__file__).resolve().parent / "fixtures" / "structure-11.json"
+
+
+@pytest.mark.parametrize(
+    "argv, md5",
+    [
+        (["verify-structure", "--matrix", str(STRUCTURE_11), "--g-rows", "2,5,9"], "aa903cb9cf67292f74ccae089732ed0a"),
+        (["pfaffian", str(STRUCTURE_11)], "50c806e70b336d8a8fd9c8deb9904e50"),
+    ],
+    ids=["verify-structure", "pfaffian"],
+)
+def test_structure_11_stdout_is_pinned(argv, md5):
+    """A seeded linear 11x11 presentation through ``python -m bettiforge.cli``; the CI pins the same md5s."""
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "bettiforge.cli", *argv], env=env, capture_output=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.md5(proc.stdout).hexdigest() == md5
+
+
 def test_link(capsys):
     code, out, _ = run_cli(
         ["link", "--gens", "[2,2,2,2,2]", "--theta", "5", "--ci", "[2,2,8]", "--extra", "[8]"],

@@ -20,6 +20,7 @@ from bettiforge.exact import (
     parse_poly,
     variables,
 )
+from support import operator_matmul
 
 
 def test_product_difference_of_squares():
@@ -302,25 +303,6 @@ def test_matmul_dimension_mismatch():
         a @ a
 
 
-def _operator_matmul(a, b):
-    """The matrix product folded through the Poly operators entry by entry; the reference for ``@``."""
-    if a.cols != b.rows:
-        raise ValueError(f"dimension mismatch: {a.rows}x{a.cols} @ {b.rows}x{b.cols}")
-    out = []
-    for i in range(a.rows):
-        row = []
-        for j in range(b.cols):
-            acc = Poly.zero()
-            for k in range(a.cols):
-                x, y = a.entries[i][k], b.entries[k][j]
-                if x.is_zero or y.is_zero:
-                    continue
-                acc = acc + x * y
-            row.append(acc)
-        out.append(row)
-    return PolyMatrix(out)
-
-
 def _matmul_outcome(product, a, b):
     """The shape, then the names and typed packed terms of every entry; or the ValueError message."""
     try:
@@ -360,7 +342,7 @@ def test_matmul_matches_operator_fold():
             i, j = rng.randrange(n), rng.randrange(m)
             a = PolyMatrix([[zero] * k if r == i else row for r, row in enumerate(a.entries)])
             b = PolyMatrix([[zero if c == j else e for c, e in enumerate(row)] for row in b.entries])
-        want = _matmul_outcome(_operator_matmul, a, b)
+        want = _matmul_outcome(operator_matmul, a, b)
         assert _matmul_outcome(PolyMatrix.__matmul__, a, b) == want
         for row in (a @ b).entries:
             for e in row:
@@ -372,14 +354,14 @@ def test_matmul_matches_operator_fold():
 
     # empty products: no columns to sum over, or no rows at all
     for a, b in ((PolyMatrix([[], []]), PolyMatrix([])), (PolyMatrix([]), PolyMatrix([]))):
-        assert _matmul_outcome(PolyMatrix.__matmul__, a, b) == _matmul_outcome(_operator_matmul, a, b)
+        assert _matmul_outcome(PolyMatrix.__matmul__, a, b) == _matmul_outcome(operator_matmul, a, b)
 
     # products that cancel to zero: the alternating matrix of (p, q, r) kills that column
     x, y = variables(names)
     p, q, r = Fraction(1, 2) * x, y + Fraction(1, 3), 3 * x * y
     skew = PolyMatrix([[zero, r, -q], [-r, zero, p], [q, -p, zero]])
     column = PolyMatrix([[p], [q], [r]])
-    assert _matmul_outcome(PolyMatrix.__matmul__, skew, column) == _matmul_outcome(_operator_matmul, skew, column)
+    assert _matmul_outcome(PolyMatrix.__matmul__, skew, column) == _matmul_outcome(operator_matmul, skew, column)
     got = skew @ column
     assert all(e.is_zero and e.names == names for (e,) in got.entries)
 
@@ -404,7 +386,7 @@ def test_matmul_errors_match_operator_fold():
         k2 = k if rng.random() < 0.9 else k + 1
         a = PolyMatrix([[entry() for _ in range(k)] for _ in range(n)])
         b = PolyMatrix([[entry() for _ in range(m)] for _ in range(k2)])
-        want = _matmul_outcome(_operator_matmul, a, b)
+        want = _matmul_outcome(operator_matmul, a, b)
         assert _matmul_outcome(PolyMatrix.__matmul__, a, b) == want
         kind = next((key for key in messages if key in want[1]), "ok") if want[0] == "error" else "ok"
         messages[kind] += 1
@@ -419,7 +401,7 @@ def test_matmul_errors_match_operator_fold():
         (PolyMatrix([[x, big, big]]), PolyMatrix([[x], [x], [big]]), "variable sets differ: ('z',) vs ('x', 'y')"),
     )
     for a, b, message in cases:
-        assert _matmul_outcome(_operator_matmul, a, b) == ("error", message)
+        assert _matmul_outcome(operator_matmul, a, b) == ("error", message)
         assert _matmul_outcome(PolyMatrix.__matmul__, a, b) == ("error", message)
 
 

@@ -178,12 +178,15 @@ def test_principal_rows_are_validated():
 
 def test_structure_minors_come_from_the_memo():
     # on a linear presentation, pf(beta) and its adjoint need no minor the
-    # submaximal pfaffians have not already expanded
+    # submaximal pfaffians have not already expanded; the memo holds the
+    # dense forms of the expansion, one per row mask
     from bettiforge.pfaffian import random_graded_alternating
 
     for size in (7, 9, 11):
         m = random_graded_alternating([(size - 1) // 2] * size, random.Random(size))
         m.submaximal_pfaffians()
+        assert m._codec is not None
+        assert all(isinstance(value, tuple) for value in m._pf_memo.values())
         expanded = len(m._pf_memo)
         f_rows = range(4, size + 1)
         m.pfaffian(f_rows)
