@@ -53,7 +53,9 @@ exponent at most D and every coefficient below 2**63 in size: then
 adding 2**63 to every 64-bit slot leaves one coefficient per slot.
 Callers bound both from their operands' degrees and L1 norms (the L1
 norm of a product is at most the product of the norms) and keep to
-``_sum_of_products`` when a bound does not fit.
+``_sum_of_products`` when a bound does not fit, when the ring has more
+than three variables, or when the operands' terms fill too few of the
+slots their ints span to pay for the int products (``_MIN_FILL``).
 """
 
 from __future__ import annotations
@@ -62,7 +64,7 @@ import functools
 import re
 import struct
 from fractions import Fraction
-from itertools import chain, compress, product, repeat
+from itertools import chain, compress, repeat
 from operator import itemgetter, mul, or_
 from typing import Callable, Iterable, Iterator, Sequence, Union
 
@@ -87,10 +89,17 @@ _FIELD = "I"
 # polynomial with n terms in n variables holds about 4 * n**2 bytes.  A
 # generic 13x13 alternating matrix has 78 variables.
 _MAX_VARIABLES = 100
-# Bits per coefficient slot of a dense form, and the most slots (monomials
-# in the first n - 1 variables) one may span; see _Dense.
+# Bits per coefficient slot of a dense form, and the most variables and
+# slots (monomials in the first n - 1 variables) it may have; see _Dense.
 _SLOT = 64
+_MAX_DENSE_VARIABLES = 3
 _MAX_SLOTS = 4096
+# Multiplying ints of s and t slots costs about s * t / 32 term products of
+# _sum_of_products (5 ns a slot pair against 160 ns a term product, CPython
+# 3.11 on a shared 2-vCPU Xeon), so a product goes dense when the fills
+# (terms per slot, see _fill) of its two sides multiply to at least this;
+# ROADMAP "Decided" has the measurements.
+_MIN_FILL = 1 / 32
 
 
 @functools.lru_cache(maxsize=None)
@@ -527,8 +536,8 @@ def _sum_of_products(pairs: Sequence[tuple[Poly, Poly]], names: tuple[str, ...] 
 def _int_forms(polys: Iterable[Poly]) -> tuple[tuple[str, ...], int, int] | None:
     """(ring, largest degree, largest L1 norm) of the nonzero ``polys``, when each is an int-only form of one ring.
 
-    A nameless constant is a form of degree 0 in any ring, and the ring is
-    ``()`` when every nonzero poly is nameless.
+    The ring has at most _MAX_DENSE_VARIABLES variables.  A nameless
+    constant is a form of degree 0 in any ring; the ring is ``()`` if all are nameless.
     """
     ring: tuple[str, ...] = ()
     degree = norm = 0
@@ -537,7 +546,7 @@ def _int_forms(polys: Iterable[Poly]) -> tuple[tuple[str, ...], int, int] | None
         if not terms:
             continue
         if p.names is not ring and p.names:
-            if ring and p.names != ring:
+            if ring and p.names != ring or len(p.names) > _MAX_DENSE_VARIABLES:
                 return None
             ring = p.names
         d = p.homogeneous_degree()
@@ -554,45 +563,79 @@ class _Dense(dict):
     dict it maps each packed key met so far to its weight 2**(64 * idx).
     """
 
-    __slots__ = ("names", "_shifts", "_base", "_offset", "_slots", "_keys", "_unit")
+    __slots__ = ("names", "_shifts", "_base", "_unit")
 
     @classmethod
     def fit(cls, names: tuple[str, ...], degree: int, bound: int) -> "_Dense | None":
         """The codec for decoded forms of degree at most ``degree`` with coefficients at most ``bound``, if one fits."""
         n = len(names)
-        if not n or degree > _MAX_DEGREE or bound >> (_SLOT - 1) or (degree + 1) ** (n - 1) > _MAX_SLOTS:
+        if not 0 < n <= _MAX_DENSE_VARIABLES or degree > _MAX_DEGREE or bound >> (_SLOT - 1):
+            return None
+        if (degree + 1) ** (n - 1) > _MAX_SLOTS:
             return None
         return cls(names, degree)
 
     def __init__(self, names: tuple[str, ...], degree: int):
-        n, base = len(names), degree + 1
-        self.names, self._base, self._unit = names, base, _units(n)[-1]
-        self._shifts = tuple(_W * i for i in range(n - 1, 0, -1))  # the fields of x1 .. x(n-1)
-        count = base ** (n - 1)
-        self._offset = ((1 << _SLOT * count) - 1) // ((1 << _SLOT) - 1) << (_SLOT - 1)  # 2**63 per slot
-        self._slots = struct.Struct(f"<{count}Q")  # Q: one unsigned slot of _SLOT bits
-        # the key of each slot's monomial in degree 0; degree d adds d * _unit
-        steps = [(1 << shift) - 1 for shift in self._shifts]
-        self._keys = [sum(map(mul, digits, steps)) for digits in product(range(base), repeat=n - 1)]
+        n = len(names)
+        self.names, self._base, self._unit = names, degree + 1, _units(n)[-1]
+        self._shifts = tuple(range(_W * (n - 1), 0, -_W))  # the fields of x1 .. x(n-1)
 
-    def __missing__(self, key: int) -> int:
+    def index(self, key: int) -> int:
+        """The slot of the monomial ``key``: e1*b**(n-2) + ... + e(n-1)."""
         idx = 0
         for shift in self._shifts:
             idx = idx * self._base + (key >> shift & _MAX_DEGREE)
-        weight = self[key] = 1 << _SLOT * idx
+        return idx
+
+    def __missing__(self, key: int) -> int:
+        weight = self[key] = 1 << _SLOT * self.index(key)
         return weight
 
     def encode(self, p: Poly) -> tuple[int, int | None]:
+        """The dense form of ``p``, a form ``_int_forms`` accepted, so that any one key tells its degree."""
         terms = p._terms
-        return sum(map(mul, terms.values(), map(self.__getitem__, terms))), p.homogeneous_degree()
+        if not terms:
+            return 0, None
+        return sum(map(mul, terms.values(), map(self.__getitem__, terms))), next(iter(terms)) >> _W * len(p.names)
 
     def decode(self, form: tuple[int, int | None], names: tuple[str, ...]) -> Poly:
         value, degree = form
         if not value:
             return Poly._trusted(names, {})
+        keys, offset, layout = _slot_table(self._shifts, self._base)
         half, start = 1 << (_SLOT - 1), degree * self._unit
-        slots = self._slots.unpack((value + self._offset).to_bytes(self._slots.size, "little"))
-        return Poly._trusted(names, {start + key: c - half for key, c in zip(self._keys, slots) if c != half})
+        slots = layout.unpack((value + offset).to_bytes(layout.size, "little"))
+        return Poly._trusted(names, {start + key: c - half for key, c in zip(keys, slots) if c != half})
+
+
+@functools.lru_cache(maxsize=16)
+def _slot_table(shifts: tuple[int, ...], base: int) -> tuple[tuple[int, ...], int, struct.Struct]:
+    """What decoding a box of base**len(shifts) slots needs, built once per box.
+
+    That is the key of each slot's monomial in degree 0 (degree d adds d
+    times the unit of the last variable), 2**63 in every slot, and the
+    slots' layout.
+    """
+    keys = [0]
+    for shift in shifts:
+        steps = [((1 << shift) - 1) * e for e in range(base)]
+        keys = [k + step for k in keys for step in steps]
+    count = len(keys)
+    return tuple(keys), ((1 << _SLOT * count) - 1) // ((1 << _SLOT) - 1) << (_SLOT - 1), struct.Struct(f"<{count}Q")
+
+
+def _fill(lines: Iterable[Sequence[Poly]], codec: _Dense) -> float:
+    """Terms per slot of the nonzero polys in ``lines`` under ``codec``.
+
+    A form's int spans the slots up to that of its largest key.
+    """
+    terms = slots = 0
+    for line in lines:
+        for p in line:
+            if p._terms:
+                terms += len(p._terms)
+                slots += codec.index(max(p._terms)) + 1
+    return terms / slots if slots else 1.0
 
 
 def _dense_sum(pairs: Iterable[tuple[tuple, tuple]]) -> tuple[int, int | None] | None:
@@ -606,15 +649,6 @@ def _dense_sum(pairs: Iterable[tuple[tuple, tuple]]) -> tuple[int, int | None] |
                 return None
             total += x * y
     return total, degree
-
-
-def _product_codec(rows: Sequence[Sequence[Poly]], columns: Sequence[Sequence[Poly]]) -> _Dense | None:
-    """The codec for every product row @ column, or None: k products bound a coefficient by k * L_rows * L_columns."""
-    left, right = _int_forms(chain.from_iterable(rows)), _int_forms(chain.from_iterable(columns))
-    if left is None or right is None or left[0] and right[0] and left[0] != right[0]:
-        return None
-    k = len(rows[0]) if rows else 0
-    return _Dense.fit(left[0] or right[0], left[1] + right[1], k * left[2] * right[2])
 
 
 def variables(names: str | Sequence[str]) -> tuple[Poly, ...]:
@@ -821,21 +855,32 @@ class PolyMatrix:
                 f"dimension mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}"
             )
         columns = tuple(zip(*other.entries))
-        codec = _product_codec(self.entries, columns)
-        if codec is not None:  # each entry is encoded once
-            dense_rows = [list(map(codec.encode, row)) for row in self.entries]
-            dense_cols = [list(map(codec.encode, col)) for col in columns]
+        # an entry over k pairs has degree at most d_A + d_B and coefficients at most k * L_A * L_B
+        codec, left, right = None, _int_forms(chain(*self.entries)), _int_forms(chain(*columns))
+        if left and right and (not left[0] or not right[0] or left[0] == right[0]):
+            codec = _Dense.fit(left[0] or right[0], left[1] + right[1], self.cols * left[2] * right[2])
 
-        def entry(i: int, j: int) -> Poly:
+        def entry(row: Sequence[Poly], col: Sequence[Poly], forms=None) -> Poly:
+            # a dense sum of one positive degree is in the codec's ring, and one of no
+            # product is the nameless zero; constants, whose ring only the operands
+            # tell, and products of mixed degrees go to the kernel
+            form = forms and _dense_sum(zip(*forms))
+            if form and form[1] != 0:
+                return codec.decode(form, codec.names if form[1] else ())
             # entry (i, j) sums over the k where row i and column j are both nonzero
-            pairs = [(a, b) for a, b in zip(self.entries[i], columns[j]) if a._terms and b._terms]
-            form = None if codec is None else _dense_sum(zip(dense_rows[i], dense_cols[j]))
-            if form is None:
-                return _sum_of_products(pairs)
-            # in the ring of the first named operand, as _sum_of_products names it
-            return codec.decode(form, codec.names if any(a.names or b.names for a, b in pairs) else ())
+            return _sum_of_products([(a, b) for a, b in zip(row, col) if a._terms and b._terms])
 
-        return PolyMatrix([[entry(i, j) for j in range(len(columns))] for i in range(self.rows)])
+        if codec is None or _fill(self.entries, codec) * _fill(columns, codec) < _MIN_FILL:
+            return PolyMatrix([[entry(row, col) for col in columns] for row in self.entries])
+        # each entry is encoded once
+        dense_rows = [list(map(codec.encode, row)) for row in self.entries]
+        dense_cols = [list(map(codec.encode, col)) for col in columns]
+        return PolyMatrix(
+            [
+                [entry(row, col, (r, c)) for col, c in zip(columns, dense_cols)]
+                for row, r in zip(self.entries, dense_rows)
+            ]
+        )
 
     def transpose(self) -> "PolyMatrix":
         return PolyMatrix(

@@ -8,10 +8,11 @@ block expansion, bordered augmentation and congruence transforms.
 Each matrix fixes its variable tuple once, and memoizes the pfaffians of
 its principal submatrices by row bitmask.  The representation is picked
 once per matrix, at the first expansion: when every nonzero entry is an
-int-only form of the matrix's ring and the degree and coefficient bounds
-of its pfaffians fit ``exact._Dense``, the memo holds dense forms and
-each row sum is a few big-int products; otherwise, or once two products
-of one expansion differ in degree, it holds Polys summed by
+int-only form of the matrix's ring, the entries are graded (some weights
+w give each nonzero entry (i, j) the degree w_i + w_j), they fill their
+ints (``exact._fill``) and the degree and coefficient bounds of its
+pfaffians fit ``exact._Dense``, the memo holds dense forms and each row
+sum is a few big-int products; otherwise it holds Polys summed by
 ``exact._sum_of_products``.  ``pfaffian(rows)`` and ``adjoint(rows)``
 evaluate a principal submatrix from that memo, so pf(beta) and its
 adjoint on the rows left after the submaximal vector cost no new
@@ -36,8 +37,8 @@ from __future__ import annotations
 import random
 from typing import Iterable, Sequence
 
-from .exact import Poly, PolyMatrix, Scalar, _checked_poly, _Dense, _dense_sum, _int_forms, _sum_of_products
-from .exact import monomials, variables
+from .exact import _MIN_FILL, Poly, PolyMatrix, Scalar, _checked_poly, _Dense, _dense_sum, _fill, _int_forms
+from .exact import _sum_of_products, monomials, variables
 from .gorenstein import theta_of
 
 
@@ -48,8 +49,30 @@ def sign_bracket(i: int, j: int) -> int:
     return i + j + 1 if i < j else i + j
 
 
-class _MixedDegrees(Exception):
-    """Two products of one expansion differ in degree: the dense form would not decode."""
+def _graded(grid: Sequence[Sequence[tuple[int, int | None]]]) -> bool:
+    """Whether weights w give each nonzero dense entry (i, j) the degree w_i + w_j.
+
+    Then each product of the expansion over rows R has degree sum(w_i, i in R),
+    one degree per sum as decoding needs.  Such w exist exactly when levels
+    p(i, s), s in {0, 1}, with p(i, s) + p(j, 1 - s) = deg (i, j) on every nonzero
+    entry do (w_i = (p(i, 0) + p(i, 1)) / 2); a walk from each unset (i, s) sets them.
+    """
+    level: dict[tuple[int, int], int] = {}
+    for start in [(i, s) for i in range(len(grid)) for s in (0, 1)]:
+        if start in level:
+            continue
+        level[start], stack = 0, [start]
+        while stack:
+            i, s = stack.pop()
+            for j, (value, degree) in enumerate(grid[i]):
+                if value:
+                    node, want = (j, 1 - s), degree - level[i, s]
+                    if node not in level:
+                        level[node] = want
+                        stack.append(node)
+                    elif level[node] != want:
+                        return False
+    return True
 
 
 def _perm_sign(seq: Sequence[int]) -> int:
@@ -87,11 +110,12 @@ class AlternatingMatrix:
             "_row_masks",
             tuple(sum(1 << j for j, e in enumerate(row) if not e.is_zero) for row in grid),
         )
-        # pfaffians of principal submatrices by row bitmask: dense forms of
-        # _codec over the encoded entries _grid, or Polys when _codec is None
+        # pfaffians of principal submatrices by row bitmask, and the entries
+        # M and -M they expand over in _grid: dense forms of _codec, or Polys
+        # when _codec is None
         object.__setattr__(self, "_pf_memo", {})
         object.__setattr__(self, "_codec", None)
-        object.__setattr__(self, "_grid", grid)
+        object.__setattr__(self, "_grid", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("AlternatingMatrix is immutable")
@@ -190,41 +214,42 @@ class AlternatingMatrix:
     def _pf(self, mask: int) -> Poly:
         """pf of the principal submatrix on the rows set in ``mask``, through the memo."""
         if not self._pf_memo:
-            self._represent(dense=True)
-        try:
-            value = self._expand(mask)
-        except _MixedDegrees:
-            self._represent(dense=False)
-            value = self._expand(mask)
+            self._represent()
+        value = self._expand(mask)
         return value if self._codec is None else self._codec.decode(value, self.names)
 
-    def _represent(self, dense: bool) -> None:
-        """Start the memo on dense forms when ``dense`` and the codec fits, else on Polys.
+    def _represent(self) -> None:
+        """Start the memo on dense forms when the entries fit the codec, fill their ints and are graded, else on Polys.
 
         A 2h-pfaffian sums (2h - 1)!! products of h entries, so its degree is
         at most h times the largest entry degree, and its coefficients at
         most (2h - 1)!! * L**h, L the largest L1 norm of an entry.
         """
-        codec = None
-        forms = _int_forms(e for row in self.entries for e in row) if dense else None
+        codec, plus = None, self.entries
+        forms = _int_forms(e for row in plus for e in row)
         if forms is not None and forms[0] in ((), self.names):
             h = self.size // 2
             bound = forms[2] ** h
             for k in range(3, 2 * h, 2):
                 bound *= k
             codec = _Dense.fit(self.names, h * forms[1], bound)
-        grid = self.entries if codec is None else tuple(tuple(map(codec.encode, row)) for row in self.entries)
+        # a row sum multiplies entries by minors, which fill about a quarter of their slots
+        if codec is not None and _fill(plus, codec) >= 4 * _MIN_FILL:
+            plus = tuple(tuple(map(codec.encode, row)) for row in plus)
+            if not _graded(plus):
+                codec, plus = None, self.entries
+        else:
+            codec = None
+        minus = tuple(tuple(-e if codec is None else (-e[0], e[1]) for e in row) for row in plus)
         object.__setattr__(self, "_codec", codec)
-        object.__setattr__(self, "_grid", grid)
-        self._pf_memo.clear()
+        object.__setattr__(self, "_grid", (plus, minus))
         self._pf_memo[0] = Poly.const(1, self.names) if codec is None else (1, 0)
 
     def _expand(self, mask: int):
         """The memo's value at ``mask``, expanded along the row a with fewest nonzero entries, the first on ties.
 
         The term of row b is M[a][b] * pf(rows but a, b), negated when the
-        rows of ``mask`` below a and those but a below b differ in parity;
-        the negated entry is read as M[b][a].
+        rows of ``mask`` below a and those but a below b differ in parity.
         """
         memo = self._pf_memo
         value = memo.get(mask)
@@ -243,13 +268,10 @@ class AlternatingMatrix:
         while columns:
             b = (columns & -columns).bit_length() - 1
             columns ^= 1 << b
-            entry = grid[b][a] if (parity + (rest & ((1 << b) - 1)).bit_count()) & 1 else grid[a][b]
-            pairs.append((entry, self._expand(rest ^ (1 << b))))
-        if self._codec is None:
-            value = _sum_of_products(pairs, self.names)
-        elif (value := _dense_sum(pairs)) is None:
-            raise _MixedDegrees
-        memo[mask] = value
+            sign = (parity + (rest & ((1 << b) - 1)).bit_count()) & 1
+            pairs.append((grid[sign][a][b], self._expand(rest ^ (1 << b))))
+        # a graded matrix gives every product of one expansion the same degree
+        memo[mask] = value = _sum_of_products(pairs, self.names) if self._codec is None else _dense_sum(pairs)
         return value
 
     def pfaffian_oracle(self) -> Poly:

@@ -14,13 +14,13 @@ import pytest
 from bettiforge import exact, pfaffian
 from bettiforge.exact import (
     _MAX_DEGREE,
+    _MAX_DENSE_VARIABLES,
     _MAX_SLOTS,
     Poly,
     PolyMatrix,
     _Dense,
     _dense_sum,
     _int_forms,
-    _product_codec,
     _sum_of_products,
     monomials,
     parse_matrix,
@@ -95,10 +95,10 @@ def test_sums_of_products_match_the_dict_kernel(n):
         if rng.random() < 0.3:  # a nameless constant in place of a degree-0 form
             pairs = [(Poly.const(rng.randint(-5, 5)) if not da else a, b) for a, b in pairs]
         forms = _int_forms(x for pair in pairs for x in pair)
-        assert forms is not None
+        assert (forms is not None) == (n <= _MAX_DENSE_VARIABLES)
         bound = len(pairs) * max(sum(map(abs, a._terms.values())) * sum(map(abs, b._terms.values())) for a, b in pairs)
-        codec = _Dense.fit(names, da + db, bound)
-        assert codec is not None
+        assert bound < 2**63  # what fit checks, but fit also refuses four variables
+        codec = _Dense(names, da + db)
         form = _dense_sum((codec.encode(a), codec.encode(b)) for a, b in pairs)
         want = _sum_of_products(pairs, names)
         assert typed(codec.decode(form, names)) == typed(want)
@@ -107,22 +107,26 @@ def test_sums_of_products_match_the_dict_kernel(n):
     x = Poly.variable(names[0], names)
     big = Poly._trusted(names, {k: TOP // 3 for k in x._terms})
     three = Poly.const(3, names)
-    codec = _Dense.fit(names, 1, TOP // 3 * 3)
+    assert TOP // 3 * 3 < 2**63
+    codec = _Dense(names, 1)
     got = codec.decode(_dense_sum([(codec.encode(big), codec.encode(three))]), names)
     assert typed(got) == typed(_sum_of_products([(big, three)], names)) and max(got._terms.values()) > TOP - 3
     seen["near bound"] += 1
     assert all(seen.values()), seen
 
 
-def test_fit_refuses_what_would_not_decode():
+def test_fit_refuses_what_would_not_decode_or_not_pay():
     names = RINGS[3]
-    assert _Dense.fit(names, 63, TOP) is not None  # 64**2 = _MAX_SLOTS slots, the largest slot value
-    assert _Dense.fit(names, 63, TOP + 1) is None  # a coefficient past 64 signed bits
-    assert _Dense.fit(names, 64, 1) is None  # 65**2 slots
+    top = math.isqrt(_MAX_SLOTS) - 1  # the largest degree whose box fits in three variables
+    assert _Dense.fit(names, top, TOP) is not None  # the largest slot value
+    assert _Dense.fit(names, top, TOP + 1) is None  # a coefficient past 64 signed bits
+    assert _Dense.fit(names, top + 1, 1) is None  # (top + 2)**2 slots
+    assert _Dense.fit(RINGS[2], _MAX_SLOTS - 1, 1) is not None and _Dense.fit(RINGS[2], _MAX_SLOTS, 1) is None
     assert _Dense.fit((), 0, 1) is None  # no ring to encode into
     assert _Dense.fit(RINGS[1], _MAX_DEGREE, 1) is not None and _Dense.fit(RINGS[1], _MAX_DEGREE + 1, 1) is None
+    # four variables and more: the box holds several slots per monomial of the top degree
+    assert _MAX_DENSE_VARIABLES == 3 and _Dense.fit(RINGS[4], 1, 1) is None
     assert _Dense.fit(tuple(f"a{i}" for i in range(36)), 4, 1) is None  # a generic 9x9 pfaffian's ring
-    assert 64**2 == _MAX_SLOTS
 
 
 def test_forms_are_refused_when_not_int_only_homogeneous_of_one_ring():
@@ -132,6 +136,7 @@ def test_forms_are_refused_when_not_int_only_homogeneous_of_one_ring():
     assert _int_forms([x + y * y]) is None  # not homogeneous
     assert _int_forms([x * Fraction(1, 2)]) is None  # a Fraction
     assert _int_forms([x, Poly.variable("z", ("z",))]) is None  # two rings
+    assert _int_forms([Poly.variable("x4", RINGS[4])]) is None  # more variables than the codec takes
 
 
 # ----------------------------------------------------------------------
@@ -156,7 +161,7 @@ def graded_matrix(rng, names, row_degrees, col_degrees, coeff=5):
     return PolyMatrix(rows)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3])
 def test_graded_products_take_the_dense_path(n, monkeypatch):
     rng = random.Random(20 + n)
     names = RINGS[n]
@@ -180,7 +185,6 @@ def test_graded_products_take_the_dense_path(n, monkeypatch):
 
     monkeypatch.setattr(exact, "_sum_of_products", broken)
     for a, b, want in cases:
-        assert _product_codec(a.entries, tuple(zip(*b.entries))) is not None
         assert_same_matrix(a @ b, want)
 
 
@@ -204,6 +208,11 @@ def test_product_fallbacks_match_the_operators(monkeypatch):
         "large box": (PolyMatrix([[wide]]), PolyMatrix([[wide]]), 1),
         "two rings": (PolyMatrix([[x]]), PolyMatrix([[Poly.variable("z", ("z",))]]), None),
         "no ring": (PolyMatrix([[2, 3]]), PolyMatrix([[5], [-7]]), 1),
+        "four variables": (PolyMatrix([[Poly.variable("x4", RINGS[4])]]), PolyMatrix([[Poly.variable("x1", RINGS[4])]]), 1),
+        # x1**8 spans 137 slots of the degree-16 codec in three variables: fills 1/137 * 1 < 1/32
+        "sparse": (PolyMatrix([[Poly.variable("x1", RINGS[3]) ** 8]]), PolyMatrix([[Poly.variable("x3", RINGS[3]) ** 8]]), 1),
+        # degree-0 entries take the ring of their first named operand, or none: the kernel names them
+        "constants": (PolyMatrix([[3, Poly.const(2, names)], [3, 4]]), PolyMatrix([[5, x], [-7, y]]), 2),
     }
     for label, (a, b, fallbacks) in cases.items():
         calls.clear()
@@ -214,7 +223,6 @@ def test_product_fallbacks_match_the_operators(monkeypatch):
             continue
         assert_same_matrix(got, operator_matmul(a, b))
         assert len(calls) == fallbacks, label
-    assert _product_codec(PolyMatrix([[wide]]).entries, [[wide]]) is None
 
 
 # ----------------------------------------------------------------------
@@ -257,7 +265,7 @@ def test_graded_pfaffians_match_the_oracle(n):
                     want.append(value if i % 2 == 0 else -value)
             else:
                 got, want = [m.pfaffian()], [m.pfaffian_oracle()]
-            assert m._codec is not None
+            assert (m._codec is not None) == (n <= _MAX_DENSE_VARIABLES)
             assert [typed(p) for p in got] == [typed(Poly._trusted(m.names, w._terms)) for w in want]
             checked += 1
     assert checked >= 12
@@ -300,6 +308,8 @@ def test_pfaffian_fallbacks_match_the_oracle():
         "over 64 bits": AlternatingMatrix.from_upper(4, {(1, 2): 2**40 * x, (3, 4): 2**40 * y, (1, 4): z}),
         "large box": AlternatingMatrix.from_upper(4, {(1, 2): random_form(rng, names, 32), (3, 4): random_form(rng, names, 32)}),
         "many variables": AlternatingMatrix.generic(6),
+        # 12 terms over 568 slots of the degree-16 codec: the minors would not fill their ints
+        "sparse": AlternatingMatrix.from_upper(4, {(1, 2): x**8 - z**8, (3, 4): y**8 + z**8, (1, 3): x**8, (2, 4): z**8}),
     }
     for label, m in cases.items():
         assert typed(m.pfaffian()) == typed(m.pfaffian_oracle()), label
@@ -308,15 +318,41 @@ def test_pfaffian_fallbacks_match_the_oracle():
     grid = [[Poly.zero(("z",)), x, y], [-x, Poly.zero(), z], [-y, -z, Poly.zero()]]
     with pytest.raises(ValueError, match="variable sets differ"):
         AlternatingMatrix(grid).submaximal_pfaffians()
-    # a non-graded matrix whose first expansions agree in degree: it falls back midway and starts over
+    # a non-graded matrix whose first expansions would agree in degree takes the dict kernel from the start
     m = AlternatingMatrix.from_upper(
         5, {(1, 2): x, (1, 3): y, (2, 3): z, (1, 4): x, (2, 4): y, (3, 4): z, (4, 5): x * y, (3, 5): z}
     )
     want = [m.delete((i + 1,)).pfaffian_oracle() for i in range(5)]
-    assert typed(m.pfaffian((1, 2, 3, 4))) == typed(want[4]) and m._codec is not None
+    assert typed(m.pfaffian((1, 2, 3, 4))) == typed(want[4]) and m._codec is None
     got = m.submaximal_pfaffians()
-    assert m._codec is None
     assert [typed(p) for p in got] == [typed(w if i % 2 == 0 else -w) for i, w in enumerate(want)]
+    # rows 1, 2 against rows 3, 4: graded by w = (0, 1, 1, 2) while (2, 4) has degree 3, not with degree 1,
+    # where pf = a14 a23 - a13 a24 mixes degrees 4 and 2
+    for d24, dense in ((3, True), (1, False)):
+        m = AlternatingMatrix.from_upper(4, {(1, 3): x, (1, 4): x * y, (2, 3): y * z, (2, 4): random_form(rng, names, d24)})
+        assert typed(m.pfaffian()) == typed(m.pfaffian_oracle()), d24
+        assert (m._codec is not None) == dense, d24
+
+
+def test_dict_path_reads_each_entry_from_the_expanded_row():
+    """A constant of another ring in one triangle is met only when the expansion reads its row.
+
+    Entry (1, 3) is a nameless 1 and entry (3, 1) is -1 in ("z",): the
+    expansion reads row 1, so it never meets the ("z",) constant; with the
+    two swapped it does, and the kernel refuses the sum.
+    """
+    names = ("x",)
+    x = Poly.variable("x", names)
+    for size, want in ((4, "28*x^2 - 5*x"), (6, "294*x^3 - 52*x^2")):
+        for upper, lower, raises in ((Poly.const(1), Poly.const(-1, ("z",)), False), (Poly.const(1, ("z",)), Poly.const(-1), True)):
+            grid = [[(i + j + 1) * x if i < j else -(i + j + 1) * x if i > j else Poly.zero() for j in range(size)] for i in range(size)]
+            grid[0][2], grid[2][0] = upper, lower
+            m = AlternatingMatrix(grid)
+            if raises:
+                with pytest.raises(ValueError, match="variable sets differ"):
+                    m.pfaffian()
+            else:
+                assert str(m.pfaffian()) == want and m._codec is None
 
 
 # ----------------------------------------------------------------------
