@@ -44,18 +44,20 @@ per product and per partial sum.
 
 Matrix products and pfaffians of forms in few variables skip that
 dict.  ``_Dense`` maps a homogeneous int polynomial of degree d in n
-variables to one int, phi(P) = sum c * 2**(64 * idx), with
-idx = e1*b**(n-2) + ... + e(n-1) for a degree bound D and b = D + 1; the
-last exponent follows from d.  phi is the evaluation
-x_i -> 2**(64 * b**(n-1-i)), x_n -> 1, a ring homomorphism, so sums and
-products of encoded values are exact at any size.  Decoding needs every
-exponent at most D and every coefficient below 2**63 in size: then
-adding 2**63 to every 64-bit slot leaves one coefficient per slot.
-Callers bound both from their operands' degrees and L1 norms (the L1
-norm of a product is at most the product of the norms) and keep to
-``_sum_of_products`` when a bound does not fit, when the ring has more
-than three variables, or when the operands' terms fill too few of the
-slots their ints span to pay for the int products (``_MIN_FILL``).
+variables to one int, phi(P) = sum c * 2**(s * idx), with a slot width
+s of 32 or 64 bits and idx = e1*b**(n-2) + ... + e(n-1) for a degree
+bound D and b = D + 1; the last exponent follows from d.  phi is the
+evaluation x_i -> 2**(s * b**(n-1-i)), x_n -> 1, a ring homomorphism,
+so sums and products of encoded values are exact at any size.  Decoding
+needs every exponent at most D and every coefficient below 2**(s - 1)
+in size: then adding 2**(s - 1) to every slot leaves one coefficient per
+slot.  Callers bound both from their operands' degrees and L1 norms
+(the L1 norm of a product is at most the product of the norms), take
+32-bit slots when the coefficient bound is below 2**31 and 64-bit ones
+when it is below 2**63, and keep to ``_sum_of_products`` when a bound
+does not fit, when the ring has more than three variables, or when the
+operands' terms fill too few of the slots their ints span to pay for
+the int products (``_MIN_FILL``).
 """
 
 from __future__ import annotations
@@ -89,9 +91,8 @@ _FIELD = "I"
 # polynomial with n terms in n variables holds about 4 * n**2 bytes.  A
 # generic 13x13 alternating matrix has 78 variables.
 _MAX_VARIABLES = 100
-# Bits per coefficient slot of a dense form, and the most variables and
-# slots (monomials in the first n - 1 variables) it may have; see _Dense.
-_SLOT = 64
+# The most variables and slots (monomials in the first n - 1 variables) a
+# dense form may have; see _Dense.
 _MAX_DENSE_VARIABLES = 3
 _MAX_SLOTS = 4096
 # Multiplying ints of s and t slots costs about s * t / 32 term products of
@@ -540,7 +541,7 @@ def _int_forms(polys: Iterable[Poly]) -> tuple[tuple[str, ...], int, int] | None
     constant is a form of degree 0 in any ring; the ring is ``()`` if all are nameless.
     """
     ring: tuple[str, ...] = ()
-    degree = norm = 0
+    degree = norm = shift = 0
     for p in polys:
         terms = p._terms
         if not terms:
@@ -548,36 +549,41 @@ def _int_forms(polys: Iterable[Poly]) -> tuple[tuple[str, ...], int, int] | None
         if p.names is not ring and p.names:
             if ring and p.names != ring or len(p.names) > _MAX_DENSE_VARIABLES:
                 return None
-            ring = p.names
-        d = p.homogeneous_degree()
-        if d is None or _has_fraction(terms):
+            ring, shift = p.names, _W * len(p.names)
+        # keys order by degree first, a nameless constant's only key is 0 at
+        # any shift, and a Fraction coefficient makes the norm a Fraction
+        d, l1 = max(terms) >> shift, sum(map(abs, terms.values()))
+        if min(terms) >> shift != d or type(l1) is not int:
             return None
-        degree, norm = max(degree, d), max(norm, sum(map(abs, terms.values())))
+        degree, norm = max(degree, d), max(norm, l1)
     return ring, degree, norm
 
 
 class _Dense(dict):
-    """The codec phi of one ring and degree bound D; see the module docstring.
+    """The codec phi of one ring, degree bound D and slot width s; see the module docstring.
 
     A dense form is (phi(P), degree of P), and (0, None) for zero.  As a
-    dict it maps each packed key met so far to its weight 2**(64 * idx).
+    dict it maps each packed key met so far to its weight 2**(s * idx).
     """
 
-    __slots__ = ("names", "_shifts", "_base", "_unit")
+    __slots__ = ("names", "slot", "_shifts", "_base", "_unit")
 
     @classmethod
     def fit(cls, names: tuple[str, ...], degree: int, bound: int) -> "_Dense | None":
-        """The codec for decoded forms of degree at most ``degree`` with coefficients at most ``bound``, if one fits."""
+        """The codec for decoded forms of degree at most ``degree`` with coefficients at most ``bound``, if one fits.
+
+        Its slots have 32 bits when ``bound`` is below 2**31, else 64.
+        """
         n = len(names)
-        if not 0 < n <= _MAX_DENSE_VARIABLES or degree > _MAX_DEGREE or bound >> (_SLOT - 1):
+        if not 0 < n <= _MAX_DENSE_VARIABLES or degree > _MAX_DEGREE or bound >> 63:
             return None
         if (degree + 1) ** (n - 1) > _MAX_SLOTS:
             return None
-        return cls(names, degree)
+        return cls(names, degree, 64 if bound >> 31 else 32)
 
-    def __init__(self, names: tuple[str, ...], degree: int):
+    def __init__(self, names: tuple[str, ...], degree: int, slot: int):
         n = len(names)
-        self.names, self._base, self._unit = names, degree + 1, _units(n)[-1]
+        self.names, self.slot, self._base, self._unit = names, slot, degree + 1, _units(n)[-1]
         self._shifts = tuple(range(_W * (n - 1), 0, -_W))  # the fields of x1 .. x(n-1)
 
     def index(self, key: int) -> int:
@@ -588,7 +594,7 @@ class _Dense(dict):
         return idx
 
     def __missing__(self, key: int) -> int:
-        weight = self[key] = 1 << _SLOT * self.index(key)
+        weight = self[key] = 1 << self.slot * self.index(key)
         return weight
 
     def encode(self, p: Poly) -> tuple[int, int | None]:
@@ -602,40 +608,39 @@ class _Dense(dict):
         value, degree = form
         if not value:
             return Poly._trusted(names, {})
-        keys, offset, layout = _slot_table(self._shifts, self._base)
-        half, start = 1 << (_SLOT - 1), degree * self._unit
+        keys, offset, layout = _slot_table(self._shifts, self._base, self.slot)
+        half, start = 1 << (self.slot - 1), degree * self._unit
         slots = layout.unpack((value + offset).to_bytes(layout.size, "little"))
         return Poly._trusted(names, {start + key: c - half for key, c in zip(keys, slots) if c != half})
 
 
 @functools.lru_cache(maxsize=16)
-def _slot_table(shifts: tuple[int, ...], base: int) -> tuple[tuple[int, ...], int, struct.Struct]:
-    """What decoding a box of base**len(shifts) slots needs, built once per box.
+def _slot_table(shifts: tuple[int, ...], base: int, slot: int) -> tuple[tuple[int, ...], int, struct.Struct]:
+    """What decoding a box of base**len(shifts) slots of ``slot`` bits needs, built once per box and width.
 
     That is the key of each slot's monomial in degree 0 (degree d adds d
-    times the unit of the last variable), 2**63 in every slot, and the
-    slots' layout.
+    times the unit of the last variable), 2**(slot - 1) in every slot, and
+    the slots' layout.
     """
     keys = [0]
     for shift in shifts:
         steps = [((1 << shift) - 1) * e for e in range(base)]
         keys = [k + step for k in keys for step in steps]
     count = len(keys)
-    return tuple(keys), ((1 << _SLOT * count) - 1) // ((1 << _SLOT) - 1) << (_SLOT - 1), struct.Struct(f"<{count}Q")
+    offset = ((1 << slot * count) - 1) // ((1 << slot) - 1) << (slot - 1)
+    return tuple(keys), offset, struct.Struct(f"<{count}{'I' if slot == 32 else 'Q'}")
 
 
 def _fill(lines: Iterable[Sequence[Poly]], codec: _Dense) -> float:
     """Terms per slot of the nonzero polys in ``lines`` under ``codec``.
 
-    A form's int spans the slots up to that of its largest key.
+    A form's int spans the slots up to that of its largest key, idx + 1
+    slots when the weight 2**(s * idx) of that key has s * idx + 1 bits.
     """
-    terms = slots = 0
-    for line in lines:
-        for p in line:
-            if p._terms:
-                terms += len(p._terms)
-                slots += codec.index(max(p._terms)) + 1
-    return terms / slots if slots else 1.0
+    forms = [p._terms for line in lines for p in line if p._terms]
+    bits = sum(map(int.bit_length, map(codec.__getitem__, map(max, forms))))
+    slots = (bits - len(forms)) // codec.slot + len(forms)
+    return sum(map(len, forms)) / slots if slots else 1.0
 
 
 def _dense_sum(pairs: Iterable[tuple[tuple, tuple]]) -> tuple[int, int | None] | None:

@@ -35,6 +35,8 @@ not merely up to sign.
 from __future__ import annotations
 
 import random
+from itertools import chain, compress
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 from .exact import _MIN_FILL, Poly, PolyMatrix, Scalar, _checked_poly, _Dense, _dense_sum, _fill, _int_forms
@@ -56,21 +58,24 @@ def _graded(grid: Sequence[Sequence[tuple[int, int | None]]]) -> bool:
     one degree per sum as decoding needs.  Such w exist exactly when levels
     p(i, s), s in {0, 1}, with p(i, s) + p(j, 1 - s) = deg (i, j) on every nonzero
     entry do (w_i = (p(i, 0) + p(i, 1)) / 2); a walk from each unset (i, s) sets them.
+    Node 2 * i + s stands for (i, s).
     """
-    level: dict[tuple[int, int], int] = {}
-    for start in [(i, s) for i in range(len(grid)) for s in (0, 1)]:
-        if start in level:
+    level: list[int | None] = [None] * (2 * len(grid))
+    for start in range(len(level)):
+        if level[start] is not None:
             continue
         level[start], stack = 0, [start]
         while stack:
-            i, s = stack.pop()
-            for j, (value, degree) in enumerate(grid[i]):
+            node = stack.pop()
+            flip, have = 1 - (node & 1), level[node]
+            for j, (value, degree) in enumerate(grid[node >> 1]):
                 if value:
-                    node, want = (j, 1 - s), degree - level[i, s]
-                    if node not in level:
-                        level[node] = want
-                        stack.append(node)
-                    elif level[node] != want:
+                    other, want = 2 * j + flip, degree - have
+                    seen = level[other]
+                    if seen is None:
+                        level[other] = want
+                        stack.append(other)
+                    elif seen != want:
                         return False
     return True
 
@@ -87,7 +92,7 @@ def _perm_sign(seq: Sequence[int]) -> int:
 class AlternatingMatrix:
     """Square skew matrix with zero diagonal over exact polynomials."""
 
-    __slots__ = ("entries", "size", "names", "_row_masks", "_pf_memo", "_codec", "_grid")
+    __slots__ = ("entries", "size", "names", "_row_masks", "_sparse_rows", "_pf_memo", "_codec", "_grid")
 
     def __init__(self, entries: Sequence[Sequence[Poly | Scalar]]):
         grid = tuple(tuple(_checked_poly(e) for e in row) for row in entries)
@@ -101,15 +106,27 @@ class AlternatingMatrix:
             for j in range(i + 1, n):
                 if grid[j][i] != -grid[i][j]:
                     raise ValueError(f"entry ({j + 1},{i + 1}) is not the negative of ({i + 1},{j + 1})")
+        self._adopt(grid)
+
+    @classmethod
+    def _trusted(cls, grid: tuple[tuple[Poly, ...], ...]) -> "AlternatingMatrix":
+        """Wrap a square, alternating tuple of tuples of Polys, such as a permuted submatrix of a checked matrix, unchecked."""
+        m = object.__new__(cls)
+        m._adopt(grid)
+        return m
+
+    def _adopt(self, grid: tuple[tuple[Poly, ...], ...]) -> None:
+        """Set the entries and what the expansion reads from them."""
         object.__setattr__(self, "entries", grid)
-        object.__setattr__(self, "size", n)
+        object.__setattr__(self, "size", len(grid))
         object.__setattr__(self, "names", next((e.names for row in grid for e in row if e.names), ()))
         # bit j of _row_masks[i] is set when entry (i + 1, j + 1) is nonzero
-        object.__setattr__(
-            self,
-            "_row_masks",
-            tuple(sum(1 << j for j, e in enumerate(row) if not e.is_zero) for row in grid),
-        )
+        bits = [1 << j for j in range(len(grid))]
+        masks = tuple(sum(compress(bits, map(attrgetter("_terms"), row))) for row in grid)
+        object.__setattr__(self, "_row_masks", masks)
+        # bit i of _sparse_rows is set when row i + 1 has a zero entry off the diagonal
+        full = (1 << len(grid)) - 1
+        object.__setattr__(self, "_sparse_rows", sum(1 << i for i, m in enumerate(masks) if m != full ^ 1 << i))
         # pfaffians of principal submatrices by row bitmask, and the entries
         # M and -M they expand over in _grid: dense forms of _codec, or Polys
         # when _codec is None
@@ -190,7 +207,12 @@ class AlternatingMatrix:
         """Delete the given rows *and* columns (1-based, distinct)."""
         chosen = self._row_mask(indices)
         keep = [i for i in range(self.size) if not chosen >> i & 1]
-        return AlternatingMatrix([[self.entries[i][j] for j in keep] for i in keep])
+        return self._permuted(keep)
+
+    def _permuted(self, order: Sequence[int]) -> "AlternatingMatrix":
+        """The matrix of entries (order[i], order[j]) for 0-based, distinct ``order``: a principal submatrix, reordered."""
+        rows = self.entries
+        return AlternatingMatrix._trusted(tuple(tuple(map(rows[i].__getitem__, order)) for i in order))
 
     # ------------------------------------------------------------------
     # pfaffians
@@ -215,7 +237,9 @@ class AlternatingMatrix:
         """pf of the principal submatrix on the rows set in ``mask``, through the memo."""
         if not self._pf_memo:
             self._represent()
-        value = self._expand(mask)
+        value = self._pf_memo.get(mask)
+        if value is None:
+            value = self._expand(mask)
         return value if self._codec is None else self._codec.decode(value, self.names)
 
     def _represent(self) -> None:
@@ -223,53 +247,68 @@ class AlternatingMatrix:
 
         A 2h-pfaffian sums (2h - 1)!! products of h entries, so its degree is
         at most h times the largest entry degree, and its coefficients at
-        most (2h - 1)!! * L**h, L the largest L1 norm of an entry.
+        most (2h - 1)!! * L**h, L the largest L1 norm of an entry.  Each
+        entry below the diagonal is the negative of the one above it, so the
+        scans and the encoding read the strict upper triangle, and -M is the
+        transpose of the dense M.  Only a nameless constant may sit above a
+        constant of some ring, and that ring decides the codec too.
         """
-        codec, plus = None, self.entries
-        forms = _int_forms(e for row in plus for e in row)
+        n, entries = self.size, self.entries
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        upper = [entries[i][j] for i, j in pairs]
+        mirrors = [entries[j][i] for (i, j), e in zip(pairs, upper) if e._terms and not e.names]
+        codec, forms = None, _int_forms(chain(upper, mirrors))
         if forms is not None and forms[0] in ((), self.names):
-            h = self.size // 2
+            h = n // 2
             bound = forms[2] ** h
             for k in range(3, 2 * h, 2):
                 bound *= k
             codec = _Dense.fit(self.names, h * forms[1], bound)
         # a row sum multiplies entries by minors, which fill about a quarter of their slots
-        if codec is not None and _fill(plus, codec) >= 4 * _MIN_FILL:
-            plus = tuple(tuple(map(codec.encode, row)) for row in plus)
+        if codec is not None and _fill([upper], codec) >= 4 * _MIN_FILL:
+            plus = [[(0, None)] * n for _ in range(n)]
+            for (i, j), form in zip(pairs, map(codec.encode, upper)):
+                plus[i][j], plus[j][i] = form, (-form[0], form[1])
+            minus = tuple(zip(*plus))
             if not _graded(plus):
-                codec, plus = None, self.entries
+                codec = None
         else:
             codec = None
-        minus = tuple(tuple(-e if codec is None else (-e[0], e[1]) for e in row) for row in plus)
+        if codec is None:
+            plus = entries
+            minus = tuple(tuple(-e for e in row) for row in plus)
         object.__setattr__(self, "_codec", codec)
         object.__setattr__(self, "_grid", (plus, minus))
         self._pf_memo[0] = Poly.const(1, self.names) if codec is None else (1, 0)
 
     def _expand(self, mask: int):
-        """The memo's value at ``mask``, expanded along the row a with fewest nonzero entries, the first on ties.
+        """Expand the pfaffian at ``mask``, which the memo lacks, along the row a with fewest nonzero entries, the first on ties.
 
         The term of row b is M[a][b] * pf(rows but a, b), negated when the
-        rows of ``mask`` below a and those but a below b differ in parity.
+        rows of ``mask`` below a and those but a below b differ in parity,
+        so the sign flips at each row but a, walking up.  Minors the memo
+        lacks are expanded first, in the order of b.
         """
-        memo = self._pf_memo
-        value = memo.get(mask)
-        if value is not None:
-            return value
-        nonzero, grid = self._row_masks, self._grid
-        a, fewest, rows = 0, self.size, mask
+        memo, nonzero = self._pf_memo, self._row_masks
+        # a row with no zero off the diagonal ties with the first row of mask, which wins
+        a, fewest, rows = (mask & -mask).bit_length() - 1, mask.bit_count() - 1, mask & self._sparse_rows
         while rows:
             i = (rows & -rows).bit_length() - 1
             rows ^= 1 << i
             count = (nonzero[i] & mask).bit_count()
             if count < fewest:
                 a, fewest = i, count
-        rest, parity, pairs = mask ^ (1 << a), (mask & ((1 << a) - 1)).bit_count(), []
-        columns = nonzero[a] & mask
-        while columns:
-            b = (columns & -columns).bit_length() - 1
-            columns ^= 1 << b
-            sign = (parity + (rest & ((1 << b) - 1)).bit_count()) & 1
-            pairs.append((grid[sign][a][b], self._expand(rest ^ (1 << b))))
+        rest, columns, pairs = mask ^ (1 << a), nonzero[a], []
+        rows, sign, row = rest, (mask & ((1 << a) - 1)).bit_count() & 1, (self._grid[0][a], self._grid[1][a])
+        while rows:
+            low = rows & -rows
+            rows ^= low
+            if columns & low:
+                minor = memo.get(rest ^ low)
+                if minor is None:
+                    minor = self._expand(rest ^ low)
+                pairs.append((row[sign][low.bit_length() - 1], minor))
+            sign ^= 1
         # a graded matrix gives every product of one expansion the same degree
         memo[mask] = value = _sum_of_products(pairs, self.names) if self._codec is None else _dense_sum(pairs)
         return value
@@ -321,7 +360,7 @@ class AlternatingMatrix:
                     value = -value
                 grid[a][b] = value
                 grid[b][a] = -value
-        return AlternatingMatrix(grid)
+        return AlternatingMatrix._trusted(tuple(map(tuple, grid)))
 
     # ------------------------------------------------------------------
     # bordered augmentation

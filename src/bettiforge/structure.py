@@ -131,14 +131,9 @@ class AlternatingPresentation(Frozen):
 
     def reordered(self) -> tuple[AlternatingMatrix, tuple[int, ...]]:
         """Congruence-permuted copy with the G rows moved to the front."""
-        m = self.matrix.size
-        order = list(self.g_indices) + [
-            i for i in range(1, m + 1) if i not in self.g_indices
-        ]
-        grid = [
-            [self.matrix.entry(order[i], order[j]) for j in range(m)] for i in range(m)
-        ]
-        return AlternatingMatrix(grid), tuple(self.twists[i - 1] for i in order)
+        g = [i - 1 for i in self.g_indices]
+        order = g + [i for i in range(self.matrix.size) if i not in g]
+        return self.matrix._permuted(order), tuple(self.twists[i] for i in order)
 
 
 def build_aci_complex(pres: AlternatingPresentation) -> GradedComplex:

@@ -5,9 +5,11 @@ terms as ``_sum_of_products``, the ``Poly`` operators or
 ``pfaffian_oracle``; every fallback trigger must leave the codec unused.
 """
 
+import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -16,21 +18,25 @@ from bettiforge.exact import (
     _MAX_DEGREE,
     _MAX_DENSE_VARIABLES,
     _MAX_SLOTS,
+    _MIN_FILL,
     Poly,
     PolyMatrix,
     _Dense,
     _dense_sum,
+    _fill,
     _int_forms,
     _sum_of_products,
     monomials,
     parse_matrix,
 )
-from bettiforge.pfaffian import AlternatingMatrix
+from bettiforge.pfaffian import AlternatingMatrix, random_graded_alternating
 from bettiforge.structure import AlternatingPresentation, build_aci_complex, verify_complex
 from support import operator_matmul
 
 RINGS = {n: tuple(f"x{i}" for i in range(1, n + 1)) for n in range(1, 5)}
 TOP = 2**63 - 1  # the largest coefficient a 64-bit slot decodes
+TOP32 = 2**31 - 1  # the largest coefficient a 32-bit slot decodes
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 
 def typed(p):
@@ -64,7 +70,7 @@ def test_round_trip_at_the_slot_bound(n):
     rng = random.Random(n)
     names = RINGS[n]
     for degree in range(0, 7):
-        codec = _Dense(names, degree)
+        codec = _Dense(names, degree, 64)
         for _ in range(10):
             p = random_form(rng, names, degree)
             # near-bound coefficients of both signs, on top of small ones
@@ -75,9 +81,9 @@ def test_round_trip_at_the_slot_bound(n):
         (key,) = monomials(names, degree)[-1]._terms
         top = Poly._trusted(names, {key: -TOP})
         assert typed(codec.decode(codec.encode(top), names)) == typed(top)
-    assert typed(_Dense(names, 3).decode(_Dense(names, 3).encode(Poly.zero(names)), names)) == typed(Poly.zero(names))
+    assert typed(_Dense(names, 3, 64).decode(_Dense(names, 3, 64).encode(Poly.zero(names)), names)) == typed(Poly.zero(names))
     # a nameless constant is the constant of every ring
-    assert typed(_Dense(names, 2).decode(_Dense(names, 2).encode(Poly.const(-7)), names)) == typed(Poly.const(-7, names))
+    assert typed(_Dense(names, 2, 64).decode(_Dense(names, 2, 64).encode(Poly.const(-7)), names)) == typed(Poly.const(-7, names))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -98,7 +104,7 @@ def test_sums_of_products_match_the_dict_kernel(n):
         assert (forms is not None) == (n <= _MAX_DENSE_VARIABLES)
         bound = len(pairs) * max(sum(map(abs, a._terms.values())) * sum(map(abs, b._terms.values())) for a, b in pairs)
         assert bound < 2**63  # what fit checks, but fit also refuses four variables
-        codec = _Dense(names, da + db)
+        codec = _Dense(names, da + db, 64)
         form = _dense_sum((codec.encode(a), codec.encode(b)) for a, b in pairs)
         want = _sum_of_products(pairs, names)
         assert typed(codec.decode(form, names)) == typed(want)
@@ -108,11 +114,57 @@ def test_sums_of_products_match_the_dict_kernel(n):
     big = Poly._trusted(names, {k: TOP // 3 for k in x._terms})
     three = Poly.const(3, names)
     assert TOP // 3 * 3 < 2**63
-    codec = _Dense(names, 1)
+    codec = _Dense(names, 1, 64)
     got = codec.decode(_dense_sum([(codec.encode(big), codec.encode(three))]), names)
     assert typed(got) == typed(_sum_of_products([(big, three)], names)) and max(got._terms.values()) > TOP - 3
     seen["near bound"] += 1
     assert all(seen.values()), seen
+
+
+def test_fit_takes_32_bit_slots_exactly_below_2_to_the_31():
+    names = RINGS[3]
+    for bound, slot in ((0, 32), (1, 32), (TOP32, 32), (TOP32 + 1, 64), (TOP, 64)):
+        codec = _Dense.fit(names, 4, bound)
+        assert codec.slot == slot, bound
+    assert _Dense.fit(names, 4, TOP + 1) is None
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_round_trip_at_the_32_bit_slot_bound(n):
+    rng = random.Random(50 + n)
+    names = RINGS[n]
+    for degree in range(0, 7):
+        codec = _Dense.fit(names, degree, TOP32)
+        assert codec.slot == 32
+        for _ in range(10):
+            p = random_form(rng, names, degree)
+            p = Poly._trusted(names, {k: c * (TOP32 // 4 - rng.randint(0, 3)) for k, c in p._terms.items()})
+            assert typed(codec.decode(codec.encode(p), names)) == typed(p)
+        # every monomial at the bound, in alternating signs, and each sign alone
+        keys = [key for mono in monomials(names, degree) for key in mono._terms]
+        for signs in ((1, -1), (-1, 1), (1,), (-1,)):
+            p = Poly._trusted(names, {key: signs[i % len(signs)] * TOP32 for i, key in enumerate(keys)})
+            assert typed(codec.decode(codec.encode(p), names)) == typed(p)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_32_bit_sums_of_products_reach_the_bound(n):
+    names = RINGS[n]
+    x, y = Poly.variable(names[0], names), Poly.variable(names[-1], names)
+    half = TOP32 // 2
+    cases = [
+        [(half * x, y), ((half + 1) * x, y)],  # two products that add up to the bound
+        [((TOP32 - 5) * x, Poly.const(-1)), (y, Poly.const(-5, names))],  # -TOP32 * x1 in one variable
+        [(half * x, y), (-half * x, y)],  # half the bound cancelled to zero
+    ]
+    for pairs in cases:
+        # the bound of a product entry: the sum of the products' L1 norms
+        bound = sum(sum(map(abs, a._terms.values())) * sum(map(abs, b._terms.values())) for a, b in pairs)
+        codec = _Dense.fit(names, 2, bound)
+        assert bound <= TOP32 and codec.slot == 32
+        form = _dense_sum((codec.encode(a), codec.encode(b)) for a, b in pairs)
+        assert typed(codec.decode(form, names)) == typed(_sum_of_products(pairs, names))
+    assert max(_sum_of_products(cases[0], names)._terms.values()) == TOP32
 
 
 def test_fit_refuses_what_would_not_decode_or_not_pay():
@@ -355,6 +407,142 @@ def test_dict_path_reads_each_entry_from_the_expanded_row():
                 assert str(m.pfaffian()) == want and m._codec is None
 
 
+def full_scan_representation(m):
+    """The codec and the (M, -M) grids when every entry is scanned and encoded, not only the upper triangle."""
+    plus = m.entries
+    forms = _int_forms(e for row in plus for e in row)
+    codec = None
+    if forms is not None and forms[0] in ((), m.names):
+        h = m.size // 2
+        codec = _Dense.fit(m.names, h * forms[1], forms[2] ** h * math.prod(range(3, 2 * h, 2)))
+    if codec is not None and _fill(plus, codec) >= 4 * _MIN_FILL:
+        plus = tuple(tuple(map(codec.encode, row)) for row in plus)
+        if not pfaffian._graded(plus):
+            codec, plus = None, m.entries
+    else:
+        codec = None
+    minus = tuple(tuple(-e if codec is None else (-e[0], e[1]) for e in row) for row in plus)
+    return codec, plus, minus
+
+
+def load_fixture(name):
+    data = json.loads((FIXTURES / name).read_text())
+    return AlternatingMatrix.from_poly_matrix(parse_matrix(data["entries"], data["variables"])), data
+
+
+def mirrored_constants(ring):
+    """A graded 5x5 matrix with w = (0, 0, 0, 1, 1) whose constants (1, 2) and (2, 3) are nameless above the diagonal.
+
+    Below them, (2, 1) is the constant of ``ring`` and (3, 2) a nameless one.
+    """
+    rng = random.Random(7)
+    names = RINGS[3]
+    w = (0, 0, 0, 1, 1)
+    grid = [[Poly.zero()] * 5 for _ in range(5)]
+    for i in range(5):
+        for j in range(i + 1, 5):
+            grid[i][j] = random_form(rng, names, w[i] + w[j])
+            grid[j][i] = -grid[i][j]
+    grid[0][1], grid[1][0] = Poly.const(3), Poly.const(-3, ring)
+    grid[1][2], grid[2][1] = Poly.const(-2), Poly.const(2)
+    return AlternatingMatrix(grid)
+
+
+def test_upper_triangle_representation_equals_the_full_scan():
+    rng = random.Random(60)
+    matrices = {"structure-11": load_fixture("structure-11.json")[0]}
+    for size in range(5, 12):
+        while True:
+            twists = [rng.randint(1, 3) for _ in range(size)]
+            try:
+                matrices[f"random {size}"] = random_graded_alternating(twists, rng)
+                break
+            except ValueError:  # no integral matrix degree
+                continue
+    matrices["mirrored by the ring"] = mirrored_constants(RINGS[3])
+    matrices["mirrored by another ring"] = mirrored_constants(("z",))
+    matrices["generic"] = AlternatingMatrix.generic(5)
+    for label, m in matrices.items():
+        codec, plus, minus = full_scan_representation(m)
+        m._represent()
+        assert (m._codec is None) == (codec is None), label
+        if codec is not None:
+            assert (m._codec.names, m._codec._base, m._codec.slot) == (codec.names, codec._base, codec.slot), label
+            assert [list(r) for r in m._grid[0]] == [list(r) for r in plus], label
+            assert [list(r) for r in m._grid[1]] == [list(r) for r in minus], label
+        else:
+            for got, want in zip(m._grid, (plus, minus)):
+                assert [[typed(e) for e in r] for r in got] == [[typed(e) for e in r] for r in want], label
+    assert matrices["mirrored by the ring"]._codec is not None and matrices["mirrored by another ring"]._codec is None
+
+
+def assert_same_alternating(got, want):
+    assert [[typed(e) for e in r] for r in got.entries] == [[typed(e) for e in r] for r in want.entries]
+    assert (got.size, got.names, got._row_masks, got._sparse_rows) == (want.size, want.names, want._row_masks, want._sparse_rows)
+
+    def pfaffians(m):
+        try:
+            return [typed(p) for p in (m.submaximal_pfaffians() if m.size % 2 else [m.pfaffian()])]
+        except ValueError as exc:  # constants of two rings meet in the dict kernel
+            return str(exc)
+
+    assert pfaffians(got) == pfaffians(want)
+
+
+def test_trusted_matrices_equal_checked_ones():
+    fixture, data = load_fixture("structure-11.json")
+    sparse = AlternatingMatrix.from_upper(7, {(1, 2): 3, (1, 5): -2, (2, 6): 4, (3, 4): 1, (3, 7): 5, (4, 6): -1, (5, 7): 2, (6, 7): 7})
+    for m in (fixture, sparse, mirrored_constants(RINGS[3]), mirrored_constants(("z",)), AlternatingMatrix.generic(5)):
+        order = [1, 4, 3] + [i for i in range(m.size) if i not in (1, 4, 3)]
+        checked = AlternatingMatrix([[m.entries[i][j] for j in order] for i in order])
+        assert_same_alternating(m._permuted(order), checked)
+        keep = [i for i in range(m.size) if i not in (0, 3)]
+        assert_same_alternating(m.delete((1, 4)), AlternatingMatrix([[m.entries[i][j] for j in keep] for i in keep]))
+        adjoint = m.adjoint([i + 1 for i in keep[len(keep) % 2 :]])
+        assert_same_alternating(adjoint, AlternatingMatrix(adjoint.entries))
+    pres = AlternatingPresentation(fixture, (2, 5, 9), tuple(data["twists"]))
+    mat, twists = pres.reordered()
+    order = [1, 4, 8] + [i for i in range(11) if i not in (1, 4, 8)]
+    assert_same_alternating(mat, AlternatingMatrix([[fixture.entries[i][j] for j in order] for i in order]))
+    assert twists == tuple(data["twists"][i] for i in order)
+    # the public constructor still checks
+    x = Poly.variable("x1", RINGS[1])
+    for grid in ([[0, x], [x, 0]], [[x, 0], [0, 0]], [[0, x, 0], [-x, 0, 1], [0, 1, 0]]):
+        with pytest.raises(ValueError):
+            AlternatingMatrix(grid)
+
+
+def reference_masks(m, mask, seen):
+    """Every mask the expansion reaches from ``mask``: along the row with fewest nonzero entries in mask, the first on ties."""
+    if mask in seen:
+        return
+    seen.add(mask)
+    rows = [i for i in range(m.size) if mask >> i & 1]
+    if rows:
+        a = min(rows, key=lambda i: ((m._row_masks[i] & mask).bit_count(), i))
+        for b in rows:
+            if b != a and m._row_masks[a] >> b & 1:
+                reference_masks(m, mask & ~(1 << a) & ~(1 << b), seen)
+
+
+def test_expansion_rows_follow_the_fewest_nonzero_rule():
+    rng = random.Random(70)
+    for trial in range(40):
+        size = rng.randint(2, 9)
+        density = rng.choice((0.3, 0.6, 0.9, 1.0))
+        upper = {(i, j): rng.choice((1, -1)) * rng.randint(1, 5) for i in range(1, size + 1) for j in range(i + 1, size + 1) if rng.random() < density}
+        m = AlternatingMatrix.from_upper(size, upper)
+        full = (1 << size) - 1
+        tops = [full & ~(1 << i) for i in range(size)] if size % 2 else [full]
+        seen = {0}
+        for top in tops:
+            reference_masks(m, top, seen)
+        got = m.submaximal_pfaffians() if size % 2 else [m.pfaffian()]
+        assert set(m._pf_memo) == seen, (trial, size, density)
+        want = [m.delete((i + 1,)).pfaffian_oracle() * (-1) ** i for i in range(size)] if size % 2 else [m.pfaffian_oracle()]
+        assert [p.constant_value() for p in got] == [p.constant_value() for p in want]
+
+
 # ----------------------------------------------------------------------
 # routing
 # ----------------------------------------------------------------------
@@ -397,3 +585,19 @@ def test_generic_pfaffian_reaches_the_dict_kernel(monkeypatch):
     monkeypatch.setattr(pfaffian, "_sum_of_products", broken)
     with pytest.raises(AssertionError, match="dict kernel called"):
         m.submaximal_pfaffians()
+
+
+@pytest.mark.parametrize(
+    "fixture, widths",
+    [("structure-11.json", [32, 64, 32]), ("structure-11-x20.json", [64, None, 64])],
+    ids=["structure-11", "structure-11-x20"],
+)
+def test_slot_widths_on_the_11x11_fixtures(fixture, widths, monkeypatch):
+    """The memo, d1 @ d2 and d2 @ d3 in that order; None is the dict kernel, whose bound passes 2**63."""
+    matrix, data = load_fixture(fixture)
+    pres = AlternatingPresentation(matrix, (2, 5, 9), tuple(data["twists"]))
+    codecs = []
+    fit = _Dense.fit
+    monkeypatch.setattr(_Dense, "fit", lambda *args: codecs.append(fit(*args)) or codecs[-1])
+    assert verify_complex(build_aci_complex(pres)).ok
+    assert [c and c.slot for c in codecs] == widths
