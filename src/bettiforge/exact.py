@@ -26,10 +26,12 @@ times these unit keys.
 
 Text is read and written straight from packed keys.  ``parse_poly`` and
 ``parse_matrix`` sum a term's key from the unit keys, looked up by name
-in a dict built once per variable tuple; ``Poly.__str__`` sorts
-the keys once and, when every exponent is 0 or 1 (as in a generic
-pfaffian), names a monomial by the low byte of each exponent field, so
-neither side loops over all variables in Python for each term.
+in a dict built once per variable tuple; ``parse_matrix`` reads each
+distinct term text of its matrix, without its sign, once.
+``Poly.__str__`` sorts the keys once and, when every exponent is 0 or 1
+(as in a generic pfaffian), names a monomial by the low byte of each
+exponent field, so neither side loops over all variables in Python for
+each term.
 
 Matrices of polynomials are dense; everything here is desk scale (the
 CLI accepts at most 13 rows), so cofactor expansion with memoization is
@@ -57,7 +59,15 @@ slot.  Callers bound both from their operands' degrees and L1 norms
 when it is below 2**63, and keep to ``_sum_of_products`` when a bound
 does not fit, when the ring has more than three variables, or when the
 operands' terms fill too few of the slots their ints span to pay for
-the int products (``_MIN_FILL``).
+the int products (``_MIN_FILL``).  ``PolyMatrix._route`` makes that
+choice for every matrix product.
+
+``PolyMatrix.product_witness`` tells whether a product is zero, and names
+its first nonzero entry, without building it where ``@`` goes dense:
+each entry is tested for zero on the Kronecker images of its operands at
+the bound's own width, slots of s bits for a coefficient bound below
+2**s, and is never decoded.  The lowest nonzero slot of a nonzero form
+cannot cancel, since its coefficient is below 2**s in size.
 """
 
 from __future__ import annotations
@@ -656,6 +666,11 @@ def _dense_sum(pairs: Iterable[tuple[tuple, tuple]]) -> tuple[int, int | None] |
     return total, degree
 
 
+def _entry_sum(row: Sequence[Poly], col: Sequence[Poly]) -> Poly:
+    """The kernel's entry of a product: the sum over the k where ``row`` and ``col`` are both nonzero."""
+    return _sum_of_products([(a, b) for a, b in zip(row, col) if a._terms and b._terms])
+
+
 def variables(names: str | Sequence[str]) -> tuple[Poly, ...]:
     """Create generator polynomials, e.g. ``x, y = variables("x y")``."""
     names = tuple(names.split()) if isinstance(names, str) else tuple(names)
@@ -721,15 +736,20 @@ def parse_poly(text: str, names: Sequence[str] | None = None) -> Poly:
     if names is None:
         names = sorted(collect_names(text))
     names = tuple(names)
-    return _parse(text, names, _steps(names))
+    return _parse(text, names, _steps(names), {})
 
 
-def _parse(text: str, names: tuple[str, ...], steps: dict[str, int]) -> Poly:
+def _parse(
+    text: str, names: tuple[str, ...], steps: dict[str, int], seen: dict[str, tuple[int, int, Scalar]]
+) -> Poly:
     """``parse_poly`` with the variable table of ``names`` at hand; see there.
 
-    Each term's packed key is summed from ``steps`` as its factors are
-    read.  A term above the degree cap is reported only once the whole
-    text has parsed, so every other error in the text comes first.
+    ``seen`` maps each term text already read in the ring, without its
+    sign, to its (key, degree, coefficient), so a text is read once per
+    map; only terms that parsed are in it, so every error is raised where
+    reading the text alone would raise it.  A term above the degree cap is
+    reported only once the whole text has parsed, so every other error in
+    the text comes first.
     """
     text = text.replace(" ", "")
     if not text:
@@ -740,35 +760,40 @@ def _parse(text: str, names: tuple[str, ...], steps: dict[str, int]) -> Poly:
     over_cap = None  # the degree of the first term above the cap
     for i in range(1, len(pieces), 2):
         chunk = pieces[i + 1]
-        if not chunk:
-            raise ValueError(f"malformed polynomial: {_clip(text)}")
-        coeff: Scalar = -1 if pieces[i] == "-" else 1
-        key = degree = 0
-        for factor in chunk.split("*"):
-            if not factor:
-                raise ValueError(f"malformed term {_clip(chunk)}")
-            if factor[0].isdigit():
-                if not factor.isascii() or "_" in factor:
-                    raise ValueError(f"coefficient must be written in ASCII without '_', got {_clip(factor)}")
-                coeff *= int(factor) if factor.isdigit() else _coefficient(factor)
-                continue
-            if "^" in factor:
-                base, _, power = factor.partition("^")
-                if not _DIGITS_RE.fullmatch(power):
-                    raise ValueError(f"exponent of {_clip(base)} must be ASCII digits, got {_clip(power)}")
-                k = int(power)
-            else:
-                base, k = factor, 1
-            step = steps.get(base)
-            if step is None:
-                raise ValueError(f"unknown variable {_clip(base)}")
-            key += k * step
-            degree += k
+        term = seen.get(chunk)
+        if term is not None:
+            key, degree, coeff = term
+        else:
+            if not chunk:
+                raise ValueError(f"malformed polynomial: {_clip(text)}")
+            coeff = 1
+            key = degree = 0
+            for factor in chunk.split("*"):
+                if not factor:
+                    raise ValueError(f"malformed term {_clip(chunk)}")
+                if factor[0].isdigit():
+                    if not factor.isascii() or "_" in factor:
+                        raise ValueError(f"coefficient must be written in ASCII without '_', got {_clip(factor)}")
+                    coeff *= int(factor) if factor.isdigit() else _coefficient(factor)
+                    continue
+                if "^" in factor:
+                    base, _, power = factor.partition("^")
+                    if not _DIGITS_RE.fullmatch(power):
+                        raise ValueError(f"exponent of {_clip(base)} must be ASCII digits, got {_clip(power)}")
+                    k = int(power)
+                else:
+                    base, k = factor, 1
+                step = steps.get(base)
+                if step is None:
+                    raise ValueError(f"unknown variable {_clip(base)}")
+                key += k * step
+                degree += k
+            seen[chunk] = key, degree, coeff
         if degree > _MAX_DEGREE:
             if over_cap is None:
                 over_cap = degree
         else:
-            terms[key] = terms.get(key, 0) + coeff
+            terms[key] = terms.get(key, 0) + (-coeff if pieces[i] == "-" else coeff)
     if over_cap is not None:
         raise ValueError(f"term degree {over_cap} is above the cap {_MAX_DEGREE}")
     terms = {key: c for key, c in terms.items() if c}
@@ -854,29 +879,44 @@ class PolyMatrix:
     def scale(self, factor: Poly | Scalar) -> "PolyMatrix":
         return PolyMatrix([[e * factor for e in row] for row in self.entries])
 
-    def __matmul__(self, other: "PolyMatrix") -> "PolyMatrix":
+    def _route(self, other: "PolyMatrix") -> tuple[tuple[tuple[Poly, ...], ...], _Dense | None, int]:
+        """The columns of ``other``, then the codec and coefficient bound of ``self @ other``; codec None means the kernel.
+
+        ``@`` and ``product_witness`` both route here.  An entry over k pairs
+        has degree at most d_A + d_B and coefficients at most k * L_A * L_B.
+        The product goes dense when both sides are int forms of one ring,
+        ``_Dense.fit`` takes those bounds and the fills of the two sides
+        multiply to at least ``_MIN_FILL``.
+        """
         if self.cols != other.rows:
             raise ValueError(
                 f"dimension mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}"
             )
         columns = tuple(zip(*other.entries))
-        # an entry over k pairs has degree at most d_A + d_B and coefficients at most k * L_A * L_B
-        codec, left, right = None, _int_forms(chain(*self.entries)), _int_forms(chain(*columns))
-        if left and right and (not left[0] or not right[0] or left[0] == right[0]):
-            codec = _Dense.fit(left[0] or right[0], left[1] + right[1], self.cols * left[2] * right[2])
+        left = _int_forms(chain(*self.entries))
+        right = left and _int_forms(chain(*columns))
+        if not right or left[0] and right[0] and left[0] != right[0]:
+            return columns, None, 0
+        bound = self.cols * left[2] * right[2]
+        codec = _Dense.fit(left[0] or right[0], left[1] + right[1], bound)
+        if codec is not None and _fill(self.entries, codec) * _fill(columns, codec) < _MIN_FILL:
+            codec = None
+        return columns, codec, bound
 
-        def entry(row: Sequence[Poly], col: Sequence[Poly], forms=None) -> Poly:
+    def __matmul__(self, other: "PolyMatrix") -> "PolyMatrix":
+        columns, codec, _ = self._route(other)
+        if codec is None:
+            return PolyMatrix([[_entry_sum(row, col) for col in columns] for row in self.entries])
+
+        def entry(row: Sequence[Poly], col: Sequence[Poly], forms) -> Poly:
             # a dense sum of one positive degree is in the codec's ring, and one of no
             # product is the nameless zero; constants, whose ring only the operands
             # tell, and products of mixed degrees go to the kernel
-            form = forms and _dense_sum(zip(*forms))
+            form = _dense_sum(zip(*forms))
             if form and form[1] != 0:
                 return codec.decode(form, codec.names if form[1] else ())
-            # entry (i, j) sums over the k where row i and column j are both nonzero
-            return _sum_of_products([(a, b) for a, b in zip(row, col) if a._terms and b._terms])
+            return _entry_sum(row, col)
 
-        if codec is None or _fill(self.entries, codec) * _fill(columns, codec) < _MIN_FILL:
-            return PolyMatrix([[entry(row, col) for col in columns] for row in self.entries])
         # each entry is encoded once
         dense_rows = [list(map(codec.encode, row)) for row in self.entries]
         dense_cols = [list(map(codec.encode, col)) for col in columns]
@@ -886,6 +926,35 @@ class PolyMatrix:
                 for row, r in zip(self.entries, dense_rows)
             ]
         )
+
+    def product_witness(self, other: "PolyMatrix") -> tuple[int, int, Poly] | None:
+        """The first nonzero entry of ``self @ other`` in row-major order, as 0-based (i, j, entry); None when the product is zero.
+
+        Where ``@`` goes dense, no product is built: each entry is tested on
+        the Kronecker images of its operands, under a codec whose slots have
+        the bit length s of the coefficient bound, and nothing is decoded.
+        The image of a nonzero form E of one degree is 2**(s * idx) * (c +
+        2**s * m) for its lowest nonzero coefficient c and some int m, and
+        0 < |c| <= bound < 2**s, so it is not zero.  Only an entry whose
+        image is nonzero, or whose products differ in degree (``_dense_sum``
+        gives None), is summed by the kernel.  Where ``@`` takes the kernel,
+        the whole product is built as ``@`` builds it, refusals included.
+        """
+        columns, codec, bound = self._route(other)
+        if codec is None:
+            product = [[_entry_sum(row, col) for col in columns] for row in self.entries]
+            return next(((i, j, e) for i, row in enumerate(product) for j, e in enumerate(row) if e._terms), None)
+        test = _Dense(codec.names, codec._base - 1, bound.bit_length())
+        dense_cols = [list(map(test.encode, col)) for col in columns]
+        for i, row in enumerate(self.entries):
+            r = list(map(test.encode, row))
+            for j, (col, c) in enumerate(zip(columns, dense_cols)):
+                form = _dense_sum(zip(r, c))
+                if form is None or form[0]:
+                    value = _entry_sum(row, col)
+                    if value._terms:
+                        return i, j, value
+        return None
 
     def transpose(self) -> "PolyMatrix":
         return PolyMatrix(
@@ -988,7 +1057,10 @@ class PolyMatrix:
 def parse_matrix(
     rows: Sequence[Sequence[str | Scalar]], names: Sequence[str] | None = None
 ) -> PolyMatrix:
-    """Parse a grid of polynomial strings / numbers with a shared variable set."""
+    """Parse a grid of polynomial strings / numbers with a shared variable set.
+
+    Each distinct term text, without its sign, is read once per call.
+    """
     if names is None:
         found: set[str] = set()
         for row in rows:
@@ -997,13 +1069,13 @@ def parse_matrix(
                     found |= collect_names(cell)
         names = tuple(sorted(found))
     names = tuple(names)
-    steps = _steps(names)
+    steps, seen = _steps(names), {}
     grid = []
     for row in rows:
         out = []
         for cell in row:
             if isinstance(cell, str):
-                out.append(_parse(cell, names, steps))
+                out.append(_parse(cell, names, steps, seen))
             else:
                 out.append(Poly.const(cell, names))
         grid.append(out)

@@ -36,10 +36,10 @@ from __future__ import annotations
 
 import random
 from itertools import chain, compress
-from operator import attrgetter
+from operator import attrgetter, eq, neg
 from typing import Iterable, Sequence
 
-from .exact import _MIN_FILL, Poly, PolyMatrix, Scalar, _checked_poly, _Dense, _dense_sum, _fill, _int_forms
+from .exact import _MIN_FILL, Poly, PolyMatrix, Scalar, _checked_poly, _Dense, _fill, _int_forms
 from .exact import _sum_of_products, monomials, variables
 from .gorenstein import theta_of
 
@@ -80,6 +80,19 @@ def _graded(grid: Sequence[Sequence[tuple[int, int | None]]]) -> bool:
     return True
 
 
+def _negates(lower: Poly, upper: Poly) -> bool:
+    """``lower == -upper``, coefficient by coefficient, without building ``-upper``.
+
+    The rings align as ``Poly.__eq__`` aligns them: equal tuples agree, a
+    nameless poly takes on the other's tuple, and two other tuples never
+    agree, even for zero polynomials.
+    """
+    if lower.names != upper.names and lower.names and upper.names:
+        return False
+    a, b = lower._terms, upper._terms
+    return len(a) == len(b) and all(map(eq, map(b.get, a), map(neg, a.values())))
+
+
 def _perm_sign(seq: Sequence[int]) -> int:
     inversions = 0
     for a in range(len(seq)):
@@ -104,7 +117,7 @@ class AlternatingMatrix:
             if not grid[i][i].is_zero:
                 raise ValueError(f"diagonal entry ({i + 1},{i + 1}) must be zero")
             for j in range(i + 1, n):
-                if grid[j][i] != -grid[i][j]:
+                if not _negates(grid[j][i], grid[i][j]):
                     raise ValueError(f"entry ({j + 1},{i + 1}) is not the negative of ({i + 1},{j + 1})")
         self._adopt(grid)
 
@@ -287,7 +300,8 @@ class AlternatingMatrix:
         The term of row b is M[a][b] * pf(rows but a, b), negated when the
         rows of ``mask`` below a and those but a below b differ in parity,
         so the sign flips at each row but a, walking up.  Minors the memo
-        lacks are expanded first, in the order of b.
+        lacks are expanded first, in the order of b.  Dense terms are summed
+        as they come, with no degree check per term: the matrix is graded.
         """
         memo, nonzero = self._pf_memo, self._row_masks
         # a row with no zero off the diagonal ties with the first row of mask, which wins
@@ -298,8 +312,9 @@ class AlternatingMatrix:
             count = (nonzero[i] & mask).bit_count()
             if count < fewest:
                 a, fewest = i, count
-        rest, columns, pairs = mask ^ (1 << a), nonzero[a], []
+        rest, columns, dense = mask ^ (1 << a), nonzero[a], self._codec is not None
         rows, sign, row = rest, (mask & ((1 << a) - 1)).bit_count() & 1, (self._grid[0][a], self._grid[1][a])
+        pairs, total, degree = [], 0, None
         while rows:
             low = rows & -rows
             rows ^= low
@@ -307,10 +322,15 @@ class AlternatingMatrix:
                 minor = memo.get(rest ^ low)
                 if minor is None:
                     minor = self._expand(rest ^ low)
-                pairs.append((row[sign][low.bit_length() - 1], minor))
+                entry = row[sign][low.bit_length() - 1]
+                if not dense:
+                    pairs.append((entry, minor))
+                elif minor[0]:
+                    # _graded gave every product of one expansion the same degree
+                    total += entry[0] * minor[0]
+                    degree = entry[1] + minor[1]
             sign ^= 1
-        # a graded matrix gives every product of one expansion the same degree
-        memo[mask] = value = _sum_of_products(pairs, self.names) if self._codec is None else _dense_sum(pairs)
+        memo[mask] = value = (total, degree) if dense else _sum_of_products(pairs, self.names)
         return value
 
     def pfaffian_oracle(self) -> Poly:

@@ -18,10 +18,14 @@ where beta is the F x F block, p = pf(beta), lambda the F x G block,
 sigma the F-part of the pfaffian vector.  The signs above are the unique
 choice (up to simultaneous unit changes) making both compositions vanish
 identically; composition-zero, homogeneity and rank bookkeeping are
-checked by :func:`verify_complex`.  Exactness itself is not verified
-here: that needs depth machinery far beyond exact arithmetic, and the
-construction is used as a complex-builder whose degree bookkeeping must
-agree with the multiset-level linkage.
+checked by :func:`verify_complex`.  The compositions are tested for zero
+with ``PolyMatrix.product_witness``: where a product would go dense, on
+the Kronecker images of its operands at the width of its coefficient
+bound, never decoded; the product is built only where it would take the
+dict kernel, and one entry only for a witness.  Exactness itself is not
+verified here: that needs depth machinery far beyond exact arithmetic,
+and the construction is used as a complex-builder whose degree
+bookkeeping must agree with the multiset-level linkage.
 """
 
 from __future__ import annotations
@@ -222,7 +226,10 @@ def verify_complex(c: GradedComplex) -> ComplexReport:
 
     Homogeneity: entry (i, j) of maps[k] must be homogeneous of degree
     source_twist(j) - target_twist(i); zero entries are exempt, and any
-    slot whose required degree is negative must be zero.
+    slot whose required degree is negative must be zero.  Composition-zero:
+    ``PolyMatrix.product_witness`` tests maps[k] @ maps[k + 1] on Kronecker
+    images at the bound's own width where the product would go dense, and
+    the witness is its first nonzero entry in row-major order.
     """
     hom_witness = None
     for k, mp in enumerate(c.maps):
@@ -233,17 +240,12 @@ def verify_complex(c: GradedComplex) -> ComplexReport:
             break
     pairs = []
     for k in range(len(c.maps) - 1):
-        comp = c.maps[k] @ c.maps[k + 1]
-        if comp.is_zero:
+        hit = c.maps[k].product_witness(c.maps[k + 1])
+        if hit is None:
             pairs.append(PairReport(True, None))
         else:
-            witness = next(
-                f"({i + 1},{j + 1}) = {comp.entry(i, j)}"
-                for i in range(comp.rows)
-                for j in range(comp.cols)
-                if not comp.entry(i, j).is_zero
-            )
-            pairs.append(PairReport(False, witness))
+            i, j, entry = hit
+            pairs.append(PairReport(False, f"({i + 1},{j + 1}) = {entry}"))
     signed = sum(
         (-1) ** idx * module.rank for idx, module in enumerate(c.modules)
     )

@@ -439,6 +439,8 @@ def test_pfaffian_stdout_is_pinned(matrix, md5, size, capsys):
 STRUCTURE_11 = Path(__file__).resolve().parent / "fixtures" / "structure-11.json"
 # the same presentation with every coefficient times 20: 64-bit slots and the dict kernel
 STRUCTURE_11_X20 = STRUCTURE_11.with_name("structure-11-x20.json")
+# a linear presentation in four variables: the dict kernel for the memo and both compositions
+STRUCTURE_11_X4 = STRUCTURE_11.with_name("structure-11-x4.json")
 
 
 @pytest.mark.parametrize(
@@ -448,8 +450,9 @@ STRUCTURE_11_X20 = STRUCTURE_11.with_name("structure-11-x20.json")
         (["pfaffian", str(STRUCTURE_11)], "50c806e70b336d8a8fd9c8deb9904e50"),
         (["verify-structure", "--matrix", str(STRUCTURE_11_X20), "--g-rows", "2,5,9"], "aa903cb9cf67292f74ccae089732ed0a"),
         (["pfaffian", str(STRUCTURE_11_X20)], "966763ff6407cfe1b266a2aaa8c6540e"),
+        (["verify-structure", "--matrix", str(STRUCTURE_11_X4), "--g-rows", "2,5,9"], "aa903cb9cf67292f74ccae089732ed0a"),
     ],
-    ids=["verify-structure", "pfaffian", "verify-structure-x20", "pfaffian-x20"],
+    ids=["verify-structure", "pfaffian", "verify-structure-x20", "pfaffian-x20", "verify-structure-x4"],
 )
 def test_structure_11_stdout_is_pinned(argv, md5):
     """Seeded linear 11x11 presentations through ``python -m bettiforge.cli``; the CI pins the same md5s."""

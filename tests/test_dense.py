@@ -278,6 +278,124 @@ def test_product_fallbacks_match_the_operators(monkeypatch):
 
 
 # ----------------------------------------------------------------------
+# the composition zero test
+# ----------------------------------------------------------------------
+
+
+def first_nonzero(m):
+    """(i, j, typed entry) of the first nonzero entry of ``m`` in row-major order; None when ``m`` is zero."""
+    return next(((i, j, typed(e)) for i, row in enumerate(m.entries) for j, e in enumerate(row) if e._terms), None)
+
+
+def typed_witness(a, b):
+    hit = a.product_witness(b)
+    return hit and (hit[0], hit[1], typed(hit[2]))
+
+
+def zero_test_outcome(a, b):
+    """The first nonzero entry of ``a @ b``, then ``a.product_witness(b)``: each a value or ("error", message)."""
+    outcomes = []
+    for run in (lambda: first_nonzero(a @ b), lambda: typed_witness(a, b)):
+        try:
+            outcomes.append(run())
+        except ValueError as exc:
+            outcomes.append(("error", str(exc)))
+    return outcomes
+
+
+def zero_test_corpus():
+    """Labelled (a, b, route) products in 1-3 variables; route is "dense" or "kernel" where the case is built for one, else None."""
+    cases = []
+    for n in (1, 2, 3, 4):
+        rng = random.Random(60 + n)
+        names = RINGS[n]
+        xs = [Poly.variable(v, names) for v in names]
+        x, y = xs[0], xs[-1]
+        route = "dense" if n <= _MAX_DENSE_VARIABLES else "kernel"
+        for t in range(12 if n < 4 else 0):
+            r, k, c = rng.randint(1, 4), rng.randint(1, 5), rng.randint(1, 4)
+            mid = [rng.randint(0, 3) for _ in range(k)]
+            a = graded_matrix(rng, names, [rng.randint(-3, 0) for _ in range(r)], mid)
+            cases.append((f"random {n}/{t}", a, graded_matrix(rng, names, mid, [rng.randint(3, 5) for _ in range(c)]), None))
+        # a row times its Koszul syzygies: zero, and nonzero only in the last entry once that column moves
+        row = [random_form(rng, names, d) for d in (1, 2, 2, 3)]
+        pairs = [(l, m) for l in range(4) for m in range(l + 1, 4)]
+        koszul = [[Poly.zero()] * len(pairs) for _ in range(4)]
+        for col, (l, m) in enumerate(pairs):
+            koszul[l][col], koszul[m][col] = row[m], -row[l]
+        cases.append((f"koszul {n}", PolyMatrix([row]), PolyMatrix(koszul), route))
+        koszul[3][-1] = koszul[3][-1] + x * x
+        cases.append((f"koszul {n}, last entry", PolyMatrix([row]), PolyMatrix(koszul), route))
+        if n > _MAX_DENSE_VARIABLES:
+            continue
+        # k equal terms on each side: the entry's coefficient is the bound k * L_A * L_B itself, of either sign
+        for sign in (1, -1):
+            a = PolyMatrix([[5 * sign * x ** 2] * 3, [Poly.zero()] * 3])
+            cases.append((f"at the bound {n}, {sign}", a, PolyMatrix([[7 * y]] * 3), "dense"))
+        # bounds 2**31 - 1 and 2**31: 31 and 32 bits, at the last of the 32-bit and the first of the 64-bit codecs
+        for top in (TOP32, TOP32 + 1):
+            cases.append((f"bound {top} {n}", PolyMatrix([[top * x]]), PolyMatrix([[y]]), "dense"))
+        # products of mixed degrees: one entry nonzero, one cancelling within each degree
+        one = Poly.const(1, names)
+        cases.append((f"mixed degrees {n}", PolyMatrix([[x, one]]), PolyMatrix([[y], [x]]), "dense"))
+        cases.append((f"mixed degrees cancelling {n}", PolyMatrix([[x, x, one, one]]), PolyMatrix([[y], [-y], [x], [-x]]), "dense"))
+        # nameless constants next to forms of the ring, cancelling and not, and constants alone
+        cases.append((f"nameless {n}", PolyMatrix([[Poly.const(2), x]]), PolyMatrix([[y], [Poly.const(-2)]]), "dense"))
+        cases.append((f"nameless constants {n}", PolyMatrix([[3, Poly.const(2, names)], [3, 4]]), PolyMatrix([[5, x], [-7, y]]), None))
+        cases.append((f"no ring {n}", PolyMatrix([[2, 3]]), PolyMatrix([[3], [-2]]), "kernel"))
+        cases.append((f"no ring, nonzero {n}", PolyMatrix([[2, 3]]), PolyMatrix([[3], [2]]), "kernel"))
+        # one side all zero: the bound is 0, and every entry has no product
+        cases.append((f"all zero {n}", PolyMatrix([[Poly.zero(names)] * 2] * 2), PolyMatrix([[x], [y]]), "dense"))
+        cases.append((f"all zero right {n}", PolyMatrix([[x, y]]), PolyMatrix([[Poly.zero(names)], [Poly.zero()]]), "dense"))
+    # in two variables the image of 2**20 * x2 - x1 vanishes at 20-bit slots; the bound 2**20 + 1 has 21 bits
+    x1, x2 = (Poly.variable(v, RINGS[2]) for v in RINGS[2])
+    trap = PolyMatrix([[2**20 * x2 - x1]])
+    cases.append(("one slot short", trap, PolyMatrix([[Poly.const(1, RINGS[2])]]), "dense"))
+    # the syzygies of a graded alternating matrix and of its complex: zero, then one entry changed
+    m = random_graded_alternating([2, 2, 2, 3, 3], random.Random(5))
+    p = PolyMatrix([[q] for q in m.submaximal_pfaffians()])
+    cases.append(("pfaffian syzygy", m.to_poly_matrix(), p, "dense"))
+    broken = [list(r) for r in m.to_poly_matrix().entries]
+    broken[-1][0] = broken[-1][0] + Poly.variable("x2", RINGS[3])
+    cases.append(("pfaffian syzygy, last entry", PolyMatrix(broken), p, "dense"))
+    for fixture, routes in (("structure-11.json", ("dense", "dense")), ("structure-11-x20.json", ("kernel", "dense"))):
+        matrix, data = load_fixture(fixture)
+        d = build_aci_complex(AlternatingPresentation(matrix, (2, 5, 9), tuple(data["twists"]))).maps
+        cases.append((f"{fixture} d1 @ d2", d[0], d[1], routes[0]))
+        cases.append((f"{fixture} d2 @ d3", d[1], d[2], routes[1]))
+    z = Poly.variable("z", ("z",))
+    cases.append(("two rings", PolyMatrix([[x1]]), PolyMatrix([[z]]), "kernel"))
+    # the kernel builds every entry, so a refusal after a nonzero entry still raises
+    cases.append(("nonzero, then two rings", PolyMatrix([[x1], [z]]), PolyMatrix([[x1]]), "kernel"))
+    cases.append(("sizes", PolyMatrix([[x1]]), PolyMatrix([[x1, x2]] * 2), None))
+    return cases
+
+
+def test_zero_test_matches_the_product():
+    corpus = zero_test_corpus()
+    seen = {"dense": [0, 0], "kernel": [0, 0]}
+    for label, a, b, route in corpus:
+        want, got = zero_test_outcome(a, b)
+        assert got == want, label
+        if route is not None:
+            assert (a._route(b)[1] is None) == (route == "kernel"), label
+            if want is None or want[0] != "error":
+                seen[route][want is None] += 1
+    # both routes meet zero and nonzero products
+    assert all(count >= 3 for counts in seen.values() for count in counts), seen
+
+
+def test_zero_test_slots_take_the_bound_bit_length(monkeypatch):
+    """One bit fewer and "one slot short" reads zero; the test codec is built only for dense routes."""
+    built = []
+    init = _Dense.__init__
+    monkeypatch.setattr(_Dense, "__init__", lambda self, names, degree, slot: built.append(slot) or init(self, names, degree, slot))
+    x1, x2 = (Poly.variable(v, RINGS[2]) for v in RINGS[2])
+    hit = PolyMatrix([[2**20 * x2 - x1]]).product_witness(PolyMatrix([[Poly.const(1, RINGS[2])]]))
+    assert built == [32, 21] and hit is not None and str(hit[2]) == "-x1 + 1048576*x2"
+
+
+# ----------------------------------------------------------------------
 # pfaffians
 # ----------------------------------------------------------------------
 
@@ -588,16 +706,26 @@ def test_generic_pfaffian_reaches_the_dict_kernel(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "fixture, widths",
-    [("structure-11.json", [32, 64, 32]), ("structure-11-x20.json", [64, None, 64])],
+    "fixture, fits, built",
+    [
+        ("structure-11.json", [32, 64, 32], [32, 64, 39, 32, 26]),
+        ("structure-11-x20.json", [64, None, 64], [64, 64, 52]),
+    ],
     ids=["structure-11", "structure-11-x20"],
 )
-def test_slot_widths_on_the_11x11_fixtures(fixture, widths, monkeypatch):
-    """The memo, d1 @ d2 and d2 @ d3 in that order; None is the dict kernel, whose bound passes 2**63."""
+def test_slot_widths_on_the_11x11_fixtures(fixture, fits, built, monkeypatch):
+    """The codecs ``fit`` picks for the memo, d1 @ d2 and d2 @ d3, and the slots of every codec built.
+
+    None is the dict kernel, whose bound passes 2**63.  A composition
+    routed dense builds its zero test's codec, with the bound's own bit
+    length, right after the routing one.
+    """
     matrix, data = load_fixture(fixture)
     pres = AlternatingPresentation(matrix, (2, 5, 9), tuple(data["twists"]))
-    codecs = []
-    fit = _Dense.fit
+    codecs, slots = [], []
+    fit, init = _Dense.fit, _Dense.__init__
     monkeypatch.setattr(_Dense, "fit", lambda *args: codecs.append(fit(*args)) or codecs[-1])
+    monkeypatch.setattr(_Dense, "__init__", lambda self, names, degree, slot: slots.append(slot) or init(self, names, degree, slot))
     assert verify_complex(build_aci_complex(pres)).ok
-    assert [c and c.slot for c in codecs] == widths
+    assert [c and c.slot for c in codecs] == fits
+    assert slots == built

@@ -15,6 +15,7 @@ from bettiforge.exact import (
     _layout,
     _steps,
     _sum_of_products,
+    collect_names,
     monomials,
     parse_matrix,
     parse_poly,
@@ -654,6 +655,51 @@ def test_parser_matches_reference():
         text = str(Poly(names, terms))
         assert _parse_outcome(parse_poly, text, names) == _parse_outcome(_reference_parse, text, names), text
         assert parse_poly(text, names) == Poly(names, terms)
+
+
+def _matrix_outcome(parse, rows, names):
+    try:
+        m = parse(rows, names)
+    except ValueError as exc:
+        return "error", str(exc)
+    return [[(p.names, _typed_terms(p)) for p in row] for row in m.entries]
+
+
+def _cellwise_matrix(rows, names):
+    """``parse_matrix`` with each cell parsed alone, so no term text is shared between cells."""
+    if names is None:
+        names = sorted(set().union(*(collect_names(cell) for row in rows for cell in row if isinstance(cell, str))))
+    names = tuple(names)
+    return PolyMatrix([[parse_poly(cell, names) if isinstance(cell, str) else Poly.const(cell, names) for cell in row] for row in rows])
+
+
+def test_matrix_parse_reads_each_term_text_once_with_cellwise_results():
+    over = f"x^{2 ** _W}"
+    matrices = [
+        # a term repeated with both signs, within a cell and across cells
+        [["x + 2*y", "-x - 2*y"], ["2*y - x + 2*y", "x"]],
+        # a malformed term, repeated: the first cell reports it
+        [["y", "x*"], ["x*", "x*"]],
+        [["x + y", "x + y*"], ["y*", "x"]],
+        # an over-cap term read and then met again, followed by a malformed term: the malformed one comes first
+        [[f"{over} - {over} + 2*", "x"]],
+        [["x", f"{over} + y"], [over, "y"]],
+        [["x", f"y - {over} + {over}"], ["x", "q"]],
+        # rational and decimal coefficients, repeated with both signs
+        [["1/3*x + 2e3*y", "-1/3*x - 2e3*y"], ["2e3*y - 1/3*x", "1/3*x + 1/3*x + 1/3*x"]],
+        [["1/0*x", "y"]],
+        [["x", 3], [Fraction(1, 2), "-x"]],
+    ]
+    rng = random.Random(91)
+    tokens = ("x", "y", "2*x", "1/3*y", "2e3*x*y", "x^2", "x*", "q", "", over, "3", "x^٣")
+    for _ in range(400):
+        size = rng.randint(1, 3)
+        matrices.append(
+            [["".join(rng.choice("+-") + rng.choice(tokens) for _ in range(rng.randint(1, 4))) for _ in range(size)] for _ in range(size)]
+        )
+    for rows in matrices:
+        for names in (("x", "y", "z"), None):
+            assert _matrix_outcome(parse_matrix, rows, names) == _matrix_outcome(_cellwise_matrix, rows, names), rows
 
 
 def test_nameless_constant_equals_and_hashes_like_named():

@@ -69,6 +69,58 @@ def test_validation():
         AlternatingMatrix([[0, 1], [1, 0]])
 
 
+def negation_refusal(entries):
+    """The constructor's refusal by building ``-grid[i][j]`` for each upper entry, as a message; None when it accepts."""
+    grid = [[exact._checked_poly(e) for e in row] for row in entries]
+    n = len(grid)
+    for i in range(n):
+        if not grid[i][i].is_zero:
+            return f"diagonal entry ({i + 1},{i + 1}) must be zero"
+        for j in range(i + 1, n):
+            if grid[j][i] != -grid[i][j]:
+                return f"entry ({j + 1},{i + 1}) is not the negative of ({i + 1},{j + 1})"
+    return None
+
+
+def test_skew_check_refuses_what_negation_refused():
+    xy = ("x", "y")
+    x, y = (Poly.variable(v, xy) for v in xy)
+    z = Poly.variable("z", ("z",))
+    third = Fraction(1, 3)
+    pairs = {
+        "zero of two rings": (Poly.zero(("x",)), Poly.zero(("y",))),
+        "zero of a ring and nameless": (Poly.zero(xy), Poly.zero()),
+        "nameless constant below a ring constant": (Poly.const(3, xy), Poly.const(-3)),
+        "ring constant below a nameless constant": (Poly.const(3), Poly.const(-3, xy)),
+        "constants of two rings": (Poly.const(3, xy), Poly.const(-3, ("z",))),
+        "forms of two rings": (x, -z),
+        "fraction": (third * x - y, -third * x + y),
+        "fraction of the wrong sign": (third * x, third * x),
+        "fraction against its int numerator": (third * x, -x),
+        "wrong sign on one term": (x + 2 * y, -x + 2 * y),
+        "term missing below": (x + y, -x),
+        "term missing above": (x, -x - y),
+        "same size, another term": (x + y, -x - x * y),
+        "equal, not negated": (x + y, x + y),
+        "negated": (x * x - 5 * y, -(x * x) + 5 * y),
+    }
+    for label, (upper, lower) in pairs.items():
+        for entries in ([[0, upper], [lower, 0]], [[0, x, upper], [-x, 0, 0], [lower, 0, 0]]):
+            want = negation_refusal(entries)
+            try:
+                AlternatingMatrix(entries)
+                got = None
+            except ValueError as exc:
+                got = str(exc)
+            assert got == want, label
+    assert negation_refusal([[0, x], [-(x + y), 0]]) == "entry (2,1) is not the negative of (1,2)"
+    # the first refusal in row order, before a later diagonal entry
+    entries = [[0, x, y], [-x, 0, x], [y, -x, 1]]
+    with pytest.raises(ValueError, match=r"^entry \(3,1\) is not the negative of \(1,3\)$"):
+        AlternatingMatrix(entries)
+    assert negation_refusal(entries) == "entry (3,1) is not the negative of (1,3)"
+
+
 def test_oracle_equivalence_symbolic():
     for n in (2, 4, 6):
         m = AlternatingMatrix.generic(n)

@@ -1,4 +1,6 @@
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -16,8 +18,11 @@ from bettiforge.structure import (
     verify_complex,
 )
 
+from support import operator_matmul
+
 ms = IntMultiset.from_values
 NAMES = ("x1", "x2", "x3")
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 
 def presentation_5x5(seed=7):
@@ -151,15 +156,47 @@ def test_rank_bookkeeping():
     assert ranks[0] - ranks[1] + ranks[2] - ranks[3] == 0
 
 
+def _fixture_presentation(name):
+    data = json.loads((FIXTURES / name).read_text())
+    matrix = AlternatingMatrix.from_poly_matrix(parse_matrix(data["entries"], data["variables"]))
+    return AlternatingPresentation(matrix, (2, 5, 9), tuple(data["twists"]))
+
+
+def _inject(c, k, i, j, delta):
+    """``c`` with ``delta`` added to entry (i, j) of map k."""
+    maps = [[list(row) for row in m.entries] for m in c.maps]
+    maps[k][i][j] = maps[k][i][j] + delta
+    return GradedComplex(c.modules, tuple(map(PolyMatrix, maps)))
+
+
 def test_fault_injection_composition():
     c = build_aci_complex(presentation_5x5())
-    broken = [list(r) for r in c.maps[1].entries]
-    broken[0][0] = broken[0][0] + Poly.variable("x1", NAMES)
-    bad = GradedComplex(c.modules, (c.maps[0], PolyMatrix(broken), c.maps[2]))
+    x1 = Poly.variable("x1", NAMES)
+    bad = _inject(c, 1, 0, 0, x1)
     report = verify_complex(bad)
     assert not report.ok
     assert not report.pairs[0].composition_zero
-    assert report.pairs[0].composition_witness
+    # the witnesses as the full products gave them
+    assert [p.composition_witness for p in report.pairs] == [
+        "(1,1) = -7*x1^3 + 2*x1^2*x2 + 25*x1^2*x3 + 12*x1*x2^2 + 24*x1*x2*x3 - 3*x1*x3^2",
+        "(1,1) = -4*x1^2 - 2*x1*x2 - 4*x1*x3",
+    ]
+    # each composition against the first nonzero entry of the product folded
+    # through the Poly operators: faults on the dense route and on the dict
+    # kernel, one whose products differ in degree, and one in the last entry
+    cases = [bad, _inject(c, 2, 4, 1, x1), _inject(c, 1, 0, 1, x1 * x1)]
+    for name in ("structure-11.json", "structure-11-x20.json", "structure-11-x4.json"):
+        big = build_aci_complex(_fixture_presentation(name))
+        ring = big.maps[0].entries[0][0].names
+        cases += [_inject(big, 1, 3, 10, Poly.variable("x1", ring) ** 5), _inject(big, 2, 0, 0, Poly.variable("x2", ring))]
+    for bad in cases:
+        report = verify_complex(bad)
+        assert not report.ok
+        for pair, (left, right) in zip(report.pairs, zip(bad.maps, bad.maps[1:])):
+            product = operator_matmul(left, right)
+            hit = next(((i, j, e) for i, row in enumerate(product.entries) for j, e in enumerate(row) if not e.is_zero), None)
+            assert pair.composition_zero == (hit is None)
+            assert pair.composition_witness == (hit and f"({hit[0] + 1},{hit[1] + 1}) = {hit[2]}")
 
 
 def test_fault_injection_twist():
