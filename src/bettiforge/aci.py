@@ -487,11 +487,20 @@ def link_betti(
 # ----------------------------------------------------------------------
 
 
-def _submultisets(values: list[int]) -> list[tuple[int, ...]]:
-    out = {()}
-    for v in values:
-        out |= {s + (v,) for s in out}
-    return sorted(out)
+# The choices of S as index subsets of the sorted Dstar: (S, Dbar, ties),
+# where bit j - 1 of ties is set when S takes index j but not j - 1.  A
+# D whose Dstar has dstar[j - 1] == dstar[j] skips such a choice, so S takes
+# the first copies of a repeated value and each submultiset comes once.
+_S_CHOICES = (
+    ((), (0, 1, 2), 0),
+    ((0,), (1, 2), 0),
+    ((1,), (0, 2), 1),
+    ((2,), (0, 1), 2),
+    ((0, 1), (2,), 0),
+    ((0, 2), (1,), 2),
+    ((1, 2), (0,), 1),
+    ((0, 1, 2), (), 0),
+)
 
 
 class _FWindow(NamedTuple):
@@ -517,9 +526,14 @@ def _f_windows(
     Each admissible triple determines a canonical overlap
     S = Dstar & (theta_z - Ehat), so iterating over the submultisets of
     Dstar and keeping only the choices that reproduce themselves as the
-    canonical overlap reaches every admissible triple exactly once.
+    canonical overlap reaches every admissible triple exactly once.  The
+    submultisets are the index subsets of ``_S_CHOICES`` that take the
+    first copies of a repeated value.
 
-    Both tests run on the sorted value lists.  With Ehat = (d0 + Dbar) +
+    max Ehat = max(d0 + max Dbar, theta_z - min S) is read off the sorted
+    Dstar at the extreme indices of Dbar and S, so a choice with max Ehat
+    above ``max_degree`` is dropped before any list is built.  The
+    canonical test runs on the sorted value lists.  With Ehat = (d0 + Dbar) +
     (theta_z - S), theta_z - Ehat = (theta_g - Dbar) + S and Dstar =
     Dbar + S, so Dstar & (theta_z - Ehat) = S + (Dbar & (theta_g - Dbar)):
     S is canonical iff no x in Dbar has its partner theta_g - x in Dbar
@@ -530,8 +544,8 @@ def _f_windows(
     |G0| = 2m + 1 is odd and m <= cap_1, as :func:`_candidates_for_d` needs.
     """
     d0 = dvals[0]
-    dstar_list = list(dvals[1:])
-    theta_z = sum(dstar_list)
+    dstar = dvals[1:]
+    theta_z = sum(dstar)
     theta_g = theta_z - d0
     d = d0 + theta_z
     # degree bounds, d - f must be a valid E entry, and the induced
@@ -540,21 +554,28 @@ def _f_windows(
     hi = min(max_degree, d - 1, theta_z - 1)
     if lo > hi:
         return
-    for s_tuple in _submultisets(dstar_list):
-        dbar_vals = list(dstar_list)
-        for x in s_tuple:
-            dbar_vals.remove(x)
-        ehat_vals = [d0 + x for x in dbar_vals] + [theta_z - x for x in s_tuple]
-        if max(ehat_vals) > max_degree:
-            continue
+    dbar_top = max_degree - d0  # d0 + x <= max_degree for x in Dbar
+    s_floor = theta_z - max_degree  # theta_z - x <= max_degree for x in S
+    ties = (dstar[0] == dstar[1]) | (dstar[1] == dstar[2]) << 1
+    for s_idx, dbar_idx, s_ties in _S_CHOICES:
+        if s_ties & ties or (s_idx and dstar[s_idx[0]] < s_floor) or (dbar_idx and dstar[dbar_idx[-1]] > dbar_top):
+            continue  # a repeated S, or max Ehat > max_degree
+        dbar_vals = [dstar[j] for j in dbar_idx]
         if any(theta_g - x in dbar_vals for x in dbar_vals):
             continue  # not the canonical overlap; the canonical choice covers it
+        s_runs = []
+        for j in s_idx:
+            v = dstar[j]
+            if s_runs and s_runs[-1][0] == v:
+                s_runs[-1] = (v, s_runs[-1][1] + 1)
+            else:
+                s_runs.append((v, 1))
+        ehat_vals = [d0 + x for x in dbar_vals] + [theta_z - dstar[j] for j in s_idx]
         ehat_vals.sort()
-        s_runs = IntMultiset._from_sorted(s_tuple).entries  # s_tuple is sorted
         t_even = _t_values(theta_g, s_runs, 0, 0)  # T when |F| + |Dbar| is even
         for t in ([], t_even) if t_even else ([],):
             tail = sorted(dbar_vals + t)
-            caps = _stage3_caps(dstar_list, s_runs, t)
+            caps = _stage3_caps(dstar, s_runs, t)
             # k + |tail| = 2m + 1 is odd and m <= h_0 <= cap_1
             for k in range(3 - len(tail) % 2, min(max_f, 2 * caps[0] + 1 - len(tail)) + 1, 2):
                 yield _FWindow(ehat_vals, k, lo, hi, tail, caps)
@@ -565,7 +586,9 @@ def _admissible_f_tuples(dvals: tuple[int, int, int, int], w: _FWindow) -> list[
 
     G0 is built pair by pair from the outside in, as
     :func:`_candidates_for_d` describes, so it passes Gaeta-Diesel and
-    only its mci triple is tested.
+    only its mci triple is tested.  ``place`` loops over the pairs before
+    the last, and ``last`` settles the last pair in closed form under the
+    fourth cut; a window with m = 1 goes straight to ``last``.
     """
     m = (w.k + len(w.tail)) // 2
     cap1, cap2, cap3 = w.caps
@@ -576,9 +599,55 @@ def _admissible_f_tuples(dvals: tuple[int, int, int, int], w: _FWindow) -> list[
     g0 = [0] * (2 * m + 1)
     found: list[tuple[int, ...]] = []
 
+    def last(budget: int, a_prev: int, u_prev: int, tl: int, tr: int) -> None:
+        # pair m takes the rest of the budget, and the tail left,
+        # tail[tl:tr + 1], is at most two values: its a come in closed form
+        s = theta_g - 1 - budget
+        if m == 1:
+            top, u_hi = cap2, cap3  # the mci triple is (h_0, a, u)
+        else:
+            top = theta_g - 1 - u_prev  # as in place
+            u_hi = top if top > cap3 else cap3  # the fourth cut
+            if u_hi > u_prev:
+                u_hi = u_prev
+            if u_prev <= cap3 and top < cap2:
+                top = cap2
+        if tl > tr:  # a and u both from F
+            a_lo = s - (u_hi if u_hi < g_hi else g_hi)
+            if a_lo < a_prev:
+                a_lo = a_prev
+            if a_lo < g_lo:
+                a_lo = g_lo
+            a_hi = s // 2
+            if a_hi > top:
+                a_hi = top
+            cands = range(a_lo, a_hi + 1)
+        elif tl == tr:  # one tail value t, taken as a or else as u
+            t = tail[tl]
+            v = s - t  # the other entry, from F
+            cands = []
+            if t <= v <= u_hi and t <= top and g_lo <= v <= g_hi:
+                cands.append(t)
+            if a_prev <= v < t <= u_hi and v <= top and g_lo <= v <= g_hi:
+                cands.append(v)
+        elif tail[tl] + tail[tr] == s and tail[tl] <= top and tail[tr] <= u_hi:
+            cands = (tail[tl],)  # two tail values: a and u
+        else:
+            return
+        for a in cands:
+            g0[m], g0[m + 1] = a, s - a
+            e1, e2, e3 = mci_from_sorted(g0, theta_g)
+            if e1 <= cap1 and e2 <= cap2 and e3 <= cap3:
+                rest = list(g0)
+                for t in tail:
+                    rest.remove(t)
+                # from a list: tuple() of a generator grows and shrinks its
+                # tuple, and that raised enumerate's peak RSS by 0.4 MB
+                found.append(tuple([theta_z - x for x in reversed(rest)]))
+
     def place(i: int, budget: int, tl: int, tr: int) -> None:
         # g0[:i] and g0[2m + 2 - i:] are placed, tail[tl:tr + 1] is not,
-        # and the pairs i..m share the budget of their deltas
+        # and the pairs i..m share the budget of their deltas; i < m
         a_prev = g0[i - 1]
         if i == 1:
             u_prev, top = theta_g, cap2  # no pair bounds u yet; e_2 >= h_1
@@ -592,7 +661,7 @@ def _admissible_f_tuples(dvals: tuple[int, int, int, int], w: _FWindow) -> list[
             top = min(top, tail[tl])
             u_lo = tail[tr]
         # plain comparisons in place of min and max: this loop is the hot path
-        for delta in range(budget + 1) if i < m else (budget,):
+        for delta in range(budget + 1):
             s = theta_g - 1 - delta
             a_hi = s // 2
             if a_hi > s - u_lo:
@@ -613,27 +682,22 @@ def _admissible_f_tuples(dvals: tuple[int, int, int, int], w: _FWindow) -> list[
                     ntr -= 1
                 elif not g_lo <= u <= g_hi:
                     continue
-                g0[i], g0[2 * m + 1 - i] = a, u
-                if i < m:
-                    if ntr - ntl < 2 * (m - i):  # the tail left fits in the slots left
+                if ntr - ntl < 2 * (m - i):  # the tail left fits in the slots left
+                    g0[i], g0[2 * m + 1 - i] = a, u
+                    if i + 1 < m:
                         place(i + 1, budget - delta, ntl, ntr)
-                elif ntl > ntr:
-                    e1, e2, e3 = mci_from_sorted(g0, theta_g)
-                    if e1 <= cap1 and e2 <= cap2 and e3 <= cap3:
-                        rest = list(g0)
-                        for t in tail:
-                            rest.remove(t)
-                        # from a list: tuple() of a generator grows and shrinks its
-                        # tuple, and that raised enumerate's peak RSS by 0.4 MB
-                        found.append(tuple([theta_z - x for x in reversed(rest)]))
+                    else:
+                        last(budget - delta, a, u, ntl, ntr)
 
     # |tail| <= 2m - 1, since |F| >= 2, so the tail always fits after h_0
     for h0 in range(m, min(cap1, tail[0] if tail else cap1) + 1):
         g0[0] = h0
-        if tail and h0 == tail[0]:
-            place(1, h0 - m, 1, len(tail) - 1)
-        elif g_lo <= h0 <= g_hi:
-            place(1, h0 - m, 0, len(tail) - 1)
+        tl = 1 if tail and h0 == tail[0] else 0
+        if tl or g_lo <= h0 <= g_hi:
+            if m == 1:
+                last(h0 - 1, h0, theta_g, tl, len(tail) - 1)
+            else:
+                place(1, h0 - m, tl, len(tail) - 1)
     del place  # it refers to itself, so each window would leave a cycle for the collector
     found.sort()
     return found
@@ -671,16 +735,31 @@ def _candidates_for_d(
     this accepts exactly the G0 that contain the tail and whose other
     entries come from F, and each of them once.
 
-    Three cuts follow from the mci triple.  ``mci_from_sorted`` in the
+    Once pair m - 1 is placed, the last pair's sum s is fixed and at most
+    two tail values are left for its two slots, so its a are computed, not
+    searched: with no tail value left they form one interval; with one
+    value t left, a = t, or else u = t with a = s - t < t from F; with two
+    left, a and u are those two.
+
+    Four cuts follow from the mci triple.  ``mci_from_sorted`` in the
     gorenstein module reads B = {2 <= i <= m | theta_g <= h_i +
     h_{2m+2-i}}; when B is not empty, e_2 = h_{max B} and e_3 =
-    h_{2m+2-min B}.
+    h_{2m+2-min B}.  When B is empty, it reads C = {3 <= i <= m + 1 |
+    theta_g <= h_i + h_{2m+3-i}}, and e_3 = h_{max C} if C is not empty.
     - e_2 >= h_1 in every case, so h_1 <= cap_2.
     - An index i >= 2 with h_i + h_{2m+2-i} >= theta_g is in B, so
       h_i <= e_2 <= cap_2.
     - The first index b in B gives e_3 = h_{2m+2-b}, so h_{2m+2-b} <=
       cap_3.  The entries h_{2m+2-i} fall as i grows, so the search checks
       h_{2m+2-i} at every index i in B.
+    - On the last pair (a, u) = (h_m, h_{m+1}) with m >= 2 and u_prev =
+      h_{m+2}: if u + u_prev >= theta_g, then e_3 >= u.  If B is not
+      empty, min B <= m, so e_3 = h_{2m+2-min B} >= h_{m+2} >= u.  If B
+      is empty, m + 1 is in C, and it is the largest index C can hold, so
+      e_3 = h_{m+1} = u.  So u <= max(cap_3, theta_g - 1 - u_prev): the
+      search keeps a >= s - max(cap_3, theta_g - 1 - u_prev), and it
+      skips the pair when ceil(s / 2) exceeds that max.  With m = 1 the
+      mci triple is (h_0, a, u), so there u <= cap_3 and a <= cap_2.
 
     So every complete G0 passes Gaeta-Diesel, with norm(G0) = m * theta_g,
     and it is kept when its mci triple from ``mci_from_sorted`` is within

@@ -421,9 +421,11 @@ def test_enumerate_self_check_is_live(monkeypatch):
 
 def test_enumerate_search_tree_is_pinned(monkeypatch):
     """mci_from_sorted runs once per complete G0 of the F search and once per
-    self-check: 4,956 calls at (12, 5), for 3,439 complete G0 and 1,517
-    emitted triples.  The search builds G0 from its Gaeta-Diesel pair sums,
-    so gaeta_diesel_violation runs only in the self-check, once per triple."""
+    self-check: 3,239 calls at (12, 5), for 1,722 complete G0 and 1,517
+    emitted triples.  Before the last pair was bounded by stage 3 the
+    search completed 3,439 G0 (test_last_pair_stage3_bound).  The search
+    builds G0 from its Gaeta-Diesel pair sums, so gaeta_diesel_violation
+    runs only in the self-check, once per triple."""
     calls = {"mci_from_sorted": 0, "gaeta_diesel_violation": 0}
 
     def counted(name, fn):
@@ -436,7 +438,7 @@ def test_enumerate_search_tree_is_pinned(monkeypatch):
     monkeypatch.setattr(aci, "mci_from_sorted", counted("mci_from_sorted", mci_from_sorted))
     monkeypatch.setattr(aci, "gaeta_diesel_violation", counted("gaeta_diesel_violation", gaeta_diesel_violation))
     assert len(list(enumerate_admissible(12, 5))) == 1517
-    assert calls == {"mci_from_sorted": 4956, "gaeta_diesel_violation": 1517}
+    assert calls == {"mci_from_sorted": 3239, "gaeta_diesel_violation": 1517}
 
 
 # NDJSON of the stream as the CLI prints it, recorded before the F search
@@ -848,6 +850,14 @@ def test_sorted_d_tuples_match_grouped_sort():
         assert list(aci._sorted_d_tuples(max_degree)) == expected, max_degree
 
 
+def _submultisets(values):
+    """Every distinct submultiset of a list of ints, as sorted tuples."""
+    out = {()}
+    for v in sorted(values):
+        out |= {s + (v,) for s in out}
+    return sorted(out)
+
+
 def _reference_windows(dvals, max_degree, max_f):
     """Every (S, |F|) window of D with odd |G0| by the multiset algebra, m >
     cap_1 included, as (window, total) with the tail sorted.  The total is
@@ -859,7 +869,7 @@ def _reference_windows(dvals, max_degree, max_f):
     lo = max(1, d0 + theta_z - max_degree, d0 + 1)
     hi = min(max_degree, d0 + theta_z - 1, theta_z - 1)
     out = []
-    for s_tuple in aci._submultisets(dstar_list):
+    for s_tuple in _submultisets(dstar_list):
         s = ms(s_tuple)
         dbar = dstar.diff(s)
         ehat = dbar.affine(d0, 1).sum(s.affine(theta_z, -1))
@@ -948,12 +958,35 @@ def test_check_betti_verdicts_equal_keyword_built_ones():
     assert stages == {None: 326, 1: 599, 2: 812, 3: 302}
 
 
-@pytest.mark.parametrize("max_degree, max_f, lines", [(12, 5, 1517), (10, 6, 473)])
+def _last_pair_case(g0, tail):
+    """How the F search settles the last pair of a sorted G0 that holds the
+    sorted tail: "m = 1", or by the tail values left for it after the
+    greedy matching of h_0 and the pairs before it."""
+    m = len(g0) // 2
+    if m == 1:
+        return "m = 1"
+    tl, tr = 0, len(tail) - 1
+    if tail and g0[0] == tail[0]:
+        tl = 1
+    for i in range(1, m):
+        if tl <= tr and g0[i] == tail[tl]:
+            tl += 1
+        if tl <= tr and g0[2 * m + 1 - i] == tail[tr]:
+            tr -= 1
+    left = tr - tl + 1
+    if left == 1:
+        return "one as a" if g0[m] == tail[tl] else "one as u"
+    return {0: "none", 2: "two"}[left]
+
+
+@pytest.mark.parametrize("max_degree, max_f, lines", [(12, 5, 1517), (10, 6, 473), (10, 8, 478)])
 def test_pruned_f_search_equals_filtered_full_search(max_degree, max_f, lines):
     """Over every reference window, the F search loses no F that passes
     Gaeta-Diesel and stage 3, and keeps none that fails them; a window with
-    m > cap_1 holds none, and the search leaves it out."""
+    m > cap_1 holds none, and the search leaves it out.  Each case of the
+    closed-form last pair holds an F in some window."""
     windows = whole_window_cuts = kept = 0
+    cases = dict.fromkeys(("none", "one as a", "one as u", "two", "m = 1"), 0)
     for dvals in aci._sorted_d_tuples(max_degree):
         theta_z = sum(dvals[1:])
         theta_g = theta_z - dvals[0]
@@ -974,9 +1007,60 @@ def test_pruned_f_search_equals_filtered_full_search(max_degree, max_f, lines):
                 whole_window_cuts += 1
             windows += 1
             kept += len(expected)
+            for case in {_last_pair_case(sorted([theta_z - x for x in f] + w.tail), w.tail) for f in expected}:
+                cases[case] += 1
         assert sorted(aci._f_windows(dvals, max_degree, max_f)) == sorted(searched), dvals
     assert windows > whole_window_cuts > 0
     assert kept >= lines
+    assert all(cases.values()), cases
+
+
+def test_last_pair_stage3_bound(monkeypatch):
+    """The fourth cut of _candidates_for_d, on every complete G0 of the
+    unpruned reference windows at (12, 5).  Wherever m >= 2 and h_{m+1} +
+    h_{m+2} >= theta_g, the mci triple has e_3 >= h_{m+1}.  The search
+    completed 3,439 G0 without the cut: those that pass Gaeta-Diesel,
+    h_0 <= cap_1, h_1 <= cap_2 and the B cuts.  The cut removes 1,717 of
+    them, each with e_3 = u > cap_3, and the search now calls
+    mci_from_sorted exactly on the others."""
+    lemma_cases = leaves = removed = 0
+    searched = []
+    for dvals in aci._sorted_d_tuples(12):
+        theta_z = sum(dvals[1:])
+        theta_g = theta_z - dvals[0]
+        for w, total in _reference_windows(dvals, 12, 5):
+            cap1, cap2, cap3 = w.caps
+            if _searched(w):
+                searched.append((dvals, w))
+            for f in _fixed_sum_tuples(w.lo, w.hi, w.k, total):
+                h = sorted([theta_z - x for x in f] + w.tail)
+                m = len(h) // 2
+                e3 = mci_from_sorted(h, theta_g)[2]
+                if m >= 2 and h[m + 1] + h[m + 2] >= theta_g:
+                    assert e3 >= h[m + 1], (dvals, w, f)
+                    lemma_cases += 1
+                if gaeta_diesel_violation(h, theta_g) is not None or h[0] > cap1 or h[1] > cap2:
+                    continue
+                b = [i for i in range(2, m + 1) if h[i] + h[2 * m + 2 - i] >= theta_g]
+                if any(h[i] > cap2 or h[2 * m + 2 - i] > cap3 for i in b):
+                    continue
+                leaves += 1
+                u = h[m + 1]
+                if u > max(cap3, theta_g - 1 - h[m + 2] if m >= 2 else -1):
+                    assert e3 == u > cap3, (dvals, w, f)
+                    removed += 1
+    calls = 0
+
+    def counted(h, theta):
+        nonlocal calls
+        calls += 1
+        return mci_from_sorted(h, theta)
+
+    monkeypatch.setattr(aci, "mci_from_sorted", counted)
+    for dvals, w in searched:
+        aci._admissible_f_tuples(dvals, w)
+    assert lemma_cases > 1000
+    assert (leaves, removed, calls) == (3439, 1717, 1722)
 
 
 def test_f_search_keeps_the_socle_balance_whatever_the_total():
