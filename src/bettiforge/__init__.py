@@ -1,75 +1,63 @@
-"""Exact pfaffian algebra and Betti-sequence classification for codimension-3 almost complete intersections."""
+"""Exact pfaffian algebra and Betti-sequence classification for codimension-3 almost complete intersections.
 
-from .multiset import IntMultiset
-from .exact import Poly, PolyMatrix, parse_poly, parse_matrix, variables
-from .pfaffian import (
-    AlternatingMatrix,
-    block_pfaffian,
-    congruence,
-    sign_bracket,
-    three_generator_embedding,
-)
-from .gorenstein import (
-    GorensteinBetti,
-    HilbertFn,
-    check_gorenstein_betti,
-    ci_index_sets,
-    hilbert_from_resolution,
-    hilbert_of_ci,
-    mci,
-)
-from .aci import (
-    AciBetti,
-    AciDecomposition,
-    Verdict,
-    check_betti,
-    decompose,
-    enumerate_admissible,
-    induced_gorenstein,
-    link_betti,
-)
-from .structure import (
-    AlternatingPresentation,
-    GradedComplex,
-    GradedFreeModule,
-    build_aci_complex,
-    colon_generators,
-    verify_complex,
-)
+The exported names resolve lazily (PEP 562): each is imported from its
+home module on first access and then cached here, so ``import bettiforge``
+loads none of the package's modules, and the numeric code paths never
+load the polynomial ones (``exact``, ``pfaffian``, ``structure``).
+"""
 
-__all__ = [
-    "IntMultiset",
-    "Poly",
-    "PolyMatrix",
-    "parse_poly",
-    "parse_matrix",
-    "variables",
-    "AlternatingMatrix",
-    "block_pfaffian",
-    "congruence",
-    "sign_bracket",
-    "three_generator_embedding",
-    "GorensteinBetti",
-    "HilbertFn",
-    "check_gorenstein_betti",
-    "ci_index_sets",
-    "hilbert_from_resolution",
-    "hilbert_of_ci",
-    "mci",
-    "AciBetti",
-    "AciDecomposition",
-    "Verdict",
-    "check_betti",
-    "decompose",
-    "enumerate_admissible",
-    "induced_gorenstein",
-    "link_betti",
-    "AlternatingPresentation",
-    "GradedComplex",
-    "GradedFreeModule",
-    "build_aci_complex",
-    "colon_generators",
-    "verify_complex",
-]
+import importlib
+
+# Each exported name and the module that defines it.
+_HOMES = {
+    "IntMultiset": "multiset",
+    "Poly": "exact",
+    "PolyMatrix": "exact",
+    "parse_poly": "exact",
+    "parse_matrix": "exact",
+    "variables": "exact",
+    "AlternatingMatrix": "pfaffian",
+    "block_pfaffian": "pfaffian",
+    "congruence": "pfaffian",
+    "sign_bracket": "pfaffian",
+    "three_generator_embedding": "pfaffian",
+    "GorensteinBetti": "gorenstein",
+    "HilbertFn": "gorenstein",
+    "check_gorenstein_betti": "gorenstein",
+    "ci_index_sets": "gorenstein",
+    "hilbert_from_resolution": "gorenstein",
+    "hilbert_of_ci": "gorenstein",
+    "mci": "gorenstein",
+    "AciBetti": "aci",
+    "AciDecomposition": "aci",
+    "Verdict": "aci",
+    "check_betti": "aci",
+    "decompose": "aci",
+    "enumerate_admissible": "aci",
+    "induced_gorenstein": "aci",
+    "link_betti": "aci",
+    "AlternatingPresentation": "structure",
+    "GradedComplex": "structure",
+    "GradedFreeModule": "structure",
+    "build_aci_complex": "structure",
+    "colon_generators": "structure",
+    "verify_complex": "structure",
+}
+
+__all__ = list(_HOMES)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    try:
+        home = _HOMES[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f".{home}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

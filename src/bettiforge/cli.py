@@ -17,10 +17,10 @@ import contextlib
 import functools
 import json
 import sys
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
+from ._text import _DIGITS_RE, _NAME_RE, _clip
 from .aci import AciBetti, check_betti, enumerate_admissible, link_betti, worker_count
-from .exact import _DIGITS_RE, _NAME_RE, _clip, parse_matrix
 from .gorenstein import (
     GorensteinBetti,
     check_gorenstein_betti,
@@ -29,8 +29,11 @@ from .gorenstein import (
     mci,
 )
 from .multiset import IntMultiset
-from .pfaffian import AlternatingMatrix
-from .structure import AlternatingPresentation, build_aci_complex, verify_complex
+
+if TYPE_CHECKING:
+    from .exact import PolyMatrix
+    from .pfaffian import AlternatingMatrix
+    from .structure import AlternatingPresentation, ComplexReport, GradedComplex
 
 
 # Largest matrix `pfaffian` and `verify-structure` accept.  The worst case
@@ -39,6 +42,32 @@ from .structure import AlternatingPresentation, build_aci_complex, verify_comple
 # 2-CPU Xeon with Python 3.11; each +2 in size multiplies the terms of a
 # generic pfaffian by about 13.
 MAX_MATRIX_SIZE = 13
+
+
+# The polynomial modules (exact, pfaffian, structure) are imported on the
+# first call of the two commands that use them, `pfaffian` and
+# `verify-structure`, so the numeric commands start without loading or
+# compiling them.  The three functions below call their namesakes there;
+# they keep those names bound in this module, where bench/test_bench.py
+# reads them.
+
+
+def parse_matrix(rows, names=None) -> PolyMatrix:
+    from .exact import parse_matrix
+
+    return parse_matrix(rows, names)
+
+
+def build_aci_complex(pres: AlternatingPresentation) -> GradedComplex:
+    from .structure import build_aci_complex
+
+    return build_aci_complex(pres)
+
+
+def verify_complex(c: GradedComplex) -> ComplexReport:
+    from .structure import verify_complex
+
+    return verify_complex(c)
 
 
 class InputError(ValueError):
@@ -151,6 +180,8 @@ def _load_alternating(data) -> tuple[AlternatingMatrix, list[int] | None]:
     Matrices with more than MAX_MATRIX_SIZE rows are refused before any
     entry is parsed.
     """
+    from .pfaffian import AlternatingMatrix
+
     twists = None
     if isinstance(data, dict):
         if "entries" not in data:
@@ -256,6 +287,8 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_verify_structure(args) -> int:
+    from .structure import AlternatingPresentation
+
     data = _read_json(args.matrix)
     matrix, twists = _load_alternating(data)
     if twists is None:

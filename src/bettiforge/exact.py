@@ -80,9 +80,9 @@ from itertools import chain, compress, repeat
 from operator import itemgetter, mul, or_
 from typing import Callable, Iterable, Iterator, Sequence, Union
 
+from ._text import _DIGITS_RE, _NAME_RE, _clip
+
 Scalar = Union[int, Fraction]
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_DIGITS_RE = re.compile(r"[0-9]+")
 _SIGN_RE = re.compile(r"([+-])")
 # The exponent of a rational literal such as "2.5e-3", in the grammar
 # ``Fraction`` reads.  Fraction builds 10**k exactly, so "1e10000000" alone
@@ -201,14 +201,6 @@ def _coefficient(value) -> Scalar:
     except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"coefficient must be an integer or a rational, got {_clip(value)}") from exc
     return c.numerator if c.denominator == 1 else c
-
-
-def _clip(value) -> str:
-    """The repr of user input for an error message, cut to the first 100 characters of a string or of another repr."""
-    text = value if isinstance(value, str) else repr(value)
-    if len(text) <= 100:
-        return repr(value)
-    return f"{text[:100]!r}... ({len(text)} characters)"
 
 
 def _has_fraction(terms: dict) -> bool:

@@ -172,11 +172,10 @@ def build_aci_complex(pres: AlternatingPresentation) -> GradedComplex:
     ]
     d2_rows.append([-q for q in p123] + [-q for q in sigma])
     d2 = PolyMatrix(d2_rows)
-    lower = mat.entries[3:]  # the F rows: lambda in the G columns, beta in the F columns
-    d3 = PolyMatrix(
-        [[row[g] for row in lower] for g in range(3)]
-        + [[-e for e in row[3:]] for row in lower]
-    )
+    # d3 stacks lambda^T over -beta, where the F rows of mat hold lambda in
+    # the G columns and beta in the F columns; beta is alternating, so
+    # -beta = beta^T and d3 is the transpose of those rows
+    d3 = PolyMatrix([list(column) for column in zip(*mat.entries[3:])])
 
     modules = (
         GradedFreeModule((0,)),

@@ -363,6 +363,13 @@ def test_commands_in_one_process_share_one_parser(capsys, monkeypatch):
     assert "rejected at stage" in results[0][2] and results[2][2] == ""
 
 
+def _fresh_python(code: str, *args: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a new interpreter that imports bettiforge from this checkout; text output."""
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, timeout=60)
+
+
 def test_import_and_parser_load_no_dataclasses_or_inspect():
     """Start-up stays cheap: ``dataclasses`` pulls in ``inspect``, ``ast``, ``dis`` and ``tokenize``."""
     code = (
@@ -370,11 +377,131 @@ def test_import_and_parser_load_no_dataclasses_or_inspect():
         "bettiforge.cli.build_parser()\n"
         "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
     )
-    src = str(Path(cli.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    proc = _fresh_python(code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+# Prints the polynomial modules loaded after building the parser, after
+# three numeric commands and after `pfaffian`, with the exit codes.
+_STARTUP_CODE = """
+import io, sys
+import bettiforge, bettiforge.cli
+from bettiforge.cli import build_parser, main
+
+POLYNOMIAL = ("bettiforge.exact", "bettiforge.pfaffian", "bettiforge.structure", "fractions")
+
+def loaded():
+    return [name for name in POLYNOMIAL if name in sys.modules]
+
+def run(argv, stdin_text=""):
+    sys.stdin, sys.stdout = io.StringIO(stdin_text), io.StringIO()
+    try:
+        return main(argv)
+    finally:
+        sys.stdin, sys.stdout = sys.__stdin__, sys.__stdout__
+
+build_parser()
+print(loaded())
+codes = [
+    run(["check", "-"], sys.argv[1]),
+    run(["mci", "--gens", "[2, 2, 2]"]),
+    run(["enumerate", "--max-degree", "6", "--max-f", "3"]),
+]
+print(codes, loaded())
+print(run(["pfaffian", "-"], sys.argv[2]), loaded())
+"""
+
+
+def test_numeric_commands_load_no_polynomial_code():
+    """``import bettiforge``, the parser, ``check``, ``mci`` and ``enumerate`` leave the polynomial modules unloaded.
+
+    Only a fresh interpreter shows this: in this process other tests have
+    loaded those modules already, so a missing deferred import would pass.
+    """
+    proc = _fresh_python(_STARTUP_CODE, EX_ADMISSIBLE, json.dumps([[0, "x"], ["-x", 0]]))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "[]",
+        "[0, 0, 0] []",
+        "0 ['bettiforge.exact', 'bettiforge.pfaffian', 'fractions']",
+    ]
+
+
+_EXPORTS = [
+    "IntMultiset",
+    "Poly",
+    "PolyMatrix",
+    "parse_poly",
+    "parse_matrix",
+    "variables",
+    "AlternatingMatrix",
+    "block_pfaffian",
+    "congruence",
+    "sign_bracket",
+    "three_generator_embedding",
+    "GorensteinBetti",
+    "HilbertFn",
+    "check_gorenstein_betti",
+    "ci_index_sets",
+    "hilbert_from_resolution",
+    "hilbert_of_ci",
+    "mci",
+    "AciBetti",
+    "AciDecomposition",
+    "Verdict",
+    "check_betti",
+    "decompose",
+    "enumerate_admissible",
+    "induced_gorenstein",
+    "link_betti",
+    "AlternatingPresentation",
+    "GradedComplex",
+    "GradedFreeModule",
+    "build_aci_complex",
+    "colon_generators",
+    "verify_complex",
+]
+
+# Prints one line per failed property of the lazily resolved package
+# surface, and "ok" last.
+_SURFACE_CODE = """
+import importlib, json, sys
+import bettiforge
+
+exports = json.loads(sys.argv[1])
+if bettiforge.__all__ != exports:
+    print("__all__", bettiforge.__all__)
+listed = dir(bettiforge)
+for name in exports:
+    if name not in listed:
+        print("dir lacks", name)
+for name in exports:
+    obj = getattr(bettiforge, name)
+    home = importlib.import_module(obj.__module__)
+    if home.__name__ == "bettiforge" or getattr(home, name) is not obj:
+        print("getattr", name, obj.__module__)
+star = {}
+exec("from bettiforge import *", star)
+for name in exports:
+    if star.get(name) is not getattr(bettiforge, name):
+        print("import *", name)
+try:
+    bettiforge.no_such_name
+except AttributeError as exc:
+    print("AttributeError:", exc)
+print("ok")
+"""
+
+
+def test_package_surface_resolves_each_name_to_its_home():
+    """Every name of ``bettiforge.__all__`` is the object of its home module, by attribute, by ``*`` and in ``dir``."""
+    proc = _fresh_python(_SURFACE_CODE, json.dumps(_EXPORTS))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "AttributeError: module 'bettiforge' has no attribute 'no_such_name'",
+        "ok",
+    ]
 
 
 def test_pfaffian_rejects_degrees_above_cap(capsys):
