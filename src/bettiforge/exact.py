@@ -44,30 +44,31 @@ kernel, ``_sum_of_products``: it adds every term product of
 sum(a_k * b_k) straight into one dict instead of building a polynomial
 per product and per partial sum.
 
-Matrix products and pfaffians of forms in few variables skip that
-dict.  ``_Dense`` maps a homogeneous int polynomial of degree d in n
-variables to one int, phi(P) = sum c * 2**(s * idx), with a slot width
-s of 32 or 64 bits and idx = e1*b**(n-2) + ... + e(n-1) for a degree
+The pfaffian memo and the composition zero test skip that dict for
+forms in few variables.  ``_Dense`` maps a homogeneous int polynomial of
+degree d in n variables to one int, phi(P) = sum c * 2**(s * idx), with
+a slot width of s bits and idx = e1*b**(n-2) + ... + e(n-1) for a degree
 bound D and b = D + 1; the last exponent follows from d.  phi is the
 evaluation x_i -> 2**(s * b**(n-1-i)), x_n -> 1, a ring homomorphism,
 so sums and products of encoded values are exact at any size.  Decoding
 needs every exponent at most D and every coefficient below 2**(s - 1)
 in size: then adding 2**(s - 1) to every slot leaves one coefficient per
 slot.  Callers bound both from their operands' degrees and L1 norms
-(the L1 norm of a product is at most the product of the norms), take
-32-bit slots when the coefficient bound is below 2**31 and 64-bit ones
-when it is below 2**63, and keep to ``_sum_of_products`` when a bound
-does not fit, when the ring has more than three variables, or when the
-operands' terms fill too few of the slots their ints span to pay for
-the int products (``_MIN_FILL``).  ``PolyMatrix._route`` makes that
-choice for every matrix product.
+(the L1 norm of a product is at most the product of the norms).
+``_Dense.fit`` takes 32-bit slots when the coefficient bound is below
+2**31 and 64-bit ones when it is below 2**63, and refuses a bound that
+does not fit, a ring of more than three variables and a box of more
+than ``_MAX_SLOTS`` slots; callers also keep to ``_sum_of_products``
+when the operands' terms fill too few of the slots their ints span to
+pay for the int products (``_MIN_FILL``).
 
 ``PolyMatrix.product_witness`` tells whether a product is zero, and names
-its first nonzero entry, without building it where ``@`` goes dense:
-each entry is tested for zero on the Kronecker images of its operands at
-the bound's own width, slots of s bits for a coefficient bound below
-2**s, and is never decoded.  The lowest nonzero slot of a nonzero form
-cannot cancel, since its coefficient is below 2**s in size.
+its first nonzero entry.  Where the operands fit a codec and fill it, no
+product is built: each entry is tested for zero on the Kronecker images
+of its operands at the bound's own width, slots of s bits for a
+coefficient bound below 2**s, and is never decoded.  The lowest nonzero
+slot of a nonzero form cannot cancel, since its coefficient is below
+2**s in size.  ``@`` always sums on the dict kernel.
 """
 
 from __future__ import annotations
@@ -107,8 +108,9 @@ _MAX_DENSE_VARIABLES = 3
 _MAX_SLOTS = 4096
 # Multiplying ints of s and t slots costs about s * t / 32 term products of
 # _sum_of_products (5 ns a slot pair against 160 ns a term product, CPython
-# 3.11 on a shared 2-vCPU Xeon), so a product goes dense when the fills
-# (terms per slot, see _fill) of its two sides multiply to at least this;
+# 3.11 on a shared 2-vCPU Xeon), so the composition zero test goes dense
+# when the fills (terms per slot, see _fill) of its two sides multiply to
+# at least this;
 # ROADMAP "Decided" has the measurements.
 _MIN_FILL = 1 / 32
 
@@ -871,75 +873,51 @@ class PolyMatrix:
     def scale(self, factor: Poly | Scalar) -> "PolyMatrix":
         return PolyMatrix([[e * factor for e in row] for row in self.entries])
 
-    def _route(self, other: "PolyMatrix") -> tuple[tuple[tuple[Poly, ...], ...], _Dense | None, int]:
-        """The columns of ``other``, then the codec and coefficient bound of ``self @ other``; codec None means the kernel.
-
-        ``@`` and ``product_witness`` both route here.  An entry over k pairs
-        has degree at most d_A + d_B and coefficients at most k * L_A * L_B.
-        The product goes dense when both sides are int forms of one ring,
-        ``_Dense.fit`` takes those bounds and the fills of the two sides
-        multiply to at least ``_MIN_FILL``.
-        """
+    def __matmul__(self, other: "PolyMatrix") -> "PolyMatrix":
         if self.cols != other.rows:
             raise ValueError(
                 f"dimension mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}"
             )
         columns = tuple(zip(*other.entries))
-        left = _int_forms(chain(*self.entries))
-        right = left and _int_forms(chain(*columns))
-        if not right or left[0] and right[0] and left[0] != right[0]:
-            return columns, None, 0
-        bound = self.cols * left[2] * right[2]
-        codec = _Dense.fit(left[0] or right[0], left[1] + right[1], bound)
-        if codec is not None and _fill(self.entries, codec) * _fill(columns, codec) < _MIN_FILL:
-            codec = None
-        return columns, codec, bound
-
-    def __matmul__(self, other: "PolyMatrix") -> "PolyMatrix":
-        columns, codec, _ = self._route(other)
-        if codec is None:
-            return PolyMatrix([[_entry_sum(row, col) for col in columns] for row in self.entries])
-
-        def entry(row: Sequence[Poly], col: Sequence[Poly], forms) -> Poly:
-            # a dense sum of one positive degree is in the codec's ring, and one of no
-            # product is the nameless zero; constants, whose ring only the operands
-            # tell, and products of mixed degrees go to the kernel
-            form = _dense_sum(zip(*forms))
-            if form and form[1] != 0:
-                return codec.decode(form, codec.names if form[1] else ())
-            return _entry_sum(row, col)
-
-        # each entry is encoded once
-        dense_rows = [list(map(codec.encode, row)) for row in self.entries]
-        dense_cols = [list(map(codec.encode, col)) for col in columns]
-        return PolyMatrix(
-            [
-                [entry(row, col, (r, c)) for col, c in zip(columns, dense_cols)]
-                for row, r in zip(self.entries, dense_rows)
-            ]
-        )
+        return PolyMatrix([[_entry_sum(row, col) for col in columns] for row in self.entries])
 
     def product_witness(self, other: "PolyMatrix") -> tuple[int, int, Poly] | None:
         """The first nonzero entry of ``self @ other`` in row-major order, as 0-based (i, j, entry); None when the product is zero.
 
-        Where ``@`` goes dense, no product is built: each entry is tested on
-        the Kronecker images of its operands, under a codec whose slots have
-        the bit length s of the coefficient bound, and nothing is decoded.
-        The image of a nonzero form E of one degree is 2**(s * idx) * (c +
-        2**s * m) for its lowest nonzero coefficient c and some int m, and
-        0 < |c| <= bound < 2**s, so it is not zero.  Only an entry whose
-        image is nonzero, or whose products differ in degree (``_dense_sum``
-        gives None), is summed by the kernel.  Where ``@`` takes the kernel,
-        the whole product is built as ``@`` builds it, refusals included.
+        An entry over k pairs has degree at most d_A + d_B and coefficients
+        at most the bound k * L_A * L_B.  When both sides are int forms of
+        one ring, ``_Dense.fit`` takes those bounds and the fills of the two
+        sides multiply to at least ``_MIN_FILL``, no product is built: each
+        entry is tested on the Kronecker images of its operands, under a
+        codec whose slots have the bit length s of the bound, and nothing
+        is decoded.  The image of a nonzero form E of one degree is
+        2**(s * idx) * (c + 2**s * m) for its lowest nonzero coefficient c
+        and some int m, and 0 < |c| <= bound < 2**s, so it is not zero.
+        Only an entry whose image is nonzero, or whose products differ in
+        degree (``_dense_sum`` gives None), is summed by the kernel.  A
+        bound of 0 means a side is all zero, and so is the product.
+        Otherwise the whole product is built by ``@``, refusals included.
         """
-        columns, codec, bound = self._route(other)
+        left = _int_forms(chain(*self.entries))
+        right = left and self.cols == other.rows and _int_forms(chain(*other.entries))
+        codec = None
+        if right and (left[0] == right[0] or not left[0] or not right[0]):
+            bound = self.cols * left[2] * right[2]
+            if not bound:
+                return None
+            ring, degree = left[0] or right[0], left[1] + right[1]
+            if _Dense.fit(ring, degree, bound) is not None:
+                # the fill does not depend on the slot width, so the test codec routes too
+                codec = _Dense(ring, degree, bound.bit_length())
+                if _fill(self.entries, codec) * _fill(other.entries, codec) < _MIN_FILL:
+                    codec = None
         if codec is None:
-            product = [[_entry_sum(row, col) for col in columns] for row in self.entries]
+            product = self @ other
             return next(((i, j, e) for i, row in enumerate(product) for j, e in enumerate(row) if e._terms), None)
-        test = _Dense(codec.names, codec._base - 1, bound.bit_length())
-        dense_cols = [list(map(test.encode, col)) for col in columns]
+        columns = tuple(zip(*other.entries))
+        dense_cols = [list(map(codec.encode, col)) for col in columns]
         for i, row in enumerate(self.entries):
-            r = list(map(test.encode, row))
+            r = list(map(codec.encode, row))
             for j, (col, c) in enumerate(zip(columns, dense_cols)):
                 form = _dense_sum(zip(r, c))
                 if form is None or form[0]:

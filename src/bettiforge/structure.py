@@ -19,13 +19,13 @@ sigma the F-part of the pfaffian vector.  The signs above are the unique
 choice (up to simultaneous unit changes) making both compositions vanish
 identically; composition-zero, homogeneity and rank bookkeeping are
 checked by :func:`verify_complex`.  The compositions are tested for zero
-with ``PolyMatrix.product_witness``: where a product would go dense, on
-the Kronecker images of its operands at the width of its coefficient
-bound, never decoded; the product is built only where it would take the
-dict kernel, and one entry only for a witness.  Exactness itself is not
-verified here: that needs depth machinery far beyond exact arithmetic,
-and the construction is used as a complex-builder whose degree
-bookkeeping must agree with the multiset-level linkage.
+with ``PolyMatrix.product_witness``: where the operands fit the dense
+codec and fill it, on their Kronecker images at the width of the
+coefficient bound, never decoded, with one entry built only for a
+witness; elsewhere the product is built on the dict kernel.  Exactness
+itself is not verified here: that needs depth machinery far beyond exact
+arithmetic, and the construction is used as a complex-builder whose
+degree bookkeeping must agree with the multiset-level linkage.
 """
 
 from __future__ import annotations
@@ -226,9 +226,9 @@ def verify_complex(c: GradedComplex) -> ComplexReport:
     Homogeneity: entry (i, j) of maps[k] must be homogeneous of degree
     source_twist(j) - target_twist(i); zero entries are exempt, and any
     slot whose required degree is negative must be zero.  Composition-zero:
-    ``PolyMatrix.product_witness`` tests maps[k] @ maps[k + 1] on Kronecker
-    images at the bound's own width where the product would go dense, and
-    the witness is its first nonzero entry in row-major order.
+    ``PolyMatrix.product_witness`` tests maps[k] @ maps[k + 1], on Kronecker
+    images at the bound's own width where the operands fit the dense codec,
+    and the witness is its first nonzero entry in row-major order.
     """
     hom_witness = None
     for k, mp in enumerate(c.maps):

@@ -214,7 +214,7 @@ def graded_matrix(rng, names, row_degrees, col_degrees, coeff=5):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_graded_products_take_the_dense_path(n, monkeypatch):
+def test_graded_products_match_the_operators_without_a_codec(n, monkeypatch):
     rng = random.Random(20 + n)
     names = RINGS[n]
     cases = []
@@ -233,48 +233,11 @@ def test_graded_products_take_the_dense_path(n, monkeypatch):
     cases.append((skew, PolyMatrix([[x[0]], [x[1]], [x[2]]]), PolyMatrix([[Poly.zero(names)]] * 3)))
 
     def broken(*args, **kwargs):
-        raise AssertionError("dict kernel called")
+        raise AssertionError("codec built")
 
-    monkeypatch.setattr(exact, "_sum_of_products", broken)
+    monkeypatch.setattr(_Dense, "__init__", broken)
     for a, b, want in cases:
         assert_same_matrix(a @ b, want)
-
-
-def test_product_fallbacks_match_the_operators(monkeypatch):
-    rng = random.Random(31)
-    names = RINGS[2]
-    x, y = Poly.variable("x1", names), Poly.variable("x2", names)
-    huge = Poly._trusted(names, {k: 2**40 for k in x._terms})
-    root = math.isqrt(TOP)
-    wide = random_form(rng, RINGS[3], 40)  # decoded degree 80 in 3 variables: 81**2 slots
-    calls = []
-    monkeypatch.setattr(exact, "_sum_of_products", lambda pairs, names=(): calls.append(1) or _sum_of_products(pairs, names))
-    cases = {
-        # per entry: the (0, 0) entry mixes degrees 2 and 1, the (0, 1) entry is dense
-        "mixed degrees": (PolyMatrix([[x, Poly.const(1, names)]]), PolyMatrix([[y, x], [x, x * y]]), 1),
-        "not homogeneous": (PolyMatrix([[x + y * y]]), PolyMatrix([[y]]), 1),
-        "fraction": (PolyMatrix([[x * Fraction(1, 3)]]), PolyMatrix([[y]]), 1),
-        "over 64 bits": (PolyMatrix([[huge, huge]]), PolyMatrix([[huge], [huge]]), 1),
-        # each product fits a slot, their sum of k = 2 does not
-        "sum over 64 bits": (PolyMatrix([[root * x, root * x]]), PolyMatrix([[root * x], [root * x]]), 1),
-        "large box": (PolyMatrix([[wide]]), PolyMatrix([[wide]]), 1),
-        "two rings": (PolyMatrix([[x]]), PolyMatrix([[Poly.variable("z", ("z",))]]), None),
-        "no ring": (PolyMatrix([[2, 3]]), PolyMatrix([[5], [-7]]), 1),
-        "four variables": (PolyMatrix([[Poly.variable("x4", RINGS[4])]]), PolyMatrix([[Poly.variable("x1", RINGS[4])]]), 1),
-        # x1**8 spans 137 slots of the degree-16 codec in three variables: fills 1/137 * 1 < 1/32
-        "sparse": (PolyMatrix([[Poly.variable("x1", RINGS[3]) ** 8]]), PolyMatrix([[Poly.variable("x3", RINGS[3]) ** 8]]), 1),
-        # degree-0 entries take the ring of their first named operand, or none: the kernel names them
-        "constants": (PolyMatrix([[3, Poly.const(2, names)], [3, 4]]), PolyMatrix([[5, x], [-7, y]]), 2),
-    }
-    for label, (a, b, fallbacks) in cases.items():
-        calls.clear()
-        try:
-            got = a @ b
-        except ValueError as exc:
-            assert fallbacks is None and "variable sets differ" in str(exc), label
-            continue
-        assert_same_matrix(got, operator_matmul(a, b))
-        assert len(calls) == fallbacks, label
 
 
 # ----------------------------------------------------------------------
@@ -292,15 +255,12 @@ def typed_witness(a, b):
     return hit and (hit[0], hit[1], typed(hit[2]))
 
 
-def zero_test_outcome(a, b):
-    """The first nonzero entry of ``a @ b``, then ``a.product_witness(b)``: each a value or ("error", message)."""
-    outcomes = []
-    for run in (lambda: first_nonzero(a @ b), lambda: typed_witness(a, b)):
-        try:
-            outcomes.append(run())
-        except ValueError as exc:
-            outcomes.append(("error", str(exc)))
-    return outcomes
+def outcome(run):
+    """What ``run()`` returns, or ("error", message) for a ValueError."""
+    try:
+        return run()
+    except ValueError as exc:
+        return "error", str(exc)
 
 
 def zero_test_corpus():
@@ -358,11 +318,32 @@ def zero_test_corpus():
     broken = [list(r) for r in m.to_poly_matrix().entries]
     broken[-1][0] = broken[-1][0] + Poly.variable("x2", RINGS[3])
     cases.append(("pfaffian syzygy, last entry", PolyMatrix(broken), p, "dense"))
-    for fixture, routes in (("structure-11.json", ("dense", "dense")), ("structure-11-x20.json", ("kernel", "dense"))):
+    fixtures = (
+        ("structure-11.json", ("dense", "dense")),
+        ("structure-11-x20.json", ("kernel", "dense")),
+        ("structure-11-x4.json", ("kernel", "kernel")),  # four variables
+    )
+    for fixture, routes in fixtures:
         matrix, data = load_fixture(fixture)
         d = build_aci_complex(AlternatingPresentation(matrix, (2, 5, 9), tuple(data["twists"]))).maps
         cases.append((f"{fixture} d1 @ d2", d[0], d[1], routes[0]))
         cases.append((f"{fixture} d2 @ d3", d[1], d[2], routes[1]))
+    # operands the codec refuses, or whose terms fill too few of their slots
+    huge = Poly._trusted(RINGS[2], {k: 2**40 for k in x1._terms})
+    root = math.isqrt(TOP)
+    wide = random_form(random.Random(31), RINGS[3], 40)  # degree 80 in 3 variables: 81**2 slots
+    refused = {
+        "not homogeneous": (PolyMatrix([[x1 + x2 * x2]]), PolyMatrix([[x2]])),
+        "fraction": (PolyMatrix([[x1 * Fraction(1, 3)]]), PolyMatrix([[x2]])),
+        "over 64 bits": (PolyMatrix([[huge, huge]]), PolyMatrix([[huge], [huge]])),
+        # each product fits a slot, their sum of k = 2 does not
+        "sum over 64 bits": (PolyMatrix([[root * x1, root * x1]]), PolyMatrix([[root * x1], [root * x1]])),
+        "large box": (PolyMatrix([[wide]]), PolyMatrix([[wide]])),
+        "four variables": (PolyMatrix([[Poly.variable("x4", RINGS[4])]]), PolyMatrix([[Poly.variable("x1", RINGS[4])]])),
+        # x1**8 spans 137 slots of the degree-16 codec in three variables: fills 1/137 * 1 < 1/32
+        "sparse": (PolyMatrix([[Poly.variable("x1", RINGS[3]) ** 8]]), PolyMatrix([[Poly.variable("x3", RINGS[3]) ** 8]])),
+    }
+    cases.extend((label, a, b, "kernel") for label, (a, b) in refused.items())
     z = Poly.variable("z", ("z",))
     cases.append(("two rings", PolyMatrix([[x1]]), PolyMatrix([[z]]), "kernel"))
     # the kernel builds every entry, so a refusal after a nonzero entry still raises
@@ -371,22 +352,38 @@ def zero_test_corpus():
     return cases
 
 
-def test_zero_test_matches_the_product():
+def test_zero_test_matches_the_product(monkeypatch):
+    """``product_witness`` agrees with the first nonzero entry of ``@``; it calls ``@`` exactly on the kernel route."""
     corpus = zero_test_corpus()
     seen = {"dense": [0, 0], "kernel": [0, 0]}
+    calls = []
+    matmul = PolyMatrix.__matmul__
+    monkeypatch.setattr(PolyMatrix, "__matmul__", lambda a, b: calls.append(1) or matmul(a, b))
     for label, a, b, route in corpus:
-        want, got = zero_test_outcome(a, b)
-        assert got == want, label
+        want = outcome(lambda: first_nonzero(a @ b))
+        calls.clear()
+        assert outcome(lambda: typed_witness(a, b)) == want, label
         if route is not None:
-            assert (a._route(b)[1] is None) == (route == "kernel"), label
+            assert bool(calls) == (route == "kernel"), label
             if want is None or want[0] != "error":
                 seen[route][want is None] += 1
     # both routes meet zero and nonzero products
     assert all(count >= 3 for counts in seen.values() for count in counts), seen
 
 
+def test_product_fallbacks_match_the_operators():
+    """Every product the zero test leaves to the kernel is ``@``, equal to the fold through the Poly operators."""
+    for label, a, b, route in zero_test_corpus():
+        if route == "kernel":
+            got, want = outcome(lambda: a @ b), outcome(lambda: operator_matmul(a, b))
+            if isinstance(want, PolyMatrix):
+                assert_same_matrix(got, want)
+            else:
+                assert got == want, label
+
+
 def test_zero_test_slots_take_the_bound_bit_length(monkeypatch):
-    """One bit fewer and "one slot short" reads zero; the test codec is built only for dense routes."""
+    """One bit fewer and "one slot short" reads zero; the test codec is built right after the one ``fit`` returns."""
     built = []
     init = _Dense.__init__
     monkeypatch.setattr(_Dense, "__init__", lambda self, names, degree, slot: built.append(slot) or init(self, names, degree, slot))
@@ -717,8 +714,8 @@ def test_slot_widths_on_the_11x11_fixtures(fixture, fits, built, monkeypatch):
     """The codecs ``fit`` picks for the memo, d1 @ d2 and d2 @ d3, and the slots of every codec built.
 
     None is the dict kernel, whose bound passes 2**63.  A composition
-    routed dense builds its zero test's codec, with the bound's own bit
-    length, right after the routing one.
+    that ``fit`` accepts builds its zero test's codec, with the bound's
+    own bit length, right after the one ``fit`` returns.
     """
     matrix, data = load_fixture(fixture)
     pres = AlternatingPresentation(matrix, (2, 5, 9), tuple(data["twists"]))
@@ -727,5 +724,5 @@ def test_slot_widths_on_the_11x11_fixtures(fixture, fits, built, monkeypatch):
     monkeypatch.setattr(_Dense, "fit", lambda *args: codecs.append(fit(*args)) or codecs[-1])
     monkeypatch.setattr(_Dense, "__init__", lambda self, names, degree, slot: slots.append(slot) or init(self, names, degree, slot))
     assert verify_complex(build_aci_complex(pres)).ok
-    assert [c and c.slot for c in codecs] == fits
+    assert [None if c is None else c.slot for c in codecs] == fits
     assert slots == built
