@@ -373,6 +373,8 @@ def check_betti(b: AciBetti) -> Verdict:
 
     Every stage reads the decomposition's runs and the sorted G0 list,
     and no multiset is built: the verdict keeps an admitted G0 as a tuple.
+    By the lemma of :func:`_candidates_for_d`, theta_g > cap_2 + cap_3, so
+    an admitted G0 has B empty and its mci triple is (h_0, h_1, e_3).
     It runs once for every triple ``enumerate`` emits, so each
     :class:`Verdict` is built with its six fields in order.
     """
@@ -584,11 +586,14 @@ def _f_windows(
 def _admissible_f_tuples(dvals: tuple[int, int, int, int], w: _FWindow) -> list[tuple[int, ...]]:
     """The F of window ``w`` whose G0 passes stage 3, in lex order.
 
-    G0 is built pair by pair from the outside in, as
-    :func:`_candidates_for_d` describes, so it passes Gaeta-Diesel and
-    only its mci triple is tested.  ``place`` loops over the pairs before
-    the last, and ``last`` settles the last pair in closed form under the
-    fourth cut; a window with m = 1 goes straight to ``last``.
+    ``w`` must be a window :func:`_f_windows` yields, so theta_g > cap_2 +
+    cap_3: the lemma of :func:`_candidates_for_d`, by which stage 3 admits
+    no G0 whose index set B is not empty.  G0 is built pair by pair from
+    the outside in, as :func:`_candidates_for_d` describes, so it passes
+    Gaeta-Diesel, B is empty, and only its e_3 is tested.  ``place``
+    loops over the pairs before the last, and ``last`` settles the last
+    pair in closed form under the last-pair cut; a window with m = 1 goes
+    straight to ``last``.
     """
     m = (w.k + len(w.tail)) // 2
     cap1, cap2, cap3 = w.caps
@@ -607,11 +612,9 @@ def _admissible_f_tuples(dvals: tuple[int, int, int, int], w: _FWindow) -> list[
             top, u_hi = cap2, cap3  # the mci triple is (h_0, a, u)
         else:
             top = theta_g - 1 - u_prev  # as in place
-            u_hi = top if top > cap3 else cap3  # the fourth cut
+            u_hi = top if top > cap3 else cap3  # the last-pair cut
             if u_hi > u_prev:
                 u_hi = u_prev
-            if u_prev <= cap3 and top < cap2:
-                top = cap2
         if tl > tr:  # a and u both from F
             a_lo = s - (u_hi if u_hi < g_hi else g_hi)
             if a_lo < a_prev:
@@ -636,8 +639,8 @@ def _admissible_f_tuples(dvals: tuple[int, int, int, int], w: _FWindow) -> list[
             return
         for a in cands:
             g0[m], g0[m + 1] = a, s - a
-            e1, e2, e3 = mci_from_sorted(g0, theta_g)
-            if e1 <= cap1 and e2 <= cap2 and e3 <= cap3:
+            # B is empty, so e_1 = h_0 and e_2 = h_1 are within their caps
+            if mci_from_sorted(g0, theta_g)[2] <= cap3:
                 rest = list(g0)
                 for t in tail:
                     rest.remove(t)
@@ -650,12 +653,10 @@ def _admissible_f_tuples(dvals: tuple[int, int, int, int], w: _FWindow) -> list[
         # and the pairs i..m share the budget of their deltas; i < m
         a_prev = g0[i - 1]
         if i == 1:
-            u_prev, top = theta_g, cap2  # no pair bounds u yet; e_2 >= h_1
+            u_prev, top = theta_g, cap2  # no pair bounds u yet; e_2 = h_1
         else:
             u_prev = g0[2 * m + 2 - i]
             top = theta_g - 1 - u_prev  # the largest h_i that keeps i out of B
-            if u_prev <= cap3 and top < cap2:
-                top = cap2  # i in B needs h_i <= e_2 and h_{2m+2-i} <= e_3
         u_lo = g_lo
         if tl <= tr:  # the tail left must lie in [a, u]
             top = min(top, tail[tl])
@@ -741,31 +742,42 @@ def _candidates_for_d(
     value t left, a = t, or else u = t with a = s - t < t from F; with two
     left, a and u are those two.
 
-    Four cuts follow from the mci triple.  ``mci_from_sorted`` in the
-    gorenstein module reads B = {2 <= i <= m | theta_g <= h_i +
-    h_{2m+2-i}}; when B is not empty, e_2 = h_{max B} and e_3 =
-    h_{2m+2-min B}.  When B is empty, it reads C = {3 <= i <= m + 1 |
-    theta_g <= h_i + h_{2m+3-i}}, and e_3 = h_{max C} if C is not empty.
-    - e_2 >= h_1 in every case, so h_1 <= cap_2.
-    - An index i >= 2 with h_i + h_{2m+2-i} >= theta_g is in B, so
-      h_i <= e_2 <= cap_2.
-    - The first index b in B gives e_3 = h_{2m+2-b}, so h_{2m+2-b} <=
-      cap_3.  The entries h_{2m+2-i} fall as i grows, so the search checks
-      h_{2m+2-i} at every index i in B.
-    - On the last pair (a, u) = (h_m, h_{m+1}) with m >= 2 and u_prev =
-      h_{m+2}: if u + u_prev >= theta_g, then e_3 >= u.  If B is not
-      empty, min B <= m, so e_3 = h_{2m+2-min B} >= h_{m+2} >= u.  If B
-      is empty, m + 1 is in C, and it is the largest index C can hold, so
-      e_3 = h_{m+1} = u.  So u <= max(cap_3, theta_g - 1 - u_prev): the
-      search keeps a >= s - max(cap_3, theta_g - 1 - u_prev), and it
-      skips the pair when ceil(s / 2) exceeds that max.  With m = 1 the
-      mci triple is (h_0, a, u), so there u <= cap_3 and a <= cap_2.
+    Stage 3 keeps B empty.  ``mci_from_sorted`` in the gorenstein module
+    reads B = {2 <= i <= m | theta_g <= h_i + h_{2m+2-i}}; when B is not
+    empty, e_2 = h_{max B} and e_3 = h_{2m+2-min B}.  When B is empty, it
+    reads C = {3 <= i <= m + 1 | theta_g <= h_i + h_{2m+3-i}}, and e_3 =
+    h_{max C} if C is not empty, else h_2.
+
+    Lemma: every window :func:`_f_windows` yields has theta_g > cap_2 +
+    cap_3.  Proof: theta_g = d_1 + d_2 + d_3 - d_0 >= d_2 + d_3 >= cap_2
+    + cap_3, since d_0 = min D and the caps only lower Dstar.  Equality
+    needs cap_2 = d_2 and cap_3 = d_3, and then, by :func:`_stage3_caps`,
+    S - T is at most one copy of d_1.  T is empty or [theta_g / 2], and
+    theta_g / 2 is in Dstar only when d_2 = d_3 = theta_g / 2.  So Dbar
+    holds the partner pair {d_2, d_3} (T empty) or theta_g / 2, which is
+    its own partner.  Either way S is not the canonical overlap, and
+    :func:`_f_windows` drops that choice.  The same holds for
+    :func:`decompose`, whose S is canonical by definition.
+
+    So a G0 with some b in B fails stage 3: e_2 + e_3 >= h_b + h_{2m+2-b}
+    >= theta_g > cap_2 + cap_3.  With B empty the mci triple is (h_0,
+    h_1, e_3), and three cuts follow.
+    - e_2 = h_1, so h_1 <= cap_2.
+    - No index i in [2, m] is in B, so h_i <= theta_g - 1 - h_{2m+2-i}.
+    - The last-pair cut, on (a, u) = (h_m, h_{m+1}) with m >= 2 and
+      u_prev = h_{m+2}: if u + u_prev >= theta_g, then m + 1 is in C, and
+      it is the largest index C can hold, so e_3 = u.  So u <= max(cap_3,
+      theta_g - 1 - u_prev): the search keeps a >= s - max(cap_3,
+      theta_g - 1 - u_prev), and it skips the pair when ceil(s / 2)
+      exceeds that max.  With m = 1 the mci triple is (h_0, a, u), so
+      there u <= cap_3 and a <= cap_2.
 
     So every complete G0 passes Gaeta-Diesel, with norm(G0) = m * theta_g,
-    and it is kept when its mci triple from ``mci_from_sorted`` is within
-    the window's caps from ``_stage3_caps``.  Each F tuple is paired with
-    its E, sorted once from (d - F) + Ehat, and the pairs are sorted once
-    by (F, E), which within one D is the order of :meth:`AciBetti.key`.
+    and has B empty, h_0 <= cap_1 and h_1 <= cap_2.  It is kept when the
+    e_3 of ``mci_from_sorted`` is within the window's cap_3 from
+    ``_stage3_caps``.  Each F tuple is paired with its E, sorted once
+    from (d - F) + Ehat, and the pairs are sorted once by (F, E), which
+    within one D is the order of :meth:`AciBetti.key`.
     No pair repeats: S is read off Ehat, so windows of one D with the same
     |F| differ in Ehat.  Each triple is then built in that order, with E
     and F, both sorted ints of this search, wrapped by

@@ -171,7 +171,8 @@ def mci_from_sorted(d: Sequence[int], theta: int) -> tuple[int, int, int]:
     sorted list of odd length 2n+1 >= 3, admissible or not.  The F search
     in the ``aci`` module reads it on each G0 it completes.  It builds
     each G0 from pair sums below theta, so that G0 passes Gaeta-Diesel by
-    construction and is not tested again there.
+    construction and is not tested again there, and it keeps B empty,
+    since stage 3 admits no G0 with B not empty; so it reads only e_3.
     """
     n = (len(d) - 1) // 2
     b_min = b_max = 0  # 0 while B is empty: B holds no index below 2

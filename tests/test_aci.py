@@ -283,6 +283,11 @@ def test_link_theta_validated():
         link_betti(ms([2, 2, 2, 2, 2]), 6, (2, 2, 2))
 
 
+def test_link_refuses_a_ci_type_of_two_degrees():
+    with pytest.raises(ValueError, match="ci_type must have exactly three degrees"):
+        link_betti(ms([2, 2, 2, 2, 2]), 5, (2, 3))
+
+
 def test_link_refuses_inadmissible_gens():
     # theta = 5 is consistent with the degrees, which fail Gaeta-Diesel
     message = "inadmissible Gorenstein Betti sequence: theta = 5 <= h_2 + h_5 = 6"
@@ -805,6 +810,26 @@ def test_admitted_gorenstein_betti_equals_validated_construction():
     assert admitted >= VERDICT_KINDS["admissible"] + 1000
 
 
+def test_decompositions_leave_no_room_for_b():
+    """The lemma of _candidates_for_d on check_betti's side: every
+    decomposition has theta_g > cap_2 + cap_3, so stage 3 admits no G0
+    whose index set B is not empty, and an admitted mci triple is
+    (h_0, h_1, e_3)."""
+    decomposed = admitted = 0
+    for b in _decomposable(_verdict_corpus()):
+        dec = decompose(b)
+        caps = aci._stage3_caps(dec.dstar.values(), dec.s_runs, dec.t.values())
+        assert dec.theta_g > caps[1] + caps[2], b
+        decomposed += 1
+        v = check_betti(b)
+        if v.admissible:
+            h, m = v.g0, len(v.g0) // 2
+            assert all(h[i] + h[2 * m + 2 - i] < v.theta_g for i in range(2, m + 1)), b
+            assert v.mci[:2] == h[:2], b
+            admitted += 1
+    assert (decomposed, admitted) == (601, VERDICT_KINDS["admissible"])
+
+
 def test_stage3_matches_reference():
     """On every decomposable triple whose G0 is admitted, check_betti's
     stage-3 decision and witness are those of the reference, run on the
@@ -902,6 +927,19 @@ def test_f_windows_match_multiset_algebra():
             dropped += len(ref) - len(expected)
             assert sorted(aci._f_windows(dvals, max_degree, max_f)) == sorted(expected), dvals
     assert dropped > 100
+
+
+def test_windows_leave_no_room_for_b():
+    """The lemma of _candidates_for_d: every window _f_windows yields has
+    theta_g > cap_2 + cap_3, so stage 3 admits no G0 whose index set B is
+    not empty, and the F search keeps B empty."""
+    windows = 0
+    for dvals in aci._sorted_d_tuples(16):
+        theta_g = sum(dvals[1:]) - dvals[0]
+        for w in aci._f_windows(dvals, 16, 40):
+            assert theta_g > w.caps[1] + w.caps[2], (dvals, w)
+            windows += 1
+    assert windows == 17548
 
 
 def _fixed_sum_tuples(lo, hi, k, total):
@@ -1016,14 +1054,15 @@ def test_pruned_f_search_equals_filtered_full_search(max_degree, max_f, lines):
 
 
 def test_last_pair_stage3_bound(monkeypatch):
-    """The fourth cut of _candidates_for_d, on every complete G0 of the
+    """The last-pair cut of _candidates_for_d, on every complete G0 of the
     unpruned reference windows at (12, 5).  Wherever m >= 2 and h_{m+1} +
-    h_{m+2} >= theta_g, the mci triple has e_3 >= h_{m+1}.  The search
-    completed 3,439 G0 without the cut: those that pass Gaeta-Diesel,
-    h_0 <= cap_1, h_1 <= cap_2 and the B cuts.  The cut removes 1,717 of
-    them, each with e_3 = u > cap_3, and the search now calls
-    mci_from_sorted exactly on the others."""
-    lemma_cases = leaves = removed = 0
+    h_{m+2} >= theta_g, the mci triple has e_3 >= h_{m+1}.  Every G0 whose
+    index set B is not empty fails the caps, as the lemma there says.  The
+    search completed 3,439 G0 without the cut: those that pass
+    Gaeta-Diesel, h_0 <= cap_1 and h_1 <= cap_2 and have B empty.  The cut
+    removes 1,717 of them, each with e_3 = u > cap_3, and the search now
+    calls mci_from_sorted exactly on the others."""
+    lemma_cases = with_b = leaves = removed = 0
     searched = []
     for dvals in aci._sorted_d_tuples(12):
         theta_z = sum(dvals[1:])
@@ -1039,10 +1078,12 @@ def test_last_pair_stage3_bound(monkeypatch):
                 if m >= 2 and h[m + 1] + h[m + 2] >= theta_g:
                     assert e3 >= h[m + 1], (dvals, w, f)
                     lemma_cases += 1
-                if gaeta_diesel_violation(h, theta_g) is not None or h[0] > cap1 or h[1] > cap2:
+                if any(h[i] + h[2 * m + 2 - i] >= theta_g for i in range(2, m + 1)):
+                    e = mci_from_sorted(h, theta_g)
+                    assert e[1] > cap2 or e[2] > cap3, (dvals, w, f)
+                    with_b += 1
                     continue
-                b = [i for i in range(2, m + 1) if h[i] + h[2 * m + 2 - i] >= theta_g]
-                if any(h[i] > cap2 or h[2 * m + 2 - i] > cap3 for i in b):
+                if gaeta_diesel_violation(h, theta_g) is not None or h[0] > cap1 or h[1] > cap2:
                     continue
                 leaves += 1
                 u = h[m + 1]
@@ -1059,7 +1100,7 @@ def test_last_pair_stage3_bound(monkeypatch):
     monkeypatch.setattr(aci, "mci_from_sorted", counted)
     for dvals, w in searched:
         aci._admissible_f_tuples(dvals, w)
-    assert lemma_cases > 1000
+    assert lemma_cases > 1000 and with_b > 1000
     assert (leaves, removed, calls) == (3439, 1717, 1722)
 
 

@@ -57,6 +57,20 @@ def test_check_explain(capsys):
     code, out, err = run_cli(["check", "-", "--explain"], EX_REJECTED, capsys)
     assert code == 1
     assert "stage 3" in err
+    code, out, err = run_cli(["check", "-", "--explain"], EX_ADMISSIBLE, capsys)
+    assert code == 0 and json.loads(out)["admissible"] is True
+    assert err == "admissible: every stage of the decision procedure passed\n"
+
+
+def test_broken_stdout_pipe_exits_0(monkeypatch):
+    """A reader that closes the pipe early, as ``head`` does, ends the command quietly."""
+
+    class ClosedPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    assert main(["mci", "--gens", "[1,1,1]"]) == 0
 
 
 def test_check_malformed_json(capsys):
@@ -243,6 +257,7 @@ def test_hilbert_rejects_negative_values(argv, message, capsys):
         (["--ci", json.dumps([1] * 3000), "--nvars", "3"], "3000 degrees in 3 variables"),
         (["--ci", "[-4,4]", "--nvars", "1"], "must be positive, got -4"),
         (["--resolution", "[[-2,2],[0]]", "--nvars", "1"], "resolves no quotient"),
+        (["--ci", "[2,2,2]", "--nvars", "0"], "nvars must be positive"),
     ],
     ids=[
         "ci-1-to-140",
@@ -255,6 +270,7 @@ def test_hilbert_rejects_negative_values(argv, message, capsys):
         "ci-3000-ones",
         "ci-negative-degree",
         "resolution-surviving-negative-twist",
+        "ci-zero-vars",
     ],
 )
 def test_hilbert_invalid_input_exits_2_at_once(argv, message, capsys):
@@ -283,8 +299,13 @@ def test_pfaffian_odd(capsys):
 
 
 def test_pfaffian_invalid_matrix(capsys):
-    code, _, err = run_cli(["pfaffian", "-"], json.dumps([[0, 1], [1, 0]]), capsys)
-    assert code == 2
+    for matrix, message in (
+        ([[0, 1], [1, 0]], "is not the negative of"),
+        ({"twists": [1]}, 'matrix object needs an "entries" key'),
+        ({"entries": [1, 2]}, "matrix entries must be an array of arrays"),
+    ):
+        code, out, err = run_cli(["pfaffian", "-"], json.dumps(matrix), capsys)
+        assert code == 2 and out == "" and message in err, matrix
 
 
 @pytest.mark.parametrize(
@@ -778,8 +799,8 @@ def test_verify_structure_rejects_non_integer_twists(twists, capsys):
 
 @pytest.mark.parametrize(
     "g_rows",
-    ["\u0663,1,2", "0_3,1,2", "1_0,2,3", "\uff11,2,3", "1,2,+3", "1,2,\t3", "1,2,3\n"],
-    ids=["arabic-indic", "underscore", "underscore-ten", "fullwidth", "plus", "tab", "newline"],
+    ["\u0663,1,2", "0_3,1,2", "1_0,2,3", "\uff11,2,3", "1,2,+3", "1,2,\t3", "1,2,3\n", "1,2"],
+    ids=["arabic-indic", "underscore", "underscore-ten", "fullwidth", "plus", "tab", "newline", "two-rows"],
 )
 def test_verify_structure_g_rows_are_ascii_digits(g_rows, capsys):
     payload = json.dumps(_presentation_payload())

@@ -222,6 +222,21 @@ def test_coefficient_exponent_is_capped():
     assert _coefficient("2.5E-4300") == Fraction(5, 2 * 10**4300)
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Poly(("x", "y"), {(1,): 1}), r"exponent \(1,\) does not match 2 variables"),
+        (lambda: Poly(("x",), {(-1,): 1}), r"negative exponent in \(-1,\)"),
+        (lambda: PolyMatrix([[1, 2], [3]]), "rows have inconsistent lengths"),
+        (lambda: PolyMatrix([[1, 2]]) + PolyMatrix([[1], [2]]), "dimension mismatch in matrix addition"),
+    ],
+    ids=["exponent-length", "negative-exponent", "ragged-rows", "add-dimensions"],
+)
+def test_construction_refusals(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 @pytest.mark.parametrize("e", [2.5, True, "3"], ids=["float", "bool", "string"])
 def test_exponents_must_be_plain_ints(e):
     with pytest.raises(ValueError, match="exponents must be ints"):

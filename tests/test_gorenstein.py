@@ -11,6 +11,7 @@ from bettiforge.gorenstein import (
     HILBERT_MAX_WORK,
     GorensteinBetti,
     GorensteinVerdict,
+    HilbertFn,
     check_gorenstein_betti,
     ci_index_sets,
     hilbert_from_resolution,
@@ -338,6 +339,16 @@ def test_hilbert_of_ci_needs_positive_degrees_one_per_variable():
     ):
         with pytest.raises(ValueError, match=message):
             hilbert_of_ci(degrees, nvars)
+
+
+@pytest.mark.parametrize(
+    "values, message",
+    [((2, 1), r"H\(0\) must be 1"), ((1, 0), "trailing zeros must be trimmed")],
+    ids=["h0-not-1", "trailing-zero"],
+)
+def test_hilbert_fn_refuses_malformed_values(values, message):
+    with pytest.raises(ValueError, match=message):
+        HilbertFn(values)
 
 
 def test_hilbert_rejects_non_artinian():

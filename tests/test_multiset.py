@@ -14,6 +14,19 @@ def test_canonical_form():
     assert ms([3, 6, 6, 6]) == ms([6, 3, 6, 6])
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: IntMultiset.empty().max(), "empty multiset has no maximum"),
+        (lambda: ms([1, 2]).affine(5, 2), r"sign must be \+1 or -1"),
+    ],
+    ids=["empty-max", "affine-sign"],
+)
+def test_operation_refusals(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 def test_invalid_entries_rejected():
     for entries in (
         ((3, 0),),

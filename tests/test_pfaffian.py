@@ -406,6 +406,23 @@ def test_entries_that_are_not_numbers_are_refused(build):
         build()
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: AlternatingMatrix([[0, 1], [-1, 0], [0, 0]]), "alternating matrix must be square"),
+        (lambda: AlternatingMatrix.from_upper(3, {(2, 1): "x"}), r"bad upper-triangle key \(2,1\)"),
+        (lambda: AlternatingMatrix([[0, 1], [-1, 0]]).augment([1, 1]), "augment requires odd size"),
+        (lambda: three_generator_embedding(ci_matrix_3x3(), [[1, 0, 0]] * 2), "exactly three coefficient vectors"),
+        (lambda: three_generator_embedding(ci_matrix_3x3(), [[1, 0, 0], [1, 0], [0, 0, 1]]), "must have length 3"),
+        (lambda: pfaffian.random_graded_alternating([2], random.Random(1)), "need at least two rows"),
+    ],
+    ids=["not-square", "upper-key", "augment-even", "embedding-count", "embedding-length", "one-row"],
+)
+def test_construction_refusals(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 def test_congruence_identity_permutation():
     m = ci_matrix_3x3()
     p = PolyMatrix([[0, 1, 0], [1, 0, 0], [0, 0, 1]])

@@ -25,6 +25,20 @@ NAMES = ("x1", "x2", "x3")
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 
+@pytest.mark.parametrize(
+    "maps, message",
+    [
+        ((), "need one map per consecutive module pair"),
+        ((PolyMatrix([[1, 2]]),), "map 0 is 1x2, expected 1x1"),
+    ],
+    ids=["map-count", "map-shape"],
+)
+def test_graded_complex_refuses_maps_that_do_not_fit(maps, message):
+    modules = (GradedFreeModule((0,)), GradedFreeModule((1,)))
+    with pytest.raises(ValueError, match=message):
+        GradedComplex(modules, maps)
+
+
 def presentation_5x5(seed=7):
     rng = random.Random(seed)
     return AlternatingPresentation(
