@@ -590,10 +590,10 @@ def _admissible_f_tuples(dvals: tuple[int, int, int, int], w: _FWindow) -> list[
     cap_3: the lemma of :func:`_candidates_for_d`, by which stage 3 admits
     no G0 whose index set B is not empty.  G0 is built pair by pair from
     the outside in, as :func:`_candidates_for_d` describes, so it passes
-    Gaeta-Diesel, B is empty, and only its e_3 is tested.  ``place``
-    loops over the pairs before the last, and ``last`` settles the last
-    pair in closed form under the last-pair cut; a window with m = 1 goes
-    straight to ``last``.
+    Gaeta-Diesel, B is empty, and only its e_3 is tested.  One routine,
+    ``place``, places every pair i = 1..m after h_0, from the previous
+    pair's a and u: pair m takes the rest of the budget, and the last-pair
+    cut bounds its u.
     """
     m = (w.k + len(w.tail)) // 2
     cap1, cap2, cap3 = w.caps
@@ -604,65 +604,24 @@ def _admissible_f_tuples(dvals: tuple[int, int, int, int], w: _FWindow) -> list[
     g0 = [0] * (2 * m + 1)
     found: list[tuple[int, ...]] = []
 
-    def last(budget: int, a_prev: int, u_prev: int, tl: int, tr: int) -> None:
-        # pair m takes the rest of the budget, and the tail left,
-        # tail[tl:tr + 1], is at most two values: its a come in closed form
-        s = theta_g - 1 - budget
-        if m == 1:
-            top, u_hi = cap2, cap3  # the mci triple is (h_0, a, u)
-        else:
-            top = theta_g - 1 - u_prev  # as in place
-            u_hi = top if top > cap3 else cap3  # the last-pair cut
+    def place(i: int, budget: int, a_prev: int, u_prev: int, tl: int, tr: int) -> None:
+        # g0[:i] and g0[2m + 2 - i:] are placed, with a_prev = h_{i-1} and
+        # u_prev = h_{2m+2-i} (theta_g for i = 1), tail[tl:tr + 1] is not,
+        # and the pairs i..m share the budget of their deltas
+        cut = theta_g - 1 - u_prev  # for i >= 2, the largest h_i that keeps i out of B
+        top = cap2 if i == 1 else cut  # e_2 = h_1
+        u_hi = u_prev
+        if i == m:  # the last-pair cut; with m = 1, cut = -1 and u <= cap_3
+            u_hi = cut if cut > cap3 else cap3
             if u_hi > u_prev:
                 u_hi = u_prev
-        if tl > tr:  # a and u both from F
-            a_lo = s - (u_hi if u_hi < g_hi else g_hi)
-            if a_lo < a_prev:
-                a_lo = a_prev
-            if a_lo < g_lo:
-                a_lo = g_lo
-            a_hi = s // 2
-            if a_hi > top:
-                a_hi = top
-            cands = range(a_lo, a_hi + 1)
-        elif tl == tr:  # one tail value t, taken as a or else as u
-            t = tail[tl]
-            v = s - t  # the other entry, from F
-            cands = []
-            if t <= v <= u_hi and t <= top and g_lo <= v <= g_hi:
-                cands.append(t)
-            if a_prev <= v < t <= u_hi and v <= top and g_lo <= v <= g_hi:
-                cands.append(v)
-        elif tail[tl] + tail[tr] == s and tail[tl] <= top and tail[tr] <= u_hi:
-            cands = (tail[tl],)  # two tail values: a and u
-        else:
-            return
-        for a in cands:
-            g0[m], g0[m + 1] = a, s - a
-            # B is empty, so e_1 = h_0 and e_2 = h_1 are within their caps
-            if mci_from_sorted(g0, theta_g)[2] <= cap3:
-                rest = list(g0)
-                for t in tail:
-                    rest.remove(t)
-                # from a list: tuple() of a generator grows and shrinks its
-                # tuple, and that raised enumerate's peak RSS by 0.4 MB
-                found.append(tuple([theta_z - x for x in reversed(rest)]))
-
-    def place(i: int, budget: int, tl: int, tr: int) -> None:
-        # g0[:i] and g0[2m + 2 - i:] are placed, tail[tl:tr + 1] is not,
-        # and the pairs i..m share the budget of their deltas; i < m
-        a_prev = g0[i - 1]
-        if i == 1:
-            u_prev, top = theta_g, cap2  # no pair bounds u yet; e_2 = h_1
-        else:
-            u_prev = g0[2 * m + 2 - i]
-            top = theta_g - 1 - u_prev  # the largest h_i that keeps i out of B
         u_lo = g_lo
         if tl <= tr:  # the tail left must lie in [a, u]
-            top = min(top, tail[tl])
+            if top > tail[tl]:
+                top = tail[tl]
             u_lo = tail[tr]
         # plain comparisons in place of min and max: this loop is the hot path
-        for delta in range(budget + 1):
+        for delta in range(budget if i == m else 0, budget + 1):  # pair m takes the rest
             s = theta_g - 1 - delta
             a_hi = s // 2
             if a_hi > s - u_lo:
@@ -671,7 +630,7 @@ def _admissible_f_tuples(dvals: tuple[int, int, int, int], w: _FWindow) -> list[
                 a_hi = top
             if a_hi < a_prev:
                 break  # a_hi falls as delta grows
-            a_lo = s - u_prev
+            a_lo = s - u_hi
             for a in range(a_prev if a_lo < a_prev else a_lo, a_hi + 1):
                 u = s - a
                 ntl, ntr = tl, tr
@@ -685,20 +644,22 @@ def _admissible_f_tuples(dvals: tuple[int, int, int, int], w: _FWindow) -> list[
                     continue
                 if ntr - ntl < 2 * (m - i):  # the tail left fits in the slots left
                     g0[i], g0[2 * m + 1 - i] = a, u
-                    if i + 1 < m:
-                        place(i + 1, budget - delta, ntl, ntr)
-                    else:
-                        last(budget - delta, a, u, ntl, ntr)
+                    if i < m:
+                        place(i + 1, budget - delta, a, u, ntl, ntr)
+                    elif mci_from_sorted(g0, theta_g)[2] <= cap3:  # B is empty: e_1 = h_0, e_2 = h_1 fit
+                        rest = list(g0)
+                        for t in tail:
+                            rest.remove(t)
+                        # from a list: tuple() of a generator grows and shrinks its
+                        # tuple, and that raised enumerate's peak RSS by 0.4 MB
+                        found.append(tuple([theta_z - x for x in reversed(rest)]))
 
     # |tail| <= 2m - 1, since |F| >= 2, so the tail always fits after h_0
     for h0 in range(m, min(cap1, tail[0] if tail else cap1) + 1):
         g0[0] = h0
         tl = 1 if tail and h0 == tail[0] else 0
         if tl or g_lo <= h0 <= g_hi:
-            if m == 1:
-                last(h0 - 1, h0, theta_g, tl, len(tail) - 1)
-            else:
-                place(1, h0 - m, tl, len(tail) - 1)
+            place(1, h0 - m, h0, theta_g, tl, len(tail) - 1)
     del place  # it refers to itself, so each window would leave a cycle for the collector
     found.sort()
     return found
@@ -736,11 +697,12 @@ def _candidates_for_d(
     this accepts exactly the G0 that contain the tail and whose other
     entries come from F, and each of them once.
 
-    Once pair m - 1 is placed, the last pair's sum s is fixed and at most
-    two tail values are left for its two slots, so its a are computed, not
-    searched: with no tail value left they form one interval; with one
-    value t left, a = t, or else u = t with a = s - t < t from F; with two
-    left, a and u are those two.
+    Every pair is placed by the same loop, the last one too: pair m takes
+    the rest of the budget, so its sum s is fixed, and the tail values
+    left for its two slots are none, one value t (taken as a, or else as
+    u with a = s - t < t from F), or two (a and u); the greedy matching
+    covers each case, and a G0 that leaves a tail value unplaced is not
+    completed.
 
     Stage 3 keeps B empty.  ``mci_from_sorted`` in the gorenstein module
     reads B = {2 <= i <= m | theta_g <= h_i + h_{2m+2-i}}; when B is not
@@ -770,7 +732,8 @@ def _candidates_for_d(
       theta_g - 1 - u_prev): the search keeps a >= s - max(cap_3,
       theta_g - 1 - u_prev), and it skips the pair when ceil(s / 2)
       exceeds that max.  With m = 1 the mci triple is (h_0, a, u), so
-      there u <= cap_3 and a <= cap_2.
+      there u <= cap_3 and a <= cap_2; the search takes u_prev = theta_g
+      for pair 1, so the same max reads cap_3 there.
 
     So every complete G0 passes Gaeta-Diesel, with norm(G0) = m * theta_g,
     and has B empty, h_0 <= cap_1 and h_1 <= cap_2.  It is kept when the

@@ -361,6 +361,14 @@ def test_enumerate_too_small_bounds():
     assert list(enumerate_admissible(2, 2)) == []
 
 
+@pytest.mark.parametrize("max_degree, max_f", [(0, 5), (5, 1)])
+def test_enumerate_below_the_least_bounds_lists_no_d(monkeypatch, max_degree, max_f):
+    """No degree is below 1 and no |F| below 2 (the CLI exits 2 on both), so
+    the stream is empty and ends before any D is listed."""
+    monkeypatch.setattr(aci, "_sorted_d_tuples", lambda max_degree: pytest.fail("D tuples listed"))
+    assert list(enumerate_admissible(max_degree, max_f)) == []
+
+
 def test_enumerate_small_bounds():
     out = list(enumerate_admissible(6, 2))
     assert len(out) == 12
@@ -997,9 +1005,10 @@ def test_check_betti_verdicts_equal_keyword_built_ones():
 
 
 def _last_pair_case(g0, tail):
-    """How the F search settles the last pair of a sorted G0 that holds the
-    sorted tail: "m = 1", or by the tail values left for it after the
-    greedy matching of h_0 and the pairs before it."""
+    """The tail case of the last pair of a sorted G0 that holds the sorted
+    tail: "m = 1", or the tail values the greedy matching of h_0 and the
+    pairs before it leaves for the last pair: none, one (taken as a or as
+    u), or two."""
     m = len(g0) // 2
     if m == 1:
         return "m = 1"
@@ -1021,8 +1030,9 @@ def _last_pair_case(g0, tail):
 def test_pruned_f_search_equals_filtered_full_search(max_degree, max_f, lines):
     """Over every reference window, the F search loses no F that passes
     Gaeta-Diesel and stage 3, and keeps none that fails them; a window with
-    m > cap_1 holds none, and the search leaves it out.  Each case of the
-    closed-form last pair holds an F in some window."""
+    m > cap_1 holds none, and the search leaves it out.  Each tail case of
+    the last pair, which the search places with the same routine as every
+    other pair, holds an F in some window."""
     windows = whole_window_cuts = kept = 0
     cases = dict.fromkeys(("none", "one as a", "one as u", "two", "m = 1"), 0)
     for dvals in aci._sorted_d_tuples(max_degree):

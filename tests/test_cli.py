@@ -599,8 +599,9 @@ STRUCTURE_11_X4 = STRUCTURE_11.with_name("structure-11-x4.json")
         (["verify-structure", "--matrix", str(STRUCTURE_11_X20), "--g-rows", "2,5,9"], "aa903cb9cf67292f74ccae089732ed0a"),
         (["pfaffian", str(STRUCTURE_11_X20)], "966763ff6407cfe1b266a2aaa8c6540e"),
         (["verify-structure", "--matrix", str(STRUCTURE_11_X4), "--g-rows", "2,5,9"], "aa903cb9cf67292f74ccae089732ed0a"),
+        (["pfaffian", str(STRUCTURE_11_X4)], "7795962ca5aebb24097131d69aa1ca4c"),
     ],
-    ids=["verify-structure", "pfaffian", "verify-structure-x20", "pfaffian-x20", "verify-structure-x4"],
+    ids=["verify-structure", "pfaffian", "verify-structure-x20", "pfaffian-x20", "verify-structure-x4", "pfaffian-x4"],
 )
 def test_structure_11_stdout_is_pinned(argv, md5):
     """Seeded linear 11x11 presentations through ``python -m bettiforge.cli``; the CI pins the same md5s."""
@@ -630,6 +631,16 @@ def test_link_degenerate(capsys):
         ["link", "--gens", "[2,2,2,2,2]", "--theta", "5", "--ci", "[1,2,2]", "--extra", "[1]"], capsys=capsys
     )
     assert code == 2 and "degenerate" in err
+
+
+def test_link_refuses_missing_ghost_degrees(capsys):
+    # d0 = 7 - 5 = 2, so the added degree 8 brings the ghost degree 10: the
+    # E level of the mapping cone holds it, the F level {{5,5,5,5}} does not
+    code, out, err = run_cli(
+        ["link", "--gens", "[2,2,2,2,2]", "--theta", "5", "--ci", "[-3,2,8]", "--extra", "[8]"], capsys=capsys
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: slot bookkeeping mismatch: ghost degrees {{10}} not present\n"
 
 
 def test_link_refuses_inadmissible_gens(capsys):
