@@ -36,7 +36,7 @@ from .gorenstein import (
     mci_from_sorted,
     theta_of,
 )
-from .multiset import IntMultiset
+from .multiset import IntMultiset, _sorted_runs
 
 _mult = itemgetter(1)  # the multiplicity of a (value, multiplicity) run
 
@@ -104,6 +104,8 @@ class AciBetti(Frozen):
 
 
 Runs = tuple[tuple[int, int], ...]  # sorted (value, multiplicity) runs of a valid multiset
+# a sorted D and the sorted (F, E) pairs of its admissible triples
+Batch = tuple[tuple[int, int, int, int], list[tuple[tuple[int, ...], tuple[int, ...]]]]
 
 
 def _multiset_on_read(field: str) -> property:
@@ -166,13 +168,18 @@ def _t_values(theta_g: int, s_runs: Runs, f_card: int, dbar_card: int) -> list[i
 
 
 def decompose(b: AciBetti) -> AciDecomposition | AciTypeFailure:
-    """Run the aci-type decomposition with d0 = min D.
+    """Run the aci-type decomposition with d0 = min D (see :func:`_decompose`)."""
+    return _decompose(b.d.entries, b.e.entries, b.f.entries)
+
+
+def _decompose(d_runs: Runs, e_runs: Runs, f_runs: Runs) -> AciDecomposition | AciTypeFailure:
+    """The aci-type decomposition of the sorted runs of D, E and F, with d0 = min D.
 
     Succeeds iff (d - F) is a submultiset of E and the leftover
     Ehat = E \\ (d - F) splits exactly as (d0 + Dbar) + (theta_z - S) with
     S = Dstar & (theta_z - Ehat).
 
-    One pass over the sorted ``entries``.  Ehat is a value -> multiplicity
+    One pass over the sorted runs.  Ehat is a value -> multiplicity
     dict taken from E's runs; deleting keys keeps a dict's order, so it
     stays sorted, and every count kept is positive.  Dstar is a slice of
     D's runs with d0's count lowered.  One loop over it builds the runs of
@@ -181,14 +188,13 @@ def decompose(b: AciBetti) -> AciDecomposition | AciTypeFailure:
     decomposition keeps those runs as tuples and builds no multiset (see
     :class:`AciDecomposition`); a failure keeps the raw runs it reports.
     """
-    d_runs = b.d.entries
     d_norm = 0
     for v, m in d_runs:
         d_norm += v * m
-    ehat = dict(b.e.entries)  # E minus (d - F), once every d - f is removed
+    ehat = dict(e_runs)  # E minus (d - F), once every d - f is removed
     missing = []
     f_card = 0
-    for v, m in reversed(b.f.entries):  # d - f ascending
+    for v, m in reversed(f_runs):  # d - f ascending
         f_card += m
         w = d_norm - v
         left = ehat.get(w, 0) - m
@@ -369,24 +375,32 @@ def _stage3_caps(dvals: Sequence[int], s_runs: Runs, t: Container[int]) -> tuple
 
 
 def check_betti(b: AciBetti) -> Verdict:
-    """Decide whether (D, E, F) is admissible for a codimension-3 ACI.
+    """Decide whether (D, E, F) is admissible for a codimension-3 ACI (see :func:`_decide`)."""
+    return _decide(b.d.entries, b.e.entries, b.f.entries)
+
+
+def _decide(d_runs: Runs, e_runs: Runs, f_runs: Runs) -> Verdict:
+    """The three-stage decision on the sorted runs of D, E and F.
 
     Every stage reads the decomposition's runs and the sorted G0 list,
     and no multiset is built: the verdict keeps an admitted G0 as a tuple.
-    By the lemma of :func:`_candidates_for_d`, theta_g > cap_2 + cap_3, so
-    an admitted G0 has B empty and its mci triple is (h_0, h_1, e_3).
-    It runs once for every triple ``enumerate`` emits, so each
-    :class:`Verdict` is built with its six fields in order.
+    Dstar is expanded from its runs only at stage 3.  By the lemma of
+    :func:`_candidates_for_d`, theta_g > cap_2 + cap_3, so an admitted G0
+    has B empty and its mci triple is (h_0, h_1, e_3).  ``enumerate``
+    runs it on every pair it emits, so each :class:`Verdict` is built
+    with its six fields in order.
     """
-    dec = decompose(b)
+    dec = _decompose(d_runs, e_runs, f_runs)
     if dec.__class__ is AciTypeFailure:
         return Verdict(False, 1, dec, None, None, None)
-    h = _induced_g0(dec, b.f.entries)
+    h = _induced_g0(dec, f_runs)
     if h.__class__ is GorensteinFailure:
         return Verdict(False, 2, h, None, None, None)
     theta_g = dec.theta_g
     e = mci_from_sorted(h, theta_g)  # h has just been admitted, so no re-check
-    dvals = b.d.values()[1:]  # Dstar: D is sorted and d0 = min D
+    dvals = []  # Dstar, sorted
+    for v, m in dec.dstar_runs:
+        dvals += [v] * m
     t = dec.t_runs
     caps = _stage3_caps(dvals, dec.s_runs, (t[0][0],) if t else ())
     if e[0] <= caps[0] and e[1] <= caps[1] and e[2] <= caps[2]:
@@ -665,10 +679,8 @@ def _admissible_f_tuples(dvals: tuple[int, int, int, int], w: _FWindow) -> list[
     return found
 
 
-def _candidates_for_d(
-    dvals: tuple[int, int, int, int], max_degree: int, max_f: int
-) -> list[AciBetti]:
-    """All admissible triples with the given sorted D, canonically ordered.
+def _candidates_for_d(dvals: tuple[int, int, int, int], max_degree: int, max_f: int) -> Batch:
+    """``dvals`` and the sorted (F, E) tuple pairs of its admissible triples.
 
     The search runs over the windows of :func:`_f_windows`.  Within a
     window |G0| = k + |Dbar| + |T| = 2m + 1 is fixed, and the socle degree
@@ -742,10 +754,11 @@ def _candidates_for_d(
     from (d - F) + Ehat, and the pairs are sorted once by (F, E), which
     within one D is the order of :meth:`AciBetti.key`.
     No pair repeats: S is read off Ehat, so windows of one D with the same
-    |F| differ in Ehat.  Each triple is then built in that order, with E
-    and F, both sorted ints of this search, wrapped by
-    ``IntMultiset._from_sorted``, and re-checked by :func:`check_betti`.
-    A D with no pair builds nothing.
+    |F| differ in Ehat.  Every pair is then self-checked on its tuples, as
+    :func:`_admitted` describes; ``python -O`` strips that check.  No
+    :class:`AciBetti` or :class:`IntMultiset` is built here: the pairs go
+    to ``enumerate`` as they are, and :func:`enumerate_admissible` builds
+    its triples from them.
     """
     d = sum(dvals)
     pairs = []
@@ -755,17 +768,27 @@ def _candidates_for_d(
             e_list = [d - x for x in f_tuple] + ehat
             e_list.sort()
             pairs.append((f_tuple, tuple(e_list)))
-    if not pairs:
-        return []
-    pairs.sort()
-    d_level = IntMultiset._from_sorted(dvals)
-    out = []
-    for f_tuple, e_tuple in pairs:
-        # AciBetti still checks the cardinalities
-        candidate = AciBetti(d_level, IntMultiset._from_sorted(e_tuple), IntMultiset._from_sorted(f_tuple))
-        assert check_betti(candidate).admissible
-        out.append(candidate)
-    return out
+    if pairs:
+        pairs.sort()
+        d_runs = _sorted_runs(dvals)
+        for f_tuple, e_tuple in pairs:
+            assert _admitted(d_runs, e_tuple, f_tuple), (dvals, e_tuple, f_tuple)
+    return dvals, pairs
+
+
+def _admitted(d_runs: Runs, e_tuple: tuple[int, ...], f_tuple: tuple[int, ...]) -> bool:
+    """The self-check of one emitted pair: :class:`AciBetti`'s checks and :func:`_decide`, on sorted tuples.
+
+    |D| = 4 with D positive holds for every D of :func:`_sorted_d_tuples`;
+    the rest is checked here, on the tuples, before their runs are decided.
+    """
+    return (
+        len(f_tuple) >= 2
+        and len(e_tuple) == len(f_tuple) + 3
+        and e_tuple[0] >= 1
+        and f_tuple[0] >= 1
+        and _decide(d_runs, _sorted_runs(e_tuple), _sorted_runs(f_tuple)).admissible
+    )
 
 
 def _sorted_d_tuples(max_degree: int) -> Iterator[tuple[int, int, int, int]]:
@@ -800,14 +823,15 @@ def worker_count(jobs: int) -> int:
     return min(jobs, cpus)
 
 
-def enumerate_admissible(
-    max_degree: int, max_f: int, jobs: int = 1
-) -> Iterator[AciBetti]:
-    """Stream every admissible (D, E, F) with degrees <= max_degree and |F| <= max_f.
+def _enumerate_batches(max_degree: int, max_f: int, jobs: int = 1) -> Iterator[Batch]:
+    """Every sorted D with admissible triples, and their (F, E) pairs, in the canonical order.
 
-    Output is deduplicated and globally sorted by (norm(D), D, F, E); the
-    stream is identical for any job count.  ``jobs`` goes through
-    :func:`worker_count`, and the bounds must be ints.
+    Both :func:`enumerate_admissible` and the ``enumerate`` command read
+    this stream.  It checks the bounds, takes the D of
+    :func:`_sorted_d_tuples` one by one, and hands them to
+    :func:`_candidates_for_d`, in a pool of ``jobs`` processes when that is
+    more than one; the workers return each D with its pairs.  A D with no
+    pair is skipped.
     """
     jobs = worker_count(jobs)
     if type(max_degree) is not int or type(max_f) is not int:
@@ -816,12 +840,28 @@ def enumerate_admissible(
         return
     d_tuples = _sorted_d_tuples(max_degree)
     candidates = partial(_candidates_for_d, max_degree=max_degree, max_f=max_f)
+    has_pairs = itemgetter(1)
     if jobs > 1:
         import multiprocessing
 
         with multiprocessing.Pool(jobs) as pool:
-            for batch in pool.imap(candidates, d_tuples, chunksize=16):
-                yield from batch
+            yield from filter(has_pairs, pool.imap(candidates, d_tuples, chunksize=16))
     else:
-        for batch in map(candidates, d_tuples):
-            yield from batch
+        yield from filter(has_pairs, map(candidates, d_tuples))
+
+
+def enumerate_admissible(
+    max_degree: int, max_f: int, jobs: int = 1
+) -> Iterator[AciBetti]:
+    """Stream every admissible (D, E, F) with degrees <= max_degree and |F| <= max_f.
+
+    Output is deduplicated and globally sorted by (norm(D), D, F, E); the
+    stream is identical for any job count.  ``jobs`` goes through
+    :func:`worker_count`, and the bounds must be ints.  The triples are
+    built here, from the self-checked tuple pairs of
+    :func:`_enumerate_batches`, and :class:`AciBetti` checks them again.
+    """
+    for dvals, pairs in _enumerate_batches(max_degree, max_f, jobs):
+        d_level = IntMultiset._from_sorted(dvals)
+        for f_tuple, e_tuple in pairs:
+            yield AciBetti(d_level, IntMultiset._from_sorted(e_tuple), IntMultiset._from_sorted(f_tuple))

@@ -17,10 +17,11 @@ import contextlib
 import functools
 import json
 import sys
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from ._text import _DIGITS_RE, _NAME_RE, _clip
-from .aci import AciBetti, check_betti, enumerate_admissible, link_betti, worker_count
+from .aci import AciBetti, _enumerate_batches, check_betti, link_betti, worker_count
+from .aci import enumerate_admissible  # noqa: F401 -- unused here; bench/test_bench.py reads it in this namespace
 from .gorenstein import (
     GorensteinBetti,
     check_gorenstein_betti,
@@ -148,21 +149,13 @@ def _emit(data) -> None:
     print(json.dumps(data, sort_keys=True))
 
 
-def _json_items(runs) -> str:
-    """The items of the JSON array of a multiset's sorted runs, as ``json.dumps`` separates them."""
-    text = ""
-    for v, m in runs:
-        text += f"{v}, " * m
-    return text[:-2]
-
-
-def _ndjson_line(betti: AciBetti) -> str:
-    """The line ``enumerate`` writes for a triple: the bytes of
-    ``json.dumps(betti.to_json(), sort_keys=True)`` and a newline, formatted
-    straight from the runs of D, E and F without expanding their values."""
-    return '{"D": [%s], "E": [%s], "F": [%s]}\n' % (
-        _json_items(betti.d.entries), _json_items(betti.e.entries), _json_items(betti.f.entries)
-    )
+def _ndjson_lines(dvals: Sequence[int], pairs: Iterable[tuple[Sequence[int], Sequence[int]]]) -> Iterator[str]:
+    """The lines ``enumerate`` writes for one D and its sorted (F, E) pairs: for each
+    triple the bytes of ``json.dumps(AciBetti.to_json(), sort_keys=True)`` and a
+    newline, formatted straight from the tuples."""
+    head = '{"D": [%s], "E": [' % ", ".join(map(str, dvals))
+    for f, e in pairs:
+        yield '%s%s], "F": [%s]}\n' % (head, ", ".join(map(str, e)), ", ".join(map(str, f)))
 
 
 def _is_name_array(data) -> bool:
@@ -281,8 +274,9 @@ def cmd_enumerate(args) -> int:
     except ValueError as exc:
         raise InputError(f"--jobs: {exc}") from exc
     write = sys.stdout.write
-    for betti in enumerate_admissible(args.max_degree, args.max_f, jobs=jobs):
-        write(_ndjson_line(betti))
+    for dvals, pairs in _enumerate_batches(args.max_degree, args.max_f, jobs):
+        for line in _ndjson_lines(dvals, pairs):
+            write(line)
     return 0
 
 

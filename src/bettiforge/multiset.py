@@ -16,6 +16,22 @@ from typing import Callable, Iterable, Iterator, Sequence
 from ._frozen import Frozen
 
 
+def _sorted_runs(vals: Sequence[int]) -> tuple[tuple[int, int], ...]:
+    """The (value, multiplicity) runs of a sorted sequence of ints, without any check."""
+    if not vals:
+        return ()
+    runs = []
+    prev, count = vals[0], 0
+    for v in vals:
+        if v == prev:
+            count += 1
+        else:
+            runs.append((prev, count))
+            prev, count = v, 1
+    runs.append((prev, count))
+    return tuple(runs)
+
+
 class IntMultiset(Frozen):
     """A multiset of integers stored as sorted ``(value, multiplicity)`` runs."""
 
@@ -56,14 +72,14 @@ class IntMultiset(Frozen):
 
         The one check runs on the values themselves.  The runs are then
         valid by construction (int values, strictly increasing after the
-        sort, each counted at least once), so :meth:`_from_sorted` encodes
+        sort, each counted at least once), so :func:`_sorted_runs` encodes
         them instead of ``__init__`` walking them again.
         """
         vals = list(values)
         if not {int}.issuperset(map(type, vals)):
             raise ValueError(f"multiset values must be ints, got {vals!r}")
         vals.sort()
-        return cls._from_sorted(vals)
+        return cls._trusted(_sorted_runs(vals))
 
     @classmethod
     def _from_sorted(cls, vals: Sequence[int]) -> "IntMultiset":
@@ -73,18 +89,7 @@ class IntMultiset(Frozen):
         computed itself and has already sorted.  Outside values go through
         :meth:`from_values`.
         """
-        if not vals:
-            return cls._trusted(())
-        runs = []
-        prev, count = vals[0], 0
-        for v in vals:
-            if v == prev:
-                count += 1
-            else:
-                runs.append((prev, count))
-                prev, count = v, 1
-        runs.append((prev, count))
-        return cls._trusted(tuple(runs))
+        return cls._trusted(_sorted_runs(vals))
 
     @classmethod
     def _trusted(cls, entries: tuple[tuple[int, int], ...]) -> "IntMultiset":

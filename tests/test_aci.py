@@ -426,10 +426,24 @@ def test_enumerate_refuses_bounds_that_are_not_ints(max_degree, max_f):
 
 
 def test_enumerate_self_check_is_live(monkeypatch):
-    """Every emitted triple is re-checked by check_betti, which here rejects it."""
-    monkeypatch.setattr(aci, "check_betti", lambda b: aci.Verdict(False, stage=1))
+    """Every emitted pair is re-decided on its runs by _decide, check_betti's core, which here rejects it."""
+    monkeypatch.setattr(aci, "_decide", lambda d_runs, e_runs, f_runs: aci.Verdict(False, stage=1))
     with pytest.raises(AssertionError):
         list(enumerate_admissible(6, 3, jobs=1))
+
+
+@pytest.mark.parametrize("bad_f", [(7,), (0, 7)], ids=["one entry", "degree 0"])
+def test_enumerate_self_check_applies_the_triple_checks(monkeypatch, bad_f):
+    """The self-check applies AciBetti's checks to the tuples before it
+    decides them: with _decide admitting everything, an F of one entry or
+    with a degree 0 from the search still stops the stream in the
+    self-check, before enumerate_admissible builds any AciBetti."""
+    monkeypatch.setattr(aci, "_admissible_f_tuples", lambda dvals, w: [bad_f])
+    monkeypatch.setattr(aci, "_decide", lambda d_runs, e_runs, f_runs: aci.Verdict(True))
+    with pytest.raises(AssertionError):
+        list(enumerate_admissible(6, 3, jobs=1))
+    with pytest.raises(ValueError):  # AciBetti refuses the same F at the library boundary
+        AciBetti.from_values([1, 2, 2, 2], [3, 3, 3, 3, 3, 3][: len(bad_f) + 3], bad_f)
 
 
 def test_enumerate_search_tree_is_pinned(monkeypatch):

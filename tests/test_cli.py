@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from bettiforge import cli
+from bettiforge import aci, cli
 from bettiforge.aci import AciBetti, enumerate_admissible
 from bettiforge.cli import main
 from bettiforge.exact import _W
@@ -688,14 +688,21 @@ def test_enumerate_stdout_is_pinned(capsys):
 
 
 def test_enumerate_16_6_ndjson_is_pinned():
-    """The benchmark's guard: enumerate (16, 6) as enumerate writes it."""
+    """The benchmark's guard: enumerate (16, 6) as enumerate writes it, from the tuple pairs."""
     h = hashlib.md5()
     lines = 0
-    for b in enumerate_admissible(16, 6):
-        h.update(cli._ndjson_line(b).encode())
-        lines += 1
+    for dvals, pairs in aci._enumerate_batches(16, 6):
+        for line in cli._ndjson_lines(dvals, pairs):
+            h.update(line.encode())
+            lines += 1
     assert lines == 11958
     assert h.hexdigest() == "da51a30bee9965899d1782b669aebb2f"
+
+
+def _ndjson_line(b):
+    """The line the tuple formatter writes for one triple."""
+    [line] = cli._ndjson_lines(tuple(b.d.values()), [(tuple(b.f.values()), tuple(b.e.values()))])
+    return line
 
 
 def test_enumerate_lines_are_sorted_key_json():
@@ -712,7 +719,23 @@ def test_enumerate_lines_are_sorted_key_json():
         AciBetti.from_values([7, 10**20, 10**20, 10**20 + 1], [1, 10**30, 10**30, 10**30, 2 * 10**30], [10**25, 10**25]),
     ]
     for b in triples:
-        assert cli._ndjson_line(b) == json.dumps(b.to_json(), sort_keys=True) + "\n", b
+        assert _ndjson_line(b) == json.dumps(b.to_json(), sort_keys=True) + "\n", b
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_enumerate_admissible_agrees_with_enumerate_stdout(jobs, capsys):
+    """The library and the command read one stream of tuple pairs: at
+    (12, 5) the json.dumps lines of enumerate_admissible are the command's
+    stdout, and each AciBetti built from the tuples equals the one
+    from_values builds from its own JSON."""
+    code, out, _ = run_cli(["enumerate", "--max-degree", "12", "--max-f", "5"], capsys=capsys)
+    assert code == 0 and out.count("\n") == 1517
+    assert hashlib.md5(out.encode()).hexdigest() == "06009033f4b7418ed137b4a717230732"
+    triples = list(enumerate_admissible(12, 5, jobs=jobs))
+    assert "".join(json.dumps(b.to_json(), sort_keys=True) + "\n" for b in triples) == out
+    for b in triples:
+        data = b.to_json()
+        assert b == AciBetti.from_values(data["D"], data["E"], data["F"]), b
 
 
 def test_enumerate_writes_each_line_once(capsys, monkeypatch):
