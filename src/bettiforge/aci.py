@@ -36,9 +36,27 @@ from .gorenstein import (
     mci_from_sorted,
     theta_of,
 )
-from .multiset import IntMultiset, _sorted_runs
+from .multiset import IntMultiset, _sorted_ints, _sorted_runs
 
 _mult = itemgetter(1)  # the multiplicity of a (value, multiplicity) run
+
+
+def _check_shape(d_card: int, e_card: int, f_card: int, d_min: int, e_min: int, f_min: int) -> None:
+    """The shape rule of (D, E, F): |D| = 4, |F| >= 2, |E| = |F| + 3, positive degrees.
+
+    The checks run in that order and the first fault raises ValueError.
+    The minimums are read only once the cardinalities hold, so the
+    minimum of an empty multiset may be passed as any int.
+    """
+    if d_card != 4:
+        raise ValueError(f"|D| must be 4, got {d_card}")
+    if f_card < 2:
+        raise ValueError(f"|F| must be >= 2, got {f_card}")
+    if e_card != f_card + 3:
+        raise ValueError(f"|E| must be |F| + 3 = {f_card + 3}, got {e_card}")
+    if d_min < 1 or e_min < 1 or f_min < 1:
+        name = "D" if d_min < 1 else "E" if e_min < 1 else "F"
+        raise ValueError(f"{name} must contain positive degrees only")
 
 
 class AciBetti(Frozen):
@@ -55,32 +73,51 @@ class AciBetti(Frozen):
         object.__setattr__(self, "f", f)
         # cardinalities and minimums straight from the sorted runs
         d, e, f = d.entries, e.entries, f.entries
-        d_card = sum(map(_mult, d))
-        if d_card != 4:
-            raise ValueError(f"|D| must be 4, got {d_card}")
-        f_card = sum(map(_mult, f))
-        if f_card < 2:
-            raise ValueError(f"|F| must be >= 2, got {f_card}")
-        e_card = sum(map(_mult, e))
-        if e_card != f_card + 3:
-            raise ValueError(f"|E| must be |F| + 3 = {f_card + 3}, got {e_card}")
-        if d[0][0] < 1 or e[0][0] < 1 or f[0][0] < 1:  # each is sorted and, by its cardinality, not empty
-            name = "D" if d[0][0] < 1 else "E" if e[0][0] < 1 else "F"
-            raise ValueError(f"{name} must contain positive degrees only")
+        _check_shape(
+            sum(map(_mult, d)),
+            sum(map(_mult, e)),
+            sum(map(_mult, f)),
+            d[0][0] if d else 0,
+            e[0][0] if e else 0,
+            f[0][0] if f else 0,
+        )
 
     @classmethod
     def from_values(
         cls, d: Iterable[int], e: Iterable[int], f: Iterable[int]
     ) -> "AciBetti":
-        return cls(
-            IntMultiset.from_values(d),
-            IntMultiset.from_values(e),
-            IntMultiset.from_values(f),
-        )
+        """The triple of three iterables of ints, each value checked once.
+
+        Each argument becomes one sorted list, type-checked as
+        :meth:`IntMultiset.from_values` checks it (D, then E, then F), and
+        :meth:`_from_sorted` checks the shape and encodes the lists; the
+        object is built without rerunning ``__init__``.
+        """
+        return cls._from_sorted(_sorted_ints(d), _sorted_ints(e), _sorted_ints(f))
+
+    @classmethod
+    def _from_sorted(cls, d: list[int], e: list[int], f: list[int]) -> "AciBetti":
+        """The triple of three sorted lists of ints, without rerunning ``__init__``.
+
+        The shape rule is checked on the lengths and first values.  The
+        runs of sorted ints are valid by construction, so each list is
+        encoded once and wrapped with :meth:`IntMultiset._trusted`; the
+        object then holds what ``__init__`` would check.
+        """
+        _check_shape(len(d), len(e), len(f), d[0] if d else 0, e[0] if e else 0, f[0] if f else 0)
+        b = object.__new__(cls)
+        object.__setattr__(b, "d", IntMultiset._trusted(_sorted_runs(d)))
+        object.__setattr__(b, "e", IntMultiset._trusted(_sorted_runs(e)))
+        object.__setattr__(b, "f", IntMultiset._trusted(_sorted_runs(f)))
+        return b
 
     @classmethod
     def from_json(cls, data: dict) -> "AciBetti":
-        """Parse {"D": [...], "E": [...], "F": [...]}; bools, floats and strings are rejected."""
+        """Parse {"D": [...], "E": [...], "F": [...]}; bools, floats and strings are rejected.
+
+        Each array's values are type-checked here, once, and
+        :meth:`_from_sorted` takes sorted copies of the arrays.
+        """
         try:
             arrays = [data[key] for key in "DEF"]
         except (KeyError, TypeError) as exc:
@@ -88,7 +125,7 @@ class AciBetti(Frozen):
         for key, values in zip("DEF", arrays):
             if not isinstance(values, list) or not all(type(v) is int for v in values):
                 raise ValueError(f"{key} must be an array of integers, got {values!r}")
-        return cls.from_values(*arrays)
+        return cls._from_sorted(*map(sorted, arrays))
 
     def to_json(self) -> dict:
         return {"D": self.d.to_list(), "E": self.e.to_list(), "F": self.f.to_list()}

@@ -32,6 +32,19 @@ def _sorted_runs(vals: Sequence[int]) -> tuple[tuple[int, int], ...]:
     return tuple(runs)
 
 
+def _sorted_ints(values: Iterable[int]) -> list[int]:
+    """One list of the values, sorted; each must be a non-bool ``int``, else ValueError.
+
+    The check runs once, on the list as given, and the message shows that
+    list unsorted.
+    """
+    vals = list(values)
+    if not {int}.issuperset(map(type, vals)):
+        raise ValueError(f"multiset values must be ints, got {vals!r}")
+    vals.sort()
+    return vals
+
+
 class IntMultiset(Frozen):
     """A multiset of integers stored as sorted ``(value, multiplicity)`` runs."""
 
@@ -70,16 +83,13 @@ class IntMultiset(Frozen):
     def from_values(cls, values: Iterable[int]) -> "IntMultiset":
         """Run-length encoding of the sorted values; each must be a non-bool ``int``, else ValueError.
 
-        The one check runs on the values themselves.  The runs are then
-        valid by construction (int values, strictly increasing after the
-        sort, each counted at least once), so :func:`_sorted_runs` encodes
-        them instead of ``__init__`` walking them again.
+        The one check runs on the values themselves, in :func:`_sorted_ints`.
+        The runs are then valid by construction (int values, strictly
+        increasing after the sort, each counted at least once), so
+        :func:`_sorted_runs` encodes them instead of ``__init__`` walking
+        them again.
         """
-        vals = list(values)
-        if not {int}.issuperset(map(type, vals)):
-            raise ValueError(f"multiset values must be ints, got {vals!r}")
-        vals.sort()
-        return cls._trusted(_sorted_runs(vals))
+        return cls._trusted(_sorted_runs(_sorted_ints(values)))
 
     @classmethod
     def _from_sorted(cls, vals: Sequence[int]) -> "IntMultiset":
@@ -98,7 +108,7 @@ class IntMultiset(Frozen):
         Only code that builds the runs itself may call it, and it must
         guarantee what ``__init__`` would check: int values strictly
         increasing, each with a positive int multiplicity.  That holds for
-        :meth:`_from_sorted` on values :meth:`from_values` has checked or
+        :meth:`_from_sorted` on values :func:`_sorted_ints` has checked or
         the package computed itself, and for runs derived from other valid
         runs by steps that keep the order and drop zero counts (as
         ``aci.decompose`` does).  Anything read from outside the package

@@ -79,6 +79,156 @@ def test_json_round_trip():
         AciBetti.from_json({"D": [1, 2, 3, 4]})
 
 
+def _composed(d, e, f):
+    """The oracle: one validated multiset per argument, then ``__init__``'s checks."""
+    return AciBetti(IntMultiset.from_values(d), IntMultiset.from_values(e), IntMultiset.from_values(f))
+
+
+def _json_oracle(data):
+    """``from_json`` as its own array check in front of the composition."""
+    for key in "DEF":
+        values = data[key]
+        if not isinstance(values, list) or not all(type(v) is int for v in values):
+            raise ValueError(f"{key} must be an array of integers, got {values!r}")
+    return _composed(data["D"], data["E"], data["F"])
+
+
+def _outcome(build, *args):
+    try:
+        return "ok", build(*args)
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+GOOD_D, GOOD_E, GOOD_F = [4, 5, 5, 9], [9, 9, 9, 11, 11, 11, 13], [12, 12, 12, 14]
+
+
+D_TYPES = [[4, 5, 5.0, 9], [True, 5, 5, 9], [4, "5", 5, 9]]
+E_TYPES = [[9, 9, 9, 11, 11, 11, 13.0], [9, None, 9, 11, 11, 11, 13], [False] * 7]
+F_TYPES = [[12, 12, 12, 14.5], [12, "12", 12, 14], [True, True]]
+
+
+def _fault_corpus():
+    """(D, E, F) lists with one fault, with several at once, and without one.
+
+    Type faults (bool, float, str, None) in each of D, E and F, the three
+    cardinality faults, and a non-positive degree in each of D, E and F,
+    alone and combined, so that the order in which the checks run shows.
+    """
+    d_types, e_types, f_types = D_TYPES, E_TYPES, F_TYPES
+    d_cards = [[], [4], [4, 5, 9], [4, 5, 5, 9, 9]]
+    f_cards = [[], [12]]
+    e_cards = [GOOD_E[:-1], GOOD_E + [13], []]
+    d_signs = [[0, 5, 5, 9], [-4, 5, 5, 9]]
+    e_signs = [[0, 9, 9, 11, 11, 11, 13], [-9, -9, 9, 11, 11, 11, 13]]
+    f_signs = [[0, 12, 12, 14], [-12, 12, 12, 14]]
+    corpus = [(GOOD_D, GOOD_E, GOOD_F)]
+    corpus += [(d, GOOD_E, GOOD_F) for d in d_types + d_cards + d_signs]
+    corpus += [(GOOD_D, e, GOOD_F) for e in e_types + e_cards + e_signs]
+    corpus += [(GOOD_D, GOOD_E, f) for f in f_types + f_cards + f_signs]
+    for d in d_types + d_cards + d_signs + [GOOD_D]:
+        for e in e_types + e_cards + e_signs + [GOOD_E]:
+            for f in f_types + f_cards + f_signs + [GOOD_F]:
+                corpus.append((d, e, f))
+    # positivity behind a cardinality fault, and in all three at once
+    corpus += [([0, 1, 2], [0] * 5, [0, 0]), ([0, 1, 2, 3], [0] * 5, [0, 0]), ([1, 1, 1, 1], [0] * 6, [-1] * 3)]
+    return corpus
+
+
+def test_from_values_and_from_json_raise_the_composed_messages_in_order():
+    corpus = _fault_corpus()
+    kinds = set()
+    for d, e, f in corpus:
+        expected = _outcome(_composed, d, e, f)
+        assert _outcome(AciBetti.from_values, d, e, f) == expected, (d, e, f)
+        data = {"D": d, "E": e, "F": f}
+        copies = {key: list(values) for key, values in data.items()}
+        expected_json = _outcome(_json_oracle, data)
+        assert _outcome(AciBetti.from_json, data) == expected_json, data
+        assert data == copies  # from_json sorts copies of the arrays
+        kinds.add(expected[1] if expected[0] == "error" else "ok")
+    assert len(corpus) > 700
+    # every fault is reached, alone and behind the faults checked before it
+    assert kinds >= {
+        "ok",
+        *(f"multiset values must be ints, got {bad!r}" for bad in D_TYPES + E_TYPES + F_TYPES),
+        "|D| must be 4, got 0",
+        "|D| must be 4, got 1",
+        "|D| must be 4, got 3",
+        "|D| must be 4, got 5",
+        "|F| must be >= 2, got 0",
+        "|F| must be >= 2, got 1",
+        "|E| must be |F| + 3 = 7, got 6",
+        "|E| must be |F| + 3 = 7, got 8",
+        "|E| must be |F| + 3 = 7, got 0",
+        "D must contain positive degrees only",
+        "E must contain positive degrees only",
+        "F must contain positive degrees only",
+    }
+    # from_json's own messages, in the order of its checks
+    for data, message in (
+        ({"D": (4, 5, 5, 9), "E": GOOD_E, "F": GOOD_F}, "D must be an array of integers, got (4, 5, 5, 9)"),
+        ({"D": [4, 5], "E": [1.5], "F": GOOD_F}, "E must be an array of integers, got [1.5]"),
+        ({"D": GOOD_D, "E": GOOD_E, "F": [12, True]}, "F must be an array of integers, got [12, True]"),
+        ({"D": GOOD_D, "E": GOOD_E}, "expected keys D, E, F with integer arrays: 'F'"),
+        (
+            [GOOD_D, GOOD_E, GOOD_F],
+            "expected keys D, E, F with integer arrays: list indices must be integers or slices, not str",
+        ),
+    ):
+        assert _outcome(AciBetti.from_json, data) == ("error", message)
+
+
+def _assert_same_triple(b, ref):
+    assert type(b) is AciBetti and b == ref and hash(b) == hash(ref) and repr(b) == repr(ref)
+    assert pickle.loads(pickle.dumps(b)) == ref
+    assert b.to_json() == ref.to_json() and b.key() == ref.key()
+    assert check_betti(b) == check_betti(ref)
+    for field in (b.d, b.e, b.f):
+        assert type(field) is IntMultiset and IntMultiset(field.entries) == field
+
+
+def test_from_values_builds_the_composed_triple():
+    """The one-pass objects equal the composition's in every way they are read,
+    and each field passes the validating multiset constructor."""
+    corpus = _verdict_corpus()
+    for d, e, f in corpus:
+        _assert_same_triple(AciBetti.from_values(d, e, f), _composed(d, e, f))
+        _assert_same_triple(AciBetti.from_json({"D": d, "E": e, "F": f}), _composed(d, e, f))
+    shuffled = random.Random(35)
+    kinds = set()
+    for convert in (tuple, iter, set, lambda x: reversed(x), lambda x: shuffled.sample(x, len(x))):
+        for d, e, f in corpus[::7]:
+            expected = _outcome(_composed, convert(d), convert(e), convert(f))
+            got = _outcome(AciBetti.from_values, convert(d), convert(e), convert(f))
+            if expected[0] == "ok":
+                assert got[0] == "ok", (d, e, f)
+                _assert_same_triple(got[1], expected[1])
+            else:
+                assert got == expected, (d, e, f)
+            kinds.add(expected[0])
+    assert kinds == {"ok", "error"}  # set() drops repeats, which breaks some cardinalities
+    for d, e, f in corpus[::7]:
+        data = {key: shuffled.sample(values, len(values)) for key, values in zip("DEF", (d, e, f))}
+        copies = {key: list(values) for key, values in data.items()}
+        _assert_same_triple(AciBetti.from_json(data), _composed(d, e, f))
+        assert data == copies  # from_json sorts copies of the arrays
+    b = AciBetti.from_values(range(1, 5), range(3, 8), range(4, 6))
+    _assert_same_triple(b, _composed(range(1, 5), range(3, 8), range(4, 6)))
+    assert b.to_json() == {"D": [1, 2, 3, 4], "E": [3, 4, 5, 6, 7], "F": [4, 5]}
+
+
+def test_from_values_and_from_json_do_not_rerun_the_constructors(monkeypatch):
+    def refuse(self, *args):
+        raise AssertionError("a validating constructor ran")
+
+    monkeypatch.setattr(AciBetti, "__init__", refuse)
+    monkeypatch.setattr(IntMultiset, "__init__", refuse)
+    b = AciBetti.from_values(iter(GOOD_D), GOOD_E[::-1], tuple(GOOD_F))
+    assert AciBetti.from_json({"D": GOOD_D, "E": GOOD_E, "F": GOOD_F[::-1]}) == b
+    assert b.to_json() == {"D": GOOD_D, "E": GOOD_E, "F": GOOD_F}
+
+
 # ----------------------------------------------------------------------
 # decomposition
 # ----------------------------------------------------------------------
