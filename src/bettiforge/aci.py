@@ -38,9 +38,6 @@ from .gorenstein import (
 )
 from .multiset import IntMultiset, _sorted_ints, _sorted_runs
 
-_mult = itemgetter(1)  # the multiplicity of a (value, multiplicity) run
-
-
 def _check_shape(d_card: int, e_card: int, f_card: int, d_min: int, e_min: int, f_min: int) -> None:
     """The shape rule of (D, E, F): |D| = 4, |F| >= 2, |E| = |F| + 3, positive degrees.
 
@@ -59,28 +56,39 @@ def _check_shape(d_card: int, e_card: int, f_card: int, d_min: int, e_min: int, 
         raise ValueError(f"{name} must contain positive degrees only")
 
 
-class AciBetti(Frozen):
-    """Resolution twist multisets (D, E, F) of a candidate ACI quotient."""
+def _multiset_on_read(field: str) -> property:
+    vals = attrgetter(field)
+    return property(lambda b: IntMultiset._from_sorted(vals(b)), doc=f"``{field}`` as an IntMultiset.")
 
-    __slots__ = _fields = ("d", "e", "f")
-    d: IntMultiset
-    e: IntMultiset
-    f: IntMultiset
+
+class AciBetti(Frozen):
+    """Resolution twist multisets (D, E, F) of a candidate ACI quotient.
+
+    The triple is kept as three sorted tuples of ints, ``d_vals``,
+    ``e_vals`` and ``f_vals``, which is all :func:`check_betti` reads.
+    ``d``, ``e`` and ``f`` wrap them in an :class:`IntMultiset` each time
+    they are read.  Equality, hashing and pickling are those of the
+    tuples; the repr shows the multisets.
+    """
+
+    __slots__ = _fields = ("d_vals", "e_vals", "f_vals")
+    d_vals: tuple[int, ...]
+    e_vals: tuple[int, ...]
+    f_vals: tuple[int, ...]
+
+    d = _multiset_on_read("d_vals")
+    e = _multiset_on_read("e_vals")
+    f = _multiset_on_read("f_vals")
 
     def __init__(self, d: IntMultiset, e: IntMultiset, f: IntMultiset) -> None:
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "e", e)
-        object.__setattr__(self, "f", f)
-        # cardinalities and minimums straight from the sorted runs
-        d, e, f = d.entries, e.entries, f.entries
-        _check_shape(
-            sum(map(_mult, d)),
-            sum(map(_mult, e)),
-            sum(map(_mult, f)),
-            d[0][0] if d else 0,
-            e[0][0] if e else 0,
-            f[0][0] if f else 0,
-        )
+        d, e, f = tuple(d.values()), tuple(e.values()), tuple(f.values())
+        _check_shape(len(d), len(e), len(f), d[0] if d else 0, e[0] if e else 0, f[0] if f else 0)
+        object.__setattr__(self, "d_vals", d)
+        object.__setattr__(self, "e_vals", e)
+        object.__setattr__(self, "f_vals", f)
+
+    def __repr__(self) -> str:
+        return f"AciBetti(d={self.d!r}, e={self.e!r}, f={self.f!r})"
 
     @classmethod
     def from_values(
@@ -90,25 +98,23 @@ class AciBetti(Frozen):
 
         Each argument becomes one sorted list, type-checked as
         :meth:`IntMultiset.from_values` checks it (D, then E, then F), and
-        :meth:`_from_sorted` checks the shape and encodes the lists; the
-        object is built without rerunning ``__init__``.
+        :meth:`_from_sorted` checks the shape; the object is built without
+        rerunning ``__init__``.
         """
         return cls._from_sorted(_sorted_ints(d), _sorted_ints(e), _sorted_ints(f))
 
     @classmethod
-    def _from_sorted(cls, d: list[int], e: list[int], f: list[int]) -> "AciBetti":
-        """The triple of three sorted lists of ints, without rerunning ``__init__``.
+    def _from_sorted(cls, d: Sequence[int], e: Sequence[int], f: Sequence[int]) -> "AciBetti":
+        """The triple of three sorted sequences of ints, without rerunning ``__init__``.
 
-        The shape rule is checked on the lengths and first values.  The
-        runs of sorted ints are valid by construction, so each list is
-        encoded once and wrapped with :meth:`IntMultiset._trusted`; the
-        object then holds what ``__init__`` would check.
+        The shape rule is checked on the lengths and first values, and the
+        sequences are stored as tuples (a tuple is kept as it is).
         """
         _check_shape(len(d), len(e), len(f), d[0] if d else 0, e[0] if e else 0, f[0] if f else 0)
         b = object.__new__(cls)
-        object.__setattr__(b, "d", IntMultiset._trusted(_sorted_runs(d)))
-        object.__setattr__(b, "e", IntMultiset._trusted(_sorted_runs(e)))
-        object.__setattr__(b, "f", IntMultiset._trusted(_sorted_runs(f)))
+        object.__setattr__(b, "d_vals", tuple(d))
+        object.__setattr__(b, "e_vals", tuple(e))
+        object.__setattr__(b, "f_vals", tuple(f))
         return b
 
     @classmethod
@@ -128,53 +134,43 @@ class AciBetti(Frozen):
         return cls._from_sorted(*map(sorted, arrays))
 
     def to_json(self) -> dict:
-        return {"D": self.d.to_list(), "E": self.e.to_list(), "F": self.f.to_list()}
+        return {"D": list(self.d_vals), "E": list(self.e_vals), "F": list(self.f_vals)}
 
     def key(self) -> tuple:
         """Canonical sort key: (norm(D), D, F, E)."""
-        return (
-            self.d.norm(),
-            tuple(self.d.values()),
-            tuple(self.f.values()),
-            tuple(self.e.values()),
-        )
+        return (sum(self.d_vals), self.d_vals, self.f_vals, self.e_vals)
 
 
-Runs = tuple[tuple[int, int], ...]  # sorted (value, multiplicity) runs of a valid multiset
+Vals = tuple[int, ...]  # the sorted values of a multiset, with repeats
 # a sorted D and the sorted (F, E) pairs of its admissible triples
-Batch = tuple[tuple[int, int, int, int], list[tuple[tuple[int, ...], tuple[int, ...]]]]
-
-
-def _multiset_on_read(field: str) -> property:
-    runs = attrgetter(field)
-    return property(lambda dec: IntMultiset._trusted(runs(dec)), doc=f"``{field}`` as an IntMultiset.")
+Batch = tuple[tuple[int, int, int, int], list[tuple[Vals, Vals]]]
 
 
 class AciDecomposition(NamedTuple):
     """Canonical combinatorial decomposition of an aci-type triple.
 
-    The five multisets are kept as the sorted runs :func:`decompose`
+    The five multisets are kept as the sorted value tuples :func:`decompose`
     built, which is all :func:`check_betti` reads.  ``dstar``, ``ehat``,
-    ``s``, ``dbar`` and ``t`` wrap those runs in an :class:`IntMultiset`
+    ``s``, ``dbar`` and ``t`` wrap those tuples in an :class:`IntMultiset`
     each time they are read.  Equality, hashing and pickling are those of
     the tuple of fields.
     """
 
     d0: int
-    dstar_runs: Runs
+    dstar_vals: Vals
     theta_z: int
-    ehat_runs: Runs
-    s_runs: Runs
-    dbar_runs: Runs
-    t_runs: Runs
+    ehat_vals: Vals
+    s_vals: Vals
+    dbar_vals: Vals
+    t_vals: Vals
     theta_g: int
     d: int
 
-    dstar = _multiset_on_read("dstar_runs")
-    ehat = _multiset_on_read("ehat_runs")
-    s = _multiset_on_read("s_runs")
-    dbar = _multiset_on_read("dbar_runs")
-    t = _multiset_on_read("t_runs")
+    dstar = _multiset_on_read("dstar_vals")
+    ehat = _multiset_on_read("ehat_vals")
+    s = _multiset_on_read("s_vals")
+    dbar = _multiset_on_read("dbar_vals")
+    t = _multiset_on_read("t_vals")
 
 
 class AciTypeFailure(Frozen):
@@ -194,81 +190,63 @@ class AciTypeFailure(Frozen):
         return "Ehat = {} differs from (d0 + Dbar) + (theta_z - S) = {}".format(*runs)
 
 
-def _t_values(theta_g: int, s_runs: Runs, f_card: int, dbar_card: int) -> list[int]:
-    """Socle-halving slot: [theta_g/2] only when it lies in Supp S and |F|+|Dbar| is even."""
-    if theta_g % 2 == 0 and (f_card + dbar_card) % 2 == 0:
-        half = theta_g // 2
-        for v, _ in s_runs:
-            if v == half:
-                return [half]
-    return []
+def _t_values(theta_g: int, s_vals: Vals, f_card: int, dbar_card: int) -> Vals:
+    """Socle-halving slot: (theta_g/2,) only when it lies in S and |F|+|Dbar| is even."""
+    if theta_g % 2 == 0 and (f_card + dbar_card) % 2 == 0 and theta_g // 2 in s_vals:
+        return (theta_g // 2,)
+    return ()
 
 
 def decompose(b: AciBetti) -> AciDecomposition | AciTypeFailure:
     """Run the aci-type decomposition with d0 = min D (see :func:`_decompose`)."""
-    return _decompose(b.d.entries, b.e.entries, b.f.entries)
+    return _decompose(b.d_vals, b.e_vals, b.f_vals)
 
 
-def _decompose(d_runs: Runs, e_runs: Runs, f_runs: Runs) -> AciDecomposition | AciTypeFailure:
-    """The aci-type decomposition of the sorted runs of D, E and F, with d0 = min D.
+def _decompose(d: Vals, e: Vals, f: Vals) -> AciDecomposition | AciTypeFailure:
+    """The aci-type decomposition of the sorted tuples of D, E and F, with d0 = min D.
 
     Succeeds iff (d - F) is a submultiset of E and the leftover
     Ehat = E \\ (d - F) splits exactly as (d0 + Dbar) + (theta_z - S) with
     S = Dstar & (theta_z - Ehat).
 
-    One pass over the sorted runs.  Ehat is a value -> multiplicity
-    dict taken from E's runs; deleting keys keeps a dict's order, so it
-    stays sorted, and every count kept is positive.  Dstar is a slice of
-    D's runs with d0's count lowered.  One loop over it builds the runs of
-    S and Dbar and the counts of (d0 + Dbar) + (theta_z - S), and the
-    norm of D, |F| and |Dbar| are summed on the way.  A returned
-    decomposition keeps those runs as tuples and builds no multiset (see
-    :class:`AciDecomposition`); a failure keeps the raw runs it reports.
+    Ehat is a copy of E with each d - f removed, so it stays sorted; as
+    |E| = |F| + 3, it holds three values once every d - f is found.  Dstar
+    is D without its first value, and S takes, in order, each value x of
+    Dstar whose partner theta_z - x has a copy in Ehat left over; the rest
+    is Dbar.  A returned decomposition keeps sorted value tuples and builds
+    no multiset (see :class:`AciDecomposition`).  A failure keeps the
+    (value, multiplicity) runs its witness reports, built only then.
     """
-    d_norm = 0
-    for v, m in d_runs:
-        d_norm += v * m
-    ehat = dict(e_runs)  # E minus (d - F), once every d - f is removed
+    d_norm = sum(d)
+    ehat = list(e)
     missing = []
-    f_card = 0
-    for v, m in reversed(f_runs):  # d - f ascending
-        f_card += m
+    for v in reversed(f):  # d - f ascending
         w = d_norm - v
-        left = ehat.get(w, 0) - m
-        if left > 0:
-            ehat[w] = left
-        elif left == 0:
-            del ehat[w]
+        if w in ehat:
+            ehat.remove(w)
         else:
-            missing.append((w, -left))
+            missing.append(w)
     if missing:
-        return AciTypeFailure(2, (tuple(missing),))
-    d0, c0 = d_runs[0]
-    dstar = ((d0, c0 - 1),) + d_runs[1:] if c0 > 1 else d_runs[1:]
+        return AciTypeFailure(2, (_sorted_runs(missing),))
+    d0 = d[0]
+    dstar = d[1:]
     theta_z = d_norm - d0
     s = []
     dbar = []
-    dbar_card = 0
-    expected: dict[int, int] = {}  # (d0 + Dbar) + (theta_z - S); a d0 + x may equal a theta_z - y
-    for v, m in dstar:
-        w = theta_z - v
-        k = ehat.get(w, 0)
-        if k:
-            if k > m:
-                k = m
-            s.append((v, k))
-            expected[w] = expected.get(w, 0) + k
-        if m > k:
-            dbar.append((v, m - k))
-            dbar_card += m - k
-            expected[d0 + v] = expected.get(d0 + v, 0) + m - k
+    for v in dstar:
+        if ehat.count(theta_z - v) > s.count(v):
+            s.append(v)
+        else:
+            dbar.append(v)
+    expected = [d0 + v for v in dbar] + [theta_z - v for v in s]  # (d0 + Dbar) + (theta_z - S)
+    expected.sort()
     if ehat != expected:
-        return AciTypeFailure(3, (tuple(ehat.items()), tuple(sorted(expected.items()))))
+        return AciTypeFailure(3, (_sorted_runs(ehat), _sorted_runs(expected)))
     theta_g = theta_z - d0
-    t = _t_values(theta_g, s, f_card, dbar_card)
-    return AciDecomposition._make(
-        (d0, dstar, theta_z, tuple(ehat.items()), tuple(s), tuple(dbar), ((t[0], 1),) if t else (), theta_g, d_norm)
-    )
+    s = tuple(s)
+    dbar = tuple(dbar)
+    t = _t_values(theta_g, s, len(f), len(dbar))
+    return AciDecomposition._make((d0, dstar, theta_z, tuple(ehat), s, dbar, t, theta_g, d_norm))
 
 
 class GorensteinFailure(Frozen):
@@ -293,20 +271,16 @@ class GorensteinFailure(Frozen):
         return f"G0 = {g0} has socle-syzygy degree {verdict.theta}, expected {self.theta_g}"
 
 
-def _induced_g0(dec: AciDecomposition, f: Runs) -> list[int] | GorensteinFailure:
-    """The sorted G0 = (theta_z - F) + Dbar + T if it is admitted, else the failure.
+def _induced_g0(dec: AciDecomposition, f: Vals) -> list[int] | GorensteinFailure:
+    """The sorted G0 = (theta_z - F) + Dbar + T of the sorted F, if it is admitted, else the failure.
 
     An admitted G0 passes ``check_gorenstein_betti`` with theta_g as its
     theta: all that ``GorensteinBetti`` validates.
     """
     theta_z = dec.theta_z
-    h = []
-    for v, m in f:
-        h += [theta_z - v] * m
-    for v, m in dec.dbar_runs:
-        h += [v] * m
-    for v, _ in dec.t_runs:
-        h.append(v)
+    h = [theta_z - v for v in f]
+    h += dec.dbar_vals
+    h += dec.t_vals
     h.sort()
     if len(h) % 2 == 0:
         return GorensteinFailure("parity", tuple(h), dec.theta_g)
@@ -322,7 +296,7 @@ def induced_gorenstein(
     dec: AciDecomposition, f: IntMultiset
 ) -> GorensteinBetti | GorensteinFailure:
     """Gorenstein generator data induced by linkage: G0 = (theta_z - F) + Dbar + T."""
-    h = _induced_g0(dec, f.entries)
+    h = _induced_g0(dec, f.values())
     if isinstance(h, GorensteinFailure):
         return h
     return GorensteinBetti._trusted(IntMultiset.from_values(h), dec.theta_g)
@@ -392,20 +366,20 @@ class Verdict(Frozen):
         }
 
 
-def _stage3_caps(dvals: Sequence[int], s_runs: Runs, t: Container[int]) -> tuple[int, int, int]:
+def _stage3_caps(dvals: Sequence[int], s_vals: Sequence[int], t: Container[int]) -> tuple[int, int, int]:
     """The largest mci triple (e_1, e_2, e_3) that stage 3 admits.
 
     ``dvals`` is the sorted linkage type d_1 <= d_2 <= d_3 (Dstar),
-    ``s_runs`` the (value, multiplicity) runs of S and ``t`` the values of
-    T, empty or one copy of theta_g / 2, a value of S.  Stage 3 asks
-    e_i <= d_i, strictly at the index min{j | d_j = s} + mult_{S-T}(s) - 1
-    of each s in S - T, whose chosen regular-sequence members are forced
-    non-minimal.  So the cap is d_i, and d_i - 1 at those indices.
+    ``s_vals`` the values of S and ``t`` the values of T, empty or one
+    copy of theta_g / 2, a value of S.  Stage 3 asks e_i <= d_i, strictly
+    at the index min{j | d_j = s} + mult_{S-T}(s) - 1 of each s in S - T,
+    whose chosen regular-sequence members are forced non-minimal.  So the
+    cap is d_i, and d_i - 1 at those indices; the indices of distinct s
+    differ, so their order does not matter.
     """
     caps = list(dvals)
-    for v, m in s_runs:
-        if v in t:
-            m -= 1
+    for v in set(s_vals):
+        m = s_vals.count(v) - (v in t)
         if m:
             caps[dvals.index(v) + m - 1] -= 1  # S is within Dstar, so v is in dvals
     return tuple(caps)
@@ -413,36 +387,33 @@ def _stage3_caps(dvals: Sequence[int], s_runs: Runs, t: Container[int]) -> tuple
 
 def check_betti(b: AciBetti) -> Verdict:
     """Decide whether (D, E, F) is admissible for a codimension-3 ACI (see :func:`_decide`)."""
-    return _decide(b.d.entries, b.e.entries, b.f.entries)
+    return _decide(b.d_vals, b.e_vals, b.f_vals)
 
 
-def _decide(d_runs: Runs, e_runs: Runs, f_runs: Runs) -> Verdict:
-    """The three-stage decision on the sorted runs of D, E and F.
+def _decide(d: Vals, e: Vals, f: Vals) -> Verdict:
+    """The three-stage decision on the sorted tuples of D, E and F.
 
-    Every stage reads the decomposition's runs and the sorted G0 list,
-    and no multiset is built: the verdict keeps an admitted G0 as a tuple.
-    Dstar is expanded from its runs only at stage 3.  By the lemma of
-    :func:`_candidates_for_d`, theta_g > cap_2 + cap_3, so an admitted G0
-    has B empty and its mci triple is (h_0, h_1, e_3).  ``enumerate``
-    runs it on every pair it emits, so each :class:`Verdict` is built
-    with its six fields in order.
+    Every stage reads the decomposition's sorted tuples and the sorted
+    G0 list, and no multiset or run is built, except the runs a stage-1
+    failure reports: the verdict keeps an admitted G0 as a tuple.  By the
+    lemma of :func:`_candidates_for_d`, theta_g > cap_2 + cap_3, so an
+    admitted G0 has B empty and its mci triple is (h_0, h_1, e_3).
+    ``enumerate`` runs it on every pair it emits, so each :class:`Verdict`
+    is built with its six fields in order.
     """
-    dec = _decompose(d_runs, e_runs, f_runs)
+    dec = _decompose(d, e, f)
     if dec.__class__ is AciTypeFailure:
         return Verdict(False, 1, dec, None, None, None)
-    h = _induced_g0(dec, f_runs)
+    h = _induced_g0(dec, f)
     if h.__class__ is GorensteinFailure:
         return Verdict(False, 2, h, None, None, None)
     theta_g = dec.theta_g
     e = mci_from_sorted(h, theta_g)  # h has just been admitted, so no re-check
-    dvals = []  # Dstar, sorted
-    for v, m in dec.dstar_runs:
-        dvals += [v] * m
-    t = dec.t_runs
-    caps = _stage3_caps(dvals, dec.s_runs, (t[0][0],) if t else ())
+    dstar = dec.dstar_vals
+    caps = _stage3_caps(dstar, dec.s_vals, dec.t_vals)
     if e[0] <= caps[0] and e[1] <= caps[1] and e[2] <= caps[2]:
         return Verdict(True, None, None, tuple(h), theta_g, e)
-    return Verdict(False, 3, (tuple(dvals), caps), tuple(h), theta_g, e)
+    return Verdict(False, 3, (dstar, caps), tuple(h), theta_g, e)
 
 
 # ----------------------------------------------------------------------
@@ -616,19 +587,13 @@ def _f_windows(
         dbar_vals = [dstar[j] for j in dbar_idx]
         if any(theta_g - x in dbar_vals for x in dbar_vals):
             continue  # not the canonical overlap; the canonical choice covers it
-        s_runs = []
-        for j in s_idx:
-            v = dstar[j]
-            if s_runs and s_runs[-1][0] == v:
-                s_runs[-1] = (v, s_runs[-1][1] + 1)
-            else:
-                s_runs.append((v, 1))
-        ehat_vals = [d0 + x for x in dbar_vals] + [theta_z - dstar[j] for j in s_idx]
+        s_vals = [dstar[j] for j in s_idx]
+        ehat_vals = [d0 + x for x in dbar_vals] + [theta_z - x for x in s_vals]
         ehat_vals.sort()
-        t_even = _t_values(theta_g, s_runs, 0, 0)  # T when |F| + |Dbar| is even
-        for t in ([], t_even) if t_even else ([],):
-            tail = sorted(dbar_vals + t)
-            caps = _stage3_caps(dstar, s_runs, t)
+        t_even = _t_values(theta_g, s_vals, 0, 0)  # T when |F| + |Dbar| is even
+        for t in ((), t_even) if t_even else ((),):
+            tail = sorted(dbar_vals + list(t))
+            caps = _stage3_caps(dstar, s_vals, t)
             # k + |tail| = 2m + 1 is odd and m <= h_0 <= cap_1
             for k in range(3 - len(tail) % 2, min(max_f, 2 * caps[0] + 1 - len(tail)) + 1, 2):
                 yield _FWindow(ehat_vals, k, lo, hi, tail, caps)
@@ -791,11 +756,12 @@ def _candidates_for_d(dvals: tuple[int, int, int, int], max_degree: int, max_f: 
     from (d - F) + Ehat, and the pairs are sorted once by (F, E), which
     within one D is the order of :meth:`AciBetti.key`.
     No pair repeats: S is read off Ehat, so windows of one D with the same
-    |F| differ in Ehat.  Every pair is then self-checked on its tuples, as
-    :func:`_admitted` describes; ``python -O`` strips that check.  No
-    :class:`AciBetti` or :class:`IntMultiset` is built here: the pairs go
-    to ``enumerate`` as they are, and :func:`enumerate_admissible` builds
-    its triples from them.
+    |F| differ in Ehat.  Every pair is then self-checked on its sorted
+    tuples, which :func:`_admitted` hands to :func:`_decide` as they are;
+    ``python -O`` strips that check.  No :class:`AciBetti`,
+    :class:`IntMultiset` or (value, multiplicity) run is built here: the
+    pairs go to ``enumerate`` as they are, and :func:`enumerate_admissible`
+    stores the same tuples in its triples.
     """
     d = sum(dvals)
     pairs = []
@@ -805,26 +771,25 @@ def _candidates_for_d(dvals: tuple[int, int, int, int], max_degree: int, max_f: 
             e_list = [d - x for x in f_tuple] + ehat
             e_list.sort()
             pairs.append((f_tuple, tuple(e_list)))
-    if pairs:
-        pairs.sort()
-        d_runs = _sorted_runs(dvals)
-        for f_tuple, e_tuple in pairs:
-            assert _admitted(d_runs, e_tuple, f_tuple), (dvals, e_tuple, f_tuple)
+    pairs.sort()
+    for f_tuple, e_tuple in pairs:
+        assert _admitted(dvals, e_tuple, f_tuple), (dvals, e_tuple, f_tuple)
     return dvals, pairs
 
 
-def _admitted(d_runs: Runs, e_tuple: tuple[int, ...], f_tuple: tuple[int, ...]) -> bool:
+def _admitted(dvals: Vals, e_tuple: Vals, f_tuple: Vals) -> bool:
     """The self-check of one emitted pair: :class:`AciBetti`'s checks and :func:`_decide`, on sorted tuples.
 
     |D| = 4 with D positive holds for every D of :func:`_sorted_d_tuples`;
-    the rest is checked here, on the tuples, before their runs are decided.
+    the rest is checked here, on the tuples, which :func:`_decide` then
+    decides as they are.
     """
     return (
         len(f_tuple) >= 2
         and len(e_tuple) == len(f_tuple) + 3
         and e_tuple[0] >= 1
         and f_tuple[0] >= 1
-        and _decide(d_runs, _sorted_runs(e_tuple), _sorted_runs(f_tuple)).admissible
+        and _decide(dvals, e_tuple, f_tuple).admissible
     )
 
 
@@ -894,11 +859,11 @@ def enumerate_admissible(
 
     Output is deduplicated and globally sorted by (norm(D), D, F, E); the
     stream is identical for any job count.  ``jobs`` goes through
-    :func:`worker_count`, and the bounds must be ints.  The triples are
-    built here, from the self-checked tuple pairs of
-    :func:`_enumerate_batches`, and :class:`AciBetti` checks them again.
+    :func:`worker_count`, and the bounds must be ints.  Each triple keeps
+    the sorted D tuple and the self-checked (F, E) tuple pair of
+    :func:`_enumerate_batches` as they are, and
+    :meth:`AciBetti._from_sorted` checks their shape again.
     """
     for dvals, pairs in _enumerate_batches(max_degree, max_f, jobs):
-        d_level = IntMultiset._from_sorted(dvals)
         for f_tuple, e_tuple in pairs:
-            yield AciBetti(d_level, IntMultiset._from_sorted(e_tuple), IntMultiset._from_sorted(f_tuple))
+            yield AciBetti._from_sorted(dvals, e_tuple, f_tuple)

@@ -111,7 +111,7 @@ class IntMultiset(Frozen):
         :meth:`_from_sorted` on values :func:`_sorted_ints` has checked or
         the package computed itself, and for runs derived from other valid
         runs by steps that keep the order and drop zero counts (as
-        ``aci.decompose`` does).  Anything read from outside the package
+        :meth:`_combine` does).  Anything read from outside the package
         goes through the validating constructor.
         """
         m = object.__new__(cls)

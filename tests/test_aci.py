@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from bettiforge import aci
+from bettiforge import aci, multiset
 from bettiforge.aci import (
     AciBetti,
     AciTypeFailure,
@@ -181,11 +181,25 @@ def test_from_values_and_from_json_raise_the_composed_messages_in_order():
 
 def _assert_same_triple(b, ref):
     assert type(b) is AciBetti and b == ref and hash(b) == hash(ref) and repr(b) == repr(ref)
-    assert pickle.loads(pickle.dumps(b)) == ref
+    back = pickle.loads(pickle.dumps(b))
+    assert back == ref and hash(back) == hash(b) and repr(back) == repr(b)
     assert b.to_json() == ref.to_json() and b.key() == ref.key()
     assert check_betti(b) == check_betti(ref)
-    for field in (b.d, b.e, b.f):
+    for field, ref_field in zip((b.d, b.e, b.f), (ref.d, ref.e, ref.f)):
         assert type(field) is IntMultiset and IntMultiset(field.entries) == field
+        assert field.entries == ref_field.entries
+
+
+def _assert_reads_as(b, d, e, f):
+    """``b`` read as the multisets and sorted lists of the lists d, e and f,
+    which the multiset module and ``sorted`` give without the classifier."""
+    ref = [ms(x) for x in (d, e, f)]
+    assert [m.entries for m in (b.d, b.e, b.f)] == [m.entries for m in ref]
+    assert repr(b) == "AciBetti(d={!r}, e={!r}, f={!r})".format(*ref)
+    d, e, f = sorted(d), sorted(e), sorted(f)
+    assert (b.d_vals, b.e_vals, b.f_vals) == (tuple(d), tuple(e), tuple(f))
+    assert b.to_json() == {"D": d, "E": e, "F": f}
+    assert b.key() == (sum(d), tuple(d), tuple(f), tuple(e))
 
 
 def test_from_values_builds_the_composed_triple():
@@ -193,8 +207,11 @@ def test_from_values_builds_the_composed_triple():
     and each field passes the validating multiset constructor."""
     corpus = _verdict_corpus()
     for d, e, f in corpus:
-        _assert_same_triple(AciBetti.from_values(d, e, f), _composed(d, e, f))
-        _assert_same_triple(AciBetti.from_json({"D": d, "E": e, "F": f}), _composed(d, e, f))
+        ref = _composed(d, e, f)
+        _assert_reads_as(ref, d, e, f)
+        for b in (AciBetti.from_values(d, e, f), AciBetti.from_json({"D": d, "E": e, "F": f})):
+            _assert_same_triple(b, ref)
+            _assert_reads_as(b, d, e, f)
     shuffled = random.Random(35)
     kinds = set()
     for convert in (tuple, iter, set, lambda x: reversed(x), lambda x: shuffled.sample(x, len(x))):
@@ -227,6 +244,35 @@ def test_from_values_and_from_json_do_not_rerun_the_constructors(monkeypatch):
     b = AciBetti.from_values(iter(GOOD_D), GOOD_E[::-1], tuple(GOOD_F))
     assert AciBetti.from_json({"D": GOOD_D, "E": GOOD_E, "F": GOOD_F[::-1]}) == b
     assert b.to_json() == {"D": GOOD_D, "E": GOOD_E, "F": GOOD_F}
+
+
+def test_deciding_encodes_runs_only_for_stage_1_witnesses(monkeypatch):
+    """Building triples, deciding them and enumerating build no multiset and
+    encode no (value, multiplicity) run, except the runs of a stage-1
+    failure: one for clause 2 (what d - F misses) and two for clause 3
+    (Ehat and what it should be).  d, e and f build theirs when read."""
+    encoded, encode = [], multiset._sorted_runs
+
+    def refuse(*args):
+        raise AssertionError("a multiset or run was built")
+
+    def witness_runs(vals):
+        encoded.append(tuple(vals))
+        return encode(vals)
+
+    corpus = _verdict_corpus()
+    with monkeypatch.context() as patch:
+        patch.setattr(aci, "_sorted_runs", witness_runs)
+        patch.setattr(multiset, "_sorted_runs", refuse)
+        patch.setattr(IntMultiset, "_trusted", refuse)
+        patch.setattr(IntMultiset, "__init__", refuse)
+        triples = [AciBetti.from_values(d, e, f) for d, e, f in corpus]
+        assert triples == [AciBetti.from_json({"D": d, "E": e, "F": f}) for d, e, f in corpus]
+        clauses = [v.failure.clause for v in map(check_betti, triples) if v.stage == 1]
+        assert len(encoded) == sum(clause - 1 for clause in clauses) and set(clauses) == {2, 3}
+        emitted = list(enumerate_admissible(10, 4))
+        assert len(encoded) == sum(clause - 1 for clause in clauses) and len(emitted) == 426
+    assert all(b.d == ms(b.d_vals) and b.e == ms(b.e_vals) and b.f == ms(b.f_vals) for b in emitted)
 
 
 # ----------------------------------------------------------------------
@@ -487,7 +533,7 @@ def test_link_output_passes_check_betti_on_corpus():
         if canonical != extra:
             continue
         f_card = beta.gens.card() + 2 * len(extra_vals) - 3
-        t = ms(aci._t_values(beta.theta, extra.entries, f_card, dbar.card()))
+        t = ms(aci._t_values(beta.theta, tuple(extra.values()), f_card, dbar.card()))
         strict_ok = True
         for s_val, mult in extra.diff(t).entries:
             first = next(j for j in range(1, 4) if choice[j - 1] == s_val)
@@ -576,8 +622,8 @@ def test_enumerate_refuses_bounds_that_are_not_ints(max_degree, max_f):
 
 
 def test_enumerate_self_check_is_live(monkeypatch):
-    """Every emitted pair is re-decided on its runs by _decide, check_betti's core, which here rejects it."""
-    monkeypatch.setattr(aci, "_decide", lambda d_runs, e_runs, f_runs: aci.Verdict(False, stage=1))
+    """Every emitted pair is re-decided on its tuples by _decide, check_betti's core, which here rejects it."""
+    monkeypatch.setattr(aci, "_decide", lambda d, e, f: aci.Verdict(False, stage=1))
     with pytest.raises(AssertionError):
         list(enumerate_admissible(6, 3, jobs=1))
 
@@ -589,7 +635,7 @@ def test_enumerate_self_check_applies_the_triple_checks(monkeypatch, bad_f):
     with a degree 0 from the search still stops the stream in the
     self-check, before enumerate_admissible builds any AciBetti."""
     monkeypatch.setattr(aci, "_admissible_f_tuples", lambda dvals, w: [bad_f])
-    monkeypatch.setattr(aci, "_decide", lambda d_runs, e_runs, f_runs: aci.Verdict(True))
+    monkeypatch.setattr(aci, "_decide", lambda d, e, f: aci.Verdict(True))
     with pytest.raises(AssertionError):
         list(enumerate_admissible(6, 3, jobs=1))
     with pytest.raises(ValueError):  # AciBetti refuses the same F at the library boundary
@@ -654,6 +700,16 @@ def test_induced_gorenstein_h_vectors_are_si_sequences(admissible_14_5):
     for g in g0s:
         h = hilbert_from_resolution(g.modules(), 3)
         assert h.socle_degree() == g.theta - 3 and is_si_sequence(h.values), g
+
+
+def test_linkage_recipe_gives_back_every_enumerated_triple(admissible_14_5):
+    """Linking the admitted G0 in the complete intersection of type Dstar,
+    with the members of S - T as bordered pairs, gives back each emitted
+    triple; link_betti shares no code with _decide."""
+    assert len(admissible_14_5) == 4222
+    for b in admissible_14_5:
+        v, dec = check_betti(b), decompose(b)
+        assert link_betti(v.beta_g.gens, v.theta_g, dec.dstar.values(), dec.s.diff(dec.t)).minimal == b, b
 
 
 def test_hilbert_oracles_can_fail():
@@ -844,10 +900,9 @@ def _decompose_by_multiset_algebra(b):
     expected = dbar.affine(d0, 1).sum(s.affine(theta_z, -1))
     if ehat != expected:
         return 3, f"Ehat = {ehat} differs from (d0 + Dbar) + (theta_z - S) = {expected}"
-    t = ms(aci._t_values(theta_z - d0, s.entries, b.f.card(), dbar.card()))
-    return aci.AciDecomposition(
-        d0, dstar.entries, theta_z, ehat.entries, s.entries, dbar.entries, t.entries, theta_z - d0, b.d.norm()
-    )
+    t = aci._t_values(theta_z - d0, tuple(s.values()), b.f.card(), dbar.card())
+    dstar, ehat, s, dbar = (tuple(m.values()) for m in (dstar, ehat, s, dbar))
+    return aci.AciDecomposition(d0, dstar, theta_z, ehat, s, dbar, t, theta_z - d0, b.d.norm())
 
 
 def _stage3_violation(dvals, e, strict):
@@ -927,8 +982,8 @@ def _decomposable(triples):
 
 
 def test_decomposition_contract():
-    """A decomposition keeps runs and builds its multisets when read; it
-    compares, hashes and pickles by value."""
+    """A decomposition keeps sorted value tuples and builds its multisets
+    when read; it compares, hashes and pickles by value."""
     cases = [betti(case) for case in WORKED_CASES]
     corpus = _decomposable(_verdict_corpus())
     assert len(corpus) > 500
@@ -951,17 +1006,43 @@ def test_decomposition_contract():
     dec = decompose(cases[2])
     assert dec._replace(theta_g=dec.theta_g + 1) != dec
     for name in _MULTISET_FIELDS:
-        grown = IntMultiset.from_values(getattr(dec, name).values() + [99]).entries
-        assert dec._replace(**{name + "_runs": grown}) != dec, name
+        grown = tuple(IntMultiset.from_values(getattr(dec, name).values() + [99]).values())
+        assert dec._replace(**{name + "_vals": grown}) != dec, name
+
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def _check_mix_items(seed):
+    """The check-mix stream of the benchmark for ``seed``, as (stratum, D, E, F)
+    with D, E and F lists, and the stratum of a linked triple."""
+    spec = importlib.util.spec_from_file_location("bench_inputs", BENCH / "inputs.py")
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    return inputs.check_mix(seed), inputs.LINKED
 
 
 def _check_mix_triples(seed):
     """The check-mix stream of the benchmark for ``seed``, as (D, E, F) lists."""
-    path = Path(__file__).resolve().parents[1] / "bench" / "inputs.py"
-    spec = importlib.util.spec_from_file_location("bench_inputs", path)
-    inputs = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(inputs)
-    return [(d, e, f) for _, d, e, f in inputs.check_mix(seed)]
+    return [(d, e, f) for _, d, e, f in _check_mix_items(seed)[0]]
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_check_mix_verdicts_match_the_benchmark_digests(seed):
+    """Every verdict of the check-mix stream, as the benchmark checks it: the
+    md5 of the sorted-key JSON lines of its verdicts and the admissible /
+    stage-3 split of its linked triples, recorded in bench/check_mix_refs.txt."""
+    refs = {}
+    for line in (BENCH / "check_mix_refs.txt").read_text().splitlines():
+        if line and not line.startswith("#"):
+            ref_seed, md5, admissible, stage3 = line.split()
+            refs[int(ref_seed)] = (md5, int(admissible), int(stage3))
+    items, linked = _check_mix_items(seed)
+    verdicts = [check_betti(AciBetti.from_values(d, e, f)) for _, d, e, f in items]
+    lines = [json.dumps(v.to_json(), sort_keys=True) for v in verdicts]
+    split = [v.stage for (stratum, *_), v in zip(items, verdicts) if stratum == linked]
+    got = (hashlib.md5("\n".join(lines).encode()).hexdigest(), split.count(None), split.count(3))
+    assert len(items) == 6000 and got == refs[seed]
 
 
 def test_admitted_gorenstein_betti_equals_validated_construction():
@@ -990,7 +1071,7 @@ def test_decompositions_leave_no_room_for_b():
     decomposed = admitted = 0
     for b in _decomposable(_verdict_corpus()):
         dec = decompose(b)
-        caps = aci._stage3_caps(dec.dstar.values(), dec.s_runs, dec.t.values())
+        caps = aci._stage3_caps(dec.dstar.values(), dec.s_vals, dec.t.values())
         assert dec.theta_g > caps[1] + caps[2], b
         decomposed += 1
         v = check_betti(b)
@@ -1073,7 +1154,7 @@ def _reference_windows(dvals, max_degree, max_f):
         if ehat.max() > max_degree or dstar.intersect(ehat.affine(theta_z, -1)) != s or lo > hi:
             continue
         for k in range(2, max_f + 1):
-            t = ms(aci._t_values(theta_g, s.entries, k, dbar.card()))
+            t = ms(aci._t_values(theta_g, tuple(s.values()), k, dbar.card()))
             tail = dbar.sum(t)
             n = k + tail.card()
             if n % 2:
@@ -1141,12 +1222,12 @@ def _verdict_by_keywords(b):
     dec = decompose(b)
     if isinstance(dec, AciTypeFailure):
         return aci.Verdict(False, stage=1, failure=dec)
-    h = aci._induced_g0(dec, b.f.entries)
+    h = aci._induced_g0(dec, b.f_vals)
     if isinstance(h, GorensteinFailure):
         return aci.Verdict(False, stage=2, failure=h)
     e = mci_from_sorted(h, dec.theta_g)
     dvals = dec.dstar.values()
-    caps = aci._stage3_caps(dvals, dec.s_runs, dec.t.values())
+    caps = aci._stage3_caps(dvals, dec.s_vals, dec.t.values())
     if all(x <= cap for x, cap in zip(e, caps)):
         return aci.Verdict(True, g0=tuple(h), theta_g=dec.theta_g, mci=e)
     return aci.Verdict(False, stage=3, failure=(tuple(dvals), caps), g0=tuple(h), theta_g=dec.theta_g, mci=e)
