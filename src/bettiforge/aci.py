@@ -58,7 +58,7 @@ def _check_shape(d_card: int, e_card: int, f_card: int, d_min: int, e_min: int, 
 
 def _multiset_on_read(field: str) -> property:
     vals = attrgetter(field)
-    return property(lambda b: IntMultiset._from_sorted(vals(b)), doc=f"``{field}`` as an IntMultiset.")
+    return property(lambda b: IntMultiset.from_values(vals(b)), doc=f"``{field}`` as an IntMultiset.")
 
 
 class AciBetti(Frozen):
@@ -118,15 +118,18 @@ class AciBetti(Frozen):
         return b
 
     @classmethod
-    def from_json(cls, data: dict) -> "AciBetti":
+    def from_json(cls, data: object) -> "AciBetti":
         """Parse {"D": [...], "E": [...], "F": [...]}; bools, floats and strings are rejected.
 
-        Each array's values are type-checked here, once, and
-        :meth:`_from_sorted` takes sorted copies of the arrays.
+        Anything but an object is refused first.  Each array's values are
+        type-checked here, once, and :meth:`_from_sorted` takes sorted
+        copies of the arrays.
         """
+        if not isinstance(data, dict):
+            raise ValueError(f"expected an object with keys D, E, F, got {type(data).__name__}")
         try:
             arrays = [data[key] for key in "DEF"]
-        except (KeyError, TypeError) as exc:
+        except KeyError as exc:
             raise ValueError(f"expected keys D, E, F with integer arrays: {exc}") from exc
         for key, values in zip("DEF", arrays):
             if not isinstance(values, list) or not all(type(v) is int for v in values):
@@ -299,7 +302,7 @@ def induced_gorenstein(
     h = _induced_g0(dec, f.values())
     if isinstance(h, GorensteinFailure):
         return h
-    return GorensteinBetti._trusted(IntMultiset.from_values(h), dec.theta_g)
+    return GorensteinBetti(IntMultiset.from_values(h), dec.theta_g)
 
 
 class Verdict(Frozen):
@@ -339,7 +342,7 @@ class Verdict(Frozen):
     def beta_g(self) -> GorensteinBetti | None:
         if self.g0 is None:
             return None
-        return GorensteinBetti._trusted(IntMultiset.from_values(self.g0), self.theta_g)
+        return GorensteinBetti(IntMultiset.from_values(self.g0), self.theta_g)
 
     @property
     def witness(self) -> str | None:
@@ -780,17 +783,17 @@ def _candidates_for_d(dvals: tuple[int, int, int, int], max_degree: int, max_f: 
 def _admitted(dvals: Vals, e_tuple: Vals, f_tuple: Vals) -> bool:
     """The self-check of one emitted pair: :class:`AciBetti`'s checks and :func:`_decide`, on sorted tuples.
 
-    |D| = 4 with D positive holds for every D of :func:`_sorted_d_tuples`;
-    the rest is checked here, on the tuples, which :func:`_decide` then
-    decides as they are.
+    A pair that breaks :func:`_check_shape` fails the check rather than
+    raising its ValueError; the rest is decided by :func:`_decide` on the
+    tuples as they are.
     """
-    return (
-        len(f_tuple) >= 2
-        and len(e_tuple) == len(f_tuple) + 3
-        and e_tuple[0] >= 1
-        and f_tuple[0] >= 1
-        and _decide(dvals, e_tuple, f_tuple).admissible
-    )
+    try:
+        _check_shape(
+            len(dvals), len(e_tuple), len(f_tuple), dvals[0], e_tuple[0] if e_tuple else 0, f_tuple[0] if f_tuple else 0
+        )
+    except ValueError:
+        return False
+    return _decide(dvals, e_tuple, f_tuple).admissible
 
 
 def _sorted_d_tuples(max_degree: int) -> Iterator[tuple[int, int, int, int]]:

@@ -115,19 +115,6 @@ class GorensteinBetti(Frozen):
         """
         return cls(gens, theta_of(gens.values()))
 
-    @classmethod
-    def _trusted(cls, gens: IntMultiset, theta: int) -> "GorensteinBetti":
-        """Wrap data the caller has just admitted, without rerunning ``__init__``'s checks.
-
-        The caller guarantees that ``gens`` passes ``check_gorenstein_betti``
-        and that ``theta`` is the int ``theta_of`` gives for them, as the
-        ``aci`` module has decided for G0 before it wraps it.
-        """
-        b = object.__new__(cls)
-        object.__setattr__(b, "gens", gens)
-        object.__setattr__(b, "theta", theta)
-        return b
-
     def syzygies(self) -> IntMultiset:
         return self.gens.affine(self.theta, -1)
 

@@ -1,8 +1,10 @@
 """Exact finite multisets of integers.
 
-All degree bookkeeping in this package (generator degrees, syzygy twists,
-socle degrees) is carried by finite multisets of integers.  Values may be
-negative: bordered pfaffian presentations force twist slots below zero.
+The package hands out generator degrees, syzygy twists and socle degrees
+as finite multisets of integers.  The classifier in ``aci`` decides on
+sorted tuples of ints and builds a multiset only when one is read.  Values
+may be negative: bordered pfaffian presentations force twist slots below
+zero.
 The representation is a run-length encoding sorted by value, so equality
 is structural and JSON round-trips are canonical.
 """
@@ -65,8 +67,8 @@ class IntMultiset(Frozen):
             prev = value
         object.__setattr__(self, "entries", entries)
 
-    # Frozen's equality and hash spelled out for the one field: they are
-    # the hot pair, and bench/spans.py patches ``__eq__`` on this class.
+    # Frozen's equality and hash spelled out for the one field:
+    # bench/spans.py patches ``__eq__`` on this class.
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
             return self.entries == other.entries
@@ -92,27 +94,16 @@ class IntMultiset(Frozen):
         return cls._trusted(_sorted_runs(_sorted_ints(values)))
 
     @classmethod
-    def _from_sorted(cls, vals: Sequence[int]) -> "IntMultiset":
-        """Run-length encoding of a sorted sequence of ints, without any check.
-
-        The :meth:`_trusted` contract holds: only for ints the package
-        computed itself and has already sorted.  Outside values go through
-        :meth:`from_values`.
-        """
-        return cls._trusted(_sorted_runs(vals))
-
-    @classmethod
     def _trusted(cls, entries: tuple[tuple[int, int], ...]) -> "IntMultiset":
         """Wrap runs without validation.
 
         Only code that builds the runs itself may call it, and it must
         guarantee what ``__init__`` would check: int values strictly
         increasing, each with a positive int multiplicity.  That holds for
-        :meth:`_from_sorted` on values :func:`_sorted_ints` has checked or
-        the package computed itself, and for runs derived from other valid
-        runs by steps that keep the order and drop zero counts (as
-        :meth:`_combine` does).  Anything read from outside the package
-        goes through the validating constructor.
+        :meth:`from_values` on values :func:`_sorted_ints` has checked, and
+        for runs derived from other valid runs by steps that keep the order
+        and drop zero counts (as :meth:`_combine` does).  Anything read from
+        outside the package goes through a validating constructor.
         """
         m = object.__new__(cls)
         object.__setattr__(m, "entries", entries)
@@ -144,13 +135,7 @@ class IntMultiset(Frozen):
 
     def values(self) -> list[int]:
         """Expanded sorted list with repetitions, e.g. [3, 6, 6, 6]."""
-        out: list[int] = []
-        for v, m in self.entries:
-            if m == 1:
-                out.append(v)
-            else:
-                out.extend([v] * m)
-        return out
+        return [v for v, m in self.entries for _ in range(m)]
 
     def min(self) -> int:
         if not self.entries:

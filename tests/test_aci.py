@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from bettiforge import aci, multiset
+from bettiforge import aci, gorenstein, multiset
 from bettiforge.aci import (
     AciBetti,
     AciTypeFailure,
@@ -171,10 +171,11 @@ def test_from_values_and_from_json_raise_the_composed_messages_in_order():
         ({"D": [4, 5], "E": [1.5], "F": GOOD_F}, "E must be an array of integers, got [1.5]"),
         ({"D": GOOD_D, "E": GOOD_E, "F": [12, True]}, "F must be an array of integers, got [12, True]"),
         ({"D": GOOD_D, "E": GOOD_E}, "expected keys D, E, F with integer arrays: 'F'"),
-        (
-            [GOOD_D, GOOD_E, GOOD_F],
-            "expected keys D, E, F with integer arrays: list indices must be integers or slices, not str",
-        ),
+        ([GOOD_D, GOOD_E, GOOD_F], "expected an object with keys D, E, F, got list"),
+        ("DEF", "expected an object with keys D, E, F, got str"),
+        (None, "expected an object with keys D, E, F, got NoneType"),
+        (7, "expected an object with keys D, E, F, got int"),
+        (1.5, "expected an object with keys D, E, F, got float"),
     ):
         assert _outcome(AciBetti.from_json, data) == ("error", message)
 
@@ -881,6 +882,27 @@ def test_check_betti_builds_beta_g_when_read(monkeypatch):
         expected = induced_gorenstein(decompose(b), b.f)
         assert v.beta_g == expected and v.beta_g is not v.beta_g, v
         assert v.g0 == tuple(expected.gens.values()) and v.theta_g == expected.theta
+
+
+def test_every_gorenstein_betti_handed_out_is_checked(monkeypatch):
+    """Each read of beta_g and each induced_gorenstein call runs the
+    Gaeta-Diesel check once, on the G0 it hands out."""
+    checked = []
+
+    def counting(gens):
+        checked.append(gens)
+        return check_gorenstein_betti(gens)
+
+    admitted = [(b, v) for b, v in ((b, check_betti(b)) for b in _one_triple_per_verdict_kind()) if v.g0]
+    assert {v.stage for _, v in admitted} == {None, 3}
+    monkeypatch.setattr(gorenstein, "check_gorenstein_betti", counting)
+    for b, v in admitted:
+        del checked[:]
+        beta_g = v.beta_g
+        assert checked == [ms(v.g0)] and beta_g.gens == ms(v.g0), v
+        del checked[:]
+        induced = induced_gorenstein(decompose(b), b.f)
+        assert checked == [ms(v.g0)] and induced == beta_g, v
 
 
 def _decompose_by_multiset_algebra(b):

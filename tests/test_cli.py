@@ -144,6 +144,16 @@ def test_check_rejects_string_arrays(capsys):
     assert code == 2 and out == ""
 
 
+@pytest.mark.parametrize(
+    "text, kind",
+    [("[[4, 5, 5, 9], [9], [12]]", "list"), ('"abc"', "str"), ("null", "NoneType"), ("5", "int")],
+    ids=["array", "string", "null", "number"],
+)
+def test_check_refuses_json_that_is_not_an_object(text, kind, capsys):
+    code, out, err = run_cli(["check", "-"], text, capsys)
+    assert (code, out, err) == (2, "", f"error: expected an object with keys D, E, F, got {kind}\n")
+
+
 def test_check_from_file(tmp_path, capsys):
     path = tmp_path / "seq.json"
     path.write_text(EX_ADMISSIBLE, encoding="utf-8")

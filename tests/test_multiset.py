@@ -60,7 +60,8 @@ def test_from_values_matches_dict_count():
 
 def test_trusted_from_values_equals_validated_construction():
     """from_values skips the constructor's walk over its runs; the runs it
-    wraps must pass that walk and equal the counted reference."""
+    wraps must pass that walk and equal the counted reference, and
+    values() gives the values back sorted."""
     rng = random.Random(2024)
     repeated = 0
     for _ in range(2500):
@@ -71,32 +72,13 @@ def test_trusted_from_values_equals_validated_construction():
         runs = tuple(sorted(counts.items()))
         m = ms(values)
         assert m == IntMultiset(runs) and hash(m) == hash(IntMultiset(runs)), values
-        assert IntMultiset(m.entries) == m, values
+        assert IntMultiset(m.entries) == m and m.values() == sorted(values), values
         repeated += len(runs) < len(values)
     assert repeated > 1000
     for bad in ([2.7, True], [1, True], [2, 2.0], [3, "4", 5]):
         with pytest.raises(ValueError) as exc:
             ms(bad)
         assert str(exc.value) == f"multiset values must be ints, got {bad!r}"
-
-
-def test_from_sorted_equals_from_values():
-    """_from_sorted is from_values' encoding loop on already sorted ints:
-    same runs, valid for the constructor, and values() gives the list back."""
-    rng = random.Random(23)
-    cases = [[], [0], [-3, -3], [5, 5, 5, 5]]
-    cases += [sorted(rng.randint(-8, 8) for _ in range(rng.randint(0, 14))) for _ in range(1500)]
-    repeated = negative = 0
-    for vals in cases:
-        m = IntMultiset._from_sorted(vals)
-        assert m == ms(vals) and hash(m) == hash(ms(vals)), vals
-        assert type(m) is IntMultiset and IntMultiset(m.entries) == m, vals
-        assert IntMultiset._from_sorted(tuple(vals)) == m, vals
-        assert m.values() == vals and m.to_list() == vals, vals
-        repeated += any(k > 1 for _, k in m.entries)
-        negative += bool(vals) and vals[0] < 0
-    assert repeated > 500 and negative > 500
-    assert IntMultiset._from_sorted([]) == IntMultiset.empty()
 
 
 def test_multiplicities_must_be_non_bool_ints():
