@@ -36,23 +36,23 @@ from .gorenstein import (
     mci_from_sorted,
     theta_of,
 )
-from .multiset import IntMultiset, _sorted_ints, _sorted_runs
+from .multiset import IntMultiset, _sorted_ints
 
-def _check_shape(d_card: int, e_card: int, f_card: int, d_min: int, e_min: int, f_min: int) -> None:
-    """The shape rule of (D, E, F): |D| = 4, |F| >= 2, |E| = |F| + 3, positive degrees.
+def _check_shape(d: Sequence[int], e: Sequence[int], f: Sequence[int]) -> None:
+    """The shape rule of the sorted (D, E, F): |D| = 4, |F| >= 2, |E| = |F| + 3, positive degrees.
 
     The checks run in that order and the first fault raises ValueError.
-    The minimums are read only once the cardinalities hold, so the
-    minimum of an empty multiset may be passed as any int.
+    The first values are read only once the cardinalities hold, when none
+    of the three is empty.
     """
-    if d_card != 4:
-        raise ValueError(f"|D| must be 4, got {d_card}")
-    if f_card < 2:
-        raise ValueError(f"|F| must be >= 2, got {f_card}")
-    if e_card != f_card + 3:
-        raise ValueError(f"|E| must be |F| + 3 = {f_card + 3}, got {e_card}")
-    if d_min < 1 or e_min < 1 or f_min < 1:
-        name = "D" if d_min < 1 else "E" if e_min < 1 else "F"
+    if len(d) != 4:
+        raise ValueError(f"|D| must be 4, got {len(d)}")
+    if len(f) < 2:
+        raise ValueError(f"|F| must be >= 2, got {len(f)}")
+    if len(e) != len(f) + 3:
+        raise ValueError(f"|E| must be |F| + 3 = {len(f) + 3}, got {len(e)}")
+    if d[0] < 1 or e[0] < 1 or f[0] < 1:
+        name = "D" if d[0] < 1 else "E" if e[0] < 1 else "F"
         raise ValueError(f"{name} must contain positive degrees only")
 
 
@@ -82,7 +82,7 @@ class AciBetti(Frozen):
 
     def __init__(self, d: IntMultiset, e: IntMultiset, f: IntMultiset) -> None:
         d, e, f = tuple(d.values()), tuple(e.values()), tuple(f.values())
-        _check_shape(len(d), len(e), len(f), d[0] if d else 0, e[0] if e else 0, f[0] if f else 0)
+        _check_shape(d, e, f)
         object.__setattr__(self, "d_vals", d)
         object.__setattr__(self, "e_vals", e)
         object.__setattr__(self, "f_vals", f)
@@ -110,7 +110,7 @@ class AciBetti(Frozen):
         The shape rule is checked on the lengths and first values, and the
         sequences are stored as tuples (a tuple is kept as it is).
         """
-        _check_shape(len(d), len(e), len(f), d[0] if d else 0, e[0] if e else 0, f[0] if f else 0)
+        _check_shape(d, e, f)
         b = object.__new__(cls)
         object.__setattr__(b, "d_vals", tuple(d))
         object.__setattr__(b, "e_vals", tuple(e))
@@ -177,20 +177,20 @@ class AciDecomposition(NamedTuple):
 
 
 class AciTypeFailure(Frozen):
-    __slots__ = _fields = ("clause", "runs")
+    __slots__ = _fields = ("clause", "vals")
     clause: int  # 2 or 3, matching the decomposition conditions
-    runs: tuple  # (missing,) or (Ehat, expected) as sorted (value, multiplicity) runs; read by reason
+    vals: tuple[Vals, ...]  # (missing,) or (Ehat, expected) as sorted value tuples; read by reason
 
-    def __init__(self, clause: int, runs: tuple) -> None:
+    def __init__(self, clause: int, vals: tuple[Vals, ...]) -> None:
         object.__setattr__(self, "clause", clause)
-        object.__setattr__(self, "runs", runs)
+        object.__setattr__(self, "vals", vals)
 
     @property
     def reason(self) -> str:
-        runs = map(IntMultiset, self.runs)
+        multisets = map(IntMultiset.from_values, self.vals)
         if self.clause == 2:
-            return "(d - F) is not a submultiset of E: missing {}".format(*runs)
-        return "Ehat = {} differs from (d0 + Dbar) + (theta_z - S) = {}".format(*runs)
+            return "(d - F) is not a submultiset of E: missing {}".format(*multisets)
+        return "Ehat = {} differs from (d0 + Dbar) + (theta_z - S) = {}".format(*multisets)
 
 
 def _t_values(theta_g: int, s_vals: Vals, f_card: int, dbar_card: int) -> Vals:
@@ -216,9 +216,8 @@ def _decompose(d: Vals, e: Vals, f: Vals) -> AciDecomposition | AciTypeFailure:
     |E| = |F| + 3, it holds three values once every d - f is found.  Dstar
     is D without its first value, and S takes, in order, each value x of
     Dstar whose partner theta_z - x has a copy in Ehat left over; the rest
-    is Dbar.  A returned decomposition keeps sorted value tuples and builds
-    no multiset (see :class:`AciDecomposition`).  A failure keeps the
-    (value, multiplicity) runs its witness reports, built only then.
+    is Dbar.  Either outcome keeps sorted value tuples and builds no
+    multiset (see :class:`AciDecomposition` and :class:`AciTypeFailure`).
     """
     d_norm = sum(d)
     ehat = list(e)
@@ -230,7 +229,7 @@ def _decompose(d: Vals, e: Vals, f: Vals) -> AciDecomposition | AciTypeFailure:
         else:
             missing.append(w)
     if missing:
-        return AciTypeFailure(2, (_sorted_runs(missing),))
+        return AciTypeFailure(2, (tuple(missing),))
     d0 = d[0]
     dstar = d[1:]
     theta_z = d_norm - d0
@@ -244,7 +243,7 @@ def _decompose(d: Vals, e: Vals, f: Vals) -> AciDecomposition | AciTypeFailure:
     expected = [d0 + v for v in dbar] + [theta_z - v for v in s]  # (d0 + Dbar) + (theta_z - S)
     expected.sort()
     if ehat != expected:
-        return AciTypeFailure(3, (_sorted_runs(ehat), _sorted_runs(expected)))
+        return AciTypeFailure(3, (tuple(ehat), tuple(expected)))
     theta_g = theta_z - d0
     s = tuple(s)
     dbar = tuple(dbar)
@@ -397,10 +396,10 @@ def _decide(d: Vals, e: Vals, f: Vals) -> Verdict:
     """The three-stage decision on the sorted tuples of D, E and F.
 
     Every stage reads the decomposition's sorted tuples and the sorted
-    G0 list, and no multiset or run is built, except the runs a stage-1
-    failure reports: the verdict keeps an admitted G0 as a tuple.  By the
-    lemma of :func:`_candidates_for_d`, theta_g > cap_2 + cap_3, so an
-    admitted G0 has B empty and its mci triple is (h_0, h_1, e_3).
+    G0 list, and no multiset or run is built: the verdict keeps a stage-1
+    witness and an admitted G0 as tuples.  By the lemma of
+    :func:`_candidates_for_d`, theta_g > cap_2 + cap_3, so an admitted G0
+    has B empty and its mci triple is (h_0, h_1, e_3).
     ``enumerate`` runs it on every pair it emits, so each :class:`Verdict`
     is built with its six fields in order.
     """
@@ -788,9 +787,7 @@ def _admitted(dvals: Vals, e_tuple: Vals, f_tuple: Vals) -> bool:
     tuples as they are.
     """
     try:
-        _check_shape(
-            len(dvals), len(e_tuple), len(f_tuple), dvals[0], e_tuple[0] if e_tuple else 0, f_tuple[0] if f_tuple else 0
-        )
+        _check_shape(dvals, e_tuple, f_tuple)
     except ValueError:
         return False
     return _decide(dvals, e_tuple, f_tuple).admissible

@@ -260,7 +260,7 @@ def cmd_pfaffian(args) -> int:
 def cmd_link(args) -> int:
     gens = IntMultiset.from_values(_parse_int_list(args.gens))
     ci_type = _parse_int_list(args.ci)
-    extra = IntMultiset.from_values(_parse_int_list(args.extra)) if args.extra else None
+    extra = IntMultiset.from_values(_parse_int_list(args.extra)) if args.extra is not None else None
     with _unlimited_digits():
         _emit(link_betti(gens, args.theta, ci_type, extra).to_json())
     return 0

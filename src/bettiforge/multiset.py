@@ -12,26 +12,11 @@ is structural and JSON round-trips are canonical.
 from __future__ import annotations
 
 from collections import Counter
+from itertools import groupby
 from operator import add, and_, or_, sub
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator
 
 from ._frozen import Frozen
-
-
-def _sorted_runs(vals: Sequence[int]) -> tuple[tuple[int, int], ...]:
-    """The (value, multiplicity) runs of a sorted sequence of ints, without any check."""
-    if not vals:
-        return ()
-    runs = []
-    prev, count = vals[0], 0
-    for v in vals:
-        if v == prev:
-            count += 1
-        else:
-            runs.append((prev, count))
-            prev, count = v, 1
-    runs.append((prev, count))
-    return tuple(runs)
 
 
 def _sorted_ints(values: Iterable[int]) -> list[int]:
@@ -86,12 +71,11 @@ class IntMultiset(Frozen):
         """Run-length encoding of the sorted values; each must be a non-bool ``int``, else ValueError.
 
         The one check runs on the values themselves, in :func:`_sorted_ints`.
-        The runs are then valid by construction (int values, strictly
-        increasing after the sort, each counted at least once), so
-        :func:`_sorted_runs` encodes them instead of ``__init__`` walking
-        them again.
+        The runs of the sorted list are then valid by construction (int
+        values, strictly increasing, each counted at least once), so they
+        are wrapped without ``__init__`` walking them again.
         """
-        return cls._trusted(_sorted_runs(_sorted_ints(values)))
+        return cls._trusted(tuple([(v, len(list(group))) for v, group in groupby(_sorted_ints(values))]))
 
     @classmethod
     def _trusted(cls, entries: tuple[tuple[int, int], ...]) -> "IntMultiset":

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from bettiforge import aci, gorenstein, multiset
+from bettiforge import aci, gorenstein
 from bettiforge.aci import (
     AciBetti,
     AciTypeFailure,
@@ -247,32 +247,31 @@ def test_from_values_and_from_json_do_not_rerun_the_constructors(monkeypatch):
     assert b.to_json() == {"D": GOOD_D, "E": GOOD_E, "F": GOOD_F}
 
 
-def test_deciding_encodes_runs_only_for_stage_1_witnesses(monkeypatch):
+def test_deciding_builds_no_multiset_or_run(monkeypatch):
     """Building triples, deciding them and enumerating build no multiset and
-    encode no (value, multiplicity) run, except the runs of a stage-1
-    failure: one for clause 2 (what d - F misses) and two for clause 3
-    (Ehat and what it should be).  d, e and f build theirs when read."""
-    encoded, encode = [], multiset._sorted_runs
+    encode no (value, multiplicity) run, stage-1 witnesses included: a
+    clause-2 failure keeps what d - F misses and a clause-3 failure keeps
+    Ehat and what it should be, each as a sorted int tuple.  d, e, f and
+    a failure's reason build their multisets when read."""
 
     def refuse(*args):
         raise AssertionError("a multiset or run was built")
 
-    def witness_runs(vals):
-        encoded.append(tuple(vals))
-        return encode(vals)
-
     corpus = _verdict_corpus()
     with monkeypatch.context() as patch:
-        patch.setattr(aci, "_sorted_runs", witness_runs)
-        patch.setattr(multiset, "_sorted_runs", refuse)
+        patch.setattr(IntMultiset, "from_values", refuse)
         patch.setattr(IntMultiset, "_trusted", refuse)
         patch.setattr(IntMultiset, "__init__", refuse)
         triples = [AciBetti.from_values(d, e, f) for d, e, f in corpus]
         assert triples == [AciBetti.from_json({"D": d, "E": e, "F": f}) for d, e, f in corpus]
-        clauses = [v.failure.clause for v in map(check_betti, triples) if v.stage == 1]
-        assert len(encoded) == sum(clause - 1 for clause in clauses) and set(clauses) == {2, 3}
+        failures = [v.failure for v in map(check_betti, triples) if v.stage == 1]
         emitted = list(enumerate_admissible(10, 4))
-        assert len(encoded) == sum(clause - 1 for clause in clauses) and len(emitted) == 426
+    assert {failure.clause for failure in failures} == {2, 3} and len(emitted) == 426
+    for failure in failures:
+        assert len(failure.vals) == failure.clause - 1, failure
+        for vals in failure.vals:
+            assert type(vals) is tuple and {int}.issuperset(map(type, vals)), failure
+            assert list(vals) == sorted(vals), failure
     assert all(b.d == ms(b.d_vals) and b.e == ms(b.e_vals) and b.f == ms(b.f_vals) for b in emitted)
 
 

@@ -659,6 +659,15 @@ def test_link_refuses_inadmissible_gens(capsys):
     assert err == "error: inadmissible Gorenstein Betti sequence: theta = 5 <= h_2 + h_5 = 6\n"
 
 
+def test_link_refuses_an_empty_extra(capsys):
+    # an empty --extra is malformed input, as an empty --ci or --gens is, not "no extra"
+    code, out, err = run_cli(
+        ["link", "--gens", "[2,2,2,2,2]", "--theta", "5", "--ci", "[2,2,2]", "--extra", ""], capsys=capsys
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: expected a JSON integer array, got ''")
+
+
 @pytest.mark.parametrize("value", ["\u0666", "0_3", " 1_0 "], ids=["arabic-indic", "underscore", "spaced"])
 def test_integer_options_are_ascii_digits(value, capsys):
     # int() reads each of these as a number; the integer options take ASCII digits only

@@ -73,8 +73,8 @@ VALUES = {
         "f=IntMultiset(entries=((5, 1), (6, 1))))",
     ),
     AciTypeFailure: (
-        lambda: AciTypeFailure(3, (((4, 1),), ((5, 2),))),
-        "AciTypeFailure(clause=3, runs=(((4, 1),), ((5, 2),)))",
+        lambda: AciTypeFailure(3, ((4,), (5, 5))),
+        "AciTypeFailure(clause=3, vals=((4,), (5, 5)))",
     ),
     GorensteinFailure: (
         lambda: GorensteinFailure("parity", (1, 2), 4),
@@ -82,7 +82,7 @@ VALUES = {
     ),
     Verdict: (
         lambda: check_betti(AciBetti.from_values([2, 2, 2, 3], [4, 4, 4, 4, 5], [5, 6])),
-        "Verdict(admissible=False, stage=1, failure=AciTypeFailure(clause=2, runs=(((3, 1),),)), "
+        "Verdict(admissible=False, stage=1, failure=AciTypeFailure(clause=2, vals=((3,),)), "
         "g0=None, theta_g=None, mci=None)",
     ),
     LinkResult: (
