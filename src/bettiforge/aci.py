@@ -81,7 +81,7 @@ class AciBetti(Frozen):
     f = _multiset_on_read("f_vals")
 
     def __init__(self, d: IntMultiset, e: IntMultiset, f: IntMultiset) -> None:
-        d, e, f = tuple(d.values()), tuple(e.values()), tuple(f.values())
+        d, e, f = d.vals, e.vals, f.vals
         _check_shape(d, e, f)
         object.__setattr__(self, "d_vals", d)
         object.__setattr__(self, "e_vals", e)
@@ -396,7 +396,7 @@ def _decide(d: Vals, e: Vals, f: Vals) -> Verdict:
     """The three-stage decision on the sorted tuples of D, E and F.
 
     Every stage reads the decomposition's sorted tuples and the sorted
-    G0 list, and no multiset or run is built: the verdict keeps a stage-1
+    G0 list, and no multiset is built: the verdict keeps a stage-1
     witness and an admitted G0 as tuples.  By the lemma of
     :func:`_candidates_for_d`, theta_g > cap_2 + cap_3, so an admitted G0
     has B empty and its mci triple is (h_0, h_1, e_3).
@@ -760,10 +760,10 @@ def _candidates_for_d(dvals: tuple[int, int, int, int], max_degree: int, max_f: 
     No pair repeats: S is read off Ehat, so windows of one D with the same
     |F| differ in Ehat.  Every pair is then self-checked on its sorted
     tuples, which :func:`_admitted` hands to :func:`_decide` as they are;
-    ``python -O`` strips that check.  No :class:`AciBetti`,
-    :class:`IntMultiset` or (value, multiplicity) run is built here: the
-    pairs go to ``enumerate`` as they are, and :func:`enumerate_admissible`
-    stores the same tuples in its triples.
+    ``python -O`` strips that check.  No :class:`AciBetti` or
+    :class:`IntMultiset` is built here: the pairs go to ``enumerate`` as
+    they are, and :func:`enumerate_admissible` stores the same tuples in
+    its triples.
     """
     d = sum(dvals)
     pairs = []

@@ -263,8 +263,8 @@ def hilbert_from_resolution(modules: Sequence[IntMultiset], nvars: int) -> Hilbe
     counts = {0: 1}
     sign = -1
     for m in modules:
-        for v, mult in m.entries:
-            counts[v] = counts.get(v, 0) + sign * mult
+        for v in m.vals:
+            counts[v] = counts.get(v, 0) + sign
         sign = -sign
     hilbert_caps(max(counts), nvars)
     twists = [v for v, c in counts.items() if c]

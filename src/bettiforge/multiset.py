@@ -5,14 +5,13 @@ as finite multisets of integers.  The classifier in ``aci`` decides on
 sorted tuples of ints and builds a multiset only when one is read.  Values
 may be negative: bordered pfaffian presentations force twist slots below
 zero.
-The representation is a run-length encoding sorted by value, so equality
-is structural and JSON round-trips are canonical.
+A multiset stores the sorted tuple of its values, with repeats, so
+equality is structural and JSON round-trips are canonical.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from itertools import groupby
 from operator import add, and_, or_, sub
 from typing import Callable, Iterable, Iterator
 
@@ -33,34 +32,24 @@ def _sorted_ints(values: Iterable[int]) -> list[int]:
 
 
 class IntMultiset(Frozen):
-    """A multiset of integers stored as sorted ``(value, multiplicity)`` runs."""
+    """A multiset of integers stored as the sorted tuple of its values, e.g. ``(3, 6, 6, 6)``."""
 
-    __slots__ = _fields = ("entries",)
-    entries: tuple[tuple[int, int], ...]
+    __slots__ = _fields = ("vals",)
+    vals: tuple[int, ...]
 
-    def __init__(self, entries: tuple[tuple[int, int], ...] = ()) -> None:
-        prev = None
-        for value, mult in entries:
-            if type(value) is not int:
-                raise ValueError(f"multiset values must be ints, got {value!r}")
-            if type(mult) is not int:
-                raise ValueError(f"multiplicity of {value} must be an int, got {mult!r}")
-            if mult < 1:
-                raise ValueError(f"multiplicity of {value} must be positive, got {mult}")
-            if prev is not None and value <= prev:
-                raise ValueError("entries must be strictly increasing by value")
-            prev = value
-        object.__setattr__(self, "entries", entries)
+    def __init__(self, values: Iterable[int] = ()) -> None:
+        """The multiset of these values; each must be a non-bool ``int``, else ValueError."""
+        object.__setattr__(self, "vals", tuple(_sorted_ints(values)))
 
     # Frozen's equality and hash spelled out for the one field:
     # bench/spans.py patches ``__eq__`` on this class.
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
-            return self.entries == other.entries
+            return self.vals == other.vals
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.entries,))
+        return hash((self.vals,))
 
     # ------------------------------------------------------------------
     # construction
@@ -68,30 +57,8 @@ class IntMultiset(Frozen):
 
     @classmethod
     def from_values(cls, values: Iterable[int]) -> "IntMultiset":
-        """Run-length encoding of the sorted values; each must be a non-bool ``int``, else ValueError.
-
-        The one check runs on the values themselves, in :func:`_sorted_ints`.
-        The runs of the sorted list are then valid by construction (int
-        values, strictly increasing, each counted at least once), so they
-        are wrapped without ``__init__`` walking them again.
-        """
-        return cls._trusted(tuple([(v, len(list(group))) for v, group in groupby(_sorted_ints(values))]))
-
-    @classmethod
-    def _trusted(cls, entries: tuple[tuple[int, int], ...]) -> "IntMultiset":
-        """Wrap runs without validation.
-
-        Only code that builds the runs itself may call it, and it must
-        guarantee what ``__init__`` would check: int values strictly
-        increasing, each with a positive int multiplicity.  That holds for
-        :meth:`from_values` on values :func:`_sorted_ints` has checked, and
-        for runs derived from other valid runs by steps that keep the order
-        and drop zero counts (as :meth:`_combine` does).  Anything read from
-        outside the package goes through a validating constructor.
-        """
-        m = object.__new__(cls)
-        object.__setattr__(m, "entries", entries)
-        return m
+        """The multiset of these values: the constructor under its documented name."""
+        return cls(values)
 
     @classmethod
     def empty(cls) -> "IntMultiset":
@@ -102,46 +69,31 @@ class IntMultiset(Frozen):
     # ------------------------------------------------------------------
 
     def multiplicity(self, value: int) -> int:
-        for v, m in self.entries:
-            if v == value:
-                return m
-            if v > value:
-                break
-        return 0
+        return self.vals.count(value)
 
     def card(self) -> int:
         """Total element count |M|."""
-        return sum(m for _, m in self.entries)
+        return len(self.vals)
 
     def norm(self) -> int:
         """Weighted sum of values with multiplicity."""
-        return sum(v * m for v, m in self.entries)
+        return sum(self.vals)
 
     def values(self) -> list[int]:
         """Expanded sorted list with repetitions, e.g. [3, 6, 6, 6]."""
-        return [v for v, m in self.entries for _ in range(m)]
-
-    def min(self) -> int:
-        if not self.entries:
-            raise ValueError("empty multiset has no minimum")
-        return self.entries[0][0]
-
-    def max(self) -> int:
-        if not self.entries:
-            raise ValueError("empty multiset has no maximum")
-        return self.entries[-1][0]
+        return list(self.vals)
 
     def __len__(self) -> int:
         return self.card()
 
     def __iter__(self) -> Iterator[int]:
-        return iter(self.values())
+        return iter(self.vals)
 
     def __contains__(self, value: int) -> bool:
         return self.multiplicity(value) > 0
 
     def __bool__(self) -> bool:
-        return bool(self.entries)
+        return bool(self.vals)
 
     # ------------------------------------------------------------------
     # multiset algebra
@@ -150,12 +102,10 @@ class IntMultiset(Frozen):
     def _combine(self, other: "IntMultiset", op: Callable[[Counter, Counter], Counter]) -> "IntMultiset":
         """``op`` on the two multisets as Counters.
 
-        Counter's ``&``, ``|``, ``+`` and ``-`` keep only positive counts,
-        so the sorted result is valid by construction and is wrapped with
-        :meth:`_trusted`.
+        Counter's ``&``, ``|``, ``+`` and ``-`` keep only positive counts, so
+        ``elements()`` lists each value as often as the result holds it.
         """
-        counts = op(Counter(dict(self.entries)), Counter(dict(other.entries)))
-        return IntMultiset._trusted(tuple(sorted(counts.items())))
+        return IntMultiset(op(Counter(self.vals), Counter(other.vals)).elements())
 
     def intersect(self, other: "IntMultiset") -> "IntMultiset":
         """Value-wise minimum of multiplicities."""
@@ -174,7 +124,7 @@ class IntMultiset(Frozen):
         return self._combine(other, sub)
 
     def is_submultiset(self, other: "IntMultiset") -> bool:
-        return Counter(dict(self.entries)) <= Counter(dict(other.entries))
+        return Counter(self.vals) <= Counter(other.vals)
 
     def affine(self, n: int, sign: int) -> "IntMultiset":
         """Map every value y to n + sign*y, preserving multiplicities.
@@ -183,9 +133,7 @@ class IntMultiset(Frozen):
         """
         if sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
-        if sign == 1:
-            return IntMultiset(tuple((n + v, m) for v, m in self.entries))
-        return IntMultiset(tuple((n - v, m) for v, m in reversed(self.entries)))
+        return IntMultiset([n + sign * v for v in self.vals])
 
     __and__ = intersect
     __or__ = union
@@ -201,4 +149,4 @@ class IntMultiset(Frozen):
         return self.values()
 
     def __str__(self) -> str:
-        return "{{" + ",".join(str(v) for v in self.values()) + "}}"
+        return "{{" + ",".join(str(v) for v in self.vals) + "}}"

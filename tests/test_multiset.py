@@ -2,14 +2,15 @@ import random
 
 import pytest
 
+from bettiforge.aci import AciBetti, check_betti, link_betti
 from bettiforge.multiset import IntMultiset
 
 ms = IntMultiset.from_values
 
 
 def test_canonical_form():
-    assert ms([6, 6, 6]).entries == ((6, 3),)
-    assert ms([10, 6, 10]).entries == ((6, 1), (10, 2))
+    assert ms([6, 6, 6]).vals == (6, 6, 6)
+    assert ms([10, 6, 10]).vals == (6, 10, 10)
     assert ms([]) == IntMultiset.empty()
     assert ms([3, 6, 6, 6]) == ms([6, 3, 6, 6])
 
@@ -17,27 +18,20 @@ def test_canonical_form():
 @pytest.mark.parametrize(
     "build, message",
     [
-        (lambda: IntMultiset.empty().max(), "empty multiset has no maximum"),
         (lambda: ms([1, 2]).affine(5, 2), r"sign must be \+1 or -1"),
     ],
-    ids=["empty-max", "affine-sign"],
+    ids=["affine-sign"],
 )
 def test_operation_refusals(build, message):
     with pytest.raises(ValueError, match=message):
         build()
 
 
-def test_invalid_entries_rejected():
-    for entries in (
-        ((3, 0),),
-        ((5, 1), (4, 1)),
-        ((3, -1),),
-        ((2, 1), (5, 0)),
-        ((5, 1), (5, 2)),
-        ((1, 1), (3, 1), (2, 1)),
-    ):
-        with pytest.raises(ValueError):
-            IntMultiset(entries)
+def test_constructor_refuses_runs():
+    """The constructor takes values, so (value, multiplicity) runs are refused loudly."""
+    with pytest.raises(ValueError) as exc:
+        IntMultiset(((3, 2),))
+    assert str(exc.value) == "multiset values must be ints, got [(3, 2)]"
 
 
 def test_from_values_matches_dict_count():
@@ -48,48 +42,35 @@ def test_from_values_matches_dict_count():
         for v in values:
             counts[v] = counts.get(v, 0) + 1
         m = ms(values)
-        assert m.entries == tuple(sorted(counts.items()))
+        assert m.vals == tuple(sorted(values))
+        assert all(m.multiplicity(v) == c for v, c in counts.items())
         assert type(m) is IntMultiset and m.card() == len(values)
     # values must be non-bool ints: none is truncated or converted
     for bad in ((True,), (2.0,), ("3",), (1, "3", 2.7), (1, True), (2, 2.0)):
         with pytest.raises(ValueError, match="must be ints"):
             ms(bad)
     with pytest.raises(ValueError, match="must be ints"):
-        IntMultiset(((2.5, 1),))
+        IntMultiset([2.5])
 
 
-def test_trusted_from_values_equals_validated_construction():
-    """from_values skips the constructor's walk over its runs; the runs it
-    wraps must pass that walk and equal the counted reference, and
-    values() gives the values back sorted."""
+def test_from_values_equals_the_constructor():
+    """from_values is the constructor: equal, equally hashed multisets of
+    the sorted values, whatever order they come in, and values() gives the
+    values back sorted."""
     rng = random.Random(2024)
     repeated = 0
     for _ in range(2500):
         values = [rng.randint(-5, 20) for _ in range(rng.randint(0, 15))]
-        counts: dict[int, int] = {}
-        for v in values:
-            counts[v] = counts.get(v, 0) + 1
-        runs = tuple(sorted(counts.items()))
+        shuffled = rng.sample(values, len(values))
         m = ms(values)
-        assert m == IntMultiset(runs) and hash(m) == hash(IntMultiset(runs)), values
-        assert IntMultiset(m.entries) == m and m.values() == sorted(values), values
-        repeated += len(runs) < len(values)
+        assert m == IntMultiset(shuffled) and hash(m) == hash(IntMultiset(shuffled)), values
+        assert IntMultiset(m.vals) == m and m.values() == sorted(values), values
+        repeated += len(set(values)) < len(values)
     assert repeated > 1000
     for bad in ([2.7, True], [1, True], [2, 2.0], [3, "4", 5]):
         with pytest.raises(ValueError) as exc:
             ms(bad)
         assert str(exc.value) == f"multiset values must be ints, got {bad!r}"
-
-
-def test_multiplicities_must_be_non_bool_ints():
-    for mult in (True, 1.5, 2.0, "2", None):
-        with pytest.raises(ValueError, match="must be an int"):
-            IntMultiset(((1, mult),))
-    with pytest.raises(ValueError, match="must be an int"):
-        IntMultiset(((1, 2), (3, False)))
-    with pytest.raises(ValueError, match="must be positive"):
-        IntMultiset(((1, 0),))
-    assert IntMultiset(((1, 2), (3, 1))).values() == [1, 1, 3]
 
 
 def test_algebra_results_are_valid_multisets():
@@ -99,7 +80,7 @@ def test_algebra_results_are_valid_multisets():
         b = ms([rng.randint(-5, 9) for _ in range(rng.randint(0, 8))])
         n = rng.randint(-6, 12)
         for r in (a.sum(b), a.diff(b), a.intersect(b), a.union(b), a.affine(n, 1), a.affine(n, -1)):
-            assert IntMultiset(r.entries) == r
+            assert IntMultiset(r.vals) == r
 
 
 def _oracle(op, a, b):
@@ -124,7 +105,7 @@ def test_algebra_matches_a_sorted_list_oracle():
         ):
             for r in got:
                 assert type(r) is IntMultiset and r.values() == want, (a, b)
-                assert IntMultiset(r.entries) == r
+                assert IntMultiset(r.vals) == r
         subset = all(a.count(v) <= b.count(v) for v in a)
         assert ma.is_submultiset(mb) is subset and (ma <= mb) is subset, (a, b)
 
@@ -170,13 +151,10 @@ def test_norm_card():
 def test_queries():
     m = ms([-3, 2, 2, 2, 8])
     assert m.multiplicity(2) == 3 and m.multiplicity(5) == 0
-    assert m.min() == -3 and m.max() == 8
     assert 8 in m and 5 not in m
     assert list(m) == [-3, 2, 2, 2, 8]
     assert m.to_list() == [-3, 2, 2, 2, 8]
     assert str(m) == "{{-3,2,2,2,8}}"
-    with pytest.raises(ValueError):
-        ms([]).min()
 
 
 def test_dual_symmetry_property():
@@ -186,7 +164,7 @@ def test_dual_symmetry_property():
         m = ms([rng.randint(-10, 15) for _ in range(rng.randint(0, 12))])
         n = rng.randint(-8, 20)
         h = m.intersect(m.affine(n, -1))
-        for x, _ in h.entries:
+        for x in h.vals:
             assert h.multiplicity(x) == h.multiplicity(n - x)
 
 
@@ -216,3 +194,40 @@ def test_affine_involution():
         m = ms([rng.randint(-5, 12) for _ in range(rng.randint(0, 8))])
         n = rng.randint(-4, 10)
         assert m.affine(n, -1).affine(n, -1) == m
+
+
+def test_every_multiset_is_built_by_the_checked_constructor(monkeypatch):
+    """Each way the package makes a multiset runs IntMultiset.__init__, and
+    every result keeps its values as a sorted tuple of non-bool ints."""
+    built = []
+    init = IntMultiset.__init__
+
+    def counted(self, values=()):
+        init(self, values)
+        built.append(self)
+
+    monkeypatch.setattr(IntMultiset, "__init__", counted)
+    a, b = ms([4, 1, 4, -2]), ms([4, 2, -2, -2])
+    triple = AciBetti.from_values([4, 5, 5, 9], [9, 9, 9, 11, 11, 11, 13], [12, 12, 12, 14])
+    verdict = check_betti(triple)
+    assert verdict.admissible
+    builds = {
+        "from_values": lambda: ms([3, 1, 3]),
+        "empty": IntMultiset.empty,
+        "intersect": lambda: a & b,
+        "union": lambda: a | b,
+        "sum": lambda: a + b,
+        "diff": lambda: a - b,
+        "affine+": lambda: a.affine(3, 1),
+        "affine-": lambda: a.affine(3, -1),
+        "AciBetti.d": lambda: triple.d,
+        "Verdict.beta_g.gens": lambda: verdict.beta_g.gens,
+    }
+    link = link_betti(ms([2, 2, 2, 2, 2]), 5, (2, 2, 8), ms([8]))
+    for name in ("d_level", "e_level", "f_level"):
+        builds[f"link_betti.{name}"] = lambda name=name: getattr(link, name)
+    for name, build in builds.items():
+        got = build()
+        assert type(got) is IntMultiset and any(m is got for m in built), name
+        assert type(got.vals) is tuple and {int}.issuperset(map(type, got.vals)), name
+        assert list(got.vals) == sorted(got.vals), name

@@ -57,20 +57,20 @@ def _presentation():
 
 # class -> (factory, repr of the instance it builds)
 VALUES = {
-    IntMultiset: (lambda: ms([3, 3, 5]), "IntMultiset(entries=((3, 2), (5, 1)))"),
+    IntMultiset: (lambda: ms([3, 3, 5]), "IntMultiset(vals=(3, 3, 5))"),
     GorensteinVerdict: (
         lambda: check_gorenstein_betti(ms([1, 2])),
         "GorensteinVerdict(admissible=False, theta=None, reason='|gens| = 2 must be odd and >= 3')",
     ),
     GorensteinBetti: (
         lambda: GorensteinBetti.from_gens(ms([2, 2, 2])),
-        "GorensteinBetti(gens=IntMultiset(entries=((2, 3),)), theta=6)",
+        "GorensteinBetti(gens=IntMultiset(vals=(2, 2, 2)), theta=6)",
     ),
     HilbertFn: (lambda: hilbert_of_ci([2, 2, 2], 3), "HilbertFn(values=(1, 3, 3, 1))"),
     AciBetti: (
         lambda: AciBetti.from_values([2, 2, 2, 3], [4, 4, 4, 4, 5], [5, 6]),
-        "AciBetti(d=IntMultiset(entries=((2, 3), (3, 1))), e=IntMultiset(entries=((4, 4), (5, 1))), "
-        "f=IntMultiset(entries=((5, 1), (6, 1))))",
+        "AciBetti(d=IntMultiset(vals=(2, 2, 2, 3)), e=IntMultiset(vals=(4, 4, 4, 4, 5)), "
+        "f=IntMultiset(vals=(5, 6)))",
     ),
     AciTypeFailure: (
         lambda: AciTypeFailure(3, ((4,), (5, 5))),
@@ -87,11 +87,11 @@ VALUES = {
     ),
     LinkResult: (
         lambda: link_betti(ms([2, 2, 2, 2, 2]), 5, (2, 2, 8), ms([8])),
-        "LinkResult(d0=7, d=19, d_level=IntMultiset(entries=((2, 2), (7, 1), (8, 1))), "
-        "e_level=IntMultiset(entries=((4, 1), (9, 5), (15, 1))), "
-        "f_level=IntMultiset(entries=((10, 3), (15, 1))), "
-        "minimal=AciBetti(d=IntMultiset(entries=((2, 2), (7, 1), (8, 1))), "
-        "e=IntMultiset(entries=((4, 1), (9, 5))), f=IntMultiset(entries=((10, 3),))))",
+        "LinkResult(d0=7, d=19, d_level=IntMultiset(vals=(2, 2, 7, 8)), "
+        "e_level=IntMultiset(vals=(4, 9, 9, 9, 9, 9, 15)), "
+        "f_level=IntMultiset(vals=(10, 10, 10, 15)), "
+        "minimal=AciBetti(d=IntMultiset(vals=(2, 2, 7, 8)), "
+        "e=IntMultiset(vals=(4, 9, 9, 9, 9, 9)), f=IntMultiset(vals=(10, 10, 10))))",
     ),
     GradedFreeModule: (lambda: GradedFreeModule((2, 2, 2, 1)), "GradedFreeModule(twists=(2, 2, 2, 1))"),
     GradedComplex: (
