@@ -27,7 +27,7 @@ from functools import partial
 from operator import attrgetter, itemgetter
 from typing import Container, Iterable, Iterator, NamedTuple, Sequence
 
-from ._frozen import Frozen
+from ._frozen import Frozen, Record
 from .gorenstein import (
     GorensteinBetti,
     check_gorenstein_betti,
@@ -61,7 +61,7 @@ def _multiset_on_read(field: str) -> property:
     return property(lambda b: IntMultiset.from_values(vals(b)), doc=f"``{field}`` as an IntMultiset.")
 
 
-class AciBetti(Frozen):
+class AciBetti(Record):
     """Resolution twist multisets (D, E, F) of a candidate ACI quotient.
 
     The triple is kept as three sorted tuples of ints, ``d_vals``,
@@ -71,7 +71,7 @@ class AciBetti(Frozen):
     tuples; the repr shows the multisets.
     """
 
-    __slots__ = _fields = ("d_vals", "e_vals", "f_vals")
+    __slots__ = ()
     d_vals: tuple[int, ...]
     e_vals: tuple[int, ...]
     f_vals: tuple[int, ...]
@@ -80,12 +80,8 @@ class AciBetti(Frozen):
     e = _multiset_on_read("e_vals")
     f = _multiset_on_read("f_vals")
 
-    def __init__(self, d: IntMultiset, e: IntMultiset, f: IntMultiset) -> None:
-        d, e, f = d.vals, e.vals, f.vals
-        _check_shape(d, e, f)
-        object.__setattr__(self, "d_vals", d)
-        object.__setattr__(self, "e_vals", e)
-        object.__setattr__(self, "f_vals", f)
+    def __new__(cls, d: IntMultiset, e: IntMultiset, f: IntMultiset) -> "AciBetti":
+        return cls._from_sorted(d.vals, e.vals, f.vals)
 
     def __repr__(self) -> str:
         return f"AciBetti(d={self.d!r}, e={self.e!r}, f={self.f!r})"
@@ -99,23 +95,19 @@ class AciBetti(Frozen):
         Each argument becomes one sorted list, type-checked as
         :meth:`IntMultiset.from_values` checks it (D, then E, then F), and
         :meth:`_from_sorted` checks the shape; the object is built without
-        rerunning ``__init__``.
+        building the multisets ``__new__`` takes.
         """
         return cls._from_sorted(_sorted_ints(d), _sorted_ints(e), _sorted_ints(f))
 
     @classmethod
     def _from_sorted(cls, d: Sequence[int], e: Sequence[int], f: Sequence[int]) -> "AciBetti":
-        """The triple of three sorted sequences of ints, without rerunning ``__init__``.
+        """The triple of three sorted sequences of ints, without the multisets ``__new__`` takes.
 
         The shape rule is checked on the lengths and first values, and the
         sequences are stored as tuples (a tuple is kept as it is).
         """
         _check_shape(d, e, f)
-        b = object.__new__(cls)
-        object.__setattr__(b, "d_vals", tuple(d))
-        object.__setattr__(b, "e_vals", tuple(e))
-        object.__setattr__(b, "f_vals", tuple(f))
-        return b
+        return tuple.__new__(cls, (tuple(d), tuple(e), tuple(f)))
 
     @classmethod
     def from_json(cls, data: object) -> "AciBetti":
@@ -176,14 +168,13 @@ class AciDecomposition(NamedTuple):
     t = _multiset_on_read("t_vals")
 
 
-class AciTypeFailure(Frozen):
-    __slots__ = _fields = ("clause", "vals")
+class AciTypeFailure(Record):
+    __slots__ = ()
     clause: int  # 2 or 3, matching the decomposition conditions
     vals: tuple[Vals, ...]  # (missing,) or (Ehat, expected) as sorted value tuples; read by reason
 
-    def __init__(self, clause: int, vals: tuple[Vals, ...]) -> None:
-        object.__setattr__(self, "clause", clause)
-        object.__setattr__(self, "vals", vals)
+    def __new__(cls, clause: int, vals: tuple[Vals, ...]) -> "AciTypeFailure":
+        return tuple.__new__(cls, (clause, vals))
 
     @property
     def reason(self) -> str:
@@ -251,16 +242,14 @@ def _decompose(d: Vals, e: Vals, f: Vals) -> AciDecomposition | AciTypeFailure:
     return AciDecomposition._make((d0, dstar, theta_z, tuple(ehat), s, dbar, t, theta_g, d_norm))
 
 
-class GorensteinFailure(Frozen):
-    __slots__ = _fields = ("kind", "g0", "theta_g")
+class GorensteinFailure(Record):
+    __slots__ = ()
     kind: str  # "parity" | "gaeta_diesel" | "socle"
     g0: tuple[int, ...]  # sorted; reason reruns the failed check on it
     theta_g: int
 
-    def __init__(self, kind: str, g0: tuple[int, ...], theta_g: int) -> None:
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "g0", g0)
-        object.__setattr__(self, "theta_g", theta_g)
+    def __new__(cls, kind: str, g0: tuple[int, ...], theta_g: int) -> "GorensteinFailure":
+        return tuple.__new__(cls, (kind, g0, theta_g))
 
     @property
     def reason(self) -> str:
@@ -304,7 +293,7 @@ def induced_gorenstein(
     return GorensteinBetti(IntMultiset.from_values(h), dec.theta_g)
 
 
-class Verdict(Frozen):
+class Verdict(Record):
     """Outcome of the three-stage admissibility test.
 
     An admitted G0 is kept as its sorted values and theta_g: ``beta_g``
@@ -313,7 +302,7 @@ class Verdict(Frozen):
     compare those values.
     """
 
-    __slots__ = _fields = ("admissible", "stage", "failure", "g0", "theta_g", "mci")
+    __slots__ = ()
     admissible: bool
     stage: int | None
     failure: AciTypeFailure | GorensteinFailure | tuple | None  # stage 3: (d_1, d_2, d_3), caps
@@ -321,21 +310,16 @@ class Verdict(Frozen):
     theta_g: int | None
     mci: tuple[int, int, int] | None
 
-    def __init__(
-        self,
+    def __new__(
+        cls,
         admissible: bool,
         stage: int | None = None,
         failure: AciTypeFailure | GorensteinFailure | tuple | None = None,
         g0: tuple[int, ...] | None = None,
         theta_g: int | None = None,
         mci: tuple[int, int, int] | None = None,
-    ) -> None:
-        object.__setattr__(self, "admissible", admissible)
-        object.__setattr__(self, "stage", stage)
-        object.__setattr__(self, "failure", failure)
-        object.__setattr__(self, "g0", g0)
-        object.__setattr__(self, "theta_g", theta_g)
-        object.__setattr__(self, "mci", mci)
+    ) -> "Verdict":
+        return tuple.__new__(cls, (admissible, stage, failure, g0, theta_g, mci))
 
     @property
     def beta_g(self) -> GorensteinBetti | None:

@@ -81,7 +81,7 @@ def test_json_round_trip():
 
 
 def _composed(d, e, f):
-    """The oracle: one validated multiset per argument, then ``__init__``'s checks."""
+    """The oracle: one validated multiset per argument, then ``__new__``'s checks."""
     return AciBetti(IntMultiset.from_values(d), IntMultiset.from_values(e), IntMultiset.from_values(f))
 
 
@@ -241,7 +241,7 @@ def test_from_values_and_from_json_do_not_rerun_the_constructors(monkeypatch):
     def refuse(self, *args):
         raise AssertionError("a validating constructor ran")
 
-    monkeypatch.setattr(AciBetti, "__init__", refuse)
+    monkeypatch.setattr(AciBetti, "__new__", refuse)
     monkeypatch.setattr(IntMultiset, "__init__", refuse)
     b = AciBetti.from_values(iter(GOOD_D), GOOD_E[::-1], tuple(GOOD_F))
     assert AciBetti.from_json({"D": GOOD_D, "E": GOOD_E, "F": GOOD_F[::-1]}) == b

@@ -86,7 +86,8 @@ def test_check_non_utf8_file(tmp_path, capsys):
     assert err.startswith(f"error: cannot read JSON from {path}: 'utf-8' codec can't decode")
 
 
-_NESTED_5000 = "[" * 5000 + "]" * 5000
+# Past the JSON decoder's recursion limit on every supported Python: 3.13
+# decodes 5,000 levels, which 3.11 refused.
 _NESTED_100000 = "[" * 100_000 + "]" * 100_000
 
 
@@ -97,11 +98,11 @@ _NESTED_100000 = "[" * 100_000 + "]" * 100_000
         (["check", "FILE"], None),
         (["pfaffian", "-"], _NESTED_100000),
         (["verify-structure", "--matrix", "FILE", "--g-rows", "1,2,3"], None),
-        (["mci", "--gens", _NESTED_5000], None),
-        (["gorenstein-check", "--gens", _NESTED_5000], None),
-        (["link", "--gens", _NESTED_5000, "--theta", "5", "--ci", "[2,2,2]"], None),
-        (["hilbert", "--ci", _NESTED_5000], None),
-        (["hilbert", "--resolution", _NESTED_5000], None),
+        (["mci", "--gens", _NESTED_100000], None),
+        (["gorenstein-check", "--gens", _NESTED_100000], None),
+        (["link", "--gens", _NESTED_100000, "--theta", "5", "--ci", "[2,2,2]"], None),
+        (["hilbert", "--ci", _NESTED_100000], None),
+        (["hilbert", "--resolution", _NESTED_100000], None),
     ],
     ids=[
         "check-stdin",

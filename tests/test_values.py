@@ -5,11 +5,12 @@ reprs are the text these classes printed as ``dataclasses`` classes.
 """
 
 import copy
+import operator
 import pickle
 
 import pytest
 
-from bettiforge._frozen import Frozen
+from bettiforge._frozen import Frozen, Record
 from bettiforge.aci import (
     AciBetti,
     AciTypeFailure,
@@ -183,14 +184,50 @@ def test_unpickling_skips_validation(monkeypatch):
     def refuse(*args):
         raise AssertionError("validation ran while unpickling")
 
-    monkeypatch.setattr(AciBetti, "__init__", refuse)
+    monkeypatch.setattr(AciBetti, "__new__", refuse)
+    monkeypatch.setattr(AciBetti, "_from_sorted", refuse)
     monkeypatch.setattr(IntMultiset, "__init__", refuse)
     assert pickle.loads(data) == b
     assert copy.deepcopy(b) == b
 
 
-def _frozen_subclasses():
-    found, todo = [], [Frozen]
+@pytest.mark.parametrize(
+    "value, old_fields, old_reads",
+    [
+        # IntMultiset as it stored (value, multiplicity) runs
+        (ms([3, 3, 5]), ("entries",), {"entries": ((3, 2), (5, 1))}),
+        # AciBetti as it stored three multisets
+        (_build(AciBetti), ("d", "e", "f"), {}),
+    ],
+    ids=["IntMultiset", "AciBetti"],
+)
+def test_unpickling_refuses_other_field_names(monkeypatch, value, old_fields, old_reads):
+    cls = type(value)
+    with monkeypatch.context() as patch:
+        patch.setattr(cls, "_fields", old_fields)
+        for name, read in old_reads.items():
+            patch.setattr(cls, name, property(lambda self, read=read: read), raising=False)
+        data = pickle.dumps(value)
+    message = f"cannot load a {cls.__name__} pickled with fields {old_fields!r}: the class has {cls._fields!r}"
+    with pytest.raises(TypeError) as info:
+        pickle.loads(data)
+    assert str(info.value) == message
+
+
+# IntMultiset orders by inclusion: <= is is_submultiset
+@pytest.mark.parametrize("cls", [cls for cls in VALUES if cls is not IntMultiset], ids=lambda cls: cls.__name__)
+@pytest.mark.parametrize("op", [operator.lt, operator.le, operator.gt, operator.ge], ids=lambda op: op.__name__)
+def test_values_refuse_ordering(cls, op):
+    # a record's tuple order would disagree with AciBetti.key()
+    a, b = _build(cls), _build(cls)
+    fields = tuple(getattr(a, name) for name in cls._fields)
+    for left, right in ((a, b), (a, fields), (fields, a)):
+        with pytest.raises(TypeError):
+            op(left, right)
+
+
+def _value_subclasses():
+    found, todo = [], [Frozen, Record]
     while todo:
         for sub in todo.pop().__subclasses__():
             found.append(sub)
@@ -199,8 +236,8 @@ def _frozen_subclasses():
 
 
 def test_fields_are_the_annotated_names_in_order():
-    # Frozen's positional __init__ and the repr read the fields in the order of _fields
-    classes = _frozen_subclasses()
+    # Frozen's positional __init__, each record's tuple and the repr read the fields in the order of _fields
+    classes = _value_subclasses()
     assert set(classes) == set(VALUES)
     for cls in classes:
         assert cls._fields == tuple(cls.__dict__["__annotations__"]), cls.__name__
