@@ -26,10 +26,12 @@ own ``__new__`` checks its arguments, if any, and builds it.  A record
 also unpacks, indexes and iterates in field order; it refuses ordering
 comparisons, which as tuple order would disagree with ``AciBetti.key``.
 
-:class:`Frozen` stores its fields in slots.  Its own ``__init__`` takes
-one positional argument per field and stores them unchecked; a class
-whose values need checking defines its own ``__init__``, which sets each
-field with ``object.__setattr__``.  ``IntMultiset`` stays a
+:class:`Frozen` stores its fields as instance attributes: in slots only
+where the class declares them, as ``IntMultiset`` does, and in the
+instance ``__dict__`` for every other ``Frozen`` class.  Its own
+``__init__`` takes one positional argument per field and stores them
+unchecked; a class whose values need checking defines its own
+``__init__``, which sets each field with ``object.__setattr__``.  ``IntMultiset`` stays a
 :class:`Frozen`: as a one-field tuple, ``len``, ``in`` and iteration
 would act on the field, not on the multiset's values.
 """
@@ -78,7 +80,7 @@ class _Value:
 
 
 class Frozen(_Value):
-    """Base of the immutable value classes that store their fields in slots; see the module docstring."""
+    """Base of the immutable value classes that store their fields as attributes; see the module docstring."""
 
     __slots__ = ()
 

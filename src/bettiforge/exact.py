@@ -36,7 +36,11 @@ each term.
 Matrices of polynomials are dense; everything here is desk scale (the
 CLI accepts at most 13 rows), so cofactor expansion with memoization is
 enough for symbolic determinants and fraction-free Bareiss elimination
-covers the constant case.
+covers the constant case.  A matrix has one ring, ``names``, fixed when
+it is built (``_one_ring``): every entry with variables has that
+variable tuple, and a nameless constant entry takes it on.  The kernels
+below take that ring as an argument and check no entry's ring; only the
+``Poly`` operators align two rings, in ``Poly._aligned``.
 
 Sums of many products (each entry of a matrix product, the cofactor
 determinant here and the pfaffian row expansion) go through one private
@@ -78,7 +82,7 @@ import re
 import struct
 from fractions import Fraction
 from itertools import chain, compress, repeat
-from operator import itemgetter, mul, or_
+from operator import attrgetter, itemgetter, mul, or_
 from typing import Callable, Iterable, Iterator, Sequence, Union
 
 from ._text import _DIGITS_RE, _NAME_RE, _clip
@@ -494,33 +498,40 @@ def _checked_poly(value) -> Poly:
     return p
 
 
-def _sum_of_products(pairs: Sequence[tuple[Poly, Poly]], names: tuple[str, ...] = ()) -> Poly:
-    """``Poly.zero(names) + a1*b1 + a2*b2 + ...`` over the (a, b) pairs, in one dict.
+def _one_ring(entries: Iterable[Iterable[Poly | Scalar]]) -> tuple[tuple[str, ...], tuple[tuple[Poly, ...], ...]]:
+    """The ring of a matrix and its grid of entries as Polys, each nameless constant taking that ring on.
+
+    Every entry with variables must have the same variable tuple, else
+    ValueError naming the first two tuples met in row-major order.  A grid
+    with no variables has the ring ``()``.
+    """
+    grid = tuple(tuple(map(_checked_poly, row)) for row in entries)
+    rings = dict.fromkeys(map(attrgetter("names"), chain.from_iterable(grid)))
+    names, *others = [ring for ring in rings if ring] or [()]
+    if others:
+        raise ValueError(f"variable sets differ: {names} vs {others[0]}")
+    if names and () in rings:
+        grid = tuple(tuple(e if e.names else Poly._trusted(names, e._terms) for e in row) for row in grid)
+    return names, grid
+
+
+def _sum_of_products(pairs: Sequence[tuple[Poly, Poly]], names: tuple[str, ...]) -> Poly:
+    """``Poly.zero(names) + a1*b1 + a2*b2 + ...`` over the (a, b) pairs of the ring of ``names``, in one dict.
 
     Every term product is added straight into the result, with no
     intermediate polynomial per product or per partial sum; the operand
-    with fewer terms runs in the outer loop.  Each pair gets the checks of
-    the operators, in their order and with their ValueError messages:
-    variable tuples agree (a nameless operand is a constant that takes on
-    any tuple), and degrees add up to at most ``_MAX_DEGREE``.
-    Coefficients stay int-first and zero coefficients are dropped.
+    with fewer terms runs in the outer loop.  Each pair whose operands are
+    both nonzero gets the degree check of ``*``, with its ValueError
+    message: degrees add up to at most ``_MAX_DEGREE``.  Coefficients stay
+    int-first and zero coefficients are dropped.
     """
     terms: dict[int, Scalar] = {}
-    get = terms.get
+    get, shift = terms.get, _W * len(names)
     for a, b in pairs:
-        # operands of one ring share its tuple, so "is" settles most checks
-        ring = a.names or b.names
-        if b.names is not ring and b.names and b.names != ring:
-            raise ValueError(f"variable sets differ: {ring} vs {b.names}")
         a_terms, b_terms = a._terms, b._terms
-        if a_terms and b_terms:
-            _check_product_degree(a_terms, b_terms, _W * len(ring))
-        if ring is not names and ring and ring != names:
-            if names:
-                raise ValueError(f"variable sets differ: {names} vs {ring}")
-            names = ring
         if not a_terms or not b_terms:
             continue
+        _check_product_degree(a_terms, b_terms, shift)
         if len(a_terms) > len(b_terms):
             a_terms, b_terms = b_terms, a_terms
         b_items = b_terms.items()
@@ -538,29 +549,24 @@ def _sum_of_products(pairs: Sequence[tuple[Poly, Poly]], names: tuple[str, ...] 
     return Poly._trusted(names, terms)
 
 
-def _int_forms(polys: Iterable[Poly]) -> tuple[tuple[str, ...], int, int] | None:
-    """(ring, largest degree, largest L1 norm) of the nonzero ``polys``, when each is an int-only form of one ring.
+def _int_forms(polys: Iterable[Poly], names: tuple[str, ...]) -> tuple[int, int] | None:
+    """(largest degree, largest L1 norm) of the nonzero ``polys`` of the ring of ``names``, when each is an int-only form.
 
-    The ring has at most _MAX_DENSE_VARIABLES variables.  A nameless
-    constant is a form of degree 0 in any ring; the ring is ``()`` if all are nameless.
+    None also when the ring has more than _MAX_DENSE_VARIABLES variables.
     """
-    ring: tuple[str, ...] = ()
-    degree = norm = shift = 0
+    if len(names) > _MAX_DENSE_VARIABLES:
+        return None
+    degree, norm, shift = 0, 0, _W * len(names)
     for p in polys:
         terms = p._terms
         if not terms:
             continue
-        if p.names is not ring and p.names:
-            if ring and p.names != ring or len(p.names) > _MAX_DENSE_VARIABLES:
-                return None
-            ring, shift = p.names, _W * len(p.names)
-        # keys order by degree first, a nameless constant's only key is 0 at
-        # any shift, and a Fraction coefficient makes the norm a Fraction
+        # keys order by degree first, and a Fraction coefficient makes the norm a Fraction
         d, l1 = max(terms) >> shift, sum(map(abs, terms.values()))
         if min(terms) >> shift != d or type(l1) is not int:
             return None
         degree, norm = max(degree, d), max(norm, l1)
-    return ring, degree, norm
+    return degree, norm
 
 
 class _Dense(dict):
@@ -660,9 +666,9 @@ def _dense_sum(pairs: Iterable[tuple[tuple, tuple]]) -> tuple[int, int | None] |
     return total, degree
 
 
-def _entry_sum(row: Sequence[Poly], col: Sequence[Poly]) -> Poly:
-    """The kernel's entry of a product: the sum over the k where ``row`` and ``col`` are both nonzero."""
-    return _sum_of_products([(a, b) for a, b in zip(row, col) if a._terms and b._terms])
+def _entry_sum(row: Sequence[Poly], col: Sequence[Poly], names: tuple[str, ...]) -> Poly:
+    """The kernel's entry of a product in the ring of ``names``: the sum over the k where ``row`` and ``col`` are both nonzero."""
+    return _sum_of_products([(a, b) for a, b in zip(row, col) if a._terms and b._terms], names)
 
 
 def variables(names: str | Sequence[str]) -> tuple[Poly, ...]:
@@ -802,19 +808,18 @@ def _parse(
 
 
 class PolyMatrix:
-    """Immutable dense matrix of Poly entries."""
+    """Immutable dense matrix of Poly entries of one ring, ``names``; see ``_one_ring``."""
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "entries", "names")
 
     def __init__(self, entries: Sequence[Sequence[Poly | Scalar]]):
-        grid = tuple(
-            tuple(_checked_poly(e) for e in row) for row in entries
-        )
+        names, grid = _one_ring(entries)
         if grid and any(len(row) != len(grid[0]) for row in grid):
             raise ValueError("rows have inconsistent lengths")
         object.__setattr__(self, "rows", len(grid))
         object.__setattr__(self, "cols", len(grid[0]) if grid else 0)
         object.__setattr__(self, "entries", grid)
+        object.__setattr__(self, "names", names)
 
     def __setattr__(self, name, value):
         raise AttributeError("PolyMatrix is immutable")
@@ -873,20 +878,25 @@ class PolyMatrix:
     def scale(self, factor: Poly | Scalar) -> "PolyMatrix":
         return PolyMatrix([[e * factor for e in row] for row in self.entries])
 
-    def __matmul__(self, other: "PolyMatrix") -> "PolyMatrix":
+    def _product_ring(self, other: "PolyMatrix") -> tuple[str, ...]:
+        """The ring of ``self @ other``: ValueError when the sizes do not chain, then when the rings differ."""
         if self.cols != other.rows:
-            raise ValueError(
-                f"dimension mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}"
-            )
+            raise ValueError(f"dimension mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
+        if self.names != other.names and self.names and other.names:
+            raise ValueError(f"variable sets differ: {self.names} vs {other.names}")
+        return self.names or other.names
+
+    def __matmul__(self, other: "PolyMatrix") -> "PolyMatrix":
+        names = self._product_ring(other)
         columns = tuple(zip(*other.entries))
-        return PolyMatrix([[_entry_sum(row, col) for col in columns] for row in self.entries])
+        return PolyMatrix([[_entry_sum(row, col, names) for col in columns] for row in self.entries])
 
     def product_witness(self, other: "PolyMatrix") -> tuple[int, int, Poly] | None:
         """The first nonzero entry of ``self @ other`` in row-major order, as 0-based (i, j, entry); None when the product is zero.
 
         An entry over k pairs has degree at most d_A + d_B and coefficients
-        at most the bound k * L_A * L_B.  When both sides are int forms of
-        one ring, ``_Dense.fit`` takes those bounds and the fills of the two
+        at most the bound k * L_A * L_B.  When both sides are int forms,
+        ``_Dense.fit`` takes those bounds and the fills of the two
         sides multiply to at least ``_MIN_FILL``, no product is built: each
         entry is tested on the Kronecker images of its operands, under a
         codec whose slots have the bit length s of the bound, and nothing
@@ -896,19 +906,21 @@ class PolyMatrix:
         Only an entry whose image is nonzero, or whose products differ in
         degree (``_dense_sum`` gives None), is summed by the kernel.  A
         bound of 0 means a side is all zero, and so is the product.
-        Otherwise the whole product is built by ``@``, refusals included.
+        Otherwise the whole product is built by ``@``, refusals included;
+        sizes and rings are checked first, as ``@`` checks them.
         """
-        left = _int_forms(chain(*self.entries))
-        right = left and self.cols == other.rows and _int_forms(chain(*other.entries))
+        names = self._product_ring(other)
+        left = _int_forms(chain(*self.entries), names)
+        right = left and _int_forms(chain(*other.entries), names)
         codec = None
-        if right and (left[0] == right[0] or not left[0] or not right[0]):
-            bound = self.cols * left[2] * right[2]
+        if right:
+            bound = self.cols * left[1] * right[1]
             if not bound:
                 return None
-            ring, degree = left[0] or right[0], left[1] + right[1]
-            if _Dense.fit(ring, degree, bound) is not None:
+            degree = left[0] + right[0]
+            if _Dense.fit(names, degree, bound) is not None:
                 # the fill does not depend on the slot width, so the test codec routes too
-                codec = _Dense(ring, degree, bound.bit_length())
+                codec = _Dense(names, degree, bound.bit_length())
                 if _fill(self.entries, codec) * _fill(other.entries, codec) < _MIN_FILL:
                     codec = None
         if codec is None:
@@ -921,7 +933,7 @@ class PolyMatrix:
             for j, (col, c) in enumerate(zip(columns, dense_cols)):
                 form = _dense_sum(zip(r, c))
                 if form is None or form[0]:
-                    value = _entry_sum(row, col)
+                    value = _entry_sum(row, col, names)
                     if value._terms:
                         return i, j, value
         return None
@@ -994,7 +1006,7 @@ class PolyMatrix:
                 continue
             minor = self._cofactor_det(rest, cols[:pos] + cols[pos + 1 :], memo)
             pairs.append((e if pos % 2 == 0 else -e, minor))
-        value = _sum_of_products(pairs)
+        value = _sum_of_products(pairs, self.names)
         memo[key] = value
         return value
 

@@ -5,8 +5,9 @@ provides the row-expansion pfaffian, an independent perfect-matching
 oracle, submaximal pfaffian vectors, the pfaffian adjoint, the two-row
 block expansion, bordered augmentation and congruence transforms.
 
-Each matrix fixes its variable tuple once, and memoizes the pfaffians of
-its principal submatrices by row bitmask.  The representation is picked
+Each matrix fixes its variable tuple when it is built
+(``exact._one_ring``), and memoizes the pfaffians of its principal
+submatrices by row bitmask.  The representation is picked
 once per matrix, at the first expansion: when every nonzero entry is an
 int-only form of the matrix's ring, the entries are graded (some weights
 w give each nonzero entry (i, j) the degree w_i + w_j), they fill their
@@ -35,12 +36,12 @@ not merely up to sign.
 from __future__ import annotations
 
 import random
-from itertools import chain, compress
+from itertools import compress
 from operator import attrgetter, eq, neg
 from typing import Iterable, Sequence
 
 from .exact import _MIN_FILL, Poly, PolyMatrix, Scalar, _checked_poly, _Dense, _fill, _int_forms
-from .exact import _sum_of_products, monomials, variables
+from .exact import _one_ring, _sum_of_products, monomials, variables
 from .gorenstein import theta_of
 
 
@@ -81,14 +82,7 @@ def _graded(grid: Sequence[Sequence[tuple[int, int | None]]]) -> bool:
 
 
 def _negates(lower: Poly, upper: Poly) -> bool:
-    """``lower == -upper``, coefficient by coefficient, without building ``-upper``.
-
-    The rings align as ``Poly.__eq__`` aligns them: equal tuples agree, a
-    nameless poly takes on the other's tuple, and two other tuples never
-    agree, even for zero polynomials.
-    """
-    if lower.names != upper.names and lower.names and upper.names:
-        return False
+    """``lower == -upper`` for two entries of one ring, coefficient by coefficient, without building ``-upper``."""
     a, b = lower._terms, upper._terms
     return len(a) == len(b) and all(map(eq, map(b.get, a), map(neg, a.values())))
 
@@ -103,12 +97,12 @@ def _perm_sign(seq: Sequence[int]) -> int:
 
 
 class AlternatingMatrix:
-    """Square skew matrix with zero diagonal over exact polynomials."""
+    """Square skew matrix with zero diagonal over exact polynomials of one ring, ``names``."""
 
     __slots__ = ("entries", "size", "names", "_row_masks", "_sparse_rows", "_pf_memo", "_codec", "_grid")
 
     def __init__(self, entries: Sequence[Sequence[Poly | Scalar]]):
-        grid = tuple(tuple(_checked_poly(e) for e in row) for row in entries)
+        names, grid = _one_ring(entries)
         n = len(grid)
         for row in grid:
             if len(row) != n:
@@ -119,20 +113,20 @@ class AlternatingMatrix:
             for j in range(i + 1, n):
                 if not _negates(grid[j][i], grid[i][j]):
                     raise ValueError(f"entry ({j + 1},{i + 1}) is not the negative of ({i + 1},{j + 1})")
-        self._adopt(grid)
+        self._adopt(grid, names)
 
     @classmethod
-    def _trusted(cls, grid: tuple[tuple[Poly, ...], ...]) -> "AlternatingMatrix":
-        """Wrap a square, alternating tuple of tuples of Polys, such as a permuted submatrix of a checked matrix, unchecked."""
+    def _trusted(cls, grid: tuple[tuple[Poly, ...], ...], names: tuple[str, ...]) -> "AlternatingMatrix":
+        """Wrap a square, alternating tuple of tuples of Polys of the ring of ``names``, such as a permuted submatrix of a checked matrix, unchecked."""
         m = object.__new__(cls)
-        m._adopt(grid)
+        m._adopt(grid, names)
         return m
 
-    def _adopt(self, grid: tuple[tuple[Poly, ...], ...]) -> None:
-        """Set the entries and what the expansion reads from them."""
+    def _adopt(self, grid: tuple[tuple[Poly, ...], ...], names: tuple[str, ...]) -> None:
+        """Set the entries, their ring and what the expansion reads from them."""
         object.__setattr__(self, "entries", grid)
         object.__setattr__(self, "size", len(grid))
-        object.__setattr__(self, "names", next((e.names for row in grid for e in row if e.names), ()))
+        object.__setattr__(self, "names", names)
         # bit j of _row_masks[i] is set when entry (i + 1, j + 1) is nonzero
         bits = [1 << j for j in range(len(grid))]
         masks = tuple(sum(compress(bits, map(attrgetter("_terms"), row))) for row in grid)
@@ -225,7 +219,7 @@ class AlternatingMatrix:
     def _permuted(self, order: Sequence[int]) -> "AlternatingMatrix":
         """The matrix of entries (order[i], order[j]) for 0-based, distinct ``order``: a principal submatrix, reordered."""
         rows = self.entries
-        return AlternatingMatrix._trusted(tuple(tuple(map(rows[i].__getitem__, order)) for i in order))
+        return AlternatingMatrix._trusted(tuple(tuple(map(rows[i].__getitem__, order)) for i in order), self.names)
 
     # ------------------------------------------------------------------
     # pfaffians
@@ -263,20 +257,18 @@ class AlternatingMatrix:
         most (2h - 1)!! * L**h, L the largest L1 norm of an entry.  Each
         entry below the diagonal is the negative of the one above it, so the
         scans and the encoding read the strict upper triangle, and -M is the
-        transpose of the dense M.  Only a nameless constant may sit above a
-        constant of some ring, and that ring decides the codec too.
+        transpose of the dense M.
         """
         n, entries = self.size, self.entries
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
         upper = [entries[i][j] for i, j in pairs]
-        mirrors = [entries[j][i] for (i, j), e in zip(pairs, upper) if e._terms and not e.names]
-        codec, forms = None, _int_forms(chain(upper, mirrors))
-        if forms is not None and forms[0] in ((), self.names):
+        codec, forms = None, _int_forms(upper, self.names)
+        if forms is not None:
             h = n // 2
-            bound = forms[2] ** h
+            bound = forms[1] ** h
             for k in range(3, 2 * h, 2):
                 bound *= k
-            codec = _Dense.fit(self.names, h * forms[1], bound)
+            codec = _Dense.fit(self.names, h * forms[0], bound)
         # a row sum multiplies entries by minors, which fill about a quarter of their slots
         if codec is not None and _fill([upper], codec) >= 4 * _MIN_FILL:
             plus = [[(0, None)] * n for _ in range(n)]
@@ -380,7 +372,7 @@ class AlternatingMatrix:
                     value = -value
                 grid[a][b] = value
                 grid[b][a] = -value
-        return AlternatingMatrix._trusted(tuple(map(tuple, grid)))
+        return AlternatingMatrix._trusted(tuple(map(tuple, grid)), self.names)
 
     # ------------------------------------------------------------------
     # bordered augmentation
@@ -398,17 +390,9 @@ class AlternatingMatrix:
         coeffs = [_checked_poly(c) for c in coeffs]
         if len(coeffs) != self.size:
             raise ValueError(f"need {self.size} coefficients, got {len(coeffs)}")
-        m = self.size
-        grid: list[list[Poly]] = [[Poly.zero(self.names)] * (m + 2) for _ in range(m + 2)]
-        for i in range(m):
-            for j in range(m):
-                grid[i][j] = self.entries[i][j]
-        for i in range(m):
-            grid[i][m + 1] = coeffs[i]
-            grid[m + 1][i] = -coeffs[i]
-        one = Poly.const(1, self.names)
-        grid[m][m + 1] = -one
-        grid[m + 1][m] = one
+        # the constants below are nameless, so they take the ring of the matrix on
+        grid = [[*row, 0, c] for row, c in zip(self.entries, coeffs)]
+        grid += [[0] * (self.size + 1) + [-1], [-c for c in coeffs] + [1, 0]]
         return AlternatingMatrix(grid)
 
 
@@ -468,10 +452,9 @@ def three_generator_embedding(
     n = psi.size
     if any(len(vec) != n for vec in (u, v, w)):
         raise ValueError(f"coefficient vectors must have length {n}")
-    zero = Poly.zero()
     m1 = psi.augment(u)
-    m2 = m1.augment(tuple(-c for c in v) + (zero, zero))
-    return m2.augment(w + (zero, zero, zero, zero))
+    m2 = m1.augment(tuple(-c for c in v) + (0, 0))
+    return m2.augment(w + (0, 0, 0, 0))
 
 
 def random_graded_alternating(twists: Sequence[int], rng: random.Random) -> AlternatingMatrix:

@@ -106,10 +106,11 @@ class AlternatingPresentation(Frozen):
     theta: int  # worked out from the twists
 
     def __init__(
-        self, matrix: AlternatingMatrix, g_indices: tuple[int, int, int], twists: tuple[int, ...]
+        self, matrix: AlternatingMatrix, g_indices: Sequence[int], twists: Sequence[int]
     ) -> None:
+        g, twists = tuple(g_indices), tuple(twists)
         object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "g_indices", g_indices)
+        object.__setattr__(self, "g_indices", g)
         object.__setattr__(self, "twists", twists)
         m = matrix.size
         if m < 5 or m % 2 == 0:
@@ -117,8 +118,9 @@ class AlternatingPresentation(Frozen):
         if len(twists) != m:
             raise ValueError(f"need {m} twists, got {len(twists)}")
         if any(isinstance(t, bool) or not isinstance(t, int) for t in twists):
-            raise ValueError(f"twists must be ints, got {tuple(twists)}")
-        g = tuple(g_indices)
+            raise ValueError(f"twists must be ints, got {twists}")
+        if any(isinstance(i, bool) or not isinstance(i, int) for i in g):
+            raise ValueError(f"g_indices must be ints, got {g}")
         if len(set(g)) != 3 or any(not 1 <= i <= m for i in g):
             raise ValueError(f"g_indices must be 3 distinct rows in 1..{m}, got {g}")
         theta = theta_of(twists)

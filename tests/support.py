@@ -65,14 +65,20 @@ def assemble_block(a: Poly | Scalar, top: PolyMatrix, c: AlternatingMatrix) -> A
 
 
 def operator_matmul(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
-    """The matrix product folded through the Poly operators entry by entry; the reference for ``@``."""
+    """The matrix product folded through the Poly operators entry by entry; the reference for ``@``.
+
+    Like ``@`` it refuses sizes that do not chain, then two rings, and
+    gives every entry the ring the two matrices share.
+    """
     if a.cols != b.rows:
         raise ValueError(f"dimension mismatch: {a.rows}x{a.cols} @ {b.rows}x{b.cols}")
+    if a.names and b.names and a.names != b.names:
+        raise ValueError(f"variable sets differ: {a.names} vs {b.names}")
     out = []
     for i in range(a.rows):
         row = []
         for j in range(b.cols):
-            acc = Poly.zero()
+            acc = Poly.zero(a.names or b.names)
             for k in range(a.cols):
                 x, y = a.entries[i][k], b.entries[k][j]
                 if x.is_zero or y.is_zero:

@@ -309,6 +309,23 @@ def test_pfaffian_odd(capsys):
     assert json.loads(out)["submaximal_pfaffians"] == ["c", "-b", "a"]
 
 
+def test_pfaffian_on_the_poly_memo_in_three_variables_is_pinned(capsys):
+    """A Fraction entry keeps the memo on Polys in a ring the codec would take; the CI pins the same stdout."""
+    matrix = [
+        [0, "x1", "x2", "x3", "1/2*x1"],
+        ["-x1", 0, "x3", "x1 - x2", "x2"],
+        ["-x2", "-x3", 0, "x1", "x3"],
+        ["-x3", "-x1 + x2", "-x1", 0, "x2 + x3"],
+        ["-1/2*x1", "-x2", "-x3", "-x2 - x3", 0],
+    ]
+    code, out, _ = run_cli(["pfaffian", "-"], json.dumps(matrix), capsys)
+    assert code == 0
+    assert out == (
+        '{"submaximal_pfaffians": ["x1*x2 - x1*x3 + 2*x2*x3 + x3^2", "-1/2*x1^2 - x2^2 - x2*x3 + x3^2", '
+        '"1/2*x1^2 + 1/2*x1*x2 + x1*x3 - x2*x3", "-3/2*x1*x3 + x2^2", "x1^2 - x1*x2 + x2^2 + x3^2"]}\n'
+    )
+
+
 def test_pfaffian_invalid_matrix(capsys):
     for matrix, message in (
         ([[0, 1], [1, 0]], "is not the negative of"),

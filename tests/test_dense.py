@@ -100,7 +100,7 @@ def test_sums_of_products_match_the_dict_kernel(n):
             pairs.append((-a, b))
         if rng.random() < 0.3:  # a nameless constant in place of a degree-0 form
             pairs = [(Poly.const(rng.randint(-5, 5)) if not da else a, b) for a, b in pairs]
-        forms = _int_forms(x for pair in pairs for x in pair)
+        forms = _int_forms((x for pair in pairs for x in pair), names)
         assert (forms is not None) == (n <= _MAX_DENSE_VARIABLES)
         bound = len(pairs) * max(sum(map(abs, a._terms.values())) * sum(map(abs, b._terms.values())) for a, b in pairs)
         assert bound < 2**63  # what fit checks, but fit also refuses four variables
@@ -182,13 +182,15 @@ def test_fit_refuses_what_would_not_decode_or_not_pay():
 
 
 def test_forms_are_refused_when_not_int_only_homogeneous_of_one_ring():
-    x, y = Poly.variable("x", ("x", "y")), Poly.variable("y", ("x", "y"))
-    assert _int_forms([x, y * y, Poly.zero(("z",)), Poly.const(-3)]) == (("x", "y"), 2, 3)
-    assert _int_forms([Poly.const(2), Poly.const(-5)]) == ((), 0, 5)
-    assert _int_forms([x + y * y]) is None  # not homogeneous
-    assert _int_forms([x * Fraction(1, 2)]) is None  # a Fraction
-    assert _int_forms([x, Poly.variable("z", ("z",))]) is None  # two rings
-    assert _int_forms([Poly.variable("x4", RINGS[4])]) is None  # more variables than the codec takes
+    xy = ("x", "y")
+    x, y = Poly.variable("x", xy), Poly.variable("y", xy)
+    assert _int_forms([x, y * y, Poly.zero(xy), Poly.const(-3)], xy) == (2, 3)
+    assert _int_forms([Poly.const(2), Poly.const(-5)], ()) == (0, 5)
+    assert _int_forms([], xy) == (0, 0)
+    assert _int_forms([x + y * y], xy) is None  # not homogeneous
+    assert _int_forms([x * Fraction(1, 2)], xy) is None  # a Fraction
+    assert _int_forms([Poly.variable("x4", RINGS[4])], RINGS[4]) is None  # more variables than the codec takes
+    assert _int_forms([Poly.zero(RINGS[4])], RINGS[4]) is None
 
 
 # ----------------------------------------------------------------------
@@ -344,10 +346,10 @@ def zero_test_corpus():
         "sparse": (PolyMatrix([[Poly.variable("x1", RINGS[3]) ** 8]]), PolyMatrix([[Poly.variable("x3", RINGS[3]) ** 8]])),
     }
     cases.extend((label, a, b, "kernel") for label, (a, b) in refused.items())
+    # two rings are refused before either route, as ``@`` refuses them
     z = Poly.variable("z", ("z",))
-    cases.append(("two rings", PolyMatrix([[x1]]), PolyMatrix([[z]]), "kernel"))
-    # the kernel builds every entry, so a refusal after a nonzero entry still raises
-    cases.append(("nonzero, then two rings", PolyMatrix([[x1], [z]]), PolyMatrix([[x1]]), "kernel"))
+    cases.append(("two rings", PolyMatrix([[x1]]), PolyMatrix([[z]]), None))
+    cases.append(("two rings, one side zero", PolyMatrix([[x1], [x2]]), PolyMatrix([[Poly.zero(("z",))]]), None))
     cases.append(("sizes", PolyMatrix([[x1]]), PolyMatrix([[x1, x2]] * 2), None))
     return cases
 
@@ -481,10 +483,10 @@ def test_pfaffian_fallbacks_match_the_oracle():
     for label, m in cases.items():
         assert typed(m.pfaffian()) == typed(m.pfaffian_oracle()), label
         assert m._codec is None, label
-    # the matrix's ring comes from a zero diagonal entry of another ring: the dict kernel refuses the sum
+    # a zero diagonal entry of another ring is refused when the matrix is built
     grid = [[Poly.zero(("z",)), x, y], [-x, Poly.zero(), z], [-y, -z, Poly.zero()]]
-    with pytest.raises(ValueError, match="variable sets differ"):
-        AlternatingMatrix(grid).submaximal_pfaffians()
+    with pytest.raises(ValueError, match=r"^variable sets differ: \('z',\) vs \('x1', 'x2', 'x3'\)$"):
+        AlternatingMatrix(grid)
     # a non-graded matrix whose first expansions would agree in degree takes the dict kernel from the start
     m = AlternatingMatrix.from_upper(
         5, {(1, 2): x, (1, 3): y, (2, 3): z, (1, 4): x, (2, 4): y, (3, 4): z, (4, 5): x * y, (3, 5): z}
@@ -501,35 +503,36 @@ def test_pfaffian_fallbacks_match_the_oracle():
         assert (m._codec is not None) == dense, d24
 
 
-def test_dict_path_reads_each_entry_from_the_expanded_row():
-    """A constant of another ring in one triangle is met only when the expansion reads its row.
+def test_constants_take_the_matrix_ring_in_either_triangle():
+    """A constant of another ring is refused in either triangle; a nameless one takes the matrix's ring on.
 
-    Entry (1, 3) is a nameless 1 and entry (3, 1) is -1 in ("z",): the
-    expansion reads row 1, so it never meets the ("z",) constant; with the
-    two swapped it does, and the kernel refuses the sum.
+    Entry (1, 3) is 1 and entry (3, 1) is -1, one of them nameless: the
+    pfaffian is the same whichever triangle holds the nameless one, and a
+    constant of ("z",) in either triangle is refused when the matrix is built.
     """
     names = ("x",)
     x = Poly.variable("x", names)
     for size, want in ((4, "28*x^2 - 5*x"), (6, "294*x^3 - 52*x^2")):
-        for upper, lower, raises in ((Poly.const(1), Poly.const(-1, ("z",)), False), (Poly.const(1, ("z",)), Poly.const(-1), True)):
-            grid = [[(i + j + 1) * x if i < j else -(i + j + 1) * x if i > j else Poly.zero() for j in range(size)] for i in range(size)]
+        grid = [[(i + j + 1) * x if i < j else -(i + j + 1) * x if i > j else Poly.zero() for j in range(size)] for i in range(size)]
+        for upper, lower in ((Poly.const(1), Poly.const(-1, names)), (Poly.const(1, names), Poly.const(-1))):
             grid[0][2], grid[2][0] = upper, lower
             m = AlternatingMatrix(grid)
-            if raises:
-                with pytest.raises(ValueError, match="variable sets differ"):
-                    m.pfaffian()
-            else:
-                assert str(m.pfaffian()) == want and m._codec is None
+            assert m.entries[0][2].names == m.entries[2][0].names == names
+            assert str(m.pfaffian()) == want and m._codec is None
+        for upper, lower in ((Poly.const(1), Poly.const(-1, ("z",))), (Poly.const(1, ("z",)), Poly.const(-1))):
+            grid[0][2], grid[2][0] = upper, lower
+            with pytest.raises(ValueError, match="variable sets differ"):
+                AlternatingMatrix(grid)
 
 
 def full_scan_representation(m):
     """The codec and the (M, -M) grids when every entry is scanned and encoded, not only the upper triangle."""
     plus = m.entries
-    forms = _int_forms(e for row in plus for e in row)
+    forms = _int_forms((e for row in plus for e in row), m.names)
     codec = None
-    if forms is not None and forms[0] in ((), m.names):
+    if forms is not None:
         h = m.size // 2
-        codec = _Dense.fit(m.names, h * forms[1], forms[2] ** h * math.prod(range(3, 2 * h, 2)))
+        codec = _Dense.fit(m.names, h * forms[0], forms[1] ** h * math.prod(range(3, 2 * h, 2)))
     if codec is not None and _fill(plus, codec) >= 4 * _MIN_FILL:
         plus = tuple(tuple(map(codec.encode, row)) for row in plus)
         if not pfaffian._graded(plus):
@@ -545,10 +548,11 @@ def load_fixture(name):
     return AlternatingMatrix.from_poly_matrix(parse_matrix(data["entries"], data["variables"])), data
 
 
-def mirrored_constants(ring):
+def mirrored_constants():
     """A graded 5x5 matrix with w = (0, 0, 0, 1, 1) whose constants (1, 2) and (2, 3) are nameless above the diagonal.
 
-    Below them, (2, 1) is the constant of ``ring`` and (3, 2) a nameless one.
+    Below them, (2, 1) is the constant of the matrix's ring and (3, 2) a
+    nameless one; the nameless ones take that ring on.
     """
     rng = random.Random(7)
     names = RINGS[3]
@@ -558,7 +562,7 @@ def mirrored_constants(ring):
         for j in range(i + 1, 5):
             grid[i][j] = random_form(rng, names, w[i] + w[j])
             grid[j][i] = -grid[i][j]
-    grid[0][1], grid[1][0] = Poly.const(3), Poly.const(-3, ring)
+    grid[0][1], grid[1][0] = Poly.const(3), Poly.const(-3, names)
     grid[1][2], grid[2][1] = Poly.const(-2), Poly.const(2)
     return AlternatingMatrix(grid)
 
@@ -574,8 +578,7 @@ def test_upper_triangle_representation_equals_the_full_scan():
                 break
             except ValueError:  # no integral matrix degree
                 continue
-    matrices["mirrored by the ring"] = mirrored_constants(RINGS[3])
-    matrices["mirrored by another ring"] = mirrored_constants(("z",))
+    matrices["mirrored constants"] = mirrored_constants()
     matrices["generic"] = AlternatingMatrix.generic(5)
     for label, m in matrices.items():
         codec, plus, minus = full_scan_representation(m)
@@ -588,7 +591,7 @@ def test_upper_triangle_representation_equals_the_full_scan():
         else:
             for got, want in zip(m._grid, (plus, minus)):
                 assert [[typed(e) for e in r] for r in got] == [[typed(e) for e in r] for r in want], label
-    assert matrices["mirrored by the ring"]._codec is not None and matrices["mirrored by another ring"]._codec is None
+    assert matrices["mirrored constants"]._codec is not None
 
 
 def assert_same_alternating(got, want):
@@ -596,10 +599,7 @@ def assert_same_alternating(got, want):
     assert (got.size, got.names, got._row_masks, got._sparse_rows) == (want.size, want.names, want._row_masks, want._sparse_rows)
 
     def pfaffians(m):
-        try:
-            return [typed(p) for p in (m.submaximal_pfaffians() if m.size % 2 else [m.pfaffian()])]
-        except ValueError as exc:  # constants of two rings meet in the dict kernel
-            return str(exc)
+        return [typed(p) for p in (m.submaximal_pfaffians() if m.size % 2 else [m.pfaffian()])]
 
     assert pfaffians(got) == pfaffians(want)
 
@@ -607,7 +607,7 @@ def assert_same_alternating(got, want):
 def test_trusted_matrices_equal_checked_ones():
     fixture, data = load_fixture("structure-11.json")
     sparse = AlternatingMatrix.from_upper(7, {(1, 2): 3, (1, 5): -2, (2, 6): 4, (3, 4): 1, (3, 7): 5, (4, 6): -1, (5, 7): 2, (6, 7): 7})
-    for m in (fixture, sparse, mirrored_constants(RINGS[3]), mirrored_constants(("z",)), AlternatingMatrix.generic(5)):
+    for m in (fixture, sparse, mirrored_constants(), AlternatingMatrix.generic(5)):
         order = [1, 4, 3] + [i for i in range(m.size) if i not in (1, 4, 3)]
         checked = AlternatingMatrix([[m.entries[i][j] for j in order] for i in order])
         assert_same_alternating(m._permuted(order), checked)

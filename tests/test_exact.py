@@ -128,53 +128,49 @@ def _typed_terms(p):
 
 def test_sum_of_products_matches_operators():
     rng = random.Random(67)
-    names = ("x", "y")
 
-    def operand():
+    def operand(ring):
         kind = rng.randrange(5)
         if kind == 0:
-            return Poly.zero(names)
+            return Poly.zero(ring)
         if kind == 1:
             return Poly.zero()
-        if kind == 2:  # a nameless constant
+        if kind == 2 or not ring:  # a nameless constant
             return Poly.const(rng.choice((rng.randint(-3, 3), Fraction(rng.randint(-3, 3), 2))))
         terms = {}
         for _ in range(rng.randint(1, 4)):
             exp = (rng.randint(0, 2), rng.randint(0, 2))
             terms[exp] = rng.choice((rng.randint(-3, 3), Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3)))))
-        return Poly(names, terms)
+        return Poly(ring, terms)
 
+    # the kernel sums in the ring its caller names; nameless constants are constants of any ring
     for _ in range(400):
-        pairs = [(operand(), operand()) for _ in range(rng.randint(0, 6))]
-        for seed_names in ((), names):
-            want = _operator_sum(pairs, seed_names)
-            got = _sum_of_products(pairs, seed_names)
+        for ring in ((), ("x", "y")):
+            pairs = [(operand(ring), operand(ring)) for _ in range(rng.randint(0, 6))]
+            want = _operator_sum(pairs, ring)
+            got = _sum_of_products(pairs, ring)
             _assert_int_first(got)
-            assert got.names == want.names
+            assert got.names == want.names == ring
             assert _typed_terms(got) == _typed_terms(want)
 
 
 def test_sum_of_products_cancellation_and_constants():
     x, y = variables("x y")
+    xy = x.names
     half = Fraction(1, 2) * x
     # Fractions that add up to an integer come back as int
-    got = _sum_of_products([(half, y), (y, half), (Poly.const(Fraction(1, 3)), Poly.const(3))])
+    got = _sum_of_products([(half, y), (y, half), (Poly.const(Fraction(1, 3)), Poly.const(3))], xy)
     assert got == x * y + 1
     assert _typed_terms(got) == {(1, 1): (int, 1), (0, 0): (int, 1)}
     # a full cancellation is the zero polynomial of the ring
-    got = _sum_of_products([(x, y), (-x, y), (Poly.const(2), x), (x, Poly.const(-2))])
-    assert got.is_zero and got.names == ("x", "y") and got.terms == {}
-    # nameless constants alone stay nameless; a seed ring is kept for the empty sum
-    assert _typed_terms(_sum_of_products([(Poly.const(2), Poly.const(3))])) == {(): (int, 6)}
-    assert _sum_of_products([], ("x", "y")).names == ("x", "y")
-    # constants lift into the ring of a later operand
-    got = _sum_of_products([(Poly.const(2), Poly.const(3)), (x, y)])
+    got = _sum_of_products([(x, y), (-x, y), (Poly.const(2), x), (x, Poly.const(-2))], xy)
+    assert got.is_zero and got.names == xy and got.terms == {}
+    # constants in the ring () stay nameless; the empty sum is the zero of the ring
+    assert _typed_terms(_sum_of_products([(Poly.const(2), Poly.const(3))], ())) == {(): (int, 6)}
+    assert _sum_of_products([], xy).names == xy
+    # nameless constants are summed into the ring the caller names
+    got = _sum_of_products([(Poly.const(2), Poly.const(3)), (x, y)], xy)
     assert _typed_terms(got) == {(0, 0): (int, 6), (1, 1): (int, 1)}
-    (z,) = variables("z")
-    with pytest.raises(ValueError, match="variable sets differ"):
-        _sum_of_products([(x, y), (z, z)])
-    with pytest.raises(ValueError, match="variable sets differ"):
-        _sum_of_products([(z, Poly.zero(("z",)))], ("x", "y"))
 
 
 def test_coefficient_boundary_rejects_float_and_bool():
@@ -347,7 +343,9 @@ def test_matmul_matches_operator_fold():
         return Poly(names, terms)
 
     def matrix(rows, cols):
-        return PolyMatrix([[entry() for _ in range(cols)] for _ in range(rows)])
+        grid = [[entry() for _ in range(cols)] for _ in range(rows)]
+        seen["nameless"] += sum(not e.names for row in grid for e in row)
+        return PolyMatrix(grid)
 
     zero = Poly.zero()
     seen = {"zero entry": 0, "fraction": 0, "nameless": 0}
@@ -365,7 +363,6 @@ def test_matmul_matches_operator_fold():
                 _assert_int_first(e)
                 seen["zero entry"] += e.is_zero
                 seen["fraction"] += _has_fraction(e._terms)
-                seen["nameless"] += not e.names
     assert all(seen.values()), seen
 
     # empty products: no columns to sum over, or no rows at all
@@ -387,38 +384,70 @@ def test_matmul_errors_match_operator_fold():
     rings = ((), ("x", "y"), ("z",))
     half = 2 ** (_W - 1)
 
-    def entry():
-        ring = rng.choice(rings)
+    def entry(ring):
         kind = rng.randrange(5)
         if kind == 0:
-            return Poly.zero(ring)
+            return Poly.zero(rng.choice(((), ring)))
         if kind == 1 and ring:  # half the degree cap: the square of it is above the cap
             return Poly(ring, {(half,) + (0,) * (len(ring) - 1): 1})
         return Poly(ring, {(rng.randint(0, 2),) * len(ring): rng.randint(1, 3)})
+
+    def matrix(rows, cols):
+        ring = rng.choice(rings)
+        return PolyMatrix([[entry(ring) for _ in range(cols)] for _ in range(rows)])
 
     messages = {"variable sets differ": 0, "above the cap": 0, "dimension mismatch": 0, "ok": 0}
     for _ in range(400):
         n, k, m = rng.randint(1, 3), rng.randint(1, 3), rng.randint(1, 3)
         k2 = k if rng.random() < 0.9 else k + 1
-        a = PolyMatrix([[entry() for _ in range(k)] for _ in range(n)])
-        b = PolyMatrix([[entry() for _ in range(m)] for _ in range(k2)])
+        a, b = matrix(n, k), matrix(k2, m)
         want = _matmul_outcome(operator_matmul, a, b)
         assert _matmul_outcome(PolyMatrix.__matmul__, a, b) == want
         kind = next((key for key in messages if key in want[1]), "ok") if want[0] == "error" else "ok"
         messages[kind] += 1
     assert all(messages.values()), messages
 
-    # a pair's degrees are checked before the sum's variable set, then the next pair
+    # sizes are checked first, then the two rings, then each pair's degrees
     x = Poly.variable("x", ("x", "y"))
-    big = Poly(("z",), {(half,): 1})
+    big = Poly(("x", "y"), {(half, 0): 1})
+    big_z = Poly(("z",), {(half,): 1})
     cases = (
         (PolyMatrix([[x, big]]), PolyMatrix([[x], [big]]), f"product degree {2 * half} is above the cap {_MAX_DEGREE}"),
-        (PolyMatrix([[big, x]]), PolyMatrix([[x], [x]]), "variable sets differ: ('z',) vs ('x', 'y')"),
-        (PolyMatrix([[x, big, big]]), PolyMatrix([[x], [x], [big]]), "variable sets differ: ('z',) vs ('x', 'y')"),
+        (PolyMatrix([[big_z]]), PolyMatrix([[big]]), "variable sets differ: ('z',) vs ('x', 'y')"),
+        (PolyMatrix([[big_z, big_z]]), PolyMatrix([[big]]), "dimension mismatch: 1x2 @ 1x1"),
     )
     for a, b, message in cases:
         assert _matmul_outcome(operator_matmul, a, b) == ("error", message)
         assert _matmul_outcome(PolyMatrix.__matmul__, a, b) == ("error", message)
+
+
+def test_matrices_keep_one_ring():
+    xy = ("x", "y")
+    x, y = (Poly.variable(v, xy) for v in xy)
+    z = Poly.variable("z", ("z",))
+    two_rings = r"^variable sets differ: \('x', 'y'\) vs \('z',\)$"
+    # a second variable tuple is refused when the matrix is built, even for a zero entry
+    for grid in ([[x, z]], [[x], [z]], [[x, 1], [Poly.zero(("z",)), y]], [[0, x], [z * z, 1]]):
+        with pytest.raises(ValueError, match=two_rings):
+            PolyMatrix(grid)
+    # nameless constants take the ring on, with their equality, hash and text unchanged
+    m = PolyMatrix([[Poly.const(2), x], [0, Fraction(1, 2)]])
+    assert m.names == xy and all(e.names == xy for row in m.entries for e in row)
+    assert m.entries[0][0] == 2 == Poly.const(2) and hash(m.entries[0][0]) == hash(2)
+    assert str(m) == "[2, x]\n[0, 1/2]"
+    assert PolyMatrix([[1, Fraction(1, 3)]]).names == () and PolyMatrix([]).names == ()
+    assert parse_matrix([["0", "1"]], xy).names == xy
+    # the product of a matrix with no variables and one of a ring is in that ring, on both sides
+    constants, column, row = PolyMatrix([[1, -1]]), PolyMatrix([[x], [x]]), PolyMatrix([[x, y]])
+    for product in (constants @ column, row.transpose() @ constants, constants @ PolyMatrix([[0], [0]]).scale(x)):
+        assert product.names == xy and all(e.names == xy for r in product.entries for e in r)
+    assert (constants @ column).is_zero and constants.product_witness(column) is None
+    assert PolyMatrix([[1, 1]]).product_witness(column) == (0, 0, 2 * x)
+    # two rings are refused by the product and the zero test alike, whatever the entries
+    for a, b in ((row, PolyMatrix([[z], [z]])), (PolyMatrix([[Poly.zero(xy)]]), PolyMatrix([[z]]))):
+        for product in (a.__matmul__, a.product_witness):
+            with pytest.raises(ValueError, match=two_rings):
+                product(b)
 
 
 def test_bareiss_matches_cofactor():
@@ -758,12 +787,12 @@ def test_product_degree_guard():
         with pytest.raises(ValueError, match="above the cap"):
             big * big
         with pytest.raises(ValueError, match="above the cap"):
-            _sum_of_products([(x, x), (big, big)])
+            _sum_of_products([(x, x), (big, big)], names)
         # at the cap exactly the product is exact
         top = big * below
         assert top.total_degree() == _MAX_DEGREE
         assert top.terms == {(_MAX_DEGREE,) + (0,) * (len(names) - 1): 1}
-        assert _sum_of_products([(big, below)]) == top
+        assert _sum_of_products([(big, below)], names) == top
         # a zero factor is no product at all
         assert (big * Poly.zero(names)).is_zero
 

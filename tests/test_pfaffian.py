@@ -69,6 +69,31 @@ def test_validation():
         AlternatingMatrix([[0, 1], [1, 0]])
 
 
+def test_alternating_constructors_keep_one_ring():
+    xy = ("x", "y")
+    x, y = (Poly.variable(v, xy) for v in xy)
+    z = Poly.variable("z", ("z",))
+    two_rings = r"^variable sets differ: \('x', 'y'\) vs \('z',\)$"
+    m = AlternatingMatrix.from_upper(3, {(1, 2): x, (1, 3): y, (2, 3): 1})
+    refused = {
+        "constructor": lambda: AlternatingMatrix([[0, x, 0], [-x, 0, z], [0, -z, 0]]),
+        "zero diagonal entry": lambda: AlternatingMatrix([[0, x], [-x, Poly.zero(("z",))]]),
+        "from_upper": lambda: AlternatingMatrix.from_upper(3, {(1, 2): x, (2, 3): z}),
+        "augment": lambda: m.augment([1, 0, z]),
+    }
+    for label, build in refused.items():
+        with pytest.raises(ValueError, match=two_rings):
+            build()
+    # nameless constants take the ring on, in either triangle and in a bordering
+    assert m.names == xy and all(e.names == xy for row in m.entries for e in row)
+    bordered = m.augment([1, 0, Poly.const(2)])
+    assert bordered.names == xy and all(e.names == xy for row in bordered.entries for e in row)
+    assert AlternatingMatrix([[0, 3], [-3, 0]]).names == () and AlternatingMatrix([]).names == ()
+    # the ring carries to submatrices, adjoints and their pfaffians, constant or not
+    for sub in (m.delete((1,)), m.adjoint((2, 3)), bordered.delete((1, 2, 3))):
+        assert sub.names == xy and sub.pfaffian().names == xy
+
+
 def negation_refusal(entries):
     """The constructor's refusal by building ``-grid[i][j]`` for each upper entry, as a message; None when it accepts."""
     grid = [[exact._checked_poly(e) for e in row] for row in entries]
@@ -87,13 +112,22 @@ def test_skew_check_refuses_what_negation_refused():
     x, y = (Poly.variable(v, xy) for v in xy)
     z = Poly.variable("z", ("z",))
     third = Fraction(1, 3)
+    # a second ring is refused before the entries are compared, naming the first two rings met
+    two_rings = {
+        "zero of two rings": (Poly.zero(("x",)), Poly.zero(("y",)), ("('x',) vs ('y',)", "('x', 'y') vs ('x',)")),
+        "constants of two rings": (Poly.const(3, xy), Poly.const(-3, ("z",)), ("('x', 'y') vs ('z',)",) * 2),
+        "forms of two rings": (x, -z, ("('x', 'y') vs ('z',)",) * 2),
+    }
+    for label, (upper, lower, messages) in two_rings.items():
+        shapes = ([[0, upper], [lower, 0]], [[0, x, upper], [-x, 0, 0], [lower, 0, 0]])
+        for entries, rings in zip(shapes, messages):
+            with pytest.raises(ValueError) as info:
+                AlternatingMatrix(entries)
+            assert str(info.value) == f"variable sets differ: {rings}", label
     pairs = {
-        "zero of two rings": (Poly.zero(("x",)), Poly.zero(("y",))),
         "zero of a ring and nameless": (Poly.zero(xy), Poly.zero()),
         "nameless constant below a ring constant": (Poly.const(3, xy), Poly.const(-3)),
         "ring constant below a nameless constant": (Poly.const(3), Poly.const(-3, xy)),
-        "constants of two rings": (Poly.const(3, xy), Poly.const(-3, ("z",))),
-        "forms of two rings": (x, -z),
         "fraction": (third * x - y, -third * x + y),
         "fraction of the wrong sign": (third * x, third * x),
         "fraction against its int numerator": (third * x, -x),

@@ -73,6 +73,18 @@ def test_presentation_validation():
             AlternatingPresentation(m5, (1, 2, 3), twists)
 
 
+def test_presentation_rows_are_ints_and_fields_are_tuples():
+    m5 = random_graded_alternating([2] * 5, random.Random(1))
+    for g in ((True, 2, 3), (1, 2, 3.0), (1.0, 2, 3), (1, 2, "3")):
+        with pytest.raises(ValueError, match=r"^g_indices must be ints, got "):
+            AlternatingPresentation(m5, g, (2,) * 5)
+    # lists are stored as tuples, so the value equals the one built from tuples
+    from_lists = AlternatingPresentation(m5, [1, 2, 3], [2] * 5)
+    from_tuples = AlternatingPresentation(m5, (1, 2, 3), (2,) * 5)
+    assert (from_lists.g_indices, from_lists.twists) == ((1, 2, 3), (2,) * 5)
+    assert from_lists == from_tuples and repr(from_lists) == repr(from_tuples)
+
+
 def test_top_right_block_is_lambda_t_times_beta_adjoint():
     """The d2 block read from the pfaffian memo equals lambda^T @ adj(beta), computed afresh."""
     rng = random.Random(97)
