@@ -28,10 +28,16 @@ Text is read and written straight from packed keys.  ``parse_poly`` and
 ``parse_matrix`` sum a term's key from the unit keys, looked up by name
 in a dict built once per variable tuple; ``parse_matrix`` reads each
 distinct term text of its matrix, without its sign, once.
-``Poly.__str__`` sorts the keys once and, when every exponent is 0 or 1
-(as in a generic pfaffian), names a monomial by the low byte of each
-exponent field, so neither side loops over all variables in Python for
-each term.
+``Poly.__str__`` sorts the keys once, looks up the text before each
+monomial (" + ", " - ", or a formatted coefficient) and joins all of it
+once.  When every exponent is 0 or 1 (as in a generic pfaffian) and the
+ring has at most ``_MAX_TAGGED`` = 127 variables, ``_monomial_texts``
+writes each run of keys of one degree in byte passes of up to
+``_TAG_BATCH`` keys: a constant added to each key clears its degree field
+and makes the low byte of exponent field i the tag 2i + e_i, one slice and one ``bytes.translate``
+keep the odd tags of the pass's joined bytes, and a 256-entry table
+names them.  So neither side loops over all variables in Python for each
+term.
 
 Matrices of polynomials are dense; everything here is desk scale (the
 CLI accepts at most 13 rows), so cofactor expansion with memoization is
@@ -80,9 +86,10 @@ from __future__ import annotations
 import functools
 import re
 import struct
+from bisect import bisect_right
 from fractions import Fraction
 from itertools import chain, compress, repeat
-from operator import attrgetter, itemgetter, mul, or_
+from operator import add, attrgetter, itemgetter, mul, neg, or_
 from typing import Callable, Iterable, Iterator, Sequence, Union
 
 from ._text import _DIGITS_RE, _NAME_RE, _clip
@@ -106,6 +113,19 @@ _FIELD = "I"
 # polynomial with n terms in n variables holds about 4 * n**2 bytes.  A
 # generic 13x13 alternating matrix has 78 variables.
 _MAX_VARIABLES = 100
+# The most variables of a ring whose square-free monomials _monomial_texts
+# writes in one byte pass: the tags 2i + e_i of its exponent fields are then
+# at most 253, one byte each.  Only the Python API builds a larger ring;
+# text names at most _MAX_VARIABLES.
+_MAX_TAGGED = 127
+_EVEN_BYTES = bytes(range(0, 256, 2))
+# The most keys one byte pass takes: a pass holds about 8 * n bytes a key in
+# n variables.  str of a generic 12x12 pfaffian (10,395 keys of one degree,
+# 66 variables) peaked at 6.6 MB in one pass and at 1.8 MB in passes of
+# this many, at the same speed (tracemalloc).
+_TAG_BATCH = 1024
+# The text before a term's monomial in Poly.__str__ when its coefficient is 1 or -1.
+_UNIT_HEADS = {1: " + ", -1: " - "}
 # The most variables and slots (monomials in the first n - 1 variables) a
 # dense form may have; see _Dense.
 _MAX_DENSE_VARIABLES = 3
@@ -146,22 +166,57 @@ def _layout(n: int) -> tuple[Callable[[Sequence[int]], int], Callable[[int], tup
     return pack, unpack
 
 
-def _monomial_texts(names: tuple[str, ...], keys: list[int]) -> Iterable[str]:
-    """The text of each nonconstant key of the ring of ``names``, such as ``x1^2*x3``.
+@functools.lru_cache(maxsize=64)
+def _tags(names: tuple[str, ...]) -> tuple[int, tuple[str, ...]]:
+    """(offset, table) of the square-free pass of ``_monomial_texts`` in the ring of ``names``.
 
-    When every exponent of every key is 0 or 1, which a single OR of the
-    keys shows, a monomial is the names whose exponent fields have low
-    byte 1, joined by ``*``; this path runs in C.  Otherwise each key is
-    decoded and written factor by factor.
+    ``offset`` holds 2i in exponent field i, so a square-free key plus
+    ``offset`` has the tag 2i + e_i as the low byte of that field, and
+    ``table[2i + 1]`` is ``names[i]``.  The ring has at most
+    ``_MAX_TAGGED`` variables, so every tag fits in a byte.
     """
     n = len(names)
-    exponent_bits = (1 << (_W * n)) - 1
+    offset = sum(2 * i << (_W * (n - 1 - i)) for i in range(n))
+    table = [""] * 256
+    table[1 : 2 * n : 2] = names
+    return offset, tuple(table)
+
+
+def _monomial_texts(names: tuple[str, ...], keys: list[int]) -> list[str]:
+    """The text of each nonconstant key of the ring of ``names``, such as ``x1^2*x3``; ``keys`` descend.
+
+    When every exponent of every key is 0 or 1, which a single OR of the
+    keys shows, and the ring has at most ``_MAX_TAGGED`` variables, the
+    keys are written in byte passes, each over one run of keys of one
+    degree d (at most ``_TAG_BATCH`` of them).  Each key, its degree field
+    cleared and the ``_tags`` offset added, gives its bytes; one slice of
+    the pass's joined bytes takes every low byte, the tag 2i + e_i of
+    exponent field i; ``bytes.translate`` drops the even tags, leaving the
+    2i + 1 of each variable of each monomial in order; and the names read
+    from the tag table are joined by ``*`` in groups of d.  Otherwise
+    each key is decoded and written factor by factor.
+    """
+    n = len(names)
+    shift = _W * n
+    exponent_bits = (1 << shift) - 1
     low_bits = exponent_bits // _MAX_DEGREE  # the lowest bit of each exponent field
-    if not functools.reduce(or_, keys, 0) & (exponent_bits ^ low_bits):
+    if n <= _MAX_TAGGED and not functools.reduce(or_, keys, 0) & (exponent_bits ^ low_bits):
+        offset, table = _tags(names)
         width = _W // 8
-        raw = map(int.to_bytes, keys, repeat(width * (n + 1)), repeat("big"))
-        lows = map(itemgetter(slice(2 * width - 1, None, width)), raw)  # past the degree field
-        return map("*".join, map(compress, repeat(names), lows))
+        texts: list[str] = []
+        start, end = 0, len(keys)
+        while start < end:
+            degree = keys[start] >> shift
+            # keys descend, so the run ends at the first key below degree << shift
+            stop = min(bisect_right(keys, -(degree << shift), start, end, key=neg), start + _TAG_BATCH)
+            tagged = map(add, keys[start:stop], repeat(offset - (degree << shift)))
+            raw = b"".join(map(int.to_bytes, tagged, repeat(width * n), repeat("big")))
+            tags = raw[width - 1 :: width].translate(None, _EVEN_BYTES)
+            # itemgetter of one index returns the item bare; a leading index keeps a tuple
+            factors = iter(itemgetter(0, *tags)(table)[1:])
+            texts += map("*".join, zip(*[factors] * degree))
+            start = stop
+        return texts
     _, unpack = _layout(n)
     texts = []
     for exp in map(unpack, keys):
@@ -464,19 +519,10 @@ class Poly:
         const = terms.get(0)  # key 0 sorts last
         if const is not None:
             keys.pop()
-        parts = []
-        append = parts.append
-        for c, mono in zip(map(terms.__getitem__, keys), _monomial_texts(self.names, keys)):
-            if c == 1:
-                append(" + " + mono)
-            elif c == -1:
-                append(" - " + mono)
-            elif c > 0:
-                append(f" + {c}*{mono}")
-            else:
-                append(f" - {-c}*{mono}")
+        heads = [_UNIT_HEADS.get(c) or (f" + {c}*" if c > 0 else f" - {-c}*") for c in map(terms.__getitem__, keys)]
+        parts = list(chain.from_iterable(zip(heads, _monomial_texts(self.names, keys))))
         if const is not None:
-            append(f" + {const}" if const > 0 else f" - {-const}")
+            parts.append(f" + {const}" if const > 0 else f" - {-const}")
         text = "".join(parts)
         return text[3:] if text[1] == "+" else "-" + text[3:]
 
@@ -503,14 +549,19 @@ def _one_ring(entries: Iterable[Iterable[Poly | Scalar]]) -> tuple[tuple[str, ..
 
     Every entry with variables must have the same variable tuple, else
     ValueError naming the first two tuples met in row-major order.  A grid
-    with no variables has the ring ``()``.
+    with no variables has the ring ``()``.  Entries nearly always share
+    one tuple object, so each tuple is compared with the first nonempty
+    one (``list.count`` tests identity first), and only a grid with a
+    second ring pays for hashing the tuples.
     """
     grid = tuple(tuple(map(_checked_poly, row)) for row in entries)
-    rings = dict.fromkeys(map(attrgetter("names"), chain.from_iterable(grid)))
-    names, *others = [ring for ring in rings if ring] or [()]
-    if others:
-        raise ValueError(f"variable sets differ: {names} vs {others[0]}")
-    if names and () in rings:
+    rings = list(map(attrgetter("names"), chain.from_iterable(grid)))
+    names = next(filter(None, rings), ())
+    nameless = rings.count(())
+    if names and rings.count(names) + nameless != len(rings):
+        first, second = [ring for ring in dict.fromkeys(rings) if ring][:2]
+        raise ValueError(f"variable sets differ: {first} vs {second}")
+    if names and nameless:
         grid = tuple(tuple(e if e.names else Poly._trusted(names, e._terms) for e in row) for row in grid)
     return names, grid
 
@@ -959,9 +1010,9 @@ class PolyMatrix:
         if not self.is_square:
             raise ValueError("determinant of a non-square matrix")
         if self.rows == 0:
-            return Poly.const(1)
+            return Poly.const(1, self.names)
         if self.is_constant:
-            return Poly.const(self._bareiss_determinant())
+            return Poly.const(self._bareiss_determinant(), self.names)
         memo: dict[tuple[int, ...], Poly] = {}
         return self._cofactor_det(tuple(range(self.rows)), tuple(range(self.cols)), memo)
 
@@ -1015,6 +1066,8 @@ class PolyMatrix:
         if not self.is_square:
             raise ValueError("adjugate of a non-square matrix")
         n = self.rows
+        if n == 1:  # the one minor is 0x0, whose matrix has lost the ring
+            return PolyMatrix([[Poly.const(1, self.names)]])
         idx = tuple(range(n))
         out = []
         for i in range(n):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import re
@@ -7,6 +8,7 @@ import pytest
 
 from bettiforge.exact import (
     _MAX_DEGREE,
+    _TAG_BATCH,
     _W,
     Poly,
     PolyMatrix,
@@ -282,6 +284,14 @@ def test_constant_value():
 def test_matrix_det_2x2():
     m = parse_matrix([["a", "b"], ["c", "d"]])
     assert m.determinant() == parse_poly("a*d - b*c", m.entry(0, 0).names)
+    # a constant matrix keeps its ring through the Bareiss branch, and so does its adjugate
+    m = parse_matrix([["1", "2"], ["3", "4"]], ("x",))
+    assert m.determinant() == -2 and m.determinant().names == ("x",)
+    assert m.adjugate() == parse_matrix([["4", "-2"], ["-3", "1"]]) and m.adjugate().names == ("x",)
+    # a 1x1 adjugate is [1], in the matrix's ring, though its one minor is 0x0
+    for cell in ("5", "x"):
+        adj = parse_matrix([[cell]], ("x",)).adjugate()
+        assert adj == PolyMatrix([[1]]) and adj.names == ("x",)
 
 
 def test_transpose_involution():
@@ -601,6 +611,47 @@ def test_str_matches_reference_formatter():
     for value in (0, 1, -1, 10**20, Fraction(-5, 3)):
         for n in (0, 2):
             assert str(Poly.const(value, ("x", "y")[:n])) == _reference_str(Poly.const(value)) == str(value)
+    # the square-free byte pass: three degree runs and a constant, with 1, -1, int and
+    # Fraction heads in one polynomial
+    p = Poly(
+        ("a", "b", "c", "d"),
+        {
+            (1, 1, 1, 0): 1,
+            (1, 0, 1, 1): -1,
+            (0, 1, 1, 1): 10**20,
+            (1, 1, 0, 0): 3,
+            (0, 0, 1, 1): -1,
+            (1, 0, 0, 1): Fraction(-2, 3),
+            (0, 1, 0, 0): Fraction(1, 2),
+            (0, 0, 0, 1): 1,
+            (0, 0, 0, 0): -5,
+        },
+    )
+    assert str(p) == _reference_str(p) == "a*b*c - a*c*d + 100000000000000000000*b*c*d + 3*a*b - 2/3*a*d - c*d + 1/2*b + d - 5"
+    # the last variable of a 100- and a 127-variable ring (tags 199 and 253), and rings
+    # of 128 and 129 variables, which take the general path
+    for n in (100, 127, 128, 129):
+        names = tuple(f"v{i}" for i in range(n))
+        last, first_and_last, four = ([0] * n for _ in range(3))
+        last[-1] = first_and_last[0] = first_and_last[-1] = 1
+        four[0] = four[1] = four[-2] = four[-1] = 1
+        terms = {tuple(last): 1, tuple(first_and_last): -1, tuple(four): 2, (1,) * n: Fraction(1, 2), (0,) * n: 7}
+        p = Poly(names, terms)
+        assert str(p) == _reference_str(p) and str(-p) == _reference_str(-p)
+        assert str(p).endswith(f" - v0*v{n - 1} + v{n - 1} + 7")
+    # runs longer than one byte pass: every square-free monomial of degree 4 (1,820) and 3
+    # (560) in 16 variables
+    names = tuple(f"v{i}" for i in range(16))
+    terms = {}
+    for d in (3, 4):
+        for support in itertools.combinations(range(16), d):
+            terms[tuple(int(i in support) for i in range(16))] = (-1) ** sum(support)
+    p = Poly(names, terms)
+    assert math.comb(16, 4) > _TAG_BATCH and str(p) == _reference_str(p)
+    # one variable, one term: a run of a single tag
+    for terms in ({(1,): 1}, {(1,): -1}, {(1,): -1, (0,): 1}, {(1,): Fraction(1, 3)}):
+        p = Poly(("x",), terms)
+        assert str(p) == _reference_str(p)
 
 
 def _reference_parse(text, names=None):
